@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 __all__ = [
     "ParseError",
     "BudgetExceeded",
+    "InternalError",
     "dot",
     "l2_sq",
     "linf",
@@ -66,6 +67,11 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, message: str, partial: int = 0):
         super().__init__(message)
         self.partial = partial
+
+
+class InternalError(RuntimeError):
+    """A solver's own check on its answer failed: a defect in sbl, never
+    bad input, so it is deliberately not a ValueError."""
 
 
 # ---------------------------------------------------------------------------

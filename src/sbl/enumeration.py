@@ -7,6 +7,12 @@ the integer range is located with an integer square root and then sharpened
 by the predicate itself, so the listing is provably complete.  Points come
 back sorted lexicographically, which fixes every downstream tie-break.
 
+A PreparedLattice holds what a query needs from its lattice: the reduced
+rows and their exact Gram-Schmidt data.  Preparing costs one reduction and
+one Gram-Schmidt pass; after that each query maps its center into the
+Gram-Schmidt frame with O(m^2) integer work, so callers that ask many
+questions of one lattice prepare it once and pass it to every call.
+
 svp_inf and cvp_inf answer sup-norm questions through Euclidean balls: a
 sup ball of radius d sits inside the Euclidean ball of radius d*sqrt(m), so
 enumerating the latter and filtering exactly is complete.  Both support a
@@ -19,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from math import gcd
+from typing import Optional, Tuple, Union
 
 from .core import (
     BudgetExceeded,
@@ -30,13 +37,14 @@ from .core import (
     is_positive_definite,
     l2_sq,
     linf,
-    mat_solve,
 )
 from .lattice import GaugeBody, LatticeBasis, gauge_norm, gauge_sq
-from .reduction import gram_schmidt, lll_reduce
+from .reduction import GSO, gram_schmidt, lll_reduce
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
+    "PreparedLattice",
+    "prepare",
     "BallQuery",
     "EnumerationResult",
     "enum_ball",
@@ -52,10 +60,96 @@ DEFAULT_POINT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
+class PreparedLattice:
+    """A reduced basis with its exact Gram-Schmidt data, set up once and
+    queried many times.
+
+    It has the rows, dim and rank of a LatticeBasis, so code written
+    against a basis reads it unchanged.  gram_det and lam hold the same
+    Gram-Schmidt data in integral form: gram_det[i] is the Gram determinant
+    of the first i rows and lam[i][j] = mu[i][j] * gram_det[j + 1].
+    """
+
+    rows: Tuple[Tuple[int, ...], ...]
+    dim: int
+    gso: GSO
+    gram_det: Tuple[int, ...]
+    lam: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def gs_coords(self, point) -> Tuple[Fraction, ...]:
+        """<point, b*_i> / |b*_i|^2 for every row i: the coordinates of the
+        point's projection onto the row span in the Gram-Schmidt frame.
+
+        The Gram matrix factors as G = mu * diag(|b*|^2) * mu^T, so these
+        are the forward substitution of the Gram system G t = B point,
+        done here in integers on the lam / gram_det form: O(rank^2) per
+        point, with no elimination.
+        """
+        point = [Fraction(c) for c in point]
+        den = 1
+        for c in point:
+            den = den * c.denominator // gcd(den, c.denominator)
+        scaled = [c.numerator * (den // c.denominator) for c in point]
+        dets = self.gram_det
+        ys: list = []  # ys[j] = gram_det[j] * <den * point, b*_j>
+        for row, lrow in zip(self.rows, self.lam):
+            u = dot(row, scaled)
+            for i, y in enumerate(ys):
+                u = (dets[i + 1] * u - y * lrow[i]) // dets[i]
+            ys.append(u)
+        return tuple(Fraction(y, den * dets[j + 1]) for j, y in enumerate(ys))
+
+    def nearest_plane(self, target) -> Tuple[int, ...]:
+        """Babai rounding in the Gram-Schmidt frame; a cheap upper bound."""
+        mu = self.gso.mu
+        rank = self.rank
+        zc = self.gs_coords(target)
+        z = [0] * rank
+        for i in range(rank - 1, -1, -1):
+            c = zc[i]
+            for j in range(i + 1, rank):
+                c -= mu[j][i] * z[j]
+            half = c + Fraction(1, 2)
+            z[i] = half.numerator // half.denominator
+        point = [0] * self.dim
+        for zi, row in zip(z, self.rows):
+            if zi:
+                for j in range(self.dim):
+                    point[j] += zi * row[j]
+        return tuple(point)
+
+
+Lattice = Union[LatticeBasis, PreparedLattice]
+
+
+def prepare(basis: Lattice, assume_reduced: bool = False) -> PreparedLattice:
+    """Reduce the basis (unless told it already is) and compute its
+    Gram-Schmidt data once; a lattice that is already prepared is
+    returned as it is."""
+    if isinstance(basis, PreparedLattice):
+        return basis
+    red = basis if (assume_reduced or basis.rank < 2) else lll_reduce(basis)
+    gso = gram_schmidt(red)
+    # the running products of |b*|^2 are Gram determinants, so integers
+    dets = [1]
+    for b2 in gso.b_star_sq:
+        dets.append((dets[-1] * b2).numerator)
+    lam = tuple(
+        tuple((m * dets[j + 1]).numerator for j, m in enumerate(row))
+        for row in gso.mu
+    )
+    return PreparedLattice(red.rows, red.dim, gso, tuple(dets), lam)
+
+
+@dataclass(frozen=True)
 class BallQuery:
     """A lattice, a rational center, and a squared radius."""
 
-    basis: LatticeBasis
+    basis: Lattice
     center: Tuple[Fraction, ...]
     radius_sq: Fraction
 
@@ -76,25 +170,17 @@ class EnumerationResult:
     count: int
 
 
-def _coords_of(basis: LatticeBasis, point) -> tuple:
-    """Coordinates of a rational point in the row span, via the Gram system."""
-    rows = basis.rows
-    gram = [[dot(a, b) for b in rows] for a in rows]
-    rhs = [dot(row, point) for row in rows]
-    return mat_solve(gram, rhs)
-
-
 def enum_ball(
     query: BallQuery,
     budget: int = DEFAULT_POINT_BUDGET,
-    assume_reduced: bool = False,
 ) -> EnumerationResult:
     """All lattice points v with |v - center|_2^2 <= radius_sq.
 
     The basis may have rank below the ambient dimension; the center's
     component orthogonal to the span is then a fixed cost subtracted from
-    the radius.  Raises BudgetExceeded rather than returning a truncated
-    listing.
+    the radius.  A PreparedLattice is used as it is; a plain basis is
+    prepared for this one query.  Raises BudgetExceeded rather than
+    returning a truncated listing.
     """
     basis = query.basis
     rank = basis.rank
@@ -103,31 +189,25 @@ def enum_ball(
         inside = l2_sq(center) <= query.radius_sq
         pts = (tuple([0] * basis.dim),) if inside else ()
         return EnumerationResult(pts, len(pts))
-    red = basis if (assume_reduced or rank < 2) else lll_reduce(basis)
-    rows = red.rows
-    m = red.dim
-    gso = gram_schmidt(red)
-    mu, bsq = gso.mu, gso.b_star_sq
-    tau = _coords_of(red, center)
-    proj = [Fraction(0)] * m
-    for i in range(rank):
-        t = tau[i]
-        if t:
-            row = rows[i]
-            for j in range(m):
-                proj[j] += t * row[j]
-    orth_sq = sum((a - b) ** 2 for a, b in zip(center, proj))
-    rem0 = query.radius_sq - orth_sq
-    if rem0 < 0:
-        return EnumerationResult((), 0)
+    lat = prepare(basis)
+    rows = lat.rows
+    m = lat.dim
+    mu, bsq = lat.gso.mu, lat.gso.b_star_sq
+    zc = lat.gs_coords(center)
+    rem0 = query.radius_sq
+    if rank < m:
+        # the center's distance to the span: |center|^2 - |projection|^2
+        rem0 -= l2_sq(center) - sum(z * z * b2 for z, b2 in zip(zc, bsq))
+        if rem0 < 0:
+            return EnumerationResult((), 0)
 
     out: list = []
-    cacc = [Fraction(0)] * rank  # cacc[i] = sum_{j > level} mu[j][i] * w_j
+    cacc = [Fraction(0)] * rank  # cacc[i] = sum_{j > level} mu[j][i] * z_j
     acc = [0] * m  # running integer point
 
     def descend(level: int, rem: Fraction) -> None:
         b2 = bsq[level]
-        e = tau[level] - cacc[level]
+        e = zc[level] - cacc[level]
         span = floor_sqrt_frac(rem / b2)
         z = (e.numerator // e.denominator) - span - 1
         while True:
@@ -143,10 +223,9 @@ def enum_ball(
                     row = rows[0]
                     out.append(tuple(a + z * b for a, b in zip(acc, row)))
                 else:
-                    w = z - tau[level]
                     mrow = mu[level]
                     for i in range(level):
-                        cacc[i] += mrow[i] * w
+                        cacc[i] += mrow[i] * z
                     row = rows[level]
                     for i in range(m):
                         acc[i] += z * row[i]
@@ -154,7 +233,7 @@ def enum_ball(
                     for i in range(m):
                         acc[i] -= z * row[i]
                     for i in range(level):
-                        cacc[i] -= mrow[i] * w
+                        cacc[i] -= mrow[i] * z
             elif diff > 0:
                 break
             z += 1
@@ -196,11 +275,10 @@ def _min_sup_nonzero(points, bound_sq: Fraction):
 
 
 def svp_inf(
-    basis: LatticeBasis,
+    basis: Lattice,
     eps: Optional[Fraction] = None,
     cap: Optional[int] = None,
     budget: int = DEFAULT_POINT_BUDGET,
-    assume_reduced: bool = False,
 ) -> SvpResult:
     """Exact sup-norm shortest vector.
 
@@ -213,17 +291,15 @@ def svp_inf(
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
-    red = basis if assume_reduced else lll_reduce(basis)
-    m = red.dim
+    lat = prepare(basis)
+    m = lat.dim
     zero = (Fraction(0),) * m
 
     if cap is not None:
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         cap_sq = Fraction(cap * cap)
-        res = enum_ball(
-            BallQuery(red, zero, cap_sq * m), budget, assume_reduced=True
-        )
+        res = enum_ball(BallQuery(lat, zero, cap_sq * m), budget)
         best = _min_sup_nonzero(res.points, cap_sq)
         if best is None:
             return SvpResult(False, None, None, res.count)
@@ -234,16 +310,14 @@ def svp_inf(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    b1_sq = Fraction(l2_sq(red.rows[0]))
-    ball = enum_ball(BallQuery(red, zero, b1_sq), budget, assume_reduced=True)
+    b1_sq = Fraction(l2_sq(lat.rows[0]))
+    ball = enum_ball(BallQuery(lat, zero, b1_sq), budget)
     lam2_sq = min(l2_sq(p) for p in ball.points if any(p))
     d_sq = Fraction(lam2_sq, m)
     start_sq = d_sq
     growth = (1 + eps) ** 2
     while True:
-        res = enum_ball(
-            BallQuery(red, zero, d_sq * m), budget, assume_reduced=True
-        )
+        res = enum_ball(BallQuery(lat, zero, d_sq * m), budget)
         best = _min_sup_nonzero(res.points, d_sq)
         if best is not None:
             value, witness = best
@@ -283,32 +357,11 @@ def _min_sup_to(points, center, bound_sq: Fraction):
     return best
 
 
-def _nearest_plane(red: LatticeBasis, gso, tau) -> tuple:
-    """Babai rounding in the Gram-Schmidt frame; a cheap upper bound."""
-    rank = red.rank
-    mu = gso.mu
-    z = [0] * rank
-    for i in range(rank - 1, -1, -1):
-        c = tau[i]
-        for j in range(i + 1, rank):
-            c -= mu[j][i] * (z[j] - tau[j])
-        half = c + Fraction(1, 2)
-        z[i] = half.numerator // half.denominator
-    point = [0] * red.dim
-    for i in range(rank):
-        if z[i]:
-            row = red.rows[i]
-            for j in range(red.dim):
-                point[j] += z[i] * row[j]
-    return tuple(point)
-
-
 def cvp_inf(
-    basis: LatticeBasis,
+    basis: Lattice,
     target,
     cap: Optional[Fraction] = None,
     budget: int = DEFAULT_POINT_BUDGET,
-    assume_reduced: bool = False,
 ) -> CvpResult:
     """Exact sup-norm closest vector to a rational target.
 
@@ -321,8 +374,8 @@ def cvp_inf(
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
-    red = basis if assume_reduced else lll_reduce(basis)
-    m = red.dim
+    lat = prepare(basis)
+    m = lat.dim
     tgt = tuple(Fraction(c) for c in target)
     if len(tgt) != m:
         raise ValueError("target dimension does not match the basis")
@@ -331,26 +384,20 @@ def cvp_inf(
         cap = Fraction(cap)
         if cap < 0:
             raise ValueError("cap must be nonnegative")
-        res = enum_ball(
-            BallQuery(red, tgt, cap * cap * m), budget, assume_reduced=True
-        )
+        res = enum_ball(BallQuery(lat, tgt, cap * cap * m), budget)
         best = _min_sup_to(res.points, tgt, cap * cap)
         if best is None:
             return CvpResult(False, None, None, res.count)
         return CvpResult(True, best[0], best[1], res.count)
 
-    gso = gram_schmidt(red)
-    tau = _coords_of(red, tgt)
-    v0 = _nearest_plane(red, gso, tau)
+    v0 = lat.nearest_plane(tgt)
     d0 = _sup_dist(v0, tgt)
     if d0 == 0:
         return CvpResult(True, Fraction(0), v0, 0)
     d_sq = d0 * d0 / m
     growth = (1 + Fraction(1, m)) ** 2
     while True:
-        res = enum_ball(
-            BallQuery(red, tgt, d_sq * m), budget, assume_reduced=True
-        )
+        res = enum_ball(BallQuery(lat, tgt, d_sq * m), budget)
         best = _min_sup_to(res.points, tgt, d_sq)
         if best is not None:
             return CvpResult(True, best[0], best[1], res.count)
@@ -384,7 +431,7 @@ def _pd_lower_bound(ell: Ellipsoid) -> Fraction:
 
 
 def svp_gauge(
-    basis: LatticeBasis,
+    basis: Lattice,
     body: GaugeBody,
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> GaugeResult:
@@ -397,11 +444,11 @@ def svp_gauge(
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
-    red = lll_reduce(basis)
-    m = red.dim
+    lat = prepare(basis)
+    m = lat.dim
     zero = (Fraction(0),) * m
-    b1_sq = Fraction(l2_sq(red.rows[0]))
-    ball = enum_ball(BallQuery(red, zero, b1_sq), budget, assume_reduced=True)
+    b1_sq = Fraction(l2_sq(lat.rows[0]))
+    ball = enum_ball(BallQuery(lat, zero, b1_sq), budget)
     u = min(
         (p for p in ball.points if any(p)),
         key=lambda p: (l2_sq(p), p),
@@ -412,9 +459,7 @@ def svp_gauge(
         radius_sq = Fraction(m * body.d * body.d) * g0
     else:
         radius_sq = g0 / _pd_lower_bound(body)
-    res = enum_ball(
-        BallQuery(red, zero, radius_sq), budget, assume_reduced=True
-    )
+    res = enum_ball(BallQuery(lat, zero, radius_sq), budget)
     best = min(
         (p for p in res.points if any(p)),
         key=lambda p: (gauge_sq(body, p), p),

@@ -63,6 +63,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 TAU_PROBE_RANGE = 100  # sampled tau lies in [-100, 100]
 
 
+def _mix(z: int) -> int:
+    """SplitMix64's output function of a 64-bit state."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return (z ^ (z >> 31)) & _MASK
+
+
 class SplitMix64:
     """The 64-bit SplitMix generator; deterministic and portable."""
 
@@ -73,10 +80,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+        return _mix(self._state)
 
     def below(self, bound: int) -> int:
         """Uniform on [0, bound) by rejection; bound may exceed 2^64."""
@@ -102,14 +106,11 @@ class SplitMix64:
 
 def trial_stream(seed: int, index: int) -> SplitMix64:
     """The per-trial generator: seeded by the (index+1)-th output of the
-    outer stream, so trials never share state."""
+    outer stream, so trials never share state.  The outer state after k
+    steps is seed + k * gamma mod 2^64, so that output costs O(1)."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    outer = SplitMix64(seed)
-    s = 0
-    for _ in range(index + 1):
-        s = outer.next_u64()
-    return SplitMix64(s)
+    return SplitMix64(_mix((seed + (index + 1) * _GAMMA) & _MASK))
 
 
 def sample_instance(

@@ -28,6 +28,7 @@ from .core import (
     BudgetExceeded,
     Box,
     Instance,
+    InternalError,
     Interval,
     Punctured,
     Verdict,
@@ -42,16 +43,15 @@ from .core import (
 from .enumeration import (
     DEFAULT_POINT_BUDGET,
     BallQuery,
-    _coords_of,
-    _nearest_plane,
+    Lattice,
     cvp_inf,
     enum_ball,
+    prepare,
     svp_gauge,
     svp_inf,
 )
 from .lattice import (
     GaugeBody,
-    LatticeBasis,
     choose_params,
     embedding_basis,
     full_rank_completion,
@@ -60,7 +60,7 @@ from .lattice import (
     kernel_basis,
     sign_pattern_target,
 )
-from .reduction import gram_schmidt, lll_reduce, lll_threshold
+from .reduction import lll_reduce, lll_threshold
 
 __all__ = [
     "SIGN_PATTERN_CAP",
@@ -102,6 +102,13 @@ class GapConfigError(ValueError):
 def _tally(stats: Optional[dict], key: str, amount: int) -> None:
     if stats is not None:
         stats[key] = stats.get(key, 0) + amount
+
+
+def _check(ok: bool, what: str) -> None:
+    """A self-check on a witness or a decision; unlike assert it also runs
+    under python -O."""
+    if not ok:
+        raise InternalError(f"self-check failed: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +155,10 @@ def solve_sbp(
     if not res.found:
         return Verdict.no_solution("no nonzero lattice vector within the bound")
     v = res.witness
-    assert v[0] == 0
+    _check(v[0] == 0, "short vector has a nonzero first coordinate")
     c = v[1:]
-    assert verify_solution(Instance(xs, Box(d)), c, "balancing")
+    _check(verify_solution(Instance(xs, Box(d)), c, "balancing"),
+           "balancing witness")
     return Verdict.solved(c)
 
 
@@ -167,8 +175,10 @@ def solve_sbp_lll(x: Sequence[int], d: int) -> Verdict:
         )
     red = lll_reduce(kernel_basis(xs))
     c = red.rows[0]
-    assert linf(c) <= d and dot(c, xs) == 0
-    assert verify_solution(Instance(xs, Box(d)), c, "balancing")
+    _check(linf(c) <= d and dot(c, xs) == 0,
+           "first reduced vector is not a balanced c")
+    _check(verify_solution(Instance(xs, Box(d)), c, "balancing"),
+           "balancing witness")
     return Verdict.solved(c)
 
 
@@ -191,8 +201,8 @@ def solve_sbp_body(
     c = res.witness
     if gauge_sq(body, c) > 1:
         return Verdict.no_solution("shortest gauge vector lies outside the body")
-    assert dot(c, xs) == 0
-    assert body.contains(c)
+    _check(dot(c, xs) == 0, "gauge witness is not orthogonal to x")
+    _check(body.contains(c), "gauge witness lies outside the body")
     return Verdict.solved(c)
 
 
@@ -231,7 +241,7 @@ class ApproxCvpOracle:
 def exact_cvp_oracle(budget: int = DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
     """The enumerator as a gamma = 1 oracle: exact distance, exact witness."""
 
-    def solver(basis: LatticeBasis, target):
+    def solver(basis: Lattice, target):
         res = cvp_inf(basis, target, budget=budget)
         return res.witness, res.dist
 
@@ -254,10 +264,9 @@ def capped_cvp_oracle(
     if r < 0:
         raise ValueError("radius must be nonnegative")
 
-    def solver(basis: LatticeBasis, target):
-        res = cvp_inf(
-            basis, target, cap=r, budget=budget, assume_reduced=assume_reduced
-        )
+    def solver(basis: Lattice, target):
+        lat = prepare(basis, assume_reduced)
+        res = cvp_inf(lat, target, cap=r, budget=budget)
         _tally(stats, "ball_points", res.ball_count)
         if res.found:
             return res.witness, res.dist
@@ -274,7 +283,7 @@ def _on_grid(value: Fraction, grid: str) -> bool:
 
 def gap_decide(
     oracle: ApproxCvpOracle,
-    basis: LatticeBasis,
+    basis: Lattice,
     target,
     r,
     grid: str,
@@ -301,14 +310,15 @@ def gap_decide(
     reported = Fraction(reported)
     if reported >= r + 1:
         return GapVerdict(False, reported, r)
-    assert vector is not None
+    _check(vector is not None, "oracle accepted without a vector")
     tgt = tuple(Fraction(t) for t in target)
     exact = max(
         (abs(Fraction(a) - b) for a, b in zip(vector, tgt)),
         default=Fraction(0),
     )
-    assert exact <= reported
-    assert _on_grid(exact, grid) and exact <= r
+    _check(exact <= reported, "oracle understated its vector's distance")
+    _check(_on_grid(exact, grid) and exact <= r,
+           "accepted distance is off the grid or beyond the radius")
     return GapVerdict(True, reported, r, tuple(int(v) for v in vector))
 
 
@@ -352,7 +362,7 @@ def solve_gss_interval(
     if not gv.accept:
         return Verdict.no_solution("gap decision rejected")
     c = gv.vector[1:]
-    assert verify_solution(inst, c, "gss")
+    _check(verify_solution(inst, c, "gss"), "gss witness")
     return Verdict.solved(c)
 
 
@@ -386,21 +396,20 @@ def solve_gss_punctured(
         )
     inst = Instance(xs, Punctured(d), tau=tau)
     params = choose_params(xs, d, tau, "gss_worst")
-    basis = lll_reduce(embedding_basis(xs, params))
+    lat = prepare(embedding_basis(xs, params))
     grid = INTEGER if d % 2 == 1 else HALF_INTEGER
     radius = Fraction(d - 1, 2)
-    oracle = capped_cvp_oracle(
-        radius, budget=budget, assume_reduced=True, stats=stats
-    )
+    oracle = capped_cvp_oracle(radius, budget=budget, stats=stats)
     for signs in product((-1, 1), repeat=n):
         target, r = sign_pattern_target(tau, params.alpha, d, signs)
-        assert r == radius
-        gv = gap_decide(oracle, basis, target, r, grid)
+        _check(r == radius, "sign pattern radius")
+        gv = gap_decide(oracle, lat, target, r, grid)
         _tally(stats, "patterns_tried", 1)
         if gv.accept:
             c = gv.vector[1:]
-            assert all(v * s > 0 for v, s in zip(c, signs))
-            assert verify_solution(inst, c, "gss")
+            _check(all(v * s > 0 for v, s in zip(c, signs)),
+                   "witness signs differ from the pattern")
+            _check(verify_solution(inst, c, "gss"), "gss witness")
             return Verdict.solved(c)
     return Verdict.no_solution("every sign pattern rejected")
 
@@ -445,25 +454,25 @@ def solve_gss_avg(
     coeffs = Interval(-d, d) if cset == "interval" else Punctured(d)
     inst = Instance(xs, coeffs, tau=tau, m_bound=m_bound)
     params = choose_params(xs, d, tau, "gss_avg", m_bound=m_bound)
-    basis = lll_reduce(embedding_basis(xs, params))
+    lat = prepare(embedding_basis(xs, params))
     if stats is not None:
         stats["alpha"] = params.alpha
         stats["q"] = params.q
     guard_cap = iroot(m_bound, n) // 4
     if guard_cap >= 1:
-        gres = svp_inf(basis, cap=guard_cap, budget=budget, assume_reduced=True)
+        gres = svp_inf(lat, cap=guard_cap, budget=budget)
         _tally(stats, "ball_points", gres.ball_count)
         if gres.found:
-            assert (4 * gres.value) ** n <= m_bound
+            _check((4 * gres.value) ** n <= m_bound,
+                   "guard vector is longer than the guard")
             return Verdict.guard_abort(
                 f"nonzero lattice vector of sup norm {gres.value} within the guard"
             )
     radius = ceil_root(m_bound, n)
     target = tuple(Fraction(t) for t in params.target)
     ball = enum_ball(
-        BallQuery(basis, target, Fraction(radius * radius * (n + 1))),
+        BallQuery(lat, target, Fraction(radius * radius * (n + 1))),
         budget=budget,
-        assume_reduced=True,
     )
     _tally(stats, "ball_points", ball.count)
     for v in ball.points:
@@ -472,8 +481,9 @@ def solve_gss_avg(
         c = v[1:]
         if cset == "punctured" and any(vi == 0 for vi in c):
             continue
-        assert v[0] == params.alpha * tau
-        assert verify_solution(inst, c, "gss")
+        _check(v[0] == params.alpha * tau,
+               "ball point does not decode to the target sum")
+        _check(verify_solution(inst, c, "gss"), "gss witness")
         return Verdict.solved(c)
     return Verdict.no_solution("no lattice point near the target decodes")
 
@@ -483,7 +493,7 @@ def solve_gss_avg(
 # ---------------------------------------------------------------------------
 
 def cvp_via_gap_search(
-    basis: LatticeBasis,
+    basis: Lattice,
     target,
     grid: str = INTEGER,
     r_max=None,
@@ -501,16 +511,14 @@ def cvp_via_gap_search(
     """
     if grid not in _GRIDS:
         raise ValueError(f"unknown grid {grid!r}")
-    red = lll_reduce(basis)
+    lat = prepare(basis)
     tgt = tuple(Fraction(t) for t in target)
     if oracle_factory is None:
         def oracle_factory(rr):
-            return capped_cvp_oracle(rr, budget=budget, assume_reduced=True)
+            return capped_cvp_oracle(rr, budget=budget)
     base = Fraction(0) if grid == INTEGER else Fraction(1, 2)
     if r_max is None:
-        gso = gram_schmidt(red)
-        tau = _coords_of(red, tgt)
-        v0 = _nearest_plane(red, gso, tau)
+        v0 = lat.nearest_plane(tgt)
         d0 = max(
             (abs(Fraction(a) - b) for a, b in zip(v0, tgt)),
             default=Fraction(0),
@@ -525,7 +533,7 @@ def cvp_via_gap_search(
     if r_max < base or (r_max - base).denominator != 1:
         raise ValueError("r_max must lie on the declared grid")
     hi = int(r_max - base)
-    gv = gap_decide(oracle_factory(r_max), red, tgt, r_max, grid)
+    gv = gap_decide(oracle_factory(r_max), lat, tgt, r_max, grid)
     if not gv.accept:
         raise ValueError("no lattice vector within r_max of the target")
     best = gv.vector
@@ -533,7 +541,7 @@ def cvp_via_gap_search(
     while lo < hi:
         mid = (lo + hi) // 2
         r = base + mid
-        gv = gap_decide(oracle_factory(r), red, tgt, r, grid)
+        gv = gap_decide(oracle_factory(r), lat, tgt, r, grid)
         if gv.accept:
             hi = mid
             best = gv.vector

@@ -5,6 +5,7 @@ basis, walk all integer combinations in a crude box and keep those inside
 the ball.  Both listings must agree exactly, order included.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -12,17 +13,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sbl.core import Box, BudgetExceeded, Ellipsoid, l2_sq, linf, mat_det
+from sbl.core import (
+    Box,
+    BudgetExceeded,
+    Ellipsoid,
+    dot,
+    l2_sq,
+    linf,
+    mat_det,
+    mat_solve,
+)
 from sbl.enumeration import (
     BallQuery,
     CvpResult,
+    PreparedLattice,
     SvpResult,
     cvp_inf,
     enum_ball,
+    prepare,
     svp_gauge,
     svp_inf,
 )
-from sbl.lattice import LatticeBasis
+from sbl.lattice import LatticeBasis, choose_params, embedding_basis, kernel_basis
+from sbl.reduction import lll_reduce
 
 
 def _basis(*rows):
@@ -141,6 +154,93 @@ def test_enum_ball_sound_and_covers_sweep(basis, center, radius_sq):
     # completeness against the small-coefficient part of the lattice
     inside = set(_brute_ball(basis, center, radius_sq, 4))
     assert inside <= set(pts)
+
+
+# ---------------------------------------------------------------------------
+# prepared lattices
+# ---------------------------------------------------------------------------
+
+def _random_lattices(seed, count):
+    """Full-rank embedding bases and rank-deficient kernel bases, with
+    rational centers of mixed denominators."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 5)
+        if k % 2 == 0:
+            x = tuple(rng.randint(1, 400) for _ in range(n))
+            params = choose_params(x, 2, rng.randint(-30, 30), "gss_worst")
+            basis = embedding_basis(x, params)
+        else:
+            x = tuple(rng.randint(-40, 40) or 1 for _ in range(n + 1))
+            basis = kernel_basis(x)
+        center = tuple(
+            Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 5)))
+            for _ in range(basis.dim)
+        )
+        yield basis, center, Fraction(rng.randint(0, 300), rng.choice((1, 2)))
+
+
+def _listing(query, budget):
+    try:
+        res = enum_ball(query, budget)
+    except BudgetExceeded as e:
+        return "budget", e.partial
+    return res.points, res.count
+
+
+def test_prepare_is_a_noop_on_a_prepared_lattice():
+    lat = prepare(_basis((2, 1), (1, 2)))
+    assert isinstance(lat, PreparedLattice)
+    assert prepare(lat) is lat
+    assert prepare(lat, assume_reduced=True) is lat
+    assert (lat.rank, lat.dim) == (2, 2)
+
+
+def test_prepare_reduces_unless_told_otherwise():
+    basis = _basis((1, 0), (7, 1))
+    assert prepare(basis).rows == lll_reduce(basis).rows
+    assert prepare(basis, assume_reduced=True).rows == basis.rows
+
+
+def test_gs_coords_match_the_gram_solve():
+    """The O(m^2) map against plain elimination on the Gram system: the
+    projection's basis coordinates t, carried to the Gram-Schmidt frame."""
+    for basis, center, _ in _random_lattices(7, 40):
+        lat = prepare(basis)
+        rows = lat.rows
+        t = mat_solve([[dot(a, b) for b in rows] for a in rows],
+                      [dot(row, center) for row in rows])
+        mu = lat.gso.mu
+        frame = tuple(
+            t[i] + sum(mu[j][i] * t[j] for j in range(i + 1, lat.rank))
+            for i in range(lat.rank)
+        )
+        assert lat.gs_coords(center) == frame
+
+
+def test_prepared_enumeration_matches_plain_basis():
+    """Same points, same count, and the same partial count on a budget
+    overrun, whether the lattice is prepared once or per query."""
+    overruns = 0
+    for k, (basis, center, radius_sq) in enumerate(_random_lattices(11, 80)):
+        red = lll_reduce(basis)
+        lat = prepare(red, assume_reduced=True)
+        budget = (3, 40, 10**6)[k % 3]
+        plain = _listing(BallQuery(red, center, radius_sq), budget)
+        assert _listing(BallQuery(lat, center, radius_sq), budget) == plain
+        assert _listing(BallQuery(basis, center, radius_sq), budget) == plain
+        overruns += plain[0] == "budget"
+    assert overruns >= 5
+
+
+def test_searches_accept_prepared_lattices():
+    for basis, center, _ in _random_lattices(13, 12):
+        lat = prepare(basis)
+        assert cvp_inf(lat, center) == cvp_inf(basis, center)
+        assert cvp_inf(lat, center, cap=2) == cvp_inf(basis, center, cap=2)
+        assert svp_inf(lat) == svp_inf(basis)
+        assert svp_inf(lat, cap=3) == svp_inf(basis, cap=3)
+        assert svp_gauge(lat, Box(2)) == svp_gauge(basis, Box(2))
 
 
 # ---------------------------------------------------------------------------

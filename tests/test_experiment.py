@@ -88,6 +88,20 @@ def test_trial_streams_are_independent():
         trial_stream(123, -1)
 
 
+@pytest.mark.parametrize("seed", [123, (1 << 64) - 5])
+def test_trial_stream_matches_stepping_the_outer_stream(seed):
+    """The direct seeding equals drawing index+1 outputs one by one."""
+    for index in (0, 1, 2, 17, 4095):
+        outer = SplitMix64(seed)
+        for _ in range(index + 1):
+            s = outer.next_u64()
+        want = SplitMix64(s)
+        got = trial_stream(seed, index)
+        assert [got.next_u64() for _ in range(4)] == [
+            want.next_u64() for _ in range(4)
+        ]
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 oracle, the decode equivalence behind the embedding, and the gap decision
 machinery including deliberately inflating oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 
@@ -9,11 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sbl
+from sbl import core, reduction
 from sbl.core import (
     Box,
     BudgetExceeded,
     Ellipsoid,
     Instance,
+    InternalError,
     Interval,
     Punctured,
     dot,
@@ -391,6 +398,41 @@ def test_gss_punctured_agrees_with_oracle(x, tau, d):
         assert verify_solution(inst, got.witness, "gss")
 
 
+def _count_calls(monkeypatch, fn):
+    """Route every sbl module's binding of fn through a counter, since
+    modules call the functions they import under their own names."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "sbl" or name.startswith("sbl."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("x, tau", [
+    ((499047, 273516, 775852, 994162, 137423), 55),
+    ((812874, 895347, 828298, 932437, 281331, 766550), -76),
+])
+def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
+    gso_calls = _count_calls(monkeypatch, reduction.gram_schmidt)
+    solve_calls = _count_calls(monkeypatch, core.mat_solve)
+    stats = {}
+    v = solve_gss_punctured(x, tau, 2, stats=stats)
+    assert v.status == "no_solution"
+    assert stats["patterns_tried"] == 2 ** len(x)
+    assert len(gso_calls) <= 1
+    assert len(solve_calls) == 0
+    # the counter does see a query that prepares its own lattice
+    enum_ball(BallQuery(_z2(), (0, 0), 1))
+    assert len(gso_calls) >= 1
+
+
 # ---------------------------------------------------------------------------
 # density-regime solver
 # ---------------------------------------------------------------------------
@@ -500,3 +542,53 @@ def test_gap_search_matches_direct_cvp(rows, p, q):
     assert dist == res.dist
     got = max(abs(Fraction(a) - b) for a, b in zip(vec, target))
     assert got == dist
+
+
+# ---------------------------------------------------------------------------
+# self-checks
+# ---------------------------------------------------------------------------
+
+_REJECT_EVERY_WITNESS = textwrap.dedent("""
+    import sbl.solve
+    from sbl.core import InternalError
+    from sbl.core import Box
+
+    if __debug__:
+        raise SystemExit("asserts are enabled")
+    sbl.solve.verify_solution = lambda *args, **kwargs: False
+    calls = [
+        lambda: sbl.solve.solve_sbp((3, 5, 8), 1),
+        lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5),
+        lambda: sbl.solve.solve_gss_interval((2, 3), 7, 0, 2),
+        lambda: sbl.solve.solve_gss_punctured((2, 3), 1, 1),
+        lambda: sbl.solve.solve_gss_avg((7, 9), 2, 2, 16),
+    ]
+    for call in calls:
+        try:
+            call()
+        except InternalError:
+            print("internal-error")
+""")
+
+
+def test_self_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sbl.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["internal-error"] * 5
+
+
+def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path):
+    from sbl.cli import main
+    from sbl.core import serialize_instance
+
+    assert not issubclass(InternalError, ValueError)
+    monkeypatch.setattr(sbl.solve, "verify_solution", lambda *a, **k: False)
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(Instance((2, 3), Interval(0, 2), tau=7)))
+    with pytest.raises(InternalError):
+        main(["solve", str(path)])

@@ -2,10 +2,11 @@
 
 Exit codes are part of the interface: 0 solved (or verified), 1 no
 solution (or witness rejected), 2 guard abort, 3 invalid input, 4
-enumeration budget exceeded.  Output on stdout is a single JSON document
-(solve, verify, probe, gen without --out) or CSV (bench); everything
-diagnostic goes to stderr.  SBL_BUDGET overrides the default point budget
-when no --budget flag is given.
+enumeration budget exceeded, 5 a failed internal self-check (a defect in
+sbl, reported on stderr without a traceback).  Output on stdout is a
+single JSON document (solve, verify, probe, gen without --out) or CSV
+(bench); everything diagnostic goes to stderr.  SBL_BUDGET overrides the
+default point budget when no --budget flag is given.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
     Ellipsoid,
     GUARD_ABORT,
     Instance,
+    InternalError,
     Interval,
     NO_SOLUTION,
     ParseError,
@@ -66,6 +68,7 @@ EXIT_NO_SOLUTION = 1
 EXIT_GUARD_ABORT = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 _STATUS_EXIT = {SOLVED: 0, NO_SOLUTION: 1, GUARD_ABORT: 2}
 
@@ -384,6 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as e:
         print(f"sbl: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as e:
+        print(f"sbl: internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as e:
         print(f"sbl: {e}", file=sys.stderr)
         return EXIT_INVALID

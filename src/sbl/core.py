@@ -171,6 +171,31 @@ def mat_inverse(rows) -> tuple:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
+def _ldl(a: list) -> Optional[list]:
+    """Factor a symmetric rational matrix as L diag(piv) L^T in place.
+
+    Returns the pivots, with the multipliers of the unit lower triangular
+    L left below the diagonal of a, or None at the first pivot that is not
+    positive (the matrix is then not positive definite).
+    """
+    n = len(a)
+    piv = []
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            return None
+        piv.append(p)
+        inv = 1 / p
+        for r in range(k + 1, n):
+            if a[r][k] == 0:
+                continue
+            f = a[r][k] * inv
+            for c in range(k + 1, n):
+                a[r][c] -= f * a[k][c]
+            a[r][k] = f
+    return piv
+
+
 def is_positive_definite(rows) -> bool:
     """Sylvester test for a symmetric rational matrix, via exact LDL pivots."""
     a = _frac_rows(rows)
@@ -181,17 +206,7 @@ def is_positive_definite(rows) -> bool:
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        inv = 1 / a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k] == 0:
-                continue
-            f = a[r][k] * inv
-            for c in range(k, n):
-                a[r][c] -= f * a[k][c]
-    return True
+    return _ldl(a) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +349,23 @@ class Ellipsoid:
         return self.quad_form(c) <= 1
 
     def axis_extents_sq(self) -> tuple:
-        """Squared coordinate extents of the body: the diagonal of A^-1."""
-        inv = mat_inverse(self.a)
-        return tuple(inv[i][i] for i in range(self.dim))
+        """Squared coordinate extents of the body: the diagonal of A^-1.
+
+        With A = L diag(piv) L^T, (A^-1)_ii = sum_k (L^-1)_ki^2 / piv_k,
+        and column i of L^-1 is one forward substitution, so a single
+        factorization gives the whole diagonal.
+        """
+        a = _frac_rows(self.a)
+        piv = _ldl(a)
+        n = self.dim
+        out = []
+        for i in range(n):
+            col = [Fraction(0)] * n  # column i of L^-1
+            col[i] = Fraction(1)
+            for k in range(i + 1, n):
+                col[k] = -sum(a[k][j] * col[j] for j in range(i, k))
+            out.append(sum(col[k] * col[k] / piv[k] for k in range(i, n)))
+        return tuple(out)
 
     def bounding_box_radius(self) -> int:
         """Minimal integer d with the body inside [-d, d]^n."""

@@ -2,44 +2,52 @@
 
 enum_ball lists every lattice point inside a translated Euclidean ball by a
 depth-first walk over Gram-Schmidt interval bounds of an LLL-reduced basis.
-Each level bounds one coefficient by an exact rational quadratic predicate;
-the integer range is located with an integer square root and then sharpened
-by the predicate itself, so the listing is provably complete.  Points come
-back sorted lexicographically, which fixes every downstream tie-break.
+The walk runs on the integral lambda/D form of the Gram-Schmidt data and
+on the center scaled by a common denominator, so each level center is an
+integer and the radius left over is an integer on one scale fixed per
+query.  A coefficient is admissible iff an integer square is at most an
+integer bound, so one integer square root gives each level's range
+exactly: the listing is provably complete and no point needs a second
+test.  Points come back sorted lexicographically, which fixes every
+downstream tie-break.
 
 A PreparedLattice holds what a query needs from its lattice: the reduced
-rows and their exact Gram-Schmidt data.  Preparing costs one reduction and
-one Gram-Schmidt pass; after that each query maps its center into the
-Gram-Schmidt frame with O(m^2) integer work, so callers that ask many
-questions of one lattice prepare it once and pass it to every call.
+rows and their Gram-Schmidt data in integral form.  Preparing costs one
+reduction and one integral Gram-Schmidt pass; after that each query maps
+its center into the Gram-Schmidt frame with O(m^2) integer work, so
+callers that ask many questions of one lattice prepare it once and pass it
+to every call.
 
 svp_inf and cvp_inf answer sup-norm questions through Euclidean balls: a
 sup ball of radius d sits inside the Euclidean ball of radius d*sqrt(m), so
-enumerating the latter and filtering exactly is complete.  Both support a
-cap: a single ball decides "is there a vector within cap" and certifies the
-answer, which is what the solvers need, while the uncapped forms grow the
-radius geometrically from an exact lower bound until the answer appears.
+enumerating the latter and filtering exactly is complete.  The filters
+compare integer sup distances on the center's common denominator.  Both
+searches support a cap: a single ball decides "is there a vector within
+cap" and certifies the answer, which is what the solvers need, while the
+uncapped forms grow the radius geometrically from an exact lower bound
+until the answer appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import isqrt, lcm
+from operator import add, mul
 from typing import Optional, Tuple, Union
 
 from .core import (
     BudgetExceeded,
     Box,
     Ellipsoid,
+    InternalError,
     dot,
-    floor_sqrt_frac,
     is_positive_definite,
     l2_sq,
-    linf,
 )
 from .lattice import GaugeBody, LatticeBasis, gauge_norm, gauge_sq
-from .reduction import GSO, gram_schmidt, lll_reduce
+from .reduction import integral_gso, lll_reduce
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -59,20 +67,29 @@ __all__ = [
 DEFAULT_POINT_BUDGET = 10_000_000
 
 
+def _scaled(point) -> Tuple[int, Tuple[int, ...]]:
+    """(den, den * point): the common denominator of the entries and the
+    point scaled by it to integers."""
+    point = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+             for c in point]
+    den = lcm(*(c.denominator for c in point))
+    return den, tuple(c.numerator * (den // c.denominator) for c in point)
+
+
 @dataclass(frozen=True)
 class PreparedLattice:
     """A reduced basis with its exact Gram-Schmidt data, set up once and
     queried many times.
 
     It has the rows, dim and rank of a LatticeBasis, so code written
-    against a basis reads it unchanged.  gram_det and lam hold the same
-    Gram-Schmidt data in integral form: gram_det[i] is the Gram determinant
-    of the first i rows and lam[i][j] = mu[i][j] * gram_det[j + 1].
+    against a basis reads it unchanged.  The Gram-Schmidt data is integral:
+    gram_det[i] is the Gram determinant of the first i rows, so
+    |b*_i|^2 = gram_det[i + 1] / gram_det[i], and
+    lam[i][j] = mu[i][j] * gram_det[j + 1].
     """
 
     rows: Tuple[Tuple[int, ...], ...]
     dim: int
-    gso: GSO
     gram_det: Tuple[int, ...]
     lam: Tuple[Tuple[int, ...], ...]
 
@@ -80,46 +97,48 @@ class PreparedLattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def gs_coords(self, point) -> Tuple[Fraction, ...]:
-        """<point, b*_i> / |b*_i|^2 for every row i: the coordinates of the
-        point's projection onto the row span in the Gram-Schmidt frame.
-
-        The Gram matrix factors as G = mu * diag(|b*|^2) * mu^T, so these
-        are the forward substitution of the Gram system G t = B point,
-        done here in integers on the lam / gram_det form: O(rank^2) per
-        point, with no elimination.
-        """
-        point = [Fraction(c) for c in point]
-        den = 1
-        for c in point:
-            den = den * c.denominator // gcd(den, c.denominator)
-        scaled = [c.numerator * (den // c.denominator) for c in point]
+    def _frame(self, scaled) -> list:
+        """y[j] = gram_det[j] * <scaled, b*_j> for an integer vector: the
+        forward substitution of the Gram system G t = B scaled through
+        G = mu * diag(|b*|^2) * mu^T, done in integers, O(rank^2)."""
         dets = self.gram_det
-        ys: list = []  # ys[j] = gram_det[j] * <den * point, b*_j>
+        ys: list = []
         for row, lrow in zip(self.rows, self.lam):
             u = dot(row, scaled)
             for i, y in enumerate(ys):
                 u = (dets[i + 1] * u - y * lrow[i]) // dets[i]
             ys.append(u)
-        return tuple(Fraction(y, den * dets[j + 1]) for j, y in enumerate(ys))
+        return ys
+
+    def gs_coords(self, point) -> Tuple[Fraction, ...]:
+        """<point, b*_i> / |b*_i|^2 for every row i: the coordinates of the
+        point's projection onto the row span in the Gram-Schmidt frame."""
+        den, scaled = _scaled(point)
+        dets = self.gram_det
+        return tuple(
+            Fraction(y, den * dets[j + 1])
+            for j, y in enumerate(self._frame(scaled))
+        )
 
     def nearest_plane(self, target) -> Tuple[int, ...]:
-        """Babai rounding in the Gram-Schmidt frame; a cheap upper bound."""
-        mu = self.gso.mu
-        rank = self.rank
-        zc = self.gs_coords(target)
-        z = [0] * rank
-        for i in range(rank - 1, -1, -1):
-            c = zc[i]
-            for j in range(i + 1, rank):
-                c -= mu[j][i] * z[j]
-            half = c + Fraction(1, 2)
-            z[i] = half.numerator // half.denominator
+        """Babai rounding in the Gram-Schmidt frame; a cheap upper bound.
+
+        Level i rounds its center e_i = E_i / t_i with t_i = den *
+        gram_det[i + 1], where E_i is kept as an integer (see enum_ball).
+        """
+        den, scaled = _scaled(target)
+        dets, lam = self.gram_det, self.lam
+        es = self._frame(scaled)
         point = [0] * self.dim
-        for zi, row in zip(z, self.rows):
-            if zi:
-                for j in range(self.dim):
-                    point[j] += zi * row[j]
+        for i in range(self.rank - 1, -1, -1):
+            t = den * dets[i + 1]
+            z = (2 * es[i] + t) // (2 * t)
+            if z:
+                lrow = lam[i]
+                for k in range(i):
+                    es[k] -= den * lrow[k] * z
+                for j, b in enumerate(self.rows[i]):
+                    point[j] += z * b
         return tuple(point)
 
 
@@ -128,21 +147,13 @@ Lattice = Union[LatticeBasis, PreparedLattice]
 
 def prepare(basis: Lattice, assume_reduced: bool = False) -> PreparedLattice:
     """Reduce the basis (unless told it already is) and compute its
-    Gram-Schmidt data once; a lattice that is already prepared is
+    integral Gram-Schmidt data once; a lattice that is already prepared is
     returned as it is."""
     if isinstance(basis, PreparedLattice):
         return basis
     red = basis if (assume_reduced or basis.rank < 2) else lll_reduce(basis)
-    gso = gram_schmidt(red)
-    # the running products of |b*|^2 are Gram determinants, so integers
-    dets = [1]
-    for b2 in gso.b_star_sq:
-        dets.append((dets[-1] * b2).numerator)
-    lam = tuple(
-        tuple((m * dets[j + 1]).numerator for j, m in enumerate(row))
-        for row in gso.mu
-    )
-    return PreparedLattice(red.rows, red.dim, gso, tuple(dets), lam)
+    dets, lam = integral_gso(red)
+    return PreparedLattice(red.rows, red.dim, dets, lam)
 
 
 @dataclass(frozen=True)
@@ -181,6 +192,15 @@ def enum_ball(
     the radius.  A PreparedLattice is used as it is; a plain basis is
     prepared for this one query.  Raises BudgetExceeded rather than
     returning a truncated listing.
+
+    With den the center's common denominator and D = gram_det, level i
+    keeps its center e_i = zc_i - sum_{j>i} mu_ji z_j as the integer
+    E_i = t_i * e_i, t_i = den * D[i+1].  Coefficient z costs
+    |b*_i|^2 (z - e_i)^2 = (z t_i - E_i)^2 / (den^2 D[i] D[i+1]), so on
+    the scale R_den * den^2 * L, L = lcm_i D[i] D[i+1], the cost is
+    w_i (z t_i - E_i)^2 with integer w_i = R_den * L / (D[i] D[i+1]) and
+    the radius is an integer too.  Then z is admissible iff
+    |z t_i - E_i| <= isqrt(rem // w_i), an exact integer range.
     """
     basis = query.basis
     rank = basis.rank
@@ -192,53 +212,72 @@ def enum_ball(
     lat = prepare(basis)
     rows = lat.rows
     m = lat.dim
-    mu, bsq = lat.gso.mu, lat.gso.b_star_sq
-    zc = lat.gs_coords(center)
-    rem0 = query.radius_sq
+    dets = lat.gram_det
+    den, scaled = _scaled(center)
+    es = lat._frame(scaled)  # es[i] = E_i while nothing above i is chosen
+    r_num, r_den = query.radius_sq.numerator, query.radius_sq.denominator
+    pair = [dets[i] * dets[i + 1] for i in range(rank)]
+    scale = lcm(*pair)
+    ws = [r_den * (scale // p) for p in pair]
+    ts = [den * dets[i + 1] for i in range(rank)]
+    steps = [[den * l for l in lrow] for lrow in lat.lam]
+    rem0 = r_num * den * den * scale
     if rank < m:
         # the center's distance to the span: |center|^2 - |projection|^2
-        rem0 -= l2_sq(center) - sum(z * z * b2 for z, b2 in zip(zc, bsq))
+        rem0 -= r_den * scale * l2_sq(scaled) - sum(
+            w * y * y for w, y in zip(ws, es)
+        )
         if rem0 < 0:
             return EnumerationResult((), 0)
 
     out: list = []
-    cacc = [Fraction(0)] * rank  # cacc[i] = sum_{j > level} mu[j][i] * z_j
     acc = [0] * m  # running integer point
 
-    def descend(level: int, rem: Fraction) -> None:
-        b2 = bsq[level]
-        e = zc[level] - cacc[level]
-        span = floor_sqrt_frac(rem / b2)
-        z = (e.numerator // e.denominator) - span - 1
-        while True:
-            diff = z - e
-            contrib = b2 * diff * diff
-            if contrib <= rem:
-                if level == 0:
-                    if len(out) >= budget:
-                        raise BudgetExceeded(
-                            f"ball holds more than {budget} points",
-                            partial=len(out),
-                        )
-                    row = rows[0]
-                    out.append(tuple(a + z * b for a, b in zip(acc, row)))
-                else:
-                    mrow = mu[level]
-                    for i in range(level):
-                        cacc[i] += mrow[i] * z
-                    row = rows[level]
-                    for i in range(m):
-                        acc[i] += z * row[i]
-                    descend(level - 1, rem - contrib)
-                    for i in range(m):
-                        acc[i] -= z * row[i]
-                    for i in range(level):
-                        cacc[i] -= mrow[i] * z
-            elif diff > 0:
-                break
-            z += 1
+    def descend(level: int, rem: int) -> None:
+        e, t, w = es[level], ts[level], ws[level]
+        s = isqrt(rem // w)
+        lo = -((s - e) // t)
+        hi = (e + s) // t
+        if lo > hi:
+            return
+        row = rows[level]
+        if level == 0:
+            if len(out) + (hi - lo + 1) > budget:
+                raise BudgetExceeded(
+                    f"ball holds more than {budget} points",
+                    partial=budget,
+                )
+            p = tuple(map(add, acc, map(mul, row, repeat(lo))))
+            out.append(p)
+            for _ in range(hi - lo):
+                p = tuple(map(add, p, row))
+                out.append(p)
+            return
+        # step z from lo to hi: E_k drops by den * lam[level][k] per unit
+        step = steps[level]
+        saved_es = es[:level]
+        saved_acc = acc[:]
+        for k in range(level):
+            es[k] -= step[k] * lo
+        for k in range(m):
+            acc[k] += lo * row[k]
+        diff = lo * t - e
+        for _ in range(hi - lo + 1):
+            descend(level - 1, rem - w * diff * diff)
+            for k in range(level):
+                es[k] -= step[k]
+            for k in range(m):
+                acc[k] += row[k]
+            diff += t
+        es[:level] = saved_es
+        acc[:] = saved_acc
 
-    descend(rank - 1, rem0)
+    try:
+        descend(rank - 1, rem0)
+    finally:
+        # descend refers to itself, a cycle that would keep the listing
+        # alive until the next full garbage collection
+        del descend
     out.sort()
     return EnumerationResult(tuple(out), len(out))
 
@@ -260,17 +299,27 @@ class SvpResult:
 
 def _min_sup_nonzero(points, bound_sq: Fraction):
     """Smallest sup norm among nonzero points not exceeding the bound, with
-    the lexicographically least witness; None when no point qualifies."""
+    the lexicographically least witness; None when no point qualifies.
+
+    An integer s has s^2 <= bound_sq iff s <= isqrt(floor(bound_sq)), so
+    the bound is one integer limit; it drops to the best norm found, and
+    a point is dropped at its first coordinate beyond the limit.
+    """
+    limit = isqrt(bound_sq.numerator // bound_sq.denominator)
     best = None
     for p in points:
-        if not any(p):
-            continue
-        s = linf(p)
-        if Fraction(s * s) > bound_sq:
-            continue
-        key = (s, p)
-        if best is None or key < best:
-            best = key
+        s = 0
+        for a in p:
+            if a < 0:
+                a = -a
+            if a > s:
+                if a > limit:
+                    break
+                s = a
+        else:
+            if s and (best is None or (s, p) < best):
+                best = (s, p)
+                limit = s
     return best
 
 
@@ -321,8 +370,10 @@ def svp_inf(
         best = _min_sup_nonzero(res.points, d_sq)
         if best is not None:
             value, witness = best
-            # start radius never exceeds the sup minimum
-            assert start_sq <= Fraction(value * value)
+            if start_sq > value * value:
+                raise InternalError(
+                    "self-check failed: start radius exceeds the sup minimum"
+                )
             return SvpResult(True, value, witness, res.count, start_sq)
         d_sq *= growth
 
@@ -346,15 +397,36 @@ def _sup_dist(point, center) -> Fraction:
 
 
 def _min_sup_to(points, center, bound_sq: Fraction):
+    """Smallest sup distance to the center among points within
+    sqrt(bound_sq) of it, with the lexicographically least witness; None
+    when no point qualifies.
+
+    Distances are compared as integers on the center's common denominator
+    den: |den * p - den * center|_inf <= isqrt(floor(bound_sq * den^2)).
+    The returned distance is the exact fraction.
+    """
+    if not points:
+        return None
+    den, cs = _scaled(center)
+    limit = isqrt(bound_sq.numerator * den * den // bound_sq.denominator)
     best = None
     for p in points:
-        s = _sup_dist(p, center)
-        if s * s > bound_sq:
-            continue
-        key = (s, p)
-        if best is None or key < best:
-            best = key
-    return best
+        s = 0
+        for a, c in zip(p, cs):
+            g = a * den - c
+            if g < 0:
+                g = -g
+            if g > s:
+                if g > limit:
+                    break
+                s = g
+        else:
+            if best is None or (s, p) < best:
+                best = (s, p)
+                limit = s
+    if best is None:
+        return None
+    return Fraction(best[0], den), best[1]
 
 
 def cvp_inf(
@@ -454,7 +526,8 @@ def svp_gauge(
         key=lambda p: (l2_sq(p), p),
     )
     g0 = gauge_sq(body, u)
-    assert g0 > 0
+    if g0 <= 0:
+        raise InternalError("self-check failed: nonzero vector of gauge 0")
     if isinstance(body, Box):
         radius_sq = Fraction(m * body.d * body.d) * g0
     else:

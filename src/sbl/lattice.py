@@ -17,6 +17,7 @@ from typing import Sequence, Tuple, Union
 from .core import (
     Box,
     Ellipsoid,
+    InternalError,
     ceil_root,
     dot,
     gcd_vector,
@@ -89,8 +90,8 @@ def kernel_basis(x: Sequence[int]) -> LatticeBasis:
                 u[j] = [a - q * b for a, b in zip(u[j], u[p])]
     pivot = next(i for i in range(n) if y[i] != 0)
     rows = tuple(tuple(u[i]) for i in range(n) if i != pivot)
-    for r in rows:
-        assert dot(r, xs) == 0
+    if any(dot(r, xs) != 0 for r in rows):
+        raise InternalError("self-check failed: kernel row not orthogonal to x")
     return LatticeBasis(rows, n)
 
 
@@ -152,7 +153,10 @@ def choose_params(
         q = alpha * sum_abs + abs(tau) + 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    assert alpha > d and q > d * sum_abs + (0 if mode == "sbp" else abs(tau))
+    if not (alpha > d and q > d * sum_abs + abs(tau)):
+        raise InternalError(
+            "self-check failed: embedding scale or modulus too small"
+        )
     target = (alpha * tau,) + (0,) * len(xs)
     return EmbeddingParams(alpha, q, target)
 

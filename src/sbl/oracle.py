@@ -15,6 +15,7 @@ from .core import (
     BudgetExceeded,
     Ellipsoid,
     Instance,
+    InternalError,
     Verdict,
     coefficient_alphabet,
     verify_solution,
@@ -68,7 +69,10 @@ def brute_force_solve(inst: Instance, mode: str = "balancing", budget=None) -> V
     joint = None
     vals = coefficient_alphabet(cs)
     if vals is None:
-        assert isinstance(cs, Ellipsoid)
+        if not isinstance(cs, Ellipsoid):
+            raise InternalError(
+                "self-check failed: no alphabet for a per-coordinate set"
+            )
         r = cs.bounding_box_radius()
         vals = tuple(range(-r, r + 1))
         joint = cs.contains
@@ -138,6 +142,9 @@ def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
             c = c1 + c2
             if nonzero_needed and all(v == 0 for v in c):
                 continue
-            assert verify_solution(inst, c, mode)
+            if not verify_solution(inst, c, mode):
+                raise InternalError(
+                    "self-check failed: meet-in-the-middle witness"
+                )
             return Verdict.solved(c)
     return Verdict.no_solution(f"no admissible vector reaches {target}")

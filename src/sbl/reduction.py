@@ -6,6 +6,10 @@ lam[i][j] = mu_ij * D[j+1].  Every update is integer arithmetic with exact
 divisions, and the Lovasz test for a rational delta = p/s is the integer
 comparison s*(D[k+1]*D[k-1] + lam[k][k-1]^2) >= p*D[k]^2.  No fraction is
 ever formed while reducing, which keeps the n = 64 instances fast.
+
+integral_gso computes the same lambda/D data for a fixed basis with the
+recurrence the reducer uses for each new row; the rational gram_schmidt
+stays as a plain reference.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Tuple
 from .core import dot, gcd_vector, l2_sq
 from .lattice import LatticeBasis
 
-__all__ = ["GSO", "gram_schmidt", "lll_reduce", "lll_threshold"]
+__all__ = ["GSO", "gram_schmidt", "integral_gso", "lll_reduce", "lll_threshold"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,40 @@ def gram_schmidt(basis: LatticeBasis) -> GSO:
     return GSO(tuple(mus), tuple(sqs))
 
 
+def _gso_row(rows, k: int, D: list, lam: list) -> None:
+    """Set lam[k][j] for j < k and D[k+1] from the data of rows 0..k-1
+    (Cohen, Alg. 2.6.7, step 2); every division is exact.  Raises
+    ValueError when row k depends on the rows before it."""
+    rk, lk = rows[k], lam[k]
+    for j in range(k + 1):
+        u = dot(rk, rows[j])
+        lj = lam[j]
+        for i in range(j):
+            u = (D[i + 1] * u - lk[i] * lj[i]) // D[i]
+        if j < k:
+            lk[j] = u
+        elif u <= 0:
+            raise ValueError("dependent rows")
+        else:
+            D[k + 1] = u
+
+
+def integral_gso(basis: LatticeBasis):
+    """The Gram-Schmidt data of the rows in integral form, (D, lam).
+
+    D[i] is the Gram determinant of the first i rows (D[0] = 1, so
+    |b*_i|^2 = D[i+1] / D[i]) and lam[i][j] = mu_ij * D[j+1] for j < i, a
+    ragged lower triangle of integers.  Raises ValueError on dependent
+    rows.
+    """
+    rows = basis.rows
+    D = [1] + [0] * len(rows)
+    lam = [[0] * k for k in range(len(rows))]
+    for k in range(len(rows)):
+        _gso_row(rows, k, D, lam)
+    return tuple(D), tuple(tuple(row) for row in lam)
+
+
 def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
     """Delta-reduce the basis; same lattice, exact arithmetic throughout.
 
@@ -73,11 +111,8 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     p_num, p_den = delta.numerator, delta.denominator
     D = [0] * (nrows + 1)
     D[0] = 1
-    first = dot(rows[0], rows[0])
-    if first == 0:
-        raise ValueError("dependent rows")
-    D[1] = first
     lam = [[0] * nrows for _ in range(nrows)]
+    _gso_row(rows, 0, D, lam)
     kmax = 0
     k = 1
 
@@ -107,16 +142,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     while k < nrows:
         if k > kmax:
             kmax = k
-            for j in range(k + 1):
-                u = dot(rows[k], rows[j])
-                for i in range(j):
-                    u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
-                if j < k:
-                    lam[k][j] = u
-                else:
-                    if u <= 0:
-                        raise ValueError("dependent rows")
-                    D[k + 1] = u
+            _gso_row(rows, k, D, lam)
         while True:
             redi(k, k - 1)
             lam_v = lam[k][k - 1]

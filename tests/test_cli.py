@@ -58,6 +58,21 @@ def test_solve_guard_abort_exit_two(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "guard_abort"
 
 
+def test_solve_internal_error_exit_five(tmp_path, capsys, monkeypatch):
+    import sbl.cli
+    from sbl.core import InternalError
+
+    def broken(*args, **kwargs):
+        raise InternalError("self-check failed: planted")
+
+    monkeypatch.setattr(sbl.cli, "solve_gss_interval", broken)
+    path = _write_instance(tmp_path, Instance((2, 3), Interval(0, 2), tau=7))
+    assert main(["solve", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sbl: internal error: self-check failed: planted\n"
+
+
 def test_solve_missing_file_exit_three(capsys):
     assert main(["solve", "/no/such/file.json"]) == 3
     assert capsys.readouterr().out == ""

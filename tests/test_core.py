@@ -155,6 +155,22 @@ def test_ellipsoid_contains_and_extents():
         Ellipsoid(((1, 2), (2, 1)))  # not positive definite
 
 
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+             min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=40, deadline=None)
+def test_axis_extents_are_the_inverse_diagonal(m):
+    # M^T M + I/2 is positive definite for any square M
+    n = len(m)
+    a = [[sum(m[k][i] * m[k][j] for k in range(n))
+          + (Fraction(1, 2) if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    e = Ellipsoid(a)
+    inv = mat_inverse(a)
+    assert e.axis_extents_sq() == tuple(inv[i][i] for i in range(n))
+
+
 def test_coefficient_alphabet():
     assert coefficient_alphabet(Interval(-1, 1)) == (-1, 0, 1)
     assert coefficient_alphabet(Punctured(2)) == (-2, -1, 1, 2)

@@ -17,13 +17,17 @@ from sbl.core import (
     Box,
     BudgetExceeded,
     Ellipsoid,
+    ceil_sqrt_frac,
     dot,
     l2_sq,
     linf,
     mat_det,
+    mat_inverse,
     mat_solve,
 )
 from sbl.enumeration import (
+    _min_sup_nonzero,
+    _min_sup_to,
     BallQuery,
     CvpResult,
     PreparedLattice,
@@ -35,7 +39,7 @@ from sbl.enumeration import (
     svp_inf,
 )
 from sbl.lattice import LatticeBasis, choose_params, embedding_basis, kernel_basis
-from sbl.reduction import lll_reduce
+from sbl.reduction import gram_schmidt, lll_reduce
 
 
 def _basis(*rows):
@@ -156,6 +160,119 @@ def test_enum_ball_sound_and_covers_sweep(basis, center, radius_sq):
     assert inside <= set(pts)
 
 
+def _box_scan(basis, center, radius_sq):
+    """Every lattice point in the ball, by a scan independent of the walk.
+
+    Coefficients are t = G^-1 B v for v in the row span, and v -> t_i has
+    operator norm sqrt((G^-1)_ii), so every ball point has
+    |t_i - t_i(center)| <= sqrt(radius_sq * (G^-1)_ii): the coefficient box
+    below covers the ball, and each of its points is tested exactly.
+    """
+    rows = basis.rows
+    inv = mat_inverse([[dot(a, b) for b in rows] for a in rows])
+    tc = [sum(inv[i][j] * dot(rows[j], center) for j in range(len(rows)))
+          for i in range(len(rows))]
+    ranges = []
+    for i, t in enumerate(tc):
+        h = ceil_sqrt_frac(radius_sq * inv[i][i])
+        lo, hi = t - h, t + h
+        ranges.append(range(lo.numerator // lo.denominator,
+                            -(-hi.numerator // hi.denominator) + 1))
+    pts = []
+    for coeffs in product(*ranges):
+        v = [0] * basis.dim
+        for c, row in zip(coeffs, rows):
+            for i in range(basis.dim):
+                v[i] += c * row[i]
+        if sum((a - b) ** 2 for a, b in zip(v, center)) <= radius_sq:
+            pts.append(tuple(v))
+    return sorted(pts)
+
+
+@st.composite
+def _ball_queries(draw):
+    """Full-rank embedding and rank-deficient kernel bases (reduced, so the
+    scan's box stays small), centers with mixed denominators, and radii
+    that are 0, free, or exactly some lattice point's distance."""
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+        params = choose_params(x, draw(st.integers(1, 2)),
+                               draw(st.integers(-20, 20)), "gss_worst")
+        basis = lll_reduce(embedding_basis(x, params))
+    else:
+        x = [draw(st.integers(1, 30))] + draw(
+            st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+        basis = lll_reduce(kernel_basis(x))
+    center = tuple(
+        Fraction(draw(st.integers(-12, 12)), draw(st.sampled_from((1, 2, 3, 5, 6))))
+        for _ in range(basis.dim)
+    )
+    kind = draw(st.sampled_from(("zero", "free", "boundary")))
+    if kind == "zero":
+        radius_sq = Fraction(0)
+    elif kind == "free":
+        radius_sq = Fraction(draw(st.integers(0, 30)), draw(st.integers(1, 4)))
+    else:
+        # move the center next to a lattice point v and put v on the sphere
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=basis.rank,
+                               max_size=basis.rank))
+        v = [sum(c * row[i] for c, row in zip(coeffs, basis.rows))
+             for i in range(basis.dim)]
+        offset = [c / 4 for c in center]
+        center = tuple(a + b for a, b in zip(v, offset))
+        radius_sq = sum(b * b for b in offset)
+    return basis, center, radius_sq
+
+
+@given(_ball_queries(), st.one_of(st.none(), st.integers(0, 12)))
+@settings(max_examples=80, deadline=None)
+def test_enum_ball_equals_the_box_scan(query, budget):
+    basis, center, radius_sq = query
+    want = _box_scan(basis, center, radius_sq)
+    q = BallQuery(basis, center, radius_sq)
+    if budget is not None and len(want) > budget:
+        with pytest.raises(BudgetExceeded) as info:
+            enum_ball(q, budget)
+        assert info.value.partial == budget
+        return
+    res = enum_ball(q) if budget is None else enum_ball(q, budget)
+    assert list(res.points) == want
+    assert res.count == len(want)
+
+
+def test_enum_ball_includes_the_boundary():
+    basis = _basis((2, 1), (1, 3))
+    center = (Fraction(1, 3), Fraction(-1, 2))
+    v = (3, 4)  # row sum
+    r_sq = sum((a - b) ** 2 for a, b in zip(v, center))
+    assert v in enum_ball(BallQuery(basis, center, r_sq)).points
+    below = enum_ball(BallQuery(basis, center, r_sq - Fraction(1, 10**9)))
+    assert v not in below.points
+    assert enum_ball(BallQuery(basis, v, 0)).points == (v,)
+    assert enum_ball(BallQuery(basis, center, 0)).count == 0
+
+
+def test_min_sup_to_breaks_ties_toward_the_least_point():
+    center = (Fraction(1, 2), Fraction(1, 3))
+    # (0, 0) and (1, 0) both sit at sup distance 1/2; (0, 1), (1, 1) at 2/3
+    points = [(1, 1), (1, 0), (0, 1), (0, 0)]
+    for order in (points, points[::-1]):
+        dist, witness = _min_sup_to(order, center, Fraction(1, 4))
+        assert witness == (0, 0)
+        assert dist == Fraction(1, 2) and isinstance(dist, Fraction)
+    assert _min_sup_to(points, center, Fraction(1, 4) - Fraction(1, 10**9)) is None
+    dist, witness = _min_sup_to([(0, 1), (1, 1)], center, Fraction(4, 9))
+    assert (dist, witness) == (Fraction(2, 3), (0, 1))
+
+
+def test_min_sup_nonzero_skips_zero_and_breaks_ties():
+    points = [(1, -1), (0, 0), (-1, 1), (-1, -1), (2, 0)]
+    for order in (points, points[::-1]):
+        assert _min_sup_nonzero(order, Fraction(1)) == (1, (-1, -1))
+    assert _min_sup_nonzero(points, Fraction(99, 100)) is None
+    assert _min_sup_nonzero([(0, 0), (2, 0)], Fraction(4)) == (2, (2, 0))
+
+
 # ---------------------------------------------------------------------------
 # prepared lattices
 # ---------------------------------------------------------------------------
@@ -210,12 +327,27 @@ def test_gs_coords_match_the_gram_solve():
         rows = lat.rows
         t = mat_solve([[dot(a, b) for b in rows] for a in rows],
                       [dot(row, center) for row in rows])
-        mu = lat.gso.mu
+        mu = gram_schmidt(lat).mu
         frame = tuple(
             t[i] + sum(mu[j][i] * t[j] for j in range(i + 1, lat.rank))
             for i in range(lat.rank)
         )
         assert lat.gs_coords(center) == frame
+
+
+def test_nearest_plane_matches_rational_rounding():
+    for basis, center, _ in _random_lattices(17, 40):
+        lat = prepare(basis)
+        mu = gram_schmidt(lat).mu
+        zc = lat.gs_coords(center)
+        z = [0] * lat.rank
+        for i in range(lat.rank - 1, -1, -1):
+            c = zc[i] - sum(mu[j][i] * z[j] for j in range(i + 1, lat.rank))
+            half = c + Fraction(1, 2)
+            z[i] = half.numerator // half.denominator
+        want = tuple(sum(zi * row[k] for zi, row in zip(z, lat.rows))
+                     for k in range(lat.dim))
+        assert lat.nearest_plane(center) == want
 
 
 def test_prepared_enumeration_matches_plain_basis():

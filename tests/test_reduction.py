@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from sbl.core import dot, mat_det, mat_solve
 from sbl.lattice import LatticeBasis, embedding_basis, choose_params, kernel_basis
-from sbl.reduction import GSO, gram_schmidt, lll_reduce, lll_threshold
+from sbl.reduction import (
+    GSO,
+    gram_schmidt,
+    integral_gso,
+    lll_reduce,
+    lll_threshold,
+)
 
 
 def _gram(rows):
@@ -87,6 +93,22 @@ def test_gso_orthogonality(basis):
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------
+
+@given(_random_bases())
+@settings(max_examples=40, deadline=None)
+def test_integral_gso_matches_the_rational_one(basis):
+    gso = gram_schmidt(basis)
+    dets, lam = integral_gso(basis)
+    assert dets[0] == 1
+    for i, b2 in enumerate(gso.b_star_sq):
+        assert Fraction(dets[i + 1], dets[i]) == b2
+        assert lam[i] == tuple(m * dets[j + 1] for j, m in enumerate(gso.mu[i]))
+
+
+def test_integral_gso_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        integral_gso(LatticeBasis(((1, 2), (2, 4)), 2))
+
 
 def test_lll_identity_is_fixed():
     basis = LatticeBasis(((1, 0), (0, 1)), 2)

@@ -420,7 +420,7 @@ def _count_calls(monkeypatch, fn):
     ((812874, 895347, 828298, 932437, 281331, 766550), -76),
 ])
 def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
-    gso_calls = _count_calls(monkeypatch, reduction.gram_schmidt)
+    gso_calls = _count_calls(monkeypatch, reduction.integral_gso)
     solve_calls = _count_calls(monkeypatch, core.mat_solve)
     stats = {}
     v = solve_gss_punctured(x, tau, 2, stats=stats)
@@ -549,25 +549,60 @@ def test_gap_search_matches_direct_cvp(rows, p, q):
 # ---------------------------------------------------------------------------
 
 _REJECT_EVERY_WITNESS = textwrap.dedent("""
+    from fractions import Fraction
+
+    import sbl.enumeration
+    import sbl.lattice
+    import sbl.oracle
     import sbl.solve
-    from sbl.core import InternalError
-    from sbl.core import Box
+    from sbl.core import Box, Instance, InternalError, Interval
+    from sbl.lattice import LatticeBasis
 
     if __debug__:
         raise SystemExit("asserts are enabled")
-    sbl.solve.verify_solution = lambda *args, **kwargs: False
-    calls = [
-        lambda: sbl.solve.solve_sbp((3, 5, 8), 1),
-        lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5),
-        lambda: sbl.solve.solve_gss_interval((2, 3), 7, 0, 2),
-        lambda: sbl.solve.solve_gss_punctured((2, 3), 1, 1),
-        lambda: sbl.solve.solve_gss_avg((7, 9), 2, 2, 16),
+
+    def reject(*args, **kwargs):
+        return False
+
+    lat = LatticeBasis(((5, 0), (2, 3)), 2)
+    inst = Instance((2, 3), Interval(0, 2), tau=7)
+    # (module, global, a stand-in that breaks the check, a call reaching it)
+    cases = [
+        (sbl.solve, "verify_solution", reject,
+         lambda: sbl.solve.solve_sbp((3, 5, 8), 1)),
+        (sbl.solve, "verify_solution", reject,
+         lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5)),
+        (sbl.solve, "verify_solution", reject,
+         lambda: sbl.solve.solve_gss_interval((2, 3), 7, 0, 2)),
+        (sbl.solve, "verify_solution", reject,
+         lambda: sbl.solve.solve_gss_punctured((2, 3), 1, 1)),
+        (sbl.solve, "verify_solution", reject,
+         lambda: sbl.solve.solve_gss_avg((7, 9), 2, 2, 16)),
+        (sbl.enumeration, "_min_sup_nonzero", lambda *a: (0, (1, 0)),
+         lambda: sbl.enumeration.svp_inf(lat)),
+        (sbl.enumeration, "gauge_sq", lambda *a: Fraction(0),
+         lambda: sbl.enumeration.svp_gauge(lat, Box(1))),
+        (sbl.lattice, "dot", lambda *a: 1,
+         lambda: sbl.lattice.kernel_basis((3, 5, 8))),
+        (sbl.lattice, "max", min,
+         lambda: sbl.lattice.choose_params((3, 5), 1, 0, "gss_avg", 1)),
+        (sbl.oracle, "verify_solution", reject,
+         lambda: sbl.oracle.mitm_solve(inst, "gss")),
+        (sbl.oracle, "coefficient_alphabet", lambda cs: None,
+         lambda: sbl.oracle.brute_force_solve(inst, "gss")),
     ]
-    for call in calls:
+    for mod, name, stand_in, call in cases:
+        original = vars(mod).get(name)
+        setattr(mod, name, stand_in)
         try:
             call()
         except InternalError:
             print("internal-error")
+        finally:
+            if original is None:
+                delattr(mod, name)
+            else:
+                setattr(mod, name, original)
 """)
 
 
@@ -579,16 +614,19 @@ def test_self_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["internal-error"] * 5
+    assert proc.stdout.split() == ["internal-error"] * 11
 
 
-def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path):
-    from sbl.cli import main
+def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path,
+                                               capsys):
+    from sbl.cli import EXIT_INTERNAL, EXIT_INVALID, main
     from sbl.core import serialize_instance
 
     assert not issubclass(InternalError, ValueError)
     monkeypatch.setattr(sbl.solve, "verify_solution", lambda *a, **k: False)
     path = tmp_path / "inst.json"
     path.write_text(serialize_instance(Instance((2, 3), Interval(0, 2), tau=7)))
-    with pytest.raises(InternalError):
-        main(["solve", str(path)])
+    code = main(["solve", str(path)])
+    assert code == EXIT_INTERNAL and code != EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == "sbl: internal error: self-check failed: gss witness\n"

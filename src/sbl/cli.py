@@ -19,18 +19,14 @@ import sys
 from typing import Optional, Sequence
 
 from .core import (
-    Box,
     BudgetExceeded,
-    Ellipsoid,
     GUARD_ABORT,
-    Instance,
     InternalError,
-    Interval,
     NO_SOLUTION,
     ParseError,
-    Punctured,
     SOLVED,
     Verdict,
+    _parse_int,
     parse_instance,
     parse_verdict,
     serialize_instance,
@@ -49,17 +45,7 @@ from .experiment import (
     sample_instance,
     trial_stream,
 )
-from .oracle import brute_force_solve, mitm_solve
-from .reduction import lll_threshold
-from .solve import (
-    ThresholdUnmet,
-    solve_gss_avg,
-    solve_gss_interval,
-    solve_gss_punctured,
-    solve_sbp,
-    solve_sbp_body,
-    solve_sbp_lll,
-)
+from .solve import ENGINES, solve_instance
 
 __all__ = ["main"]
 
@@ -75,10 +61,6 @@ _STATUS_EXIT = {SOLVED: 0, NO_SOLUTION: 1, GUARD_ABORT: 2}
 BUDGET_ENV = "SBL_BUDGET"
 
 
-class _Invalid(Exception):
-    """User-facing configuration or input problem; maps to exit 3."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags, which collides with guard_abort
     def error(self, message):
@@ -88,16 +70,16 @@ class _Parser(argparse.ArgumentParser):
 def _budget(args) -> int:
     if args.budget is not None:
         if args.budget < 1:
-            raise _Invalid("budget must be positive")
+            raise ValueError("budget must be positive")
         return args.budget
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         try:
             value = int(env)
         except ValueError:
-            raise _Invalid(f"{BUDGET_ENV} must be an integer, got {env!r}")
+            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}")
         if value < 1:
-            raise _Invalid(f"{BUDGET_ENV} must be positive")
+            raise ValueError(f"{BUDGET_ENV} must be positive")
         return value
     return DEFAULT_POINT_BUDGET
 
@@ -107,16 +89,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise _Invalid(f"cannot read {path}: {e.strerror or e}")
-
-
-def _symmetric_bound(coeffs) -> Optional[int]:
-    """The d of a [-d, d] coefficient range, else None."""
-    if isinstance(coeffs, Box):
-        return coeffs.d
-    if isinstance(coeffs, Interval) and coeffs.lo == -coeffs.hi and coeffs.hi >= 1:
-        return coeffs.hi
-    return None
+        raise ValueError(f"cannot read {path}: {e.strerror or e}")
 
 
 def _emit(verdict: Verdict) -> int:
@@ -128,92 +101,11 @@ def _emit(verdict: Verdict) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _solve_balancing(inst: Instance, engine: str, budget: int) -> Verdict:
-    coeffs = inst.coeffs
-    d = _symmetric_bound(coeffs)
-    if engine == "auto":
-        if isinstance(coeffs, Ellipsoid):
-            engine = "body"
-        elif isinstance(coeffs, Punctured):
-            return solve_gss_punctured(inst.x, 0, coeffs.d, budget=budget)
-        elif d is not None:
-            engine = "lll" if len(inst.x) >= 2 and lll_threshold(inst.x, d) else "svp"
-        else:
-            engine = "mitm"
-    if engine == "svp":
-        if d is None:
-            raise _Invalid("svp engine needs a symmetric [-d,d] coefficient range")
-        return solve_sbp(inst.x, d, budget=budget)
-    if engine == "lll":
-        if d is None:
-            raise _Invalid("lll engine needs a symmetric [-d,d] coefficient range")
-        return solve_sbp_lll(inst.x, d)
-    if engine == "body":
-        if isinstance(coeffs, Ellipsoid):
-            return solve_sbp_body(inst.x, coeffs, budget=budget)
-        if d is not None:
-            return solve_sbp_body(inst.x, Box(d), budget=budget)
-        raise _Invalid("body engine needs a box or ellipsoid coefficient set")
-    if engine == "mitm":
-        if isinstance(coeffs, Ellipsoid):
-            raise _Invalid("mitm engine does not handle ellipsoid bodies")
-        return mitm_solve(inst, "balancing", budget)
-    if engine == "brute":
-        return brute_force_solve(inst, "balancing", budget)
-    if engine == "avg":
-        raise _Invalid("avg engine solves gss; use --mode gss")
-    raise _Invalid(f"engine {engine} does not apply to balancing")
-
-
-def _solve_gss(inst: Instance, engine: str, budget: int) -> Verdict:
-    coeffs = inst.coeffs
-    if engine == "auto":
-        if isinstance(coeffs, Punctured):
-            return solve_gss_punctured(inst.x, inst.tau, coeffs.d, budget=budget)
-        if isinstance(coeffs, Interval):
-            return solve_gss_interval(
-                inst.x, inst.tau, coeffs.lo, coeffs.hi, budget=budget
-            )
-        if isinstance(coeffs, Box):
-            return solve_gss_interval(
-                inst.x, inst.tau, -coeffs.d, coeffs.d, budget=budget
-            )
-        # ellipsoid targets have no lattice route here; small cases only
-        return brute_force_solve(inst, "gss", budget)
-    if engine == "avg":
-        if inst.m_bound is None:
-            raise _Invalid("avg engine: m_bound required on the instance")
-        if isinstance(coeffs, Punctured):
-            return solve_gss_avg(
-                inst.x, inst.tau, coeffs.d, inst.m_bound, "punctured",
-                budget=budget,
-            )
-        d = _symmetric_bound(coeffs)
-        if d is None:
-            raise _Invalid(
-                "avg engine needs a symmetric [-d,d] or punctured coefficient set"
-            )
-        return solve_gss_avg(
-            inst.x, inst.tau, d, inst.m_bound, "interval", budget=budget
-        )
-    if engine == "mitm":
-        if isinstance(coeffs, Ellipsoid):
-            raise _Invalid("mitm engine does not handle ellipsoid bodies")
-        return mitm_solve(inst, "gss", budget)
-    if engine == "brute":
-        return brute_force_solve(inst, "gss", budget)
-    raise _Invalid(f"engine {engine} does not apply to gss")
-
-
 def cmd_solve(args) -> int:
     budget = _budget(args)
     inst = parse_instance(_read(args.instance))
-    mode = "sbp" if args.nonzero else args.mode
-    if mode == "sbp":
-        verdict = _solve_balancing(inst, args.engine, budget)
-    else:
-        verdict = _solve_gss(inst, args.engine, budget)
-    return _emit(verdict)
+    mode = "balancing" if args.nonzero or args.mode == "sbp" else "gss"
+    return _emit(solve_instance(inst, mode, args.engine, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +114,16 @@ def cmd_solve(args) -> int:
 
 def cmd_gen(args) -> int:
     if not 0 <= args.seed < (1 << 64):
-        raise _Invalid("seed must fit in 64 bits")
+        raise ValueError("seed must fit in 64 bits")
     rng = trial_stream(args.seed, 0)
-    try:
-        inst = sample_instance(args.n, args.M, args.d, args.tau, args.cset, rng)
-    except ValueError as e:
-        raise _Invalid(str(e))
+    inst = sample_instance(args.n, args.M, args.d, args.tau, args.cset, rng)
     text = serialize_instance(inst) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {args.out}: {e.strerror or e}")
     else:
         sys.stdout.write(text)
     return EXIT_SOLVED
@@ -245,7 +137,7 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}")
     if isinstance(doc, list):
-        witness = doc
+        witness = [_parse_int(v, f"c[{i}]") for i, v in enumerate(doc)]
     else:
         verdict = parse_verdict(text)
         if verdict.witness is None:
@@ -253,11 +145,7 @@ def cmd_verify(args) -> int:
             return EXIT_NO_SOLUTION
         witness = list(verdict.witness)
     mode = "balancing" if args.mode == "sbp" else "gss"
-    try:
-        ok = verify_solution(inst, witness, mode)
-    except ValueError as e:
-        raise _Invalid(str(e))
-    if ok:
+    if verify_solution(inst, witness, mode):
         print(serialize_verdict(Verdict.solved(witness)))
         return EXIT_SOLVED
     print(serialize_verdict(Verdict.no_solution("witness rejected")))
@@ -270,19 +158,16 @@ def cmd_verify(args) -> int:
 
 def cmd_probe(args) -> int:
     budget = _budget(args)
-    try:
-        cfg = ProbeConfig(
-            n=args.n,
-            m_bound=args.M,
-            d=args.d,
-            trials=args.trials,
-            seed=args.seed,
-            tau=args.tau,
-            cset=args.cset,
-            solver=args.solver,
-        )
-    except ValueError as e:
-        raise _Invalid(str(e))
+    cfg = ProbeConfig(
+        n=args.n,
+        m_bound=args.M,
+        d=args.d,
+        trials=args.trials,
+        seed=args.seed,
+        tau=args.tau,
+        cset=args.cset,
+        solver=args.solver,
+    )
     if args.kind == "existence":
         report = probe_existence(cfg, budget=budget)
     else:
@@ -292,11 +177,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    budget = _budget(args)
-    try:
-        rows = bench(args.suite, seed=args.seed, budget=budget)
-    except ValueError as e:
-        raise _Invalid(str(e))
+    rows = bench(args.suite, seed=args.seed, budget=_budget(args))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(BENCH_HEADER)
     writer.writerows(rows)
@@ -315,9 +196,7 @@ def _build_parser() -> _Parser:
     p.add_argument("instance", help="path to an instance JSON file")
     p.add_argument("--mode", choices=("sbp", "gss"), default="gss",
                    help="sbp demands a nonzero witness with c.x=0")
-    p.add_argument("--engine",
-                   choices=("auto", "svp", "lll", "mitm", "brute", "body", "avg"),
-                   default="auto")
+    p.add_argument("--engine", choices=ENGINES, default="auto")
     p.add_argument("--budget", type=int, default=None,
                    help="enumeration point budget")
     p.add_argument("--nonzero", action="store_true",
@@ -375,15 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except _Invalid as e:
-        print(f"sbl: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except ParseError as e:
-        print(f"sbl: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except ThresholdUnmet as e:
-        print(f"sbl: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except BudgetExceeded as e:
         print(f"sbl: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -273,9 +273,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError("interval requires lo <= hi")
 
-    def contains_scalar(self, c: int) -> bool:
-        return self.lo <= c <= self.hi
-
     def contains(self, c: Sequence[int]) -> bool:
         return all(self.lo <= v <= self.hi for v in c)
 
@@ -289,9 +286,6 @@ class Punctured:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("puncture radius must be positive")
-
-    def contains_scalar(self, c: int) -> bool:
-        return 1 <= abs(c) <= self.d
 
     def contains(self, c: Sequence[int]) -> bool:
         return all(1 <= abs(v) <= self.d for v in c)
@@ -467,11 +461,15 @@ def verify_solution(inst: Instance, c: Sequence[int], mode: str = "balancing") -
 
     balancing: c.x == 0 and c != 0.  gss: c.x == tau, the zero vector is
     admitted when it lies in the coefficient set and tau == 0.  Membership
-    in the coefficient set is always required.
+    in the coefficient set is always required.  Every entry must be an int
+    (not a bool): a float or any other value raises ValueError rather than
+    being truncated into a witness the caller never gave.
     """
     if mode not in ("balancing", "gss"):
         raise ValueError(f"unknown mode {mode!r}")
-    c = tuple(int(v) for v in c)
+    c = tuple(c)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in c):
+        raise ValueError("witness entries must be integers")
     if len(c) != inst.n:
         raise ValueError("witness length does not match x")
     target = 0 if mode == "balancing" else inst.tau

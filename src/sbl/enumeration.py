@@ -45,8 +45,9 @@ from .core import (
     dot,
     is_positive_definite,
     l2_sq,
+    linf,
 )
-from .lattice import GaugeBody, LatticeBasis, gauge_norm, gauge_sq
+from .lattice import GaugeBody, LatticeBasis, gauge_sq
 from .reduction import integral_gso, lll_reduce
 
 __all__ = [
@@ -533,8 +534,9 @@ def svp_gauge(
     else:
         radius_sq = g0 / _pd_lower_bound(body)
     res = enum_ball(BallQuery(lat, zero, radius_sq), budget)
-    best = min(
-        (p for p in res.points if any(p)),
-        key=lambda p: (gauge_sq(body, p), p),
-    )
-    return GaugeResult(gauge_norm(body, best), best, res.count)
+    # a box ranks by the integer sup norm, the same order as its gauge
+    box = isinstance(body, Box)
+    rank = linf if box else body.quad_form
+    best = min((p for p in res.points if any(p)), key=lambda p: (rank(p), p))
+    value = Fraction(linf(best), body.d) if box else rank(best)
+    return GaugeResult(value, best, res.count)

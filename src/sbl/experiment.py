@@ -23,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .core import (
     GUARD_ABORT,
@@ -31,17 +31,10 @@ from .core import (
     Instance,
     Interval,
     Punctured,
-    Verdict,
     verify_solution,
 )
 from .enumeration import DEFAULT_POINT_BUDGET
-from .oracle import brute_force_solve, mitm_solve
-from .solve import (
-    solve_gss_avg,
-    solve_gss_interval,
-    solve_gss_punctured,
-    solve_sbp,
-)
+from .solve import solve_instance
 
 __all__ = [
     "SplitMix64",
@@ -204,13 +197,10 @@ def _mode_for(tau: int) -> str:
     return "balancing" if tau == 0 else "gss"
 
 
-def _lattice_reference(inst: Instance, tau: int, d: int, cset: str,
-                       budget: int, stats: Optional[dict] = None) -> Verdict:
-    if cset == "punctured":
-        return solve_gss_punctured(inst.x, tau, d, budget=budget, stats=stats)
-    if tau == 0:
-        return solve_sbp(inst.x, d, budget=budget, stats=stats)
-    return solve_gss_interval(inst.x, tau, -d, d, budget=budget, stats=stats)
+def _lattice_engine(mode: str, cset: str) -> str:
+    # interval balancing stays on the plain SVP route: auto would switch to
+    # LLL above the threshold and change the reported enumeration counts
+    return "svp" if mode == "balancing" and cset == "interval" else "auto"
 
 
 def probe_existence(
@@ -231,13 +221,14 @@ def probe_existence(
         tau = _trial_tau(cfg, rng)
         inst = sample_instance(cfg.n, cfg.m_bound, cfg.d, tau, cfg.cset, rng)
         mode = _mode_for(tau)
+        lattice = _lattice_engine(mode, cfg.cset)
         t0 = time.perf_counter()
         if cfg.solver in ("mitm", "both"):
-            v = mitm_solve(inst, mode)
+            v = solve_instance(inst, mode, "mitm")
         else:
-            v = _lattice_reference(inst, tau, cfg.d, cfg.cset, budget)
+            v = solve_instance(inst, mode, lattice, budget)
         if cfg.solver == "both":
-            w = _lattice_reference(inst, tau, cfg.d, cfg.cset, budget)
+            w = solve_instance(inst, mode, lattice, budget)
             if w.status != v.status:
                 raise RuntimeError(
                     f"oracle disagreement on trial {i}: {v.status} vs {w.status}"
@@ -281,11 +272,9 @@ def probe_avg_solver(
         tau = _trial_tau(cfg, rng)
         inst = sample_instance(cfg.n, cfg.m_bound, cfg.d, tau, cfg.cset, rng)
         t0 = time.perf_counter()
-        got = solve_gss_avg(
-            inst.x, tau, cfg.d, cfg.m_bound, cfg.cset, budget=budget
-        )
+        got = solve_instance(inst, "gss", "avg", budget)
         walls.append(time.perf_counter() - t0)
-        reference = mitm_solve(inst, _mode_for(tau))
+        reference = solve_instance(inst, _mode_for(tau), "mitm")
         statuses.append(got.status)
         taus.append(tau)
         if got.status == GUARD_ABORT:
@@ -373,23 +362,7 @@ _SUITES = {
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
-
-def _bench_solve(solver: str, inst: Instance, run: dict, budget: int):
-    stats: dict = {}
-    tau = run["tau"]
-    mode = _mode_for(tau)
-    if solver == "brute":
-        return brute_force_solve(inst, mode, budget), stats
-    if solver == "mitm":
-        return mitm_solve(inst, mode, budget), stats
-    if solver == "lattice":
-        v = _lattice_reference(inst, tau, run["d"], run["cset"], budget, stats)
-        return v, stats
-    if solver == "avg":
-        v = solve_gss_avg(inst.x, tau, run["d"], run["m_bound"],
-                          run["cset"], budget=budget, stats=stats)
-        return v, stats
-    raise ValueError(f"unknown bench solver {solver!r}")
+_BENCH_SOLVERS = ("brute", "mitm", "lattice", "avg")
 
 
 def _load_suite(suite) -> list:
@@ -400,22 +373,35 @@ def _load_suite(suite) -> list:
     else:
         if not (isinstance(suite, str) and os.path.exists(suite)):
             raise ValueError(f"unknown suite {suite!r}")
-        with open(suite, "r", encoding="utf-8") as fh:
-            runs = json.load(fh)
+        try:
+            with open(suite, "r", encoding="utf-8") as fh:
+                runs = json.load(fh)
+        except OSError as e:
+            raise ValueError(f"cannot read {suite}: {e.strerror or e}")
         if not isinstance(runs, list):
             raise ValueError("suite file must hold a list of runs")
     if not runs:
         raise ValueError("empty suite")
     out = []
-    for entry in runs:
-        run = {
-            "n": int(entry["n"]),
-            "m_bound": int(entry.get("m_bound", 100)),
-            "d": int(entry["d"]),
-            "tau": int(entry.get("tau", 0)),
-            "cset": entry.get("cset", "interval"),
-            "solvers": tuple(entry.get("solvers", ("mitm",))),
-        }
+    for i, entry in enumerate(runs):
+        if not isinstance(entry, dict):
+            raise ValueError(f"suite entry {i}: expected an object")
+        try:
+            run = {
+                "n": int(entry["n"]),
+                "m_bound": int(entry.get("m_bound", 100)),
+                "d": int(entry["d"]),
+                "tau": int(entry.get("tau", 0)),
+                "cset": entry.get("cset", "interval"),
+                "solvers": tuple(entry.get("solvers", ("mitm",))),
+            }
+        except KeyError as e:
+            raise ValueError(f"suite entry {i}: missing field {e.args[0]!r}")
+        except TypeError as e:
+            raise ValueError(f"suite entry {i}: {e}")
+        for solver in run["solvers"]:
+            if solver not in _BENCH_SOLVERS:
+                raise ValueError(f"suite entry {i}: unknown solver {solver!r}")
         out.append(run)
     return out
 
@@ -436,8 +422,15 @@ def bench(suite, seed: int = 20240, budget: int = DEFAULT_POINT_BUDGET) -> list:
             run["n"], run["m_bound"], run["d"], tau, run["cset"], rng
         )
         for solver in run["solvers"]:
+            # avg only decides gss, at tau 0 too
+            mode = "gss" if solver == "avg" else _mode_for(tau)
+            if solver == "lattice":
+                engine = _lattice_engine(mode, run["cset"])
+            else:
+                engine = solver
+            stats: dict = {}
             t0 = time.perf_counter()
-            verdict, stats = _bench_solve(solver, inst, run, budget)
+            verdict = solve_instance(inst, mode, engine, budget, stats)
             wall = time.perf_counter() - t0
             rows.append((
                 solver,

@@ -20,8 +20,6 @@ from .core import (
     InternalError,
     ceil_root,
     dot,
-    gcd_vector,
-    l2_sq,
     linf,
 )
 
@@ -93,13 +91,6 @@ def kernel_basis(x: Sequence[int]) -> LatticeBasis:
     if any(dot(r, xs) != 0 for r in rows):
         raise InternalError("self-check failed: kernel row not orthogonal to x")
     return LatticeBasis(rows, n)
-
-
-def kernel_det_sq(x: Sequence[int]) -> Fraction:
-    """Squared determinant of the orthogonal lattice: |x|^2 / gcd(x)^2."""
-    xs = tuple(int(v) for v in x)
-    g = gcd_vector(xs)
-    return Fraction(l2_sq(xs), g * g)
 
 
 @dataclass(frozen=True)
@@ -205,13 +196,6 @@ def interval_shift_target(
     return target, Fraction(b - a, 2)
 
 
-def enclosing_box_radius(body: GaugeBody) -> int:
-    """Minimal integer d with the body contained in [-d, d]^n."""
-    if isinstance(body, (Box, Ellipsoid)):
-        return body.bounding_box_radius()
-    raise TypeError(f"unknown gauge body {body!r}")
-
-
 def full_rank_completion(x: Sequence[int], body: GaugeBody):
     """Extend the orthogonal lattice of x to full rank.
 
@@ -224,7 +208,7 @@ def full_rank_completion(x: Sequence[int], body: GaugeBody):
     xs = tuple(int(v) for v in x)
     if not xs or all(v == 0 for v in xs):
         raise ValueError("zero vector")
-    d = enclosing_box_radius(body)
+    d = body.bounding_box_radius()
     q = d * sum(abs(v) for v in xs) + 1
     i0 = next(i for i in range(len(xs)) if xs[i] != 0)
     completion = [0] * len(xs)
@@ -232,16 +216,6 @@ def full_rank_completion(x: Sequence[int], body: GaugeBody):
     kb = kernel_basis(xs)
     rows = kb.rows + (tuple(completion),)
     return LatticeBasis(rows, len(xs)), q
-
-
-def gauge_norm(body: GaugeBody, v: Sequence) -> Fraction:
-    """Gauge of v for a box (sup norm over d); squared gauge for an
-    ellipsoid (the quadratic form itself).  Zero exactly at v = 0."""
-    if isinstance(body, Box):
-        return Fraction(linf(v), body.d)
-    if isinstance(body, Ellipsoid):
-        return body.quad_form(v)
-    raise TypeError(f"unknown gauge body {body!r}")
 
 
 def gauge_sq(body: GaugeBody, v: Sequence) -> Fraction:

@@ -15,6 +15,10 @@ most r even when the oracle overstates it by a factor gamma < (r+1)/r.
 The capped oracle realizes this with a single ball of radius r; rejection
 reports r + 1, which is sound on grid lattices since the true distance
 can only be the next grid value up.
+
+solve_instance is the one place that maps a mode, a coefficient set and
+an engine name to a solver; the command line, probes and benchmarks all
+go through it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from .core import (
     BudgetExceeded,
     Box,
+    Ellipsoid,
     Instance,
     InternalError,
     Interval,
@@ -55,11 +60,11 @@ from .lattice import (
     choose_params,
     embedding_basis,
     full_rank_completion,
-    gauge_sq,
     interval_shift_target,
     kernel_basis,
     sign_pattern_target,
 )
+from .oracle import brute_force_solve, mitm_solve
 from .reduction import lll_reduce, lll_threshold
 
 __all__ = [
@@ -70,7 +75,6 @@ __all__ = [
     "GapConfigError",
     "GapVerdict",
     "ApproxCvpOracle",
-    "exact_cvp_oracle",
     "capped_cvp_oracle",
     "gap_decide",
     "check_minkowski",
@@ -81,6 +85,8 @@ __all__ = [
     "solve_gss_punctured",
     "solve_gss_avg",
     "cvp_via_gap_search",
+    "ENGINES",
+    "solve_instance",
 ]
 
 # 2^n sign patterns; beyond this the loop alone is hopeless
@@ -199,7 +205,7 @@ def solve_sbp_body(
     res = svp_gauge(basis, body, budget=budget)
     _tally(stats, "ball_points", res.ball_count)
     c = res.witness
-    if gauge_sq(body, c) > 1:
+    if res.value > 1:
         return Verdict.no_solution("shortest gauge vector lies outside the body")
     _check(dot(c, xs) == 0, "gauge witness is not orthogonal to x")
     _check(body.contains(c), "gauge witness lies outside the body")
@@ -236,16 +242,6 @@ class ApproxCvpOracle:
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         if self.gamma < 1:
             raise ValueError("gamma must be at least 1")
-
-
-def exact_cvp_oracle(budget: int = DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
-    """The enumerator as a gamma = 1 oracle: exact distance, exact witness."""
-
-    def solver(basis: Lattice, target):
-        res = cvp_inf(basis, target, budget=budget)
-        return res.witness, res.dist
-
-    return ApproxCvpOracle(Fraction(1), solver)
 
 
 def capped_cvp_oracle(
@@ -552,3 +548,98 @@ def cvp_via_gap_search(
         default=Fraction(0),
     )
     return tuple(best), dist
+
+
+# ---------------------------------------------------------------------------
+# engine dispatch
+# ---------------------------------------------------------------------------
+
+ENGINES = ("auto", "svp", "lll", "mitm", "brute", "body", "avg")
+
+
+def _symmetric_bound(coeffs) -> Optional[int]:
+    """The d of a [-d, d] coefficient range, else None."""
+    if isinstance(coeffs, Box):
+        return coeffs.d
+    if isinstance(coeffs, Interval) and coeffs.lo == -coeffs.hi and coeffs.hi >= 1:
+        return coeffs.hi
+    return None
+
+
+def solve_instance(
+    inst: Instance,
+    mode: str,
+    engine: str = "auto",
+    budget: int = DEFAULT_POINT_BUDGET,
+    stats: Optional[dict] = None,
+) -> Verdict:
+    """Solve inst in mode "balancing" (nonzero c with c.x = 0) or "gss"
+    (c.x = tau) with the named engine from ENGINES.
+
+    auto takes the reduction for the coefficient set: a punctured set runs
+    one gap decision per sign pattern in either mode.  Balancing over
+    [-d, d] or a box is one SVP call, or the first LLL vector once d
+    clears lll_threshold; over an ellipsoid it is a gauge SVP, and an
+    asymmetric interval goes to meet-in-the-middle.  gss over an interval
+    or box is one gap decision, over an ellipsoid brute force.  An engine
+    that does not apply raises ValueError.
+    """
+    if mode not in ("balancing", "gss"):
+        raise ValueError(f"unknown mode {mode!r}")
+    x, coeffs = inst.x, inst.coeffs
+    tau = inst.tau if mode == "gss" else 0
+    d = _symmetric_bound(coeffs)
+    if engine == "auto":
+        if isinstance(coeffs, Punctured):
+            return solve_gss_punctured(x, tau, coeffs.d, budget=budget,
+                                       stats=stats)
+        if mode == "gss":
+            if isinstance(coeffs, Ellipsoid):
+                # ellipsoid targets have no lattice route here; small cases only
+                return brute_force_solve(inst, mode, budget)
+            lo, hi = (coeffs.lo, coeffs.hi) if d is None else (-d, d)
+            return solve_gss_interval(x, tau, lo, hi, budget=budget,
+                                      stats=stats)
+        if isinstance(coeffs, Ellipsoid):
+            engine = "body"
+        elif d is not None:
+            engine = "lll" if len(x) >= 2 and lll_threshold(x, d) else "svp"
+        else:
+            engine = "mitm"
+    if engine == "mitm":
+        if isinstance(coeffs, Ellipsoid):
+            raise ValueError("mitm engine does not handle ellipsoid bodies")
+        return mitm_solve(inst, mode, budget)
+    if engine == "brute":
+        return brute_force_solve(inst, mode, budget)
+    if mode == "gss":
+        if engine != "avg":
+            raise ValueError(f"engine {engine} does not apply to gss")
+        if inst.m_bound is None:
+            raise ValueError("avg engine: m_bound required on the instance")
+        if isinstance(coeffs, Punctured):
+            return solve_gss_avg(x, tau, coeffs.d, inst.m_bound, "punctured",
+                                 budget=budget, stats=stats)
+        if d is None:
+            raise ValueError(
+                "avg engine needs a symmetric [-d,d] or punctured coefficient set"
+            )
+        return solve_gss_avg(x, tau, d, inst.m_bound, "interval",
+                             budget=budget, stats=stats)
+    if engine in ("svp", "lll"):
+        if d is None:
+            raise ValueError(
+                f"{engine} engine needs a symmetric [-d,d] coefficient range"
+            )
+        if engine == "lll":
+            return solve_sbp_lll(x, d)
+        return solve_sbp(x, d, budget=budget, stats=stats)
+    if engine == "body":
+        if isinstance(coeffs, Ellipsoid):
+            return solve_sbp_body(x, coeffs, budget=budget, stats=stats)
+        if d is None:
+            raise ValueError("body engine needs a box or ellipsoid coefficient set")
+        return solve_sbp_body(x, Box(d), budget=budget, stats=stats)
+    if engine == "avg":
+        raise ValueError("avg engine solves gss; use --mode gss")
+    raise ValueError(f"engine {engine} does not apply to balancing")

@@ -59,13 +59,13 @@ def test_solve_guard_abort_exit_two(tmp_path, capsys):
 
 
 def test_solve_internal_error_exit_five(tmp_path, capsys, monkeypatch):
-    import sbl.cli
+    import sbl.solve
     from sbl.core import InternalError
 
     def broken(*args, **kwargs):
         raise InternalError("self-check failed: planted")
 
-    monkeypatch.setattr(sbl.cli, "solve_gss_interval", broken)
+    monkeypatch.setattr(sbl.solve, "solve_gss_interval", broken)
     path = _write_instance(tmp_path, Instance((2, 3), Interval(0, 2), tau=7))
     assert main(["solve", path]) == 5
     captured = capsys.readouterr()
@@ -176,6 +176,20 @@ def test_gen_bad_params_exit_three(capsys):
                  "--seed", "-1"]) == 3
 
 
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sbl: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_gen_unwritable_out_exit_three(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["gen", "--n", "2", "--M", "10", "--d", "1",
+                 "--out", str(out)]) == 3
+    assert "cannot write" in _one_error_line(capsys)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -215,6 +229,25 @@ def test_verify_verdict_without_witness(tmp_path, capsys):
     sol = tmp_path / "verdict.json"
     sol.write_text(verdict_text, encoding="utf-8")
     assert main(["verify", inst_path, str(sol)]) == 1
+
+
+@pytest.mark.parametrize("witness", ["[1.9,0,0]", "[1.5,0,0]", "[true,0,0]",
+                                     "[[1],2,3]", '[null,0,0]'])
+def test_verify_non_integer_witness_exit_three(tmp_path, capsys, witness):
+    # a float used to be truncated into the balanced c = (1, 0, 0)
+    inst_path = _write_instance(tmp_path, Instance((0, 3, 5), Interval(-2, 2)))
+    sol = tmp_path / "sol.json"
+    sol.write_text(witness, encoding="utf-8")
+    assert main(["verify", inst_path, str(sol), "--mode", "sbp"]) == 3
+    assert "c[0]" in _one_error_line(capsys)
+
+
+def test_verify_bare_list_takes_decimal_strings(tmp_path, capsys):
+    inst_path = _write_instance(tmp_path, Instance((0, 3, 5), Interval(-2, 2)))
+    sol = tmp_path / "sol.json"
+    sol.write_text('["1",0,"0"]', encoding="utf-8")
+    assert main(["verify", inst_path, str(sol), "--mode", "sbp"]) == 0
+    assert parse_verdict(capsys.readouterr().out).witness == (1, 0, 0)
 
 
 def test_verify_balancing_mode_rejects_zero(tmp_path, capsys):
@@ -292,6 +325,36 @@ def test_bench_csv_parses(capsys):
 
 def test_bench_unknown_suite_exit_three(capsys):
     assert main(["bench", "--suite", "nope"]) == 3
+
+
+@pytest.mark.parametrize("suite,message", [
+    ('[{"d": 1}]', "suite entry 0: missing field 'n'"),
+    ('[{"n": 3, "d": 1}, 7]', "suite entry 1: expected an object"),
+    ('[{"n": 3, "d": 1, "solvers": ["mitm", "quantum"]}]',
+     "suite entry 0: unknown solver 'quantum'"),
+    ('[{"n": null, "d": 1}]', "suite entry 0: "),
+])
+def test_bench_malformed_suite_file_exit_three(tmp_path, capsys, suite,
+                                               message):
+    path = tmp_path / "suite.json"
+    path.write_text(suite, encoding="utf-8")
+    assert main(["bench", "--suite", str(path)]) == 3
+    assert _one_error_line(capsys).startswith("sbl: " + message)
+
+
+def test_bench_directory_suite_exit_three(tmp_path, capsys):
+    assert main(["bench", "--suite", str(tmp_path)]) == 3
+    assert "cannot read" in _one_error_line(capsys)
+
+
+def test_engine_choices_are_the_dispatch_engines():
+    from sbl.cli import _build_parser
+    from sbl.solve import ENGINES
+
+    sub = next(a for a in _build_parser()._actions
+               if a.dest == "command").choices["solve"]
+    engine = next(a for a in sub._actions if a.dest == "engine")
+    assert tuple(engine.choices) == ENGINES
 
 
 # ---------------------------------------------------------------------------

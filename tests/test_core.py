@@ -141,6 +141,7 @@ def test_punctured_contains():
 def test_box_contains():
     assert Box(2).contains((2, -2, 0))
     assert not Box(2).contains((3,))
+    assert Box(3).bounding_box_radius() == 3
 
 
 def test_ellipsoid_contains_and_extents():
@@ -205,6 +206,15 @@ def test_verify_solution_balancing_rejects_zero():
     assert not verify_solution(inst, (0, 0, 0), "balancing")
     assert verify_solution(inst, (-1, -1, 1), "balancing")
     assert verify_solution(inst, (0, 0, 0), "gss")
+
+
+@pytest.mark.parametrize("bad", [(1.9, 0, 0), (1.5, 0, 0), (True, 0, 0),
+                                 (Fraction(1), 0, 0), ("1", 0, 0), ([1], 0, 0)])
+def test_verify_solution_rejects_non_integer_entries(bad):
+    inst = Instance((0, 3, 5), Interval(-2, 2))
+    for mode in ("balancing", "gss"):
+        with pytest.raises(ValueError):
+            verify_solution(inst, bad, mode)
 
 
 def test_verify_solution_checks_membership():

@@ -283,3 +283,15 @@ def test_bench_suite_file_round_trip(tmp_path):
     rows = bench(str(p), seed=3)
     assert [r[0] for r in rows] == ["mitm", "lattice"]
     assert rows[0][4] == rows[1][4]
+
+
+def test_bench_rejects_unknown_solvers_before_running(monkeypatch):
+    import sbl.experiment
+
+    calls = []
+    monkeypatch.setattr(sbl.experiment, "solve_instance",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="unknown solver 'quantum'"):
+        bench([{"n": 3, "d": 1, "solvers": ["mitm"]},
+               {"n": 3, "d": 1, "solvers": ["quantum"]}])
+    assert calls == []

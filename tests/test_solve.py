@@ -44,7 +44,6 @@ from sbl.solve import (
     capped_cvp_oracle,
     check_minkowski,
     cvp_via_gap_search,
-    exact_cvp_oracle,
     gap_decide,
     solve_gss_avg,
     solve_gss_interval,
@@ -208,8 +207,8 @@ def test_embedding_decode_property(x, tau, d):
 # ---------------------------------------------------------------------------
 
 def test_gap_accepts_within_radius():
-    gv = gap_decide(exact_cvp_oracle(), _z2(), (Fraction(3, 2), Fraction(0)),
-                    Fraction(1, 2), HALF_INTEGER)
+    gv = gap_decide(capped_cvp_oracle(Fraction(1, 2)), _z2(),
+                    (Fraction(3, 2), Fraction(0)), Fraction(1, 2), HALF_INTEGER)
     assert gv.accept
     assert gv.reported_dist == Fraction(1, 2)
     assert gv.vector in ((1, 0), (2, 0))
@@ -246,14 +245,15 @@ def test_gap_wide_gamma_legal_at_radius_zero():
 
 def test_gap_rejects_unknown_grid():
     with pytest.raises(ValueError):
-        gap_decide(exact_cvp_oracle(), _z2(), (Fraction(0), Fraction(0)),
-                   Fraction(1), "thirds")
+        gap_decide(capped_cvp_oracle(Fraction(1)), _z2(),
+                   (Fraction(0), Fraction(0)), Fraction(1), "thirds")
 
 
 def test_gap_rejects_negative_radius():
+    oracle = capped_cvp_oracle(Fraction(0))  # the oracle itself refuses -1
     with pytest.raises(ValueError):
-        gap_decide(exact_cvp_oracle(), _z2(), (Fraction(0), Fraction(0)),
-                   Fraction(-1), INTEGER)
+        gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), Fraction(-1),
+                   INTEGER)
 
 
 def _inflating_oracle(gamma):

@@ -165,6 +165,14 @@ def test_full_rank_completion_keeps_kernel(x, d):
     assert _gram_det(basis) == Fraction(q * abs(x[i0]), g) ** 2
 
 
+def test_enclosing_box_radius():
+    # the completion scales by the minimal box radius d enclosing the body
+    e = Ellipsoid(((Fraction(1, 4), 0), (0, 1)))
+    assert e.bounding_box_radius() == 2
+    assert full_rank_completion((1, -1), Box(3))[1] == 3 * 2 + 1
+    assert full_rank_completion((1, -1), e)[1] == 2 * 2 + 1
+
+
 def test_gauge_norms():
     e = Ellipsoid(((Fraction(1, 2), 0), (0, Fraction(1, 2))))
     assert gauge_sq(Box(2), (2, -1)) == 1

@@ -22,10 +22,13 @@ svp_inf and cvp_inf answer sup-norm questions through Euclidean balls: a
 sup ball of radius d sits inside the Euclidean ball of radius d*sqrt(m), so
 enumerating the latter and filtering exactly is complete.  The filters
 compare integer sup distances on the center's common denominator.  Both
-searches support a cap: a single ball decides "is there a vector within
-cap" and certifies the answer, which is what the solvers need, while the
-uncapped forms grow the radius geometrically from an exact lower bound
-until the answer appears.
+searches grow the sup bound from a lower bound up to a free upper bound
+(the least sup norm of a reduced row, or the distance of Babai's vector)
+and stop at the first nonempty filter, which holds every vector up to its
+bound, so the answer is exact and the cost follows the answer.  With a cap
+below that upper bound a single ball at the cap decides "is there a vector
+within cap" instead, and found=False certifies the answer is larger.  All
+the balls of one search draw on one point budget.
 """
 
 from __future__ import annotations
@@ -68,11 +71,15 @@ __all__ = [
 DEFAULT_POINT_BUDGET = 10_000_000
 
 
+def _rational(c) -> Union[int, Fraction]:
+    """c as an exact number: ints and Fractions are kept as they are."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
 def _scaled(point) -> Tuple[int, Tuple[int, ...]]:
     """(den, den * point): the common denominator of the entries and the
     point scaled by it to integers."""
-    point = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-             for c in point]
+    point = [_rational(c) for c in point]
     den = lcm(*(c.denominator for c in point))
     return den, tuple(c.numerator * (den // c.denominator) for c in point)
 
@@ -128,19 +135,25 @@ class PreparedLattice:
         gram_det[i + 1], where E_i is kept as an integer (see enum_ball).
         """
         den, scaled = _scaled(target)
+        return self._round(den, self._frame(scaled))
+
+    def _round(self, den: int, frame: list) -> Tuple[int, ...]:
+        """Babai rounding of the center whose frame (see _frame) on the
+        common denominator den is given; the frame is left unchanged."""
         dets, lam = self.gram_det, self.lam
-        es = self._frame(scaled)
-        point = [0] * self.dim
+        es = list(frame)
+        point = (0,) * self.dim
         for i in range(self.rank - 1, -1, -1):
             t = den * dets[i + 1]
             z = (2 * es[i] + t) // (2 * t)
             if z:
+                dz = den * z
                 lrow = lam[i]
                 for k in range(i):
-                    es[k] -= den * lrow[k] * z
-                for j, b in enumerate(self.rows[i]):
-                    point[j] += z * b
-        return tuple(point)
+                    es[k] -= lrow[k] * dz
+                point = tuple(map(add, point,
+                                  map(mul, self.rows[i], repeat(z))))
+        return point
 
 
 Lattice = Union[LatticeBasis, PreparedLattice]
@@ -167,9 +180,9 @@ class BallQuery:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "center", tuple(Fraction(c) for c in self.center)
+            self, "center", tuple(_rational(c) for c in self.center)
         )
-        object.__setattr__(self, "radius_sq", Fraction(self.radius_sq))
+        object.__setattr__(self, "radius_sq", _rational(self.radius_sq))
         if len(self.center) != self.basis.dim:
             raise ValueError("center dimension does not match the basis")
         if self.radius_sq < 0:
@@ -204,19 +217,38 @@ def enum_ball(
     |z t_i - E_i| <= isqrt(rem // w_i), an exact integer range.
     """
     basis = query.basis
-    rank = basis.rank
     center = query.center
-    if rank == 0:
+    if basis.rank == 0:
         inside = l2_sq(center) <= query.radius_sq
         pts = (tuple([0] * basis.dim),) if inside else ()
         return EnumerationResult(pts, len(pts))
     lat = prepare(basis)
+    den, scaled = _scaled(center)
+    pts = _walk(lat, den, scaled, lat._frame(scaled), query.radius_sq, budget)
+    return EnumerationResult(tuple(pts), len(pts))
+
+
+def _walk(
+    lat: PreparedLattice,
+    den: int,
+    scaled: Tuple[int, ...],
+    frame: list,
+    radius_sq,
+    budget: int,
+    spent: int = 0,
+) -> list:
+    """The sorted lattice points of enum_ball's ball around the center
+    scaled / den, whose frame (see PreparedLattice._frame) the caller
+    computed once and which is left unchanged.  spent points of the budget
+    are already used by earlier balls of the same search; BudgetExceeded
+    reports the whole budget as its partial count."""
+    rank = lat.rank
     rows = lat.rows
     m = lat.dim
     dets = lat.gram_det
-    den, scaled = _scaled(center)
-    es = lat._frame(scaled)  # es[i] = E_i while nothing above i is chosen
-    r_num, r_den = query.radius_sq.numerator, query.radius_sq.denominator
+    es = list(frame)  # es[i] = E_i while nothing above i is chosen
+    room = budget - spent
+    r_num, r_den = radius_sq.numerator, radius_sq.denominator
     pair = [dets[i] * dets[i + 1] for i in range(rank)]
     scale = lcm(*pair)
     ws = [r_den * (scale // p) for p in pair]
@@ -229,7 +261,7 @@ def enum_ball(
             w * y * y for w, y in zip(ws, es)
         )
         if rem0 < 0:
-            return EnumerationResult((), 0)
+            return []
 
     out: list = []
     acc = [0] * m  # running integer point
@@ -243,7 +275,7 @@ def enum_ball(
             return
         row = rows[level]
         if level == 0:
-            if len(out) + (hi - lo + 1) > budget:
+            if len(out) + (hi - lo + 1) > room:
                 raise BudgetExceeded(
                     f"ball holds more than {budget} points",
                     partial=budget,
@@ -280,7 +312,37 @@ def enum_ball(
         # alive until the next full garbage collection
         del descend
     out.sort()
-    return EnumerationResult(tuple(out), len(out))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# growing searches
+# ---------------------------------------------------------------------------
+
+def _schedule(start, step, last):
+    """start, step(start), step(step(start)), ... while below last, then
+    last itself: the bounds of a search that must end by last."""
+    bound = start
+    while bound < last:
+        yield bound
+        bound = step(bound)
+    yield last
+
+
+def _grow(lat, den, scaled, frame, bounds, pick, budget, spent=0):
+    """For each squared sup bound in turn, list the ball of squared radius
+    bound * m around the center and apply pick(points, bound); return
+    (pick's first result that is not None, points listed), or (None,
+    points listed) when every bound comes up empty.  All the balls draw on
+    the one budget."""
+    m = lat.dim
+    for bound_sq in bounds:
+        pts = _walk(lat, den, scaled, frame, bound_sq * m, budget, spent)
+        spent += len(pts)
+        best = pick(pts, bound_sq)
+        if best is not None:
+            return best, spent
+    return None, spent
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +351,8 @@ def enum_ball(
 
 @dataclass(frozen=True)
 class SvpResult:
-    """found is False only for capped searches, certifying value > cap."""
+    """found is False only for capped searches, certifying value > cap.
+    ball_count is the number of points listed over all balls."""
 
     found: bool
     value: Optional[int]
@@ -324,6 +387,17 @@ def _min_sup_nonzero(points, bound_sq: Fraction):
     return best
 
 
+def _sup_floor(lat: PreparedLattice) -> int:
+    """max(1, ceil(min_i |b*_i| / sqrt(m))), a lower bound on the least
+    sup norm of a nonzero lattice vector: min_i |b*_i| <= lambda_1 <=
+    sqrt(m) * lambda_inf.  An integer s has s^2 >= q iff s^2 >= ceil(q)."""
+    dets = lat.gram_det
+    q = min(Fraction(dets[i + 1], dets[i]) for i in range(lat.rank)) / lat.dim
+    c = -(-q.numerator // q.denominator)
+    s = isqrt(c)
+    return max(1, s if s * s == c else s + 1)
+
+
 def svp_inf(
     basis: Lattice,
     eps: Optional[Fraction] = None,
@@ -332,51 +406,61 @@ def svp_inf(
 ) -> SvpResult:
     """Exact sup-norm shortest vector.
 
-    With cap set, one ball of squared radius cap^2 * m decides whether the
-    minimum is <= cap; found=False certifies it is larger.  Without a cap
-    the search starts at the exact Euclidean minimum over sqrt(m), which
-    never exceeds the sup-norm minimum, and grows the radius by (1 + eps)
-    until the filter is nonempty; the first nonempty filter contains every
-    vector of sup norm <= the current bound, so its minimum is exact.
+    The least sup norm u of a reduced row bounds the minimum from above.
+    The search lists the balls of squared radius s^2 * m for rising sup
+    bounds s, the last one clamped to u, and returns at the first nonempty
+    filter: it holds every nonzero vector of sup norm <= s, so its minimum
+    and lexicographically least witness are exact.  The ball at u always
+    holds that row, so the search ends there at the latest.
+
+    With cap set, the bounds are integers: s0 = max(1, ceil(min_i |b*_i| /
+    sqrt(m))), which never exceeds the minimum, then max(s + 1,
+    s (m + 1) // m).  When u exceeds the cap, one ball at the cap decides
+    instead, and found=False certifies the minimum exceeds the cap.
+    Without a cap the search starts at the exact Euclidean minimum over
+    sqrt(m) and grows the squared bound by (1 + eps)^2.  Every ball,
+    including the one that finds the Euclidean minimum, draws on the one
+    budget, and ball_count counts them all.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
     lat = prepare(basis)
     m = lat.dim
-    zero = (Fraction(0),) * m
+    zero = (0,) * m
+    frame = [0] * lat.rank
+    u = min(linf(row) for row in lat.rows)
 
     if cap is not None:
         if cap < 0:
             raise ValueError("cap must be nonnegative")
-        cap_sq = Fraction(cap * cap)
-        res = enum_ball(BallQuery(lat, zero, cap_sq * m), budget)
-        best = _min_sup_nonzero(res.points, cap_sq)
+        if u > cap:
+            bounds = (cap * cap,)
+        else:
+            steps = _schedule(_sup_floor(lat),
+                              lambda s: max(s + 1, s * (m + 1) // m), u)
+            bounds = (s * s for s in steps)
+        best, count = _grow(lat, 1, zero, frame, bounds, _min_sup_nonzero,
+                            budget)
         if best is None:
-            return SvpResult(False, None, None, res.count)
-        return SvpResult(True, best[0], best[1], res.count)
+            return SvpResult(False, None, None, count)
+        return SvpResult(True, best[0], best[1], count)
 
     if eps is None:
         eps = Fraction(1, m)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    b1_sq = Fraction(l2_sq(lat.rows[0]))
-    ball = enum_ball(BallQuery(lat, zero, b1_sq), budget)
-    lam2_sq = min(l2_sq(p) for p in ball.points if any(p))
-    d_sq = Fraction(lam2_sq, m)
-    start_sq = d_sq
+    ball = _walk(lat, 1, zero, frame, l2_sq(lat.rows[0]), budget)
+    start_sq = Fraction(min(l2_sq(p) for p in ball if any(p)), m)
     growth = (1 + eps) ** 2
-    while True:
-        res = enum_ball(BallQuery(lat, zero, d_sq * m), budget)
-        best = _min_sup_nonzero(res.points, d_sq)
-        if best is not None:
-            value, witness = best
-            if start_sq > value * value:
-                raise InternalError(
-                    "self-check failed: start radius exceeds the sup minimum"
-                )
-            return SvpResult(True, value, witness, res.count, start_sq)
-        d_sq *= growth
+    bounds = _schedule(start_sq, lambda b: b * growth, u * u)
+    (value, witness), count = _grow(lat, 1, zero, frame, bounds,
+                                    _min_sup_nonzero, budget, len(ball))
+    if start_sq > value * value:
+        raise InternalError(
+            "self-check failed: start radius exceeds the sup minimum"
+        )
+    return SvpResult(True, value, witness, count, start_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +469,13 @@ def svp_inf(
 
 @dataclass(frozen=True)
 class CvpResult:
-    """found is False only for capped searches, certifying dist > cap."""
+    """found is False only for capped searches, certifying dist > cap.
+    ball_count is the number of points listed over all balls."""
 
     found: bool
     dist: Optional[Fraction]
     witness: Optional[Tuple[int, ...]]
     ball_count: int
-
-
-def _sup_dist(point, center) -> Fraction:
-    return max((abs(a - b) for a, b in zip(point, center)), default=Fraction(0))
 
 
 def _min_sup_to(points, center, bound_sq: Fraction):
@@ -438,43 +519,49 @@ def cvp_inf(
 ) -> CvpResult:
     """Exact sup-norm closest vector to a rational target.
 
-    With cap set, one ball decides whether some lattice vector lies within
-    sup distance cap, returning the exact minimum and lexicographically
-    least witness if so; found=False certifies the distance exceeds cap.
-    Without a cap the radius grows from a Babai-derived start until a
-    vector passes the sup filter; any nonempty filter contains the true
-    closest vector, so the result is exact.
+    Babai rounding gives a lattice vector at sup distance d0, an upper
+    bound on the answer, for the price of the target's Gram-Schmidt frame,
+    which the balls then share.  The search lists the balls of squared
+    radius b * m around the target for squared sup bounds b = d0^2 / m
+    growing by (1 + 1/m)^2, the last one clamped to d0^2, and returns at
+    the first nonempty filter: it holds every vector within sqrt(b), so its
+    minimum distance and lexicographically least witness are exact.  The
+    ball at d0 holds Babai's vector, so the search ends there at the
+    latest; a target on the lattice (d0 = 0) is its own answer and lists
+    no ball.
+
+    With cap set and d0 above it, one ball at the cap decides instead, and
+    found=False certifies the distance exceeds the cap.  Every ball draws
+    on the one budget, and ball_count counts them all.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
     lat = prepare(basis)
     m = lat.dim
-    tgt = tuple(Fraction(c) for c in target)
+    tgt = tuple(_rational(c) for c in target)
     if len(tgt) != m:
         raise ValueError("target dimension does not match the basis")
-
     if cap is not None:
-        cap = Fraction(cap)
+        cap = _rational(cap)
         if cap < 0:
             raise ValueError("cap must be nonnegative")
-        res = enum_ball(BallQuery(lat, tgt, cap * cap * m), budget)
-        best = _min_sup_to(res.points, tgt, cap * cap)
-        if best is None:
-            return CvpResult(False, None, None, res.count)
-        return CvpResult(True, best[0], best[1], res.count)
 
-    v0 = lat.nearest_plane(tgt)
-    d0 = _sup_dist(v0, tgt)
+    den, scaled = _scaled(tgt)
+    frame = lat._frame(scaled)
+    v0 = lat._round(den, frame)
+    d0 = Fraction(max(abs(a * den - c) for a, c in zip(v0, scaled)), den)
     if d0 == 0:
-        return CvpResult(True, Fraction(0), v0, 0)
-    d_sq = d0 * d0 / m
-    growth = (1 + Fraction(1, m)) ** 2
-    while True:
-        res = enum_ball(BallQuery(lat, tgt, d_sq * m), budget)
-        best = _min_sup_to(res.points, tgt, d_sq)
-        if best is not None:
-            return CvpResult(True, best[0], best[1], res.count)
-        d_sq *= growth
+        return CvpResult(True, d0, v0, 0)
+    if cap is not None and d0 > cap:
+        bounds = (cap * cap,)
+    else:
+        growth = (1 + Fraction(1, m)) ** 2
+        bounds = _schedule(d0 * d0 / m, lambda b: b * growth, d0 * d0)
+    best, count = _grow(lat, den, scaled, frame, bounds,
+                        lambda pts, b: _min_sup_to(pts, tgt, b), budget)
+    if best is None:
+        return CvpResult(False, None, None, count)
+    return CvpResult(True, best[0], best[1], count)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,18 @@ def trial_stream(seed: int, index: int) -> SplitMix64:
     return SplitMix64(_mix((seed + (index + 1) * _GAMMA) & _MASK))
 
 
+def _check_sample(n: int, m_bound: int, d: int, cset: str) -> None:
+    """Raise ValueError unless sample_instance can draw with these."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if m_bound < 1:
+        raise ValueError("m_bound must be positive")
+    if d < 1:
+        raise ValueError("coefficient bound must be positive")
+    if cset not in ("interval", "punctured"):
+        raise ValueError(f"unknown coefficient set kind {cset!r}")
+
+
 def sample_instance(
     n: int,
     m_bound: int,
@@ -115,18 +127,8 @@ def sample_instance(
     rng: SplitMix64,
 ) -> Instance:
     """x uniform on [0, m_bound - 1]^n with the requested coefficient set."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if m_bound < 1:
-        raise ValueError("m_bound must be positive")
-    if d < 1:
-        raise ValueError("coefficient bound must be positive")
-    if cset == "interval":
-        coeffs = Interval(-d, d)
-    elif cset == "punctured":
-        coeffs = Punctured(d)
-    else:
-        raise ValueError(f"unknown coefficient set kind {cset!r}")
+    _check_sample(n, m_bound, d, cset)
+    coeffs = Interval(-d, d) if cset == "interval" else Punctured(d)
     x = tuple(rng.below(m_bound) for _ in range(n))
     return Instance(x, coeffs, tau=int(tau), m_bound=m_bound)
 
@@ -224,7 +226,7 @@ def probe_existence(
         lattice = _lattice_engine(mode, cfg.cset)
         t0 = time.perf_counter()
         if cfg.solver in ("mitm", "both"):
-            v = solve_instance(inst, mode, "mitm")
+            v = solve_instance(inst, mode, "mitm", budget)
         else:
             v = solve_instance(inst, mode, lattice, budget)
         if cfg.solver == "both":
@@ -274,7 +276,7 @@ def probe_avg_solver(
         t0 = time.perf_counter()
         got = solve_instance(inst, "gss", "avg", budget)
         walls.append(time.perf_counter() - t0)
-        reference = solve_instance(inst, _mode_for(tau), "mitm")
+        reference = solve_instance(inst, _mode_for(tau), "mitm", budget)
         statuses.append(got.status)
         taus.append(tau)
         if got.status == GUARD_ABORT:
@@ -402,6 +404,10 @@ def _load_suite(suite) -> list:
         for solver in run["solvers"]:
             if solver not in _BENCH_SOLVERS:
                 raise ValueError(f"suite entry {i}: unknown solver {solver!r}")
+        try:
+            _check_sample(run["n"], run["m_bound"], run["d"], run["cset"])
+        except ValueError as e:
+            raise ValueError(f"suite entry {i}: {e}")
         out.append(run)
     return out
 

@@ -12,9 +12,9 @@ distance below r + 1.  Attainable sup distances on the shifted targets
 fall on a fixed grid (integers, or integers plus one half) with nothing in
 the open interval (r, r + 1), so acceptance pins the distance down to at
 most r even when the oracle overstates it by a factor gamma < (r+1)/r.
-The capped oracle realizes this with a single ball of radius r; rejection
-reports r + 1, which is sound on grid lattices since the true distance
-can only be the next grid value up.
+The capped oracle realizes this with an exact capped search up to radius
+r; rejection reports r + 1, which is sound on grid lattices since the
+true distance can only be the next grid value up.
 
 solve_instance is the one place that maps a mode, a coefficient set and
 an engine name to a solver; the command line, probes and benchmarks all
@@ -37,7 +37,6 @@ from .core import (
     Interval,
     Punctured,
     Verdict,
-    ceil_root,
     dot,
     gcd_vector,
     iroot,
@@ -250,7 +249,8 @@ def capped_cvp_oracle(
     assume_reduced: bool = False,
     stats: Optional[dict] = None,
 ) -> ApproxCvpOracle:
-    """A gamma = 1 oracle answering only up to radius r with a single ball.
+    """A gamma = 1 oracle answering only up to radius r, by cvp_inf capped
+    at r.
 
     When nothing lies within r it reports r + 1 with no vector, which is a
     valid distance lower bound exactly when attainable distances skip the
@@ -431,8 +431,9 @@ def solve_gss_avg(
     has a sup-short nonzero vector (length at most M^(1/n)/4, tested as
     the integer inequality (4 lambda)^n <= M), since then the ball may
     hold too many points to list.  Otherwise every lattice point within
-    sup distance d of the target decodes to a witness; the ball of
-    squared radius (n+1) ceil(M^(1/n))^2 provably contains them all.
+    sup distance d of the target decodes to a witness; they all lie in
+    the ball of squared radius (n+1) d^2, so the lexicographically least
+    of them, the witness, is the first one the sorted listing decodes.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -464,12 +465,8 @@ def solve_gss_avg(
             return Verdict.guard_abort(
                 f"nonzero lattice vector of sup norm {gres.value} within the guard"
             )
-    radius = ceil_root(m_bound, n)
-    target = tuple(Fraction(t) for t in params.target)
-    ball = enum_ball(
-        BallQuery(lat, target, Fraction(radius * radius * (n + 1))),
-        budget=budget,
-    )
+    ball = enum_ball(BallQuery(lat, params.target, (n + 1) * d * d),
+                     budget=budget)
     _tally(stats, "ball_points", ball.count)
     for v in ball.points:
         if any(abs(a - t) > d for a, t in zip(v, params.target)):

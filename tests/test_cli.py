@@ -302,6 +302,13 @@ def test_probe_timing_flag(capsys):
     assert "mean_wall_s" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("solver", ["lattice", "mitm", "both"])
+def test_probe_budget_bounds_every_solver(capsys, solver):
+    assert main(["probe", "--n", "6", "--M", "64", "--d", "2",
+                 "--trials", "2", "--seed", "3", "--solver", solver,
+                 "--budget", "1"]) == 4
+
+
 def test_probe_bad_trials_exit_three(capsys):
     assert main(["probe", "--n", "2", "--M", "16", "--d", "1",
                  "--trials", "0", "--seed", "0"]) == 3

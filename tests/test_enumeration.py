@@ -483,3 +483,116 @@ def test_svp_gauge_box_agrees_with_svp_inf(basis, d):
     s = svp_inf(basis)
     assert g.value == Fraction(s.value, d)
     assert linf(g.witness) == s.value
+
+
+# ---------------------------------------------------------------------------
+# capped searches against one ball at the cap
+# ---------------------------------------------------------------------------
+
+def _sup_to(p, target):
+    return max(abs(Fraction(a) - t) for a, t in zip(p, target))
+
+
+def _one_ball_svp(lat, cap):
+    """The capped sup-norm minimum as one ball at the cap and an exact
+    filter in Fractions: (found, value, witness)."""
+    zero = (0,) * lat.dim
+    pts = enum_ball(BallQuery(lat, zero, cap * cap * lat.dim)).points
+    best = min(((linf(p), p) for p in pts if any(p) and linf(p) <= cap),
+               default=None)
+    return (False, None, None) if best is None else (True,) + best
+
+
+def _one_ball_cvp(lat, target, cap):
+    pts = enum_ball(BallQuery(lat, target, cap * cap * lat.dim)).points
+    best = min(((_sup_to(p, target), p) for p in pts
+                if _sup_to(p, target) <= cap), default=None)
+    return (False, None, None) if best is None else (True,) + best
+
+
+@st.composite
+def _capped_queries(draw):
+    """Reduced embedding and kernel lattices, targets with mixed
+    denominators, on half-integers (ties between lattice points) or on the
+    lattice itself, and caps from 0 to 4 in halves."""
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(1, 200), min_size=1, max_size=4))
+        params = choose_params(x, draw(st.integers(1, 3)),
+                               draw(st.integers(-40, 40)), "gss_worst")
+        basis = embedding_basis(x, params)
+    else:
+        x = [draw(st.integers(1, 60))] + draw(
+            st.lists(st.integers(-60, 60), min_size=1, max_size=3))
+        basis = kernel_basis(x)
+    lat = prepare(basis)
+    kind = draw(st.sampled_from(("mixed", "half", "lattice")))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=lat.rank,
+                           max_size=lat.rank))
+    v = [sum(c * row[i] for c, row in zip(coeffs, lat.rows))
+         for i in range(lat.dim)]
+    if kind == "mixed":
+        target = tuple(a + Fraction(draw(st.integers(-12, 12)),
+                                    draw(st.sampled_from((1, 2, 3, 5, 6))))
+                       for a in v)
+    elif kind == "half":
+        target = tuple(a + Fraction(draw(st.sampled_from((-1, 0, 1))), 2)
+                       for a in v)
+    else:
+        target = tuple(v)
+    return lat, target, Fraction(draw(st.integers(0, 8)), 2)
+
+
+@given(_capped_queries())
+@settings(max_examples=120, deadline=None)
+def test_capped_searches_equal_one_ball_at_the_cap(query):
+    lat, target, cap = query
+    got = cvp_inf(lat, target, cap=cap)
+    assert (got.found, got.dist, got.witness) == _one_ball_cvp(lat, target,
+                                                                cap)
+    int_cap = int(cap)
+    got = svp_inf(lat, cap=int_cap)
+    assert (got.found, got.value, got.witness) == _one_ball_svp(lat, int_cap)
+
+
+def _grown_instance():
+    """The embedding lattice of eight values below 2^16, where the capped
+    searches grow through several balls before they hit."""
+    x = (52805, 51454, 4763, 7741, 51238, 37318, 20430, 61840)
+    lat = prepare(embedding_basis(x, choose_params(x, 4, 0, "sbp")))
+    return lat, x
+
+
+def test_capped_searches_grow_from_below():
+    lat, _ = _grown_instance()
+    svp = svp_inf(lat, cap=4)
+    assert svp.found and svp.value == 3
+    zero = (0,) * lat.dim
+    one_ball = enum_ball(BallQuery(lat, zero, 4 * 4 * lat.dim))
+    assert svp.ball_count * 5 < one_ball.count
+
+
+def test_every_ball_of_a_search_draws_on_one_budget():
+    lat, _ = _grown_instance()
+    target = (Fraction(7, 2),) + (Fraction(1, 3),) * (lat.dim - 1)
+    searches = (
+        lambda budget: svp_inf(lat, cap=4, budget=budget),
+        lambda budget: svp_inf(lat, budget=budget),
+        lambda budget: cvp_inf(lat, target, cap=4, budget=budget),
+        lambda budget: cvp_inf(lat, target, budget=budget),
+    )
+    for search in searches:
+        res = search(10**7)
+        assert res.found and res.ball_count > 1
+        assert search(res.ball_count) == res
+        with pytest.raises(BudgetExceeded) as info:
+            search(res.ball_count - 1)
+        assert info.value.partial == res.ball_count - 1
+
+
+def test_cvp_inf_on_the_lattice_lists_no_ball():
+    lat, _ = _grown_instance()
+    v = tuple(map(sum, zip(lat.rows[0], lat.rows[2])))
+    for cap in (None, 0, 2):
+        res = cvp_inf(lat, v, cap=cap)
+        assert (res.found, res.dist, res.witness, res.ball_count) == (
+            True, 0, v, 0)

@@ -295,3 +295,45 @@ def test_bench_rejects_unknown_solvers_before_running(monkeypatch):
         bench([{"n": 3, "d": 1, "solvers": ["mitm"]},
                {"n": 3, "d": 1, "solvers": ["quantum"]}])
     assert calls == []
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n", 0, "n must be positive"),
+    ("d", 0, "coefficient bound must be positive"),
+    ("m_bound", 0, "m_bound must be positive"),
+    ("cset", "bogus", "unknown coefficient set kind 'bogus'"),
+])
+def test_bench_checks_values_before_running(monkeypatch, field, value,
+                                            message):
+    import sbl.experiment
+
+    calls = []
+    monkeypatch.setattr(sbl.experiment, "solve_instance",
+                        lambda *a, **k: calls.append(a))
+    bad = {"n": 3, "d": 1, field: value}
+    with pytest.raises(ValueError) as info:
+        bench([{"n": 3, "d": 1}, bad])
+    assert str(info.value) == f"suite entry 1: {message}"
+    assert calls == []
+
+
+@pytest.mark.parametrize("probe,solver", [
+    (probe_existence, "mitm"),
+    (probe_existence, "both"),
+    (probe_avg_solver, "mitm"),
+])
+def test_probes_pass_their_budget_to_every_solve(monkeypatch, probe, solver):
+    import sbl.experiment
+
+    seen = []
+    solve = sbl.experiment.solve_instance
+
+    def spy(inst, mode, engine, *rest, **kw):
+        seen.append((engine, rest))
+        return solve(inst, mode, engine, *rest, **kw)
+
+    monkeypatch.setattr(sbl.experiment, "solve_instance", spy)
+    probe(ProbeConfig(n=4, m_bound=256, d=2, trials=3, seed=11, tau=5,
+                      solver=solver), budget=12345)
+    assert "mitm" in {engine for engine, _ in seen}
+    assert all(rest == (12345,) for _, rest in seen), seen

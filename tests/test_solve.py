@@ -34,6 +34,7 @@ from sbl.lattice import (
     interval_shift_target,
 )
 from sbl.enumeration import BallQuery, cvp_inf, enum_ball
+from sbl.experiment import trial_stream
 from sbl.solve import (
     ApproxCvpOracle,
     GapConfigError,
@@ -117,6 +118,34 @@ def test_sbp_stats_counts_points():
     stats = {}
     solve_sbp((3, 5, 8), 1, stats=stats)
     assert stats["ball_points"] >= 1
+
+
+# eight values below 2^16 from trial_stream(7, 0), and the witnesses the
+# single ball at the cap found for them at d <= 6
+_FLAT_RNG = trial_stream(7, 0)
+_FLAT_X = tuple(_FLAT_RNG.below(1 << 16) for _ in range(8))
+_FLAT_SBP = (-3, -2, 2, 3, 1, 2, 2, 1)
+_FLAT_GSS = (2, 0, -1, -2, -2, 1, -1, 2)
+
+
+@pytest.mark.parametrize("solve,witness", [
+    (lambda d, stats: solve_sbp(_FLAT_X, d, stats=stats), _FLAT_SBP),
+    (lambda d, stats: solve_gss_interval(_FLAT_X, 123457, -d, d,
+                                         stats=stats), _FLAT_GSS),
+], ids=["sbp", "gss_interval"])
+def test_ball_points_stay_flat_in_d(solve, witness):
+    """The searches grow from below and stop at the answer, so raising the
+    cap d from 3 to 12 must not raise the work; the single ball at the cap
+    listed 401 and 7,693,655 points for solve_sbp at d = 3 and 12."""
+    counts = {}
+    for d in (3, 4, 6, 8, 12):
+        stats = {}
+        v = solve(d, stats)
+        assert v.status == "solved"
+        if d <= 6:
+            assert v.witness == witness
+        counts[d] = stats["ball_points"]
+    assert all(c <= 2 * counts[3] for c in counts.values()), counts
 
 
 def test_sbp_lll_fast_path():

@@ -26,9 +26,10 @@ searches grow the sup bound from a lower bound up to a free upper bound
 (the least sup norm of a reduced row, or the distance of Babai's vector)
 and stop at the first nonempty filter, which holds every vector up to its
 bound, so the answer is exact and the cost follows the answer.  With a cap
-below that upper bound a single ball at the cap decides "is there a vector
-within cap" instead, and found=False certifies the answer is larger.  All
-the balls of one search draw on one point budget.
+at or below that upper bound a single ball at the cap decides "is there a
+vector within cap" instead (growth would end at that same ball, after
+listing the smaller ones too), and found=False certifies the answer is
+larger.  All the balls of one search draw on one point budget.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class PreparedLattice:
         common denominator den is given; the frame is left unchanged."""
         dets, lam = self.gram_det, self.lam
         es = list(frame)
-        point = (0,) * self.dim
+        point = [0] * self.dim
         for i in range(self.rank - 1, -1, -1):
             t = den * dets[i + 1]
             z = (2 * es[i] + t) // (2 * t)
@@ -151,9 +152,9 @@ class PreparedLattice:
                 lrow = lam[i]
                 for k in range(i):
                     es[k] -= lrow[k] * dz
-                point = tuple(map(add, point,
-                                  map(mul, self.rows[i], repeat(z))))
-        return point
+                for j, b in enumerate(self.rows[i]):
+                    point[j] += z * b
+        return tuple(point)
 
 
 Lattice = Union[LatticeBasis, PreparedLattice]
@@ -276,9 +277,9 @@ def _walk(
         row = rows[level]
         if level == 0:
             if len(out) + (hi - lo + 1) > room:
+                what = "search lists" if spent else "ball holds"
                 raise BudgetExceeded(
-                    f"ball holds more than {budget} points",
-                    partial=budget,
+                    f"{what} more than {budget} points", partial=budget
                 )
             p = tuple(map(add, acc, map(mul, row, repeat(lo))))
             out.append(p)
@@ -329,13 +330,14 @@ def _schedule(start, step, last):
     yield last
 
 
-def _grow(lat, den, scaled, frame, bounds, pick, budget, spent=0):
+def _grow(lat, den, scaled, frame, bounds, pick, budget):
     """For each squared sup bound in turn, list the ball of squared radius
     bound * m around the center and apply pick(points, bound); return
     (pick's first result that is not None, points listed), or (None,
     points listed) when every bound comes up empty.  All the balls draw on
     the one budget."""
     m = lat.dim
+    spent = 0
     for bound_sq in bounds:
         pts = _walk(lat, den, scaled, frame, bound_sq * m, budget, spent)
         spent += len(pts)
@@ -352,7 +354,9 @@ def _grow(lat, den, scaled, frame, bounds, pick, budget, spent=0):
 @dataclass(frozen=True)
 class SvpResult:
     """found is False only for capped searches, certifying value > cap.
-    ball_count is the number of points listed over all balls."""
+    ball_count is the number of points listed over all balls, and
+    start_radius_sq the squared sup bound of the first ball when the search
+    grew (None when a single ball at the cap decided)."""
 
     found: bool
     value: Optional[int]
@@ -400,67 +404,47 @@ def _sup_floor(lat: PreparedLattice) -> int:
 
 def svp_inf(
     basis: Lattice,
-    eps: Optional[Fraction] = None,
     cap: Optional[int] = None,
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> SvpResult:
     """Exact sup-norm shortest vector.
 
-    The least sup norm u of a reduced row bounds the minimum from above.
-    The search lists the balls of squared radius s^2 * m for rising sup
-    bounds s, the last one clamped to u, and returns at the first nonempty
-    filter: it holds every nonzero vector of sup norm <= s, so its minimum
-    and lexicographically least witness are exact.  The ball at u always
-    holds that row, so the search ends there at the latest.
+    The least sup norm u of a reduced row bounds the minimum from above,
+    and s0 = max(1, ceil(min_i |b*_i| / sqrt(m))) bounds it from below.
+    The search lists the balls of squared radius s^2 * m for the integer
+    sup bounds s = s0, then max(s + 1, s (m + 1) // m), the last one
+    clamped to u, and returns at the first nonempty filter: it holds every
+    nonzero vector of sup norm <= s, so its minimum and lexicographically
+    least witness are exact.  The ball at u always holds that row, so the
+    search ends there at the latest; start_radius_sq is s0^2.
 
-    With cap set, the bounds are integers: s0 = max(1, ceil(min_i |b*_i| /
-    sqrt(m))), which never exceeds the minimum, then max(s + 1,
-    s (m + 1) // m).  When u exceeds the cap, one ball at the cap decides
-    instead, and found=False certifies the minimum exceeds the cap.
-    Without a cap the search starts at the exact Euclidean minimum over
-    sqrt(m) and grows the squared bound by (1 + eps)^2.  Every ball,
-    including the one that finds the Euclidean minimum, draws on the one
-    budget, and ball_count counts them all.
+    With cap set at or below u, one ball at the cap decides instead, and
+    found=False certifies the minimum exceeds the cap.  Every ball draws
+    on the one budget, and ball_count counts them all.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
     lat = prepare(basis)
     m = lat.dim
-    zero = (0,) * m
-    frame = [0] * lat.rank
     u = min(linf(row) for row in lat.rows)
-
-    if cap is not None:
-        if cap < 0:
-            raise ValueError("cap must be nonnegative")
-        if u > cap:
-            bounds = (cap * cap,)
-        else:
-            steps = _schedule(_sup_floor(lat),
-                              lambda s: max(s + 1, s * (m + 1) // m), u)
-            bounds = (s * s for s in steps)
-        best, count = _grow(lat, 1, zero, frame, bounds, _min_sup_nonzero,
-                            budget)
-        if best is None:
-            return SvpResult(False, None, None, count)
-        return SvpResult(True, best[0], best[1], count)
-
-    if eps is None:
-        eps = Fraction(1, m)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ball = _walk(lat, 1, zero, frame, l2_sq(lat.rows[0]), budget)
-    start_sq = Fraction(min(l2_sq(p) for p in ball if any(p)), m)
-    growth = (1 + eps) ** 2
-    bounds = _schedule(start_sq, lambda b: b * growth, u * u)
-    (value, witness), count = _grow(lat, 1, zero, frame, bounds,
-                                    _min_sup_nonzero, budget, len(ball))
-    if start_sq > value * value:
+    if cap is not None and u >= cap:
+        start, bounds = None, (cap * cap,)
+    else:
+        s0 = _sup_floor(lat)
+        steps = _schedule(s0, lambda s: max(s + 1, s * (m + 1) // m), u)
+        start, bounds = Fraction(s0 * s0), (s * s for s in steps)
+    best, count = _grow(lat, 1, (0,) * m, [0] * lat.rank, bounds,
+                        _min_sup_nonzero, budget)
+    if best is None:
+        return SvpResult(False, None, None, count)
+    value, witness = best
+    if start is not None and start > value * value:
         raise InternalError(
             "self-check failed: start radius exceeds the sup minimum"
         )
-    return SvpResult(True, value, witness, count, start_sq)
+    return SvpResult(True, value, witness, count, start)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +514,7 @@ def cvp_inf(
     latest; a target on the lattice (d0 = 0) is its own answer and lists
     no ball.
 
-    With cap set and d0 above it, one ball at the cap decides instead, and
+    With cap set at or below d0, one ball at the cap decides instead, and
     found=False certifies the distance exceeds the cap.  Every ball draws
     on the one budget, and ball_count counts them all.
     """
@@ -552,7 +536,7 @@ def cvp_inf(
     d0 = Fraction(max(abs(a * den - c) for a, c in zip(v0, scaled)), den)
     if d0 == 0:
         return CvpResult(True, d0, v0, 0)
-    if cap is not None and d0 > cap:
+    if cap is not None and d0 >= cap:
         bounds = (cap * cap,)
     else:
         growth = (1 + Fraction(1, m)) ** 2

@@ -179,8 +179,7 @@ def sign_pattern_target(
     if any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +-1")
     half = Fraction(d + 1, 2)
-    mids = {1: half, -1: -half}
-    target = (Fraction(alpha * tau),) + tuple(mids[s] for s in signs)
+    target = (Fraction(alpha * tau),) + tuple(s * half for s in signs)
     return target, Fraction(d - 1, 2)
 
 

@@ -571,6 +571,27 @@ def test_capped_searches_grow_from_below():
     assert svp.ball_count * 5 < one_ball.count
 
 
+def test_capped_searches_at_their_upper_bound_list_one_ball():
+    """Growth would end at the ball at the cap, so a cap equal to the free
+    upper bound (a reduced row's sup norm, Babai's distance) lists only
+    that ball."""
+    lat, _ = _grown_instance()
+    m = lat.dim
+    zero = (0,) * m
+    u = min(linf(row) for row in lat.rows)
+    svp = svp_inf(lat, cap=u)
+    assert svp.found and svp.start_radius_sq is None
+    assert svp.ball_count == enum_ball(BallQuery(lat, zero, u * u * m)).count
+    target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
+    d0 = max(abs(a - c) for a, c in zip(lat.nearest_plane(target), target))
+    cvp = cvp_inf(lat, target, cap=d0)
+    assert cvp.found
+    ball = enum_ball(BallQuery(lat, target, d0 * d0 * m))
+    assert cvp.ball_count == ball.count
+    # a cap above the bound grows instead, from below
+    assert svp_inf(lat, cap=u + 1).start_radius_sq < u * u
+
+
 def test_every_ball_of_a_search_draws_on_one_budget():
     lat, _ = _grown_instance()
     target = (Fraction(7, 2),) + (Fraction(1, 3),) * (lat.dim - 1)
@@ -587,6 +608,12 @@ def test_every_ball_of_a_search_draws_on_one_budget():
         with pytest.raises(BudgetExceeded) as info:
             search(res.ball_count - 1)
         assert info.value.partial == res.ball_count - 1
+        # earlier balls spent part of the budget, so the message names
+        # the search; an overrun in the first ball names the ball
+        assert str(info.value) == (
+            f"search lists more than {res.ball_count - 1} points")
+        with pytest.raises(BudgetExceeded, match="^ball holds more than 0 "):
+            search(0)
 
 
 def test_cvp_inf_on_the_lattice_lists_no_ball():

@@ -5,7 +5,10 @@ The corpus runs `sbl solve` on every coefficient set kind (symmetric and
 asymmetric intervals, punctured intervals, boxes, ellipsoids), with tau
 zero and nonzero, with and without m_bound, at n = 1, with a zero weight
 and at a bound meeting the LLL threshold, under every --mode and every
---engine, plus --nonzero and an exhausted --budget.  It also freezes the
+--engine, plus --nonzero and an exhausted --budget.  A second set runs the
+punctured sign-pattern sweep (n in {5, 6}, d from 2 to 5, weights below
+2^20, rejections and solved cases, one of them under an exhausted
+--budget).  It also freezes the
 `bench` CSV (wall-clock column dropped) of the built-in suites and the
 `probe` JSON of each solver choice.  A refactor that keeps this test
 passing keeps every verdict byte.
@@ -76,6 +79,68 @@ CORPUS = (
     ("lll-threshold", Instance((18, 18, 27), Interval(-2, 2))),
 )
 
+# punctured gss sweeps: random weights below 2^20 with a random tau
+# (rejected) or the sum of a planted coefficient vector (solved), then
+# mixed small and large weights, whose sign-pattern balls hold points
+SWEEPS = (
+    ("sweep-n5-d2-reject",
+     Instance((421301, 690939, 133735, 959095, 242387), Punctured(2),
+              tau=-44)),
+    ("sweep-n5-d2-solved",
+     Instance((117469, 571774, 537093, 389428, 102969), Punctured(2),
+              tau=-1512795)),
+    ("sweep-n5-d3-reject",
+     Instance((162070, 214608, 358547, 190133, 89629), Punctured(3),
+              tau=45)),
+    ("sweep-n5-d3-solved",
+     Instance((67551, 707169, 241525, 617471, 204077), Punctured(3),
+              tau=3176554)),
+    ("sweep-n5-d4-reject",
+     Instance((414400, 62798, 1041415, 418968, 414235), Punctured(4),
+              tau=87)),
+    ("sweep-n5-d4-solved",
+     Instance((45962, 280546, 247531, 641261, 848392), Punctured(4),
+              tau=-2235521)),
+    ("sweep-n5-d5-reject",
+     Instance((315777, 395592, 167573, 752928, 456593), Punctured(5),
+              tau=4)),
+    ("sweep-n5-d5-solved",
+     Instance((837803, 369562, 955139, 934885, 394039), Punctured(5),
+              tau=-335206)),
+    ("sweep-n6-d2-reject",
+     Instance((672367, 280773, 567180, 803338, 94655, 1048064),
+              Punctured(2), tau=97)),
+    ("sweep-n6-d2-solved",
+     Instance((830712, 854047, 792550, 490896, 729382, 224062),
+              Punctured(2), tau=-3276837)),
+    ("sweep-n6-d3-reject",
+     Instance((346575, 580173, 527441, 800941, 586372, 802305),
+              Punctured(3), tau=-13)),
+    ("sweep-n6-d3-solved",
+     Instance((803776, 422890, 118170, 369442, 663863, 614557),
+              Punctured(3), tau=-568632)),
+    ("sweep-n6-d4-reject",
+     Instance((828537, 113280, 314376, 540235, 568880, 659147),
+              Punctured(4), tau=-22)),
+    ("sweep-n6-d4-solved",
+     Instance((941093, 129778, 539286, 61179, 466588, 306863),
+              Punctured(4), tau=2965886)),
+    ("sweep-n6-d5-reject",
+     Instance((322406, 450979, 817873, 388907, 279921, 282084),
+              Punctured(5), tau=91)),
+    ("sweep-n6-d5-solved",
+     Instance((42977, 934599, 219150, 1022998, 85275, 254035),
+              Punctured(5), tau=2249692)),
+    ("sweep-mixed-n5-d4-reject",
+     Instance((10, 5, 221, 8, 6), Punctured(4), tau=41)),
+    ("sweep-mixed-n6-d3-solved",
+     Instance((22, 54, 26, 252, 14, 1), Punctured(3), tau=-82)),
+    ("sweep-mixed-n6-d5-solved",
+     Instance((34, 4, 38, 13, 251, 12), Punctured(5), tau=-34)),
+    ("sweep-mixed-n6-d5-reject",
+     Instance((35, 734441, 23, 15, 28, 5), Punctured(5), tau=-96)),
+)
+
 PROBES = (
     ("probe-both", ["probe", "--n", "5", "--M", "256", "--d", "1",
                     "--trials", "12", "--seed", "5", "--solver", "both"]),
@@ -112,6 +177,12 @@ def cases():
                 ["solve", INSTANCE, "--mode", "sbp", "--engine", "svp",
                  "--budget", "1"],
                 serialize_instance(CORPUS[0][1])))
+    for name, inst in SWEEPS:
+        out.append((name, ["solve", INSTANCE], serialize_instance(inst)))
+    last = serialize_instance(SWEEPS[-1][1])
+    out.append(("sweep-mode-sbp", ["solve", INSTANCE, "--mode", "sbp"], last))
+    out.append(("sweep-budget-exhausted",
+                ["solve", INSTANCE, "--budget", "30"], last))
     for name, suite, seed in BENCHES:
         out.append((name, ["bench", "--suite", suite, "--seed", str(seed)],
                     None))

@@ -16,7 +16,13 @@ rows and their Gram-Schmidt data in integral form.  Preparing costs one
 reduction and one integral Gram-Schmidt pass; after that each query maps
 its center into the Gram-Schmidt frame with O(m^2) integer work, so
 callers that ask many questions of one lattice prepare it once and pass it
-to every call.
+to every call.  The frame is linear over integer vectors, so a caller
+whose centers differ by fixed integer steps updates one frame in O(m) per
+step instead.  The walk's scale tables depend only on the lattice and the
+center's denominator; the lattice keeps them for the last denominator
+asked, so the balls of a search and a run of queries on one denominator
+set them up once, and a ball only multiplies its weights by its radius
+denominator.
 
 svp_inf and cvp_inf answer sup-norm questions through Euclidean balls: a
 sup ball of radius d sits inside the Euclidean ball of radius d*sqrt(m), so
@@ -30,11 +36,19 @@ at or below that upper bound a single ball at the cap decides "is there a
 vector within cap" instead (growth would end at that same ball, after
 listing the smaller ones too), and found=False certifies the answer is
 larger.  All the balls of one search draw on one point budget.
+
+cvp_inf checks its rational target and maps it to integers once: the
+common denominator, the scaled point and its frame.  An integer core then
+runs Babai rounding, compares Babai's distance with the cap on that
+denominator, walks and filters; it builds a Fraction only for a distance
+it returns, so a capped search that finds nothing builds none.  Callers
+that ask several capped questions of one target, or that step through
+related targets, run the core on their own prepared center.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt, lcm
@@ -101,6 +115,8 @@ class PreparedLattice:
     dim: int
     gram_det: Tuple[int, ...]
     lam: Tuple[Tuple[int, ...], ...]
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def rank(self) -> int:
@@ -109,7 +125,11 @@ class PreparedLattice:
     def _frame(self, scaled) -> list:
         """y[j] = gram_det[j] * <scaled, b*_j> for an integer vector: the
         forward substitution of the Gram system G t = B scaled through
-        G = mu * diag(|b*|^2) * mu^T, done in integers, O(rank^2)."""
+        G = mu * diag(|b*|^2) * mu^T, done in integers, O(rank^2).
+
+        Every // here is exact (each partial value is an integer, as
+        gram_det[j] * b*_j is integral), so the frame is linear: the frame
+        of u + k v is frame(u) + k frame(v) for integer vectors u, v."""
         dets = self.gram_det
         ys: list = []
         for row, lrow in zip(self.rows, self.lam):
@@ -156,8 +176,59 @@ class PreparedLattice:
                     point[j] += z * b
         return tuple(point)
 
+    def _plan(self, den: int):
+        """The walk's scale tables for centers on the common denominator
+        den (see enum_ball): (L, w, t, steps) with L = lcm_i D[i] D[i+1],
+        w_i = L / (D[i] D[i+1]), t_i = den * D[i+1] and steps[i] =
+        den * lam[i].  They do not depend on the radius: a ball multiplies
+        w by its radius denominator.  Only the last denominator's tables
+        are kept, which covers a search and a sweep of related centers."""
+        plan = self._plans.get(den)
+        if plan is None:
+            self._plans.clear()
+            dets = self.gram_det
+            pair = [dets[i] * dets[i + 1] for i in range(self.rank)]
+            scale = lcm(*pair)
+            plan = self._plans[den] = (
+                scale,
+                [scale // p for p in pair],
+                [den * dets[i + 1] for i in range(self.rank)],
+                [[den * l for l in lrow] for lrow in self.lam],
+            )
+        return plan
+
 
 Lattice = Union[LatticeBasis, PreparedLattice]
+
+
+class _Target:
+    """A query center on a prepared lattice, in integers: the common
+    denominator den, the point scaled by it, and its frame (see
+    PreparedLattice._frame), which is never changed.  Babai's vector and
+    its sup distance times den are computed on first use and kept, so
+    every search around one center rounds it once."""
+
+    __slots__ = ("lat", "den", "scaled", "frame", "_babai")
+
+    def __init__(self, lat: PreparedLattice, den: int, scaled, frame):
+        self.lat = lat
+        self.den = den
+        self.scaled = scaled
+        self.frame = frame
+        self._babai = None
+
+    @classmethod
+    def of(cls, lat: PreparedLattice, point) -> "_Target":
+        den, scaled = _scaled(point)
+        return cls(lat, den, scaled, lat._frame(scaled))
+
+    def babai(self) -> Tuple[Tuple[int, ...], int]:
+        if self._babai is None:
+            den = self.den
+            v0 = self.lat._round(den, self.frame)
+            gap = max(abs(a * den - c) for a, c in zip(v0, self.scaled))
+            self._babai = (v0, gap)
+        return self._babai
 
 
 def prepare(basis: Lattice, assume_reduced: bool = False) -> PreparedLattice:
@@ -223,42 +294,38 @@ def enum_ball(
         inside = l2_sq(center) <= query.radius_sq
         pts = (tuple([0] * basis.dim),) if inside else ()
         return EnumerationResult(pts, len(pts))
-    lat = prepare(basis)
-    den, scaled = _scaled(center)
-    pts = _walk(lat, den, scaled, lat._frame(scaled), query.radius_sq, budget)
+    radius_sq = query.radius_sq
+    pts = _walk(_Target.of(prepare(basis), center), radius_sq.numerator,
+                radius_sq.denominator, budget)
     return EnumerationResult(tuple(pts), len(pts))
 
 
 def _walk(
-    lat: PreparedLattice,
-    den: int,
-    scaled: Tuple[int, ...],
-    frame: list,
-    radius_sq,
+    t: _Target,
+    r_num: int,
+    r_den: int,
     budget: int,
     spent: int = 0,
 ) -> list:
-    """The sorted lattice points of enum_ball's ball around the center
-    scaled / den, whose frame (see PreparedLattice._frame) the caller
-    computed once and which is left unchanged.  spent points of the budget
-    are already used by earlier balls of the same search; BudgetExceeded
-    reports the whole budget as its partial count."""
+    """The sorted lattice points of enum_ball's ball of squared radius
+    r_num / r_den around the center t, on the lattice's scale tables for
+    t's denominator.  spent points of the budget are already used by
+    earlier balls of the same search; BudgetExceeded reports the whole
+    budget as its partial count."""
+    lat = t.lat
     rank = lat.rank
     rows = lat.rows
     m = lat.dim
-    dets = lat.gram_det
-    es = list(frame)  # es[i] = E_i while nothing above i is chosen
+    den = t.den
+    es = list(t.frame)  # es[i] = E_i while nothing above i is chosen
     room = budget - spent
-    r_num, r_den = radius_sq.numerator, radius_sq.denominator
-    pair = [dets[i] * dets[i + 1] for i in range(rank)]
-    scale = lcm(*pair)
-    ws = [r_den * (scale // p) for p in pair]
-    ts = [den * dets[i + 1] for i in range(rank)]
-    steps = [[den * l for l in lrow] for lrow in lat.lam]
+    scale, ws, ts, steps = lat._plan(den)
+    if r_den != 1:
+        ws = [r_den * w for w in ws]
     rem0 = r_num * den * den * scale
     if rank < m:
         # the center's distance to the span: |center|^2 - |projection|^2
-        rem0 -= r_den * scale * l2_sq(scaled) - sum(
+        rem0 -= r_den * scale * l2_sq(t.scaled) - sum(
             w * y * y for w, y in zip(ws, es)
         )
         if rem0 < 0:
@@ -330,16 +397,17 @@ def _schedule(start, step, last):
     yield last
 
 
-def _grow(lat, den, scaled, frame, bounds, pick, budget):
+def _grow(t: _Target, bounds, pick, budget):
     """For each squared sup bound in turn, list the ball of squared radius
-    bound * m around the center and apply pick(points, bound); return
+    bound * m around the center t and apply pick(points, bound); return
     (pick's first result that is not None, points listed), or (None,
     points listed) when every bound comes up empty.  All the balls draw on
     the one budget."""
-    m = lat.dim
+    m = t.lat.dim
     spent = 0
     for bound_sq in bounds:
-        pts = _walk(lat, den, scaled, frame, bound_sq * m, budget, spent)
+        r = bound_sq * m
+        pts = _walk(t, r.numerator, r.denominator, budget, spent)
         spent += len(pts)
         best = pick(pts, bound_sq)
         if best is not None:
@@ -435,7 +503,7 @@ def svp_inf(
         s0 = _sup_floor(lat)
         steps = _schedule(s0, lambda s: max(s + 1, s * (m + 1) // m), u)
         start, bounds = Fraction(s0 * s0), (s * s for s in steps)
-    best, count = _grow(lat, 1, (0,) * m, [0] * lat.rank, bounds,
+    best, count = _grow(_Target(lat, 1, (0,) * m, [0] * lat.rank), bounds,
                         _min_sup_nonzero, budget)
     if best is None:
         return SvpResult(False, None, None, count)
@@ -462,23 +530,22 @@ class CvpResult:
     ball_count: int
 
 
-def _min_sup_to(points, center, bound_sq: Fraction):
-    """Smallest sup distance to the center among points within
-    sqrt(bound_sq) of it, with the lexicographically least witness; None
-    when no point qualifies.
+def _sup_limit(bound_sq, den: int) -> int:
+    """isqrt(floor(bound_sq * den^2)): a scaled sup distance g is at most
+    den * sqrt(bound_sq) iff g is at most this integer."""
+    return isqrt(bound_sq.numerator * den * den // bound_sq.denominator)
 
-    Distances are compared as integers on the center's common denominator
-    den: |den * p - den * center|_inf <= isqrt(floor(bound_sq * den^2)).
-    The returned distance is the exact fraction.
-    """
-    if not points:
-        return None
-    den, cs = _scaled(center)
-    limit = isqrt(bound_sq.numerator * den * den // bound_sq.denominator)
+
+def _nearest(points, den: int, scaled, limit: int):
+    """(g, p) for the point p nearest the center scaled / den in sup
+    distance g / den, among points with g <= limit, with the
+    lexicographically least witness; None when no point qualifies.  The
+    limit drops to the best distance found, and a point is dropped at its
+    first coordinate beyond it."""
     best = None
     for p in points:
         s = 0
-        for a, c in zip(p, cs):
+        for a, c in zip(p, scaled):
             g = a * den - c
             if g < 0:
                 g = -g
@@ -490,6 +557,15 @@ def _min_sup_to(points, center, bound_sq: Fraction):
             if best is None or (s, p) < best:
                 best = (s, p)
                 limit = s
+    return best
+
+
+def _min_sup_to(points, center, bound_sq: Fraction):
+    """Smallest sup distance to the center among points within
+    sqrt(bound_sq) of it, as an exact fraction, with the lexicographically
+    least witness; None when no point qualifies."""
+    den, cs = _scaled(center)
+    best = _nearest(points, den, cs, _sup_limit(bound_sq, den))
     if best is None:
         return None
     return Fraction(best[0], den), best[1]
@@ -517,35 +593,60 @@ def cvp_inf(
     With cap set at or below d0, one ball at the cap decides instead, and
     found=False certifies the distance exceeds the cap.  Every ball draws
     on the one budget, and ball_count counts them all.
+
+    This wrapper checks the query and maps the target to integers once
+    (_cvp_target); the search itself is the integer core _cvp_core.
     """
-    if basis.rank == 0:
-        raise ValueError("empty lattice")
-    lat = prepare(basis)
-    m = lat.dim
-    tgt = tuple(_rational(c) for c in target)
-    if len(tgt) != m:
-        raise ValueError("target dimension does not match the basis")
+    t = _cvp_target(basis, target)
     if cap is not None:
         cap = _rational(cap)
         if cap < 0:
             raise ValueError("cap must be nonnegative")
+    return _cvp_core(t, cap, budget)
 
-    den, scaled = _scaled(tgt)
-    frame = lat._frame(scaled)
-    v0 = lat._round(den, frame)
-    d0 = Fraction(max(abs(a * den - c) for a, c in zip(v0, scaled)), den)
-    if d0 == 0:
-        return CvpResult(True, d0, v0, 0)
-    if cap is not None and d0 >= cap:
-        bounds = (cap * cap,)
+
+def _cvp_target(basis: Lattice, target) -> _Target:
+    """The checked center of a closest-vector query on the prepared
+    lattice: its common denominator, scaled point and frame."""
+    if basis.rank == 0:
+        raise ValueError("empty lattice")
+    lat = prepare(basis)
+    den, scaled = _scaled(target)
+    if len(scaled) != lat.dim:
+        raise ValueError("target dimension does not match the basis")
+    return _Target(lat, den, scaled, lat._frame(scaled))
+
+
+def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
+    """cvp_inf around the center t, with cap None or a nonnegative int or
+    Fraction.  Babai's distance g0 / den is compared with the cap as the
+    integers g0 * cap_den and cap_num * den, the ball at the cap has the
+    integer squared radius cap_num^2 m / cap_den^2 and its filter the
+    integer limit floor(cap * den), so a search that finds nothing builds
+    no Fraction; growth happens only below Babai's distance, where the
+    search always finds a vector."""
+    den, scaled = t.den, t.scaled
+    m = t.lat.dim
+    v0, g0 = t.babai()
+    if g0 == 0:
+        return CvpResult(True, Fraction(0), v0, 0)
+    if cap is not None and g0 * cap.denominator >= cap.numerator * den:
+        c_num, c_den = cap.numerator, cap.denominator
+        pts = _walk(t, c_num * c_num * m, c_den * c_den, budget)
+        best = _nearest(pts, den, scaled, c_num * den // c_den)
+        count = len(pts)
     else:
+        d0 = Fraction(g0, den)
         growth = (1 + Fraction(1, m)) ** 2
         bounds = _schedule(d0 * d0 / m, lambda b: b * growth, d0 * d0)
-    best, count = _grow(lat, den, scaled, frame, bounds,
-                        lambda pts, b: _min_sup_to(pts, tgt, b), budget)
+        best, count = _grow(
+            t, bounds,
+            lambda pts, b: _nearest(pts, den, scaled, _sup_limit(b, den)),
+            budget,
+        )
     if best is None:
         return CvpResult(False, None, None, count)
-    return CvpResult(True, best[0], best[1], count)
+    return CvpResult(True, Fraction(best[0], den), best[1], count)
 
 
 # ---------------------------------------------------------------------------

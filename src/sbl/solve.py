@@ -47,7 +47,11 @@ from .core import (
 from .enumeration import (
     DEFAULT_POINT_BUDGET,
     BallQuery,
+    CvpResult,
     Lattice,
+    _cvp_core,
+    _cvp_target,
+    _Target,
     cvp_inf,
     enum_ball,
     prepare,
@@ -262,13 +266,19 @@ def capped_cvp_oracle(
 
     def solver(basis: Lattice, target):
         lat = prepare(basis, assume_reduced)
-        res = cvp_inf(lat, target, cap=r, budget=budget)
-        _tally(stats, "ball_points", res.ball_count)
-        if res.found:
-            return res.witness, res.dist
-        return None, r + 1
+        return _capped_answer(cvp_inf(lat, target, cap=r, budget=budget), r,
+                              stats)
 
     return ApproxCvpOracle(Fraction(1), solver)
+
+
+def _capped_answer(res: CvpResult, r: Fraction, stats: Optional[dict]):
+    """The capped oracle's (vector, reported) for a search capped at r:
+    the vector found, or none and r + 1."""
+    _tally(stats, "ball_points", res.ball_count)
+    if res.found:
+        return res.witness, res.dist
+    return None, r + 1
 
 
 def _on_grid(value: Fraction, grid: str) -> bool:
@@ -378,6 +388,19 @@ def solve_gss_punctured(
     Realized accepted distances land on the integers for odd d and on
     integers plus one half for even d, which is what makes the radius
     decision exact.
+
+    Every pattern is the gap decision of capped_cvp_oracle(radius), run on
+    integer data set up once per solve.  On their common denominator den
+    (1 for odd d, 2 for even d) the targets are base + h * sum s_i e_i
+    with h = den (d+1) / 2, and the Gram-Schmidt frame is linear, so the
+    solve computes n + 1 frames (base and each e_i) and a sign flip adds
+    +-2h frame(e_i), about two flips per pattern in this order.  The
+    integer capped search (enumeration._cvp_core) then decides the
+    pattern; "not found" is exactly the gap decision's rejection, so a
+    rejected pattern builds no Fraction.  An accepted pattern builds its
+    target and passes gap_decide's checks on the vector found, then the
+    sign check and verify_solution.  Each pattern's search has the whole
+    budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -395,13 +418,34 @@ def solve_gss_punctured(
     lat = prepare(embedding_basis(xs, params))
     grid = INTEGER if d % 2 == 1 else HALF_INTEGER
     radius = Fraction(d - 1, 2)
-    oracle = capped_cvp_oracle(radius, budget=budget, stats=stats)
+    den = 1 if d % 2 == 1 else 2
+    h = den * (d + 1) // 2
+    head = den * params.alpha * tau
+    units = [lat._frame(tuple(int(j == i) for j in range(n + 1)))
+             for i in range(1, n + 1)]
+    # frame = frame(base + h * last), starting at the all -1 pattern
+    frame = lat._frame((head,) + (0,) * n)
+    for unit in units:
+        frame = [f - h * u for f, u in zip(frame, unit)]
+    last = (-1,) * n
     for signs in product((-1, 1), repeat=n):
-        target, r = sign_pattern_target(tau, params.alpha, d, signs)
-        _check(r == radius, "sign pattern radius")
-        gv = gap_decide(oracle, lat, target, r, grid)
+        for i in range(n):
+            if signs[i] != last[i]:
+                step = 2 * h * signs[i]
+                frame = [f + step * u for f, u in zip(frame, units[i])]
+        last = signs
+        scaled = (head,) + tuple(h * s for s in signs)
+        res = _cvp_core(_Target(lat, den, scaled, frame), radius, budget)
+        _tally(stats, "ball_points", res.ball_count)
         _tally(stats, "patterns_tried", 1)
-        if gv.accept:
+        if res.found:
+            # gap_decide's checks, on the vector the core found
+            target, r = sign_pattern_target(tau, params.alpha, d, signs)
+            _check(r == radius, "sign pattern radius")
+            found = ApproxCvpOracle(Fraction(1),
+                                    lambda _b, _t: (res.witness, res.dist))
+            gv = gap_decide(found, lat, target, r, grid)
+            _check(gv.accept, "the gap decision rejects a vector within r")
             c = gv.vector[1:]
             _check(all(v * s > 0 for v, s in zip(c, signs)),
                    "witness signs differ from the pattern")
@@ -434,6 +478,7 @@ def solve_gss_avg(
     sup distance d of the target decodes to a witness; they all lie in
     the ball of squared radius (n+1) d^2, so the lexicographically least
     of them, the witness, is the first one the sorted listing decodes.
+    The guard search and the ball draw on the one budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -456,6 +501,7 @@ def solve_gss_avg(
         stats["alpha"] = params.alpha
         stats["q"] = params.q
     guard_cap = iroot(m_bound, n) // 4
+    spent = 0
     if guard_cap >= 1:
         gres = svp_inf(lat, cap=guard_cap, budget=budget)
         _tally(stats, "ball_points", gres.ball_count)
@@ -465,8 +511,15 @@ def solve_gss_avg(
             return Verdict.guard_abort(
                 f"nonzero lattice vector of sup norm {gres.value} within the guard"
             )
-    ball = enum_ball(BallQuery(lat, params.target, (n + 1) * d * d),
-                     budget=budget)
+        spent = gres.ball_count
+    try:
+        ball = enum_ball(BallQuery(lat, params.target, (n + 1) * d * d),
+                         budget=budget - spent)
+    except BudgetExceeded:
+        if not spent:
+            raise
+        raise BudgetExceeded(f"search lists more than {budget} points",
+                             partial=budget) from None
     _tally(stats, "ball_points", ball.count)
     for v in ball.points:
         if any(abs(a - t) > d for a, t in zip(v, params.target)):
@@ -500,22 +553,22 @@ def cvp_via_gap_search(
     is the exact capped oracle, making the result an exact closest vector
     on grid-structured targets.  The search needs an accepting radius to
     start from; r_max defaults to the rounding bound of a nearest-plane
-    walk, which always accepts.
+    walk, which always accepts.  The default oracle maps the target to
+    its frame and rounds it with Babai once for the whole search.
     """
     if grid not in _GRIDS:
         raise ValueError(f"unknown grid {grid!r}")
     lat = prepare(basis)
     tgt = tuple(Fraction(t) for t in target)
+    center = _cvp_target(lat, tgt)
     if oracle_factory is None:
         def oracle_factory(rr):
-            return capped_cvp_oracle(rr, budget=budget)
+            # gap_decide passes back this search's lattice and target
+            return ApproxCvpOracle(Fraction(1), lambda _b, _t: _capped_answer(
+                _cvp_core(center, rr, budget), rr, None))
     base = Fraction(0) if grid == INTEGER else Fraction(1, 2)
     if r_max is None:
-        v0 = lat.nearest_plane(tgt)
-        d0 = max(
-            (abs(Fraction(a) - b) for a, b in zip(v0, tgt)),
-            default=Fraction(0),
-        )
+        d0 = Fraction(center.babai()[1], center.den)
         if d0 > base:
             f = d0 - base
             steps = -((-f.numerator) // f.denominator)

@@ -6,6 +6,7 @@ the ball.  Both listings must agree exactly, order included.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +27,8 @@ from sbl.core import (
     mat_solve,
 )
 from sbl.enumeration import (
+    _cvp_core,
+    _cvp_target,
     _min_sup_nonzero,
     _min_sup_to,
     BallQuery,
@@ -38,7 +41,13 @@ from sbl.enumeration import (
     svp_gauge,
     svp_inf,
 )
-from sbl.lattice import LatticeBasis, choose_params, embedding_basis, kernel_basis
+from sbl.lattice import (
+    LatticeBasis,
+    choose_params,
+    embedding_basis,
+    kernel_basis,
+    sign_pattern_target,
+)
 from sbl.reduction import gram_schmidt, lll_reduce
 
 
@@ -623,3 +632,97 @@ def test_cvp_inf_on_the_lattice_lists_no_ball():
         res = cvp_inf(lat, v, cap=cap)
         assert (res.found, res.dist, res.witness, res.ball_count) == (
             True, 0, v, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer data a query sets up once
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _frame_vectors(draw):
+    """A reduced full-rank embedding lattice or a rank-deficient kernel
+    lattice, two integer vectors of its dimension and an integer factor."""
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-2**20, 2**20), min_size=1,
+                          max_size=5).filter(any))
+        params = choose_params(x, draw(st.integers(1, 5)),
+                               draw(st.integers(-100, 100)), "gss_worst")
+        lat = prepare(embedding_basis(x, params))
+    else:
+        x = [draw(st.integers(1, 500))] + draw(
+            st.lists(st.integers(-500, 500), min_size=1, max_size=4))
+        lat = prepare(kernel_basis(x))
+        assert lat.rank < lat.dim
+    vec = st.lists(st.integers(-10**6, 10**6), min_size=lat.dim,
+                   max_size=lat.dim)
+    return lat, draw(vec), draw(vec), draw(st.integers(-50, 50))
+
+
+@given(_frame_vectors())
+@settings(max_examples=80, deadline=None)
+def test_frame_is_additive_over_integer_vectors(case):
+    lat, u, v, k = case
+    fu, fv = lat._frame(u), lat._frame(v)
+    w = [a + k * b for a, b in zip(u, v)]
+    assert lat._frame(w) == [a + k * b for a, b in zip(fu, fv)]
+    # the frame is the sum of the unit vectors' frames
+    units = [lat._frame([int(i == j) for j in range(lat.dim)])
+             for i in range(lat.dim)]
+    assert fu == [sum(c * f[j] for c, f in zip(u, units))
+                  for j in range(lat.rank)]
+
+
+def test_walk_plans_follow_the_center_denominator():
+    """A search sets up the walk's scale tables once for its center's
+    denominator: growth balls with other radius denominators reuse them,
+    and a new denominator replaces them."""
+    lat, _ = _grown_instance()
+    m = lat.dim
+    target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
+    res = cvp_inf(lat, target)
+    assert res.found and res.ball_count > 1
+    plan = lat._plans[6]
+    assert list(lat._plans) == [6]
+    cvp_inf(lat, target, cap=Fraction(5, 7))
+    assert list(lat._plans) == [6] and lat._plans[6] is plan
+    svp_inf(lat)
+    assert list(lat._plans) == [1]
+    assert cvp_inf(lat, target) == res
+
+
+def _fraction_builds(fn):
+    """(fn(), the number of Fractions built while it ran)."""
+    builds = []
+    code = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            builds.append(1)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(previous)
+    return out, len(builds)
+
+
+def test_capped_core_builds_a_fraction_only_for_its_answer():
+    """The sign-pattern targets of a punctured gss instance at d = 5,
+    capped at the decision radius 2: a search that finds nothing builds
+    no Fraction, walk and filter included."""
+    x, tau, d = (35, 734441, 23, 15, 28, 5), -96, 5
+    params = choose_params(x, d, tau, "gss_worst")
+    lat = prepare(embedding_basis(x, params))
+    cap = Fraction(d - 1, 2)
+    listed = 0
+    for signs in product((-1, 1), repeat=len(x)):
+        target, _ = sign_pattern_target(tau, params.alpha, d, signs)
+        t = _cvp_target(lat, target)
+        res, builds = _fraction_builds(lambda: _cvp_core(t, cap, 10**6))
+        assert res == cvp_inf(lat, target, cap=cap)
+        if not res.found:
+            listed += res.ball_count
+            assert builds == 0
+    assert listed > 0

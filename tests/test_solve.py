@@ -23,6 +23,7 @@ from sbl.core import (
     InternalError,
     Interval,
     Punctured,
+    Verdict,
     dot,
     verify_solution,
 )
@@ -32,8 +33,15 @@ from sbl.lattice import (
     choose_params,
     embedding_basis,
     interval_shift_target,
+    sign_pattern_target,
 )
-from sbl.enumeration import BallQuery, cvp_inf, enum_ball
+from sbl.enumeration import (
+    BallQuery,
+    PreparedLattice,
+    cvp_inf,
+    enum_ball,
+    prepare,
+)
 from sbl.experiment import trial_stream
 from sbl.solve import (
     ApproxCvpOracle,
@@ -451,15 +459,82 @@ def _count_calls(monkeypatch, fn):
 def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
     gso_calls = _count_calls(monkeypatch, reduction.integral_gso)
     solve_calls = _count_calls(monkeypatch, core.mat_solve)
+    frame_calls = []
+    frame = PreparedLattice._frame
+
+    def counted_frame(self, scaled):
+        frame_calls.append(1)
+        return frame(self, scaled)
+
+    monkeypatch.setattr(PreparedLattice, "_frame", counted_frame)
     stats = {}
     v = solve_gss_punctured(x, tau, 2, stats=stats)
     assert v.status == "no_solution"
     assert stats["patterns_tried"] == 2 ** len(x)
     assert len(gso_calls) <= 1
     assert len(solve_calls) == 0
+    # one frame for the base target and one per coordinate; the patterns
+    # update it by sign flips
+    assert len(frame_calls) <= len(x) + 1
     # the counter does see a query that prepares its own lattice
     enum_ball(BallQuery(_z2(), (0, 0), 1))
     assert len(gso_calls) >= 1
+
+
+def _reference_sweep(xs, tau, d, budget, stats):
+    """The sign-pattern loop spelled out with the public gap machinery:
+    one capped oracle, one target and one gap decision per pattern."""
+    params = choose_params(xs, d, tau, "gss_worst")
+    lat = prepare(embedding_basis(xs, params))
+    grid = INTEGER if d % 2 == 1 else HALF_INTEGER
+    oracle = capped_cvp_oracle(Fraction(d - 1, 2), budget=budget,
+                               stats=stats)
+    for signs in product((-1, 1), repeat=len(xs)):
+        target, r = sign_pattern_target(tau, params.alpha, d, signs)
+        gv = gap_decide(oracle, lat, target, r, grid)
+        stats["patterns_tried"] = stats.get("patterns_tried", 0) + 1
+        if gv.accept:
+            return Verdict.solved(gv.vector[1:])
+    return Verdict.no_solution("every sign pattern rejected")
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except BudgetExceeded as e:
+        return "budget", str(e), e.partial
+
+
+@st.composite
+def _punctured_cases(draw):
+    """x with zeros, negative entries and mixed magnitudes, n from 1 to 5,
+    d from 1 to 5; tau zero, small, or planted as c.x for a punctured c;
+    the default budget or a small one."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2**20, 2**20))
+    xs = tuple(draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("zero", "small", "planted")))
+    if kind == "zero":
+        tau = 0
+    elif kind == "small":
+        tau = draw(st.integers(-60, 60))
+    else:
+        c = draw(st.lists(st.integers(1, d).flatmap(
+            lambda a: st.sampled_from((-a, a))), min_size=n, max_size=n))
+        tau = dot(c, xs)
+    budget = draw(st.one_of(st.just(10**7), st.integers(0, 6)))
+    return xs, tau, d, budget
+
+
+@given(_punctured_cases())
+@settings(max_examples=150, deadline=None)
+def test_gss_punctured_matches_the_gap_decision_loop(case):
+    xs, tau, d, budget = case
+    got_stats, want_stats = {}, {}
+    got = _outcome(lambda: solve_gss_punctured(xs, tau, d, budget, got_stats))
+    want = _outcome(lambda: _reference_sweep(xs, tau, d, budget, want_stats))
+    assert got == want and got_stats == want_stats
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +546,20 @@ def test_gss_avg_worked_instance():
     v = solve_gss_avg((7, 9), 2, 2, 16, stats=stats)
     assert v.witness == (-1, 1)
     assert stats["alpha"] == 4 and stats["q"] == 67
+
+
+def test_gss_avg_guard_and_ball_share_one_budget():
+    """The n = 8 row of the avg-small bench suite at seed 20240: the guard
+    search lists 1 point and the ball 18, so 19 points in all."""
+    rng = trial_stream(20240, 2)
+    x = tuple(rng.below(4 ** 8) for _ in range(8))
+    stats = {}
+    v = solve_gss_avg(x, 5, 2, 4 ** 8, budget=19, stats=stats)
+    assert v.status == "solved" and stats["ball_points"] == 19
+    with pytest.raises(BudgetExceeded) as info:
+        solve_gss_avg(x, 5, 2, 4 ** 8, budget=18)
+    assert str(info.value) == "search lists more than 18 points"
+    assert info.value.partial == 18
 
 
 def test_gss_avg_guard_abort():
@@ -524,6 +613,23 @@ def test_gss_avg_solutions_verify(x, tau, d):
 # ---------------------------------------------------------------------------
 # distance recovery from gap decisions
 # ---------------------------------------------------------------------------
+
+def test_gap_search_rounds_the_target_once(monkeypatch):
+    calls = []
+    round_ = PreparedLattice._round
+
+    def counted(self, den, frame):
+        calls.append(1)
+        return round_(self, den, frame)
+
+    monkeypatch.setattr(PreparedLattice, "_round", counted)
+    basis = LatticeBasis(((7, 1, 0), (0, 9, 2), (3, 0, 11)), 3)
+    target = (Fraction(40), Fraction(17), Fraction(-23))
+    vec, dist = cvp_via_gap_search(basis, target)
+    assert len(calls) == 1
+    res = cvp_inf(basis, target)
+    assert (vec, dist) == (res.witness, res.dist)
+
 
 def test_gap_search_exact_hit():
     vec, dist = cvp_via_gap_search(_z2(), (Fraction(3), Fraction(-4)))

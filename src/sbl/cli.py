@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -188,6 +189,7 @@ def cmd_bench(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sbl", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,8 +252,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one sbl command on argv (sys.argv[1:] when None) and return its
+    exit code; a bad flag exits 3 through SystemExit.
+
+    The parser is built on the first call and reused by every later call
+    in the process, since parsing leaves it unchanged: a caller that runs
+    many commands in one process pays for it once."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except BudgetExceeded as e:

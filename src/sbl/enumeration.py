@@ -41,7 +41,11 @@ cvp_inf checks its rational target and maps it to integers once: the
 common denominator, the scaled point and its frame.  An integer core then
 runs Babai rounding, compares Babai's distance with the cap on that
 denominator, walks and filters; it builds a Fraction only for a distance
-it returns, so a capped search that finds nothing builds none.  Callers
+it returns, so a capped search that finds nothing builds none.  A capped
+search first makes the walk's top-level range test on the ball at the
+cap, O(m) integer work against Babai's O(m^2), and rejects at once when
+that level is empty.  This is exact: the ball holds the target if it is
+on the lattice and Babai's vector if it is within the cap.  Callers
 that ask several capped questions of one target, or that step through
 related targets, run the core on their own prepared center.
 """
@@ -139,28 +143,13 @@ class PreparedLattice:
             ys.append(u)
         return ys
 
-    def gs_coords(self, point) -> Tuple[Fraction, ...]:
-        """<point, b*_i> / |b*_i|^2 for every row i: the coordinates of the
-        point's projection onto the row span in the Gram-Schmidt frame."""
-        den, scaled = _scaled(point)
-        dets = self.gram_det
-        return tuple(
-            Fraction(y, den * dets[j + 1])
-            for j, y in enumerate(self._frame(scaled))
-        )
-
-    def nearest_plane(self, target) -> Tuple[int, ...]:
-        """Babai rounding in the Gram-Schmidt frame; a cheap upper bound.
+    def _round(self, den: int, frame: list) -> Tuple[int, ...]:
+        """Babai rounding of the center whose frame (see _frame) on the
+        common denominator den is given; the frame is left unchanged.
 
         Level i rounds its center e_i = E_i / t_i with t_i = den *
         gram_det[i + 1], where E_i is kept as an integer (see enum_ball).
         """
-        den, scaled = _scaled(target)
-        return self._round(den, self._frame(scaled))
-
-    def _round(self, den: int, frame: list) -> Tuple[int, ...]:
-        """Babai rounding of the center whose frame (see _frame) on the
-        common denominator den is given; the frame is left unchanged."""
         dets, lam = self.gram_det, self.lam
         es = list(frame)
         point = [0] * self.dim
@@ -300,6 +289,36 @@ def enum_ball(
     return EnumerationResult(tuple(pts), len(pts))
 
 
+def _ball(t: _Target, r_num: int, r_den: int):
+    """The walk's setup for the ball of squared radius r_num / r_den around
+    the center t: (ws, ts, steps, rem0), the level weights on the ball's
+    scale, the level scales and steps for t's denominator (see enum_ball)
+    and the integer radius left for the top level once the center's
+    distance to the span is paid.  None when that distance alone exceeds
+    the radius or the top level admits no coefficient: the ball then
+    holds no lattice point."""
+    lat = t.lat
+    den = t.den
+    frame = t.frame
+    scale, ws, ts, steps = lat._plan(den)
+    if r_den != 1:
+        ws = [r_den * w for w in ws]
+    rem0 = r_num * den * den * scale
+    if lat.rank < lat.dim:
+        # the center's distance to the span: |center|^2 - |projection|^2
+        rem0 -= r_den * scale * l2_sq(t.scaled) - sum(
+            w * y * y for w, y in zip(ws, frame)
+        )
+        if rem0 < 0:
+            return None
+    # the range test the walk makes at every level, here at the top one
+    top = lat.rank - 1
+    e, tt, s = frame[top], ts[top], isqrt(rem0 // ws[top])
+    if -((s - e) // tt) > (e + s) // tt:
+        return None
+    return ws, ts, steps, rem0
+
+
 def _walk(
     t: _Target,
     r_num: int,
@@ -312,25 +331,16 @@ def _walk(
     t's denominator.  spent points of the budget are already used by
     earlier balls of the same search; BudgetExceeded reports the whole
     budget as its partial count."""
+    ball = _ball(t, r_num, r_den)
+    if ball is None:
+        return []
+    ws, ts, steps, rem0 = ball
     lat = t.lat
     rank = lat.rank
     rows = lat.rows
     m = lat.dim
-    den = t.den
     es = list(t.frame)  # es[i] = E_i while nothing above i is chosen
     room = budget - spent
-    scale, ws, ts, steps = lat._plan(den)
-    if r_den != 1:
-        ws = [r_den * w for w in ws]
-    rem0 = r_num * den * den * scale
-    if rank < m:
-        # the center's distance to the span: |center|^2 - |projection|^2
-        rem0 -= r_den * scale * l2_sq(t.scaled) - sum(
-            w * y * y for w, y in zip(ws, es)
-        )
-        if rem0 < 0:
-            return []
-
     out: list = []
     acc = [0] * m  # running integer point
 
@@ -560,17 +570,6 @@ def _nearest(points, den: int, scaled, limit: int):
     return best
 
 
-def _min_sup_to(points, center, bound_sq: Fraction):
-    """Smallest sup distance to the center among points within
-    sqrt(bound_sq) of it, as an exact fraction, with the lexicographically
-    least witness; None when no point qualifies."""
-    den, cs = _scaled(center)
-    best = _nearest(points, den, cs, _sup_limit(bound_sq, den))
-    if best is None:
-        return None
-    return Fraction(best[0], den), best[1]
-
-
 def cvp_inf(
     basis: Lattice,
     target,
@@ -591,8 +590,11 @@ def cvp_inf(
     no ball.
 
     With cap set at or below d0, one ball at the cap decides instead, and
-    found=False certifies the distance exceeds the cap.  Every ball draws
-    on the one budget, and ball_count counts them all.
+    found=False certifies the distance exceeds the cap.  A cap ball whose
+    top level admits no coefficient is rejected before Babai rounding,
+    listing no point: the answer is the same, as that ball would hold the
+    target on the lattice or Babai's vector within the cap.  Every ball
+    draws on the one budget, and ball_count counts them all.
 
     This wrapper checks the query and maps the target to integers once
     (_cvp_target); the search itself is the integer core _cvp_core.
@@ -619,19 +621,25 @@ def _cvp_target(basis: Lattice, target) -> _Target:
 
 def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
     """cvp_inf around the center t, with cap None or a nonnegative int or
-    Fraction.  Babai's distance g0 / den is compared with the cap as the
-    integers g0 * cap_den and cap_num * den, the ball at the cap has the
-    integer squared radius cap_num^2 m / cap_den^2 and its filter the
+    Fraction.  The ball at the cap has the integer squared radius
+    cap_num^2 m / cap_den^2; a capped search first runs the walk's top
+    level range test on it (_ball) and returns found=False with no point
+    listed when that level is empty, before it rounds with Babai.
+    Babai's distance g0 / den is compared with the cap as the integers
+    g0 * cap_den and cap_num * den, and the cap ball's filter has the
     integer limit floor(cap * den), so a search that finds nothing builds
     no Fraction; growth happens only below Babai's distance, where the
     search always finds a vector."""
     den, scaled = t.den, t.scaled
     m = t.lat.dim
+    if cap is not None:
+        c_num, c_den = cap.numerator, cap.denominator
+        if _ball(t, c_num * c_num * m, c_den * c_den) is None:
+            return CvpResult(False, None, None, 0)
     v0, g0 = t.babai()
     if g0 == 0:
         return CvpResult(True, Fraction(0), v0, 0)
-    if cap is not None and g0 * cap.denominator >= cap.numerator * den:
-        c_num, c_den = cap.numerator, cap.denominator
+    if cap is not None and g0 * c_den >= c_num * den:
         pts = _walk(t, c_num * c_num * m, c_den * c_den, budget)
         best = _nearest(pts, den, scaled, c_num * den // c_den)
         count = len(pts)

@@ -364,6 +364,35 @@ def test_engine_choices_are_the_dispatch_engines():
     assert tuple(engine.choices) == ENGINES
 
 
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys):
+    """main builds its parser once per process; every command run on the
+    reused parser gives the exit code and output of a fresh interpreter."""
+    from sbl.cli import _build_parser
+
+    path = _write_instance(tmp_path, Instance((3, 5, 8), Interval(-1, 1)))
+    runs = [
+        (["solve", path, "--nonzero", "--budget", "1"], 4),
+        (["solve", path, "--nonzero"], 0),
+        (["solve", path, "--engine", "quantum"], 3),
+        (["solve", path, "--nonzero", "--engine", "brute"], 0),
+        (["solve", path, "--nonzero"], 0),
+    ]
+    _build_parser.cache_clear()
+    for argv, code in runs:
+        try:
+            got = main(argv)
+        except SystemExit as e:
+            got = e.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "sbl.cli"] + argv,
+                               capture_output=True, text=True)
+        assert got == code
+        assert (got, out.out, out.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(runs) - 1)
+
+
 # ---------------------------------------------------------------------------
 # budget environment variable
 # ---------------------------------------------------------------------------

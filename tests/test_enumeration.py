@@ -30,7 +30,6 @@ from sbl.enumeration import (
     _cvp_core,
     _cvp_target,
     _min_sup_nonzero,
-    _min_sup_to,
     BallQuery,
     CvpResult,
     PreparedLattice,
@@ -49,6 +48,8 @@ from sbl.lattice import (
     sign_pattern_target,
 )
 from sbl.reduction import gram_schmidt, lll_reduce
+
+from reference import gs_coords, min_sup_to, nearest_plane
 
 
 def _basis(*rows):
@@ -266,11 +267,11 @@ def test_min_sup_to_breaks_ties_toward_the_least_point():
     # (0, 0) and (1, 0) both sit at sup distance 1/2; (0, 1), (1, 1) at 2/3
     points = [(1, 1), (1, 0), (0, 1), (0, 0)]
     for order in (points, points[::-1]):
-        dist, witness = _min_sup_to(order, center, Fraction(1, 4))
+        dist, witness = min_sup_to(order, center, Fraction(1, 4))
         assert witness == (0, 0)
         assert dist == Fraction(1, 2) and isinstance(dist, Fraction)
-    assert _min_sup_to(points, center, Fraction(1, 4) - Fraction(1, 10**9)) is None
-    dist, witness = _min_sup_to([(0, 1), (1, 1)], center, Fraction(4, 9))
+    assert min_sup_to(points, center, Fraction(1, 4) - Fraction(1, 10**9)) is None
+    dist, witness = min_sup_to([(0, 1), (1, 1)], center, Fraction(4, 9))
     assert (dist, witness) == (Fraction(2, 3), (0, 1))
 
 
@@ -341,14 +342,14 @@ def test_gs_coords_match_the_gram_solve():
             t[i] + sum(mu[j][i] * t[j] for j in range(i + 1, lat.rank))
             for i in range(lat.rank)
         )
-        assert lat.gs_coords(center) == frame
+        assert gs_coords(lat, center) == frame
 
 
 def test_nearest_plane_matches_rational_rounding():
     for basis, center, _ in _random_lattices(17, 40):
         lat = prepare(basis)
         mu = gram_schmidt(lat).mu
-        zc = lat.gs_coords(center)
+        zc = gs_coords(lat, center)
         z = [0] * lat.rank
         for i in range(lat.rank - 1, -1, -1):
             c = zc[i] - sum(mu[j][i] * z[j] for j in range(i + 1, lat.rank))
@@ -356,7 +357,7 @@ def test_nearest_plane_matches_rational_rounding():
             z[i] = half.numerator // half.denominator
         want = tuple(sum(zi * row[k] for zi, row in zip(z, lat.rows))
                      for k in range(lat.dim))
-        assert lat.nearest_plane(center) == want
+        assert nearest_plane(lat, center) == want
 
 
 def test_prepared_enumeration_matches_plain_basis():
@@ -558,6 +559,45 @@ def test_capped_searches_equal_one_ball_at_the_cap(query):
     got = cvp_inf(lat, target, cap=cap)
     assert (got.found, got.dist, got.witness) == _one_ball_cvp(lat, target,
                                                                 cap)
+
+
+def _babai_first(lat, target, cap, budget):
+    """The capped search rounding with Babai before it looks at the cap
+    ball: a target on the lattice lists no ball, a cap at or below
+    Babai's distance lists the one ball at the cap, and a cap above it
+    grows from below like the uncapped search."""
+    t = _cvp_target(lat, target)
+    v0, g0 = t.babai()
+    if g0 == 0:
+        return CvpResult(True, Fraction(0), v0, 0)
+    if Fraction(g0, t.den) < cap:
+        return _cvp_core(t, None, budget)
+    ball = enum_ball(BallQuery(lat, target, cap * cap * lat.dim), budget)
+    best = min_sup_to(ball.points, target, cap * cap)
+    if best is None:
+        return CvpResult(False, None, None, ball.count)
+    return CvpResult(True, best[0], best[1], ball.count)
+
+
+def _outcome(search, budget):
+    try:
+        return search(budget)
+    except BudgetExceeded as e:
+        return str(e), e.partial
+
+
+@given(_capped_queries())
+@settings(max_examples=150, deadline=None)
+def test_capped_core_rejects_an_empty_cap_ball_before_babai(query):
+    """The core tests the cap ball's top level before it rounds: the same
+    result as rounding first, and the same overruns at tight budgets."""
+    lat, target, cap = query
+    core = lambda budget: _cvp_core(_cvp_target(lat, target), cap, budget)
+    ref = lambda budget: _babai_first(lat, target, cap, budget)
+    want = ref(10**7)
+    assert core(10**7) == want
+    for budget in (want.ball_count - 1, 0):
+        assert _outcome(core, budget) == _outcome(ref, budget)
     int_cap = int(cap)
     got = svp_inf(lat, cap=int_cap)
     assert (got.found, got.value, got.witness) == _one_ball_svp(lat, int_cap)
@@ -592,7 +632,7 @@ def test_capped_searches_at_their_upper_bound_list_one_ball():
     assert svp.found and svp.start_radius_sq is None
     assert svp.ball_count == enum_ball(BallQuery(lat, zero, u * u * m)).count
     target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
-    d0 = max(abs(a - c) for a, c in zip(lat.nearest_plane(target), target))
+    d0 = max(abs(a - c) for a, c in zip(nearest_plane(lat, target), target))
     cvp = cvp_inf(lat, target, cap=d0)
     assert cvp.found
     ball = enum_ball(BallQuery(lat, target, d0 * d0 * m))

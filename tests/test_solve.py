@@ -481,6 +481,30 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
     assert len(gso_calls) >= 1
 
 
+@pytest.mark.parametrize("x, tau, d, points", [
+    ((817970, 32519, 863577, 907572, 282520, 495714), 52, 3, 0),
+    ((35, 734441, 23, 15, 28, 5), -96, 5, 1155),
+])
+def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
+                                                         tau, d, points):
+    """A pattern whose cap ball has an empty top level is rejected before
+    Babai rounding; the patterns tried and the points listed are those of
+    a sweep that rounds every pattern."""
+    rounds = []
+    round_ = PreparedLattice._round
+
+    def counted(self, den, frame):
+        rounds.append(1)
+        return round_(self, den, frame)
+
+    monkeypatch.setattr(PreparedLattice, "_round", counted)
+    stats = {}
+    v = solve_gss_punctured(x, tau, d, stats=stats)
+    assert v.status == "no_solution"
+    assert stats == {"patterns_tried": 2 ** len(x), "ball_points": points}
+    assert len(rounds) < stats["patterns_tried"]
+
+
 def _reference_sweep(xs, tau, d, budget, stats):
     """The sign-pattern loop spelled out with the public gap machinery:
     one capped oracle, one target and one gap decision per pattern."""

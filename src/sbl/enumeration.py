@@ -48,6 +48,15 @@ that level is empty.  This is exact: the ball holds the target if it is
 on the lattice and Babai's vector if it is within the cap.  Callers
 that ask several capped questions of one target, or that step through
 related targets, run the core on their own prepared center.
+
+A ball's setup for the walk (_setup: level weights on the ball's scale
+and its integer radius) depends only on the lattice, the radius and the
+center's denominator.  Only a center's distance to the span makes the
+radius left for the top level depend on the center, so on a full-rank
+lattice one setup serves every center on one denominator: a sweep of
+capped questions sets the cap ball up once, makes the top-level range
+test itself, and walks and filters a ball only when that level is not
+empty (see solve.solve_gss_punctured).
 """
 
 from __future__ import annotations
@@ -284,28 +293,37 @@ def enum_ball(
         pts = (tuple([0] * basis.dim),) if inside else ()
         return EnumerationResult(pts, len(pts))
     radius_sq = query.radius_sq
-    pts = _walk(_Target.of(prepare(basis), center), radius_sq.numerator,
-                radius_sq.denominator, budget)
+    t = _Target.of(prepare(basis), center)
+    pts = _walk(t, _ball(t, radius_sq.numerator, radius_sq.denominator),
+                budget)
     return EnumerationResult(tuple(pts), len(pts))
+
+
+def _setup(lat: PreparedLattice, den: int, r_num: int, r_den: int):
+    """The walk's setup for the balls of squared radius r_num / r_den
+    around centers on the common denominator den: (ws, ts, steps, rem0),
+    the level weights on the ball's scale, the level scales and steps for
+    den (see enum_ball) and the ball's integer squared radius on that
+    scale.  It depends on no center; on a full-rank lattice rem0 is also
+    the radius left for the top level around every center."""
+    scale, ws, ts, steps = lat._plan(den)
+    if r_den != 1:
+        ws = [r_den * w for w in ws]
+    return ws, ts, steps, r_num * den * den * scale
 
 
 def _ball(t: _Target, r_num: int, r_den: int):
     """The walk's setup for the ball of squared radius r_num / r_den around
-    the center t: (ws, ts, steps, rem0), the level weights on the ball's
-    scale, the level scales and steps for t's denominator (see enum_ball)
-    and the integer radius left for the top level once the center's
-    distance to the span is paid.  None when that distance alone exceeds
-    the radius or the top level admits no coefficient: the ball then
-    holds no lattice point."""
+    the center t: _setup's tuple with rem0 the integer radius left for the
+    top level once the center's distance to the span is paid.  None when
+    that distance alone exceeds the radius or the top level admits no
+    coefficient: the ball then holds no lattice point."""
     lat = t.lat
-    den = t.den
     frame = t.frame
-    scale, ws, ts, steps = lat._plan(den)
-    if r_den != 1:
-        ws = [r_den * w for w in ws]
-    rem0 = r_num * den * den * scale
+    ws, ts, steps, rem0 = _setup(lat, t.den, r_num, r_den)
     if lat.rank < lat.dim:
         # the center's distance to the span: |center|^2 - |projection|^2
+        scale = lat._plan(t.den)[0]
         rem0 -= r_den * scale * l2_sq(t.scaled) - sum(
             w * y * y for w, y in zip(ws, frame)
         )
@@ -319,19 +337,13 @@ def _ball(t: _Target, r_num: int, r_den: int):
     return ws, ts, steps, rem0
 
 
-def _walk(
-    t: _Target,
-    r_num: int,
-    r_den: int,
-    budget: int,
-    spent: int = 0,
-) -> list:
-    """The sorted lattice points of enum_ball's ball of squared radius
-    r_num / r_den around the center t, on the lattice's scale tables for
-    t's denominator.  spent points of the budget are already used by
-    earlier balls of the same search; BudgetExceeded reports the whole
-    budget as its partial count."""
-    ball = _ball(t, r_num, r_den)
+def _walk(t: _Target, ball, budget: int, spent: int = 0) -> list:
+    """The sorted lattice points of the ball around the center t whose
+    setup is ball: _ball's tuple for t, None for an empty ball, or on a
+    full-rank lattice one _setup shared by every center on t's
+    denominator.  spent points of the budget are already used by earlier
+    balls of the same search; BudgetExceeded reports the whole budget as
+    its partial count."""
     if ball is None:
         return []
     ws, ts, steps, rem0 = ball
@@ -417,7 +429,7 @@ def _grow(t: _Target, bounds, pick, budget):
     spent = 0
     for bound_sq in bounds:
         r = bound_sq * m
-        pts = _walk(t, r.numerator, r.denominator, budget, spent)
+        pts = _walk(t, _ball(t, r.numerator, r.denominator), budget, spent)
         spent += len(pts)
         best = pick(pts, bound_sq)
         if best is not None:
@@ -624,7 +636,8 @@ def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
     Fraction.  The ball at the cap has the integer squared radius
     cap_num^2 m / cap_den^2; a capped search first runs the walk's top
     level range test on it (_ball) and returns found=False with no point
-    listed when that level is empty, before it rounds with Babai.
+    listed when that level is empty, before it rounds with Babai; a walk
+    of that ball reuses this setup.
     Babai's distance g0 / den is compared with the cap as the integers
     g0 * cap_den and cap_num * den, and the cap ball's filter has the
     integer limit floor(cap * den), so a search that finds nothing builds
@@ -634,13 +647,14 @@ def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
     m = t.lat.dim
     if cap is not None:
         c_num, c_den = cap.numerator, cap.denominator
-        if _ball(t, c_num * c_num * m, c_den * c_den) is None:
+        ball = _ball(t, c_num * c_num * m, c_den * c_den)
+        if ball is None:
             return CvpResult(False, None, None, 0)
     v0, g0 = t.babai()
     if g0 == 0:
         return CvpResult(True, Fraction(0), v0, 0)
     if cap is not None and g0 * c_den >= c_num * den:
-        pts = _walk(t, c_num * c_num * m, c_den * c_den, budget)
+        pts = _walk(t, ball, budget)
         best = _nearest(pts, den, scaled, c_num * den // c_den)
         count = len(pts)
     else:
@@ -714,9 +728,17 @@ def svp_gauge(
     else:
         radius_sq = g0 / _pd_lower_bound(body)
     res = enum_ball(BallQuery(lat, zero, radius_sq), budget)
-    # a box ranks by the integer sup norm, the same order as its gauge
-    box = isinstance(body, Box)
-    rank = linf if box else body.quad_form
+    # a box ranks by the integer sup norm and an ellipsoid by the integer
+    # form L A, L the common denominator of A: the same orders as the gauge
+    if isinstance(body, Box):
+        rank, den = linf, body.d
+    else:
+        den = lcm(*(a.denominator for row in body.a for a in row))
+        form = [[a.numerator * (den // a.denominator) for a in row]
+                for row in body.a]
+
+        def rank(p) -> int:
+            return sum(c * sum(map(mul, row, p)) for c, row in zip(p, form))
+
     best = min((p for p in res.points if any(p)), key=lambda p: (rank(p), p))
-    value = Fraction(linf(best), body.d) if box else rank(best)
-    return GaugeResult(value, best, res.count)
+    return GaugeResult(Fraction(rank(best), den), best, res.count)

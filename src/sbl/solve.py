@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
+from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
 from .core import (
@@ -51,7 +53,10 @@ from .enumeration import (
     Lattice,
     _cvp_core,
     _cvp_target,
+    _nearest,
+    _setup,
     _Target,
+    _walk,
     cvp_inf,
     enum_ball,
     prepare,
@@ -372,6 +377,28 @@ def solve_gss_interval(
     return Verdict.solved(c)
 
 
+def _cap_ball(lat, den: int, cap: Fraction):
+    """The ball at the sup cap around every center on the common
+    denominator den of the full-rank lattice lat, set up once: (ball,
+    empty), with ball the walk's setup (enumeration._setup) and
+    empty(frame) the walk's top-level range test, true exactly when
+    _ball is None for the center of that frame.  On a full-rank lattice
+    no distance to the span is paid, so the radius left for the top level
+    and that level's integer half-width are the same for every center."""
+    _check(lat.rank == lat.dim,
+           "a shared cap ball on a rank-deficient lattice")
+    c_num, c_den = cap.numerator, cap.denominator
+    ball = _setup(lat, den, c_num * c_num * lat.dim, c_den * c_den)
+    ws, ts, _steps, rem0 = ball
+    t, s = ts[-1], isqrt(rem0 // ws[-1])
+
+    def empty(frame) -> bool:
+        e = frame[-1]
+        return -((s - e) // t) > (e + s) // t
+
+    return ball, empty
+
+
 def solve_gss_punctured(
     x: Sequence[int],
     tau: int,
@@ -395,12 +422,20 @@ def solve_gss_punctured(
     with h = den (d+1) / 2, and the Gram-Schmidt frame is linear, so the
     solve computes n + 1 frames (base and each e_i) and a sign flip adds
     +-2h frame(e_i), about two flips per pattern in this order.  The
-    integer capped search (enumeration._cvp_core) then decides the
-    pattern; "not found" is exactly the gap decision's rejection, so a
-    rejected pattern builds no Fraction.  An accepted pattern builds its
-    target and passes gap_decide's checks on the vector found, then the
-    sign check and verify_solution.  Each pattern's search has the whole
-    budget.
+    embedding lattice has full rank, so the ball at the cap is set up
+    once (_cap_ball).  A pattern whose cap ball has an empty top level is
+    rejected by two floor divisions; otherwise the solve walks that ball
+    and filters it with the integer limit floor(radius * den), and a
+    pattern with no point within the cap is rejected with the ball's
+    points counted.  That is the capped search's rejection exactly: it
+    rejects only after listing that one ball, when Babai's distance is at
+    least the cap.  Neither rejection rounds with Babai or builds a
+    Fraction.  A pattern with a point within the cap, or whose walk
+    overruns the budget, goes to the integer capped search
+    (enumeration._cvp_core), which gives the witness, the count and the
+    overrun; an accepted pattern builds its target and passes
+    gap_decide's checks on the vector found, then the sign check and
+    verify_solution.  Each pattern's search has the whole budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -421,8 +456,12 @@ def solve_gss_punctured(
     den = 1 if d % 2 == 1 else 2
     h = den * (d + 1) // 2
     head = den * params.alpha * tau
+    ball, empty = _cap_ball(lat, den, radius)
+    limit = radius.numerator * den // radius.denominator
     units = [lat._frame(tuple(int(j == i) for j in range(n + 1)))
              for i in range(1, n + 1)]
+    ups = [[2 * h * u for u in unit] for unit in units]
+    downs = [[-v for v in up] for up in ups]
     # frame = frame(base + h * last), starting at the all -1 pattern
     frame = lat._frame((head,) + (0,) * n)
     for unit in units:
@@ -431,27 +470,41 @@ def solve_gss_punctured(
     for signs in product((-1, 1), repeat=n):
         for i in range(n):
             if signs[i] != last[i]:
-                step = 2 * h * signs[i]
-                frame = [f + step * u for f, u in zip(frame, units[i])]
+                frame = list(map(add, frame,
+                                 ups[i] if signs[i] > 0 else downs[i]))
         last = signs
-        scaled = (head,) + tuple(h * s for s in signs)
-        res = _cvp_core(_Target(lat, den, scaled, frame), radius, budget)
-        _tally(stats, "ball_points", res.ball_count)
+        pts = []
+        if not empty(frame):
+            scaled = (head,) + tuple(h * s for s in signs)
+            t = _Target(lat, den, scaled, frame)
+            try:
+                pts = _walk(t, ball, budget)
+            except BudgetExceeded:
+                pts = None
+            if pts is None or _nearest(pts, den, scaled, limit) is not None:
+                break
+        _tally(stats, "ball_points", len(pts))
         _tally(stats, "patterns_tried", 1)
-        if res.found:
-            # gap_decide's checks, on the vector the core found
-            target, r = sign_pattern_target(tau, params.alpha, d, signs)
-            _check(r == radius, "sign pattern radius")
-            found = ApproxCvpOracle(Fraction(1),
-                                    lambda _b, _t: (res.witness, res.dist))
-            gv = gap_decide(found, lat, target, r, grid)
-            _check(gv.accept, "the gap decision rejects a vector within r")
-            c = gv.vector[1:]
-            _check(all(v * s > 0 for v, s in zip(c, signs)),
-                   "witness signs differ from the pattern")
-            _check(verify_solution(inst, c, "gss"), "gss witness")
-            return Verdict.solved(c)
-    return Verdict.no_solution("every sign pattern rejected")
+    else:
+        return Verdict.no_solution("every sign pattern rejected")
+    # a point within the cap, or an overrun: the capped search finds the
+    # witness and its count, or raises the overrun
+    res = _cvp_core(t, radius, budget)
+    _tally(stats, "ball_points", res.ball_count)
+    _tally(stats, "patterns_tried", 1)
+    _check(res.found, "the capped search misses a point within the cap")
+    # gap_decide's checks, on the vector the core found
+    target, r = sign_pattern_target(tau, params.alpha, d, signs)
+    _check(r == radius, "sign pattern radius")
+    found = ApproxCvpOracle(Fraction(1),
+                            lambda _b, _t: (res.witness, res.dist))
+    gv = gap_decide(found, lat, target, r, grid)
+    _check(gv.accept, "the gap decision rejects a vector within r")
+    c = gv.vector[1:]
+    _check(all(v * s > 0 for v, s in zip(c, signs)),
+           "witness signs differ from the pattern")
+    _check(verify_solution(inst, c, "gss"), "gss witness")
+    return Verdict.solved(c)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from sbl.enumeration import (
     _cvp_core,
     _cvp_target,
     _min_sup_nonzero,
+    _pd_lower_bound,
     BallQuery,
     CvpResult,
     PreparedLattice,
@@ -493,6 +494,46 @@ def test_svp_gauge_box_agrees_with_svp_inf(basis, d):
     s = svp_inf(basis)
     assert g.value == Fraction(s.value, d)
     assert linf(g.witness) == s.value
+
+
+@st.composite
+def _gauge_cases(draw):
+    """A small full-rank basis and a rational positive-definite form of its
+    dimension: rank-one terms v v^T / q with mixed denominators q, plus a
+    positive rational diagonal."""
+    basis = draw(small_bases)
+    m = basis.dim
+    a = [[Fraction(0)] * m for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        q = draw(st.sampled_from((1, 2, 3, 5, 12)))
+        for i in range(m):
+            for j in range(m):
+                a[i][j] += Fraction(v[i] * v[j], q)
+    for i in range(m):
+        a[i][i] += Fraction(draw(st.integers(1, 9)),
+                            draw(st.sampled_from((1, 2, 4, 7, 9))))
+    return basis, Ellipsoid(tuple(tuple(row) for row in a))
+
+
+@given(_gauge_cases())
+@settings(max_examples=60, deadline=None)
+def test_svp_gauge_ranks_like_the_rational_form(case):
+    """The integer ranking of svp_gauge gives the value and witness of the
+    least Fraction quad_form, ties broken lexicographically, over the same
+    listing: the ball of squared radius quad_form(u) / mu around 0, u the
+    shortest Euclidean vector of the ball at |b_1|^2."""
+    basis, body = case
+    lat = prepare(basis)
+    zero = (0,) * lat.dim
+    first = enum_ball(BallQuery(lat, zero, l2_sq(lat.rows[0]))).points
+    u = min((p for p in first if any(p)), key=lambda p: (l2_sq(p), p))
+    radius_sq = body.quad_form(u) / _pd_lower_bound(body)
+    listing = enum_ball(BallQuery(lat, zero, radius_sq)).points
+    want = min((body.quad_form(p), p) for p in listing if any(p))
+    got = svp_gauge(basis, body)
+    assert (got.value, got.witness) == want
+    assert got.ball_count == len(listing)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +37,8 @@ from sbl.lattice import (
     sign_pattern_target,
 )
 from sbl.enumeration import (
+    _ball,
+    _cvp_target,
     BallQuery,
     PreparedLattice,
     cvp_inf,
@@ -44,6 +47,7 @@ from sbl.enumeration import (
 )
 from sbl.experiment import trial_stream
 from sbl.solve import (
+    _cap_ball,
     ApproxCvpOracle,
     GapConfigError,
     HALF_INTEGER,
@@ -481,10 +485,15 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
     assert len(gso_calls) >= 1
 
 
-@pytest.mark.parametrize("x, tau, d, points", [
+# two no-solution instances with 64 sign patterns and the points their
+# cap balls hold
+_REJECTED_SWEEPS = [
     ((817970, 32519, 863577, 907572, 282520, 495714), 52, 3, 0),
     ((35, 734441, 23, 15, 28, 5), -96, 5, 1155),
-])
+]
+
+
+@pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
 def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
                                                          tau, d, points):
     """A pattern whose cap ball has an empty top level is rejected before
@@ -503,6 +512,30 @@ def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
     assert v.status == "no_solution"
     assert stats == {"patterns_tried": 2 ** len(x), "ball_points": points}
     assert len(rounds) < stats["patterns_tried"]
+
+
+@pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
+def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
+                                                points):
+    """A rejected pattern never rounds with Babai, and the solve sets up
+    the walk for one ball, the ball at the cap, which every pattern
+    shares."""
+    rounds = []
+    round_ = PreparedLattice._round
+
+    def counted(self, den, frame):
+        rounds.append(1)
+        return round_(self, den, frame)
+
+    monkeypatch.setattr(PreparedLattice, "_round", counted)
+    setups = _count_calls(monkeypatch, sbl.enumeration._setup)
+    balls = _count_calls(monkeypatch, sbl.enumeration._ball)
+    stats = {}
+    v = solve_gss_punctured(x, tau, d, stats=stats)
+    assert v.status == "no_solution"
+    assert stats == {"patterns_tried": 2 ** len(x), "ball_points": points}
+    assert len(rounds) == 0
+    assert len(setups) <= 1 and len(balls) == 0
 
 
 def _reference_sweep(xs, tau, d, budget, stats):
@@ -559,6 +592,40 @@ def test_gss_punctured_matches_the_gap_decision_loop(case):
     got = _outcome(lambda: solve_gss_punctured(xs, tau, d, budget, got_stats))
     want = _outcome(lambda: _reference_sweep(xs, tau, d, budget, want_stats))
     assert got == want and got_stats == want_stats
+
+
+@st.composite
+def _sign_pattern_lattices(draw):
+    """x with zeros, negative entries and mixed magnitudes, n from 1 to 6,
+    d from 1 to 5, and a small tau."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2**20, 2**20))
+    xs = tuple(draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
+    return xs, draw(st.integers(-60, 60)), draw(st.integers(1, 5))
+
+
+@given(_sign_pattern_lattices())
+@settings(max_examples=60, deadline=None)
+def test_shared_cap_ball_matches_each_patterns_ball(case):
+    """For every sign pattern the shared top-level test agrees with _ball
+    on that pattern's center, and a ball _ball sets up is the shared
+    one."""
+    xs, tau, d = case
+    n = len(xs)
+    params = choose_params(xs, d, tau, "gss_worst")
+    lat = prepare(embedding_basis(xs, params))
+    cap = Fraction(d - 1, 2)
+    target, _ = sign_pattern_target(tau, params.alpha, d, (1,) * n)
+    den = lcm(*(Fraction(c).denominator for c in target))
+    ball, empty = _cap_ball(lat, den, cap)
+    r_num, r_den = cap.numerator ** 2 * lat.dim, cap.denominator ** 2
+    for signs in product((-1, 1), repeat=n):
+        target, _ = sign_pattern_target(tau, params.alpha, d, signs)
+        t = _cvp_target(lat, target)
+        assert t.den == den
+        own = _ball(t, r_num, r_den)
+        assert empty(t.frame) == (own is None)
+        assert own is None or own == ball
 
 
 # ---------------------------------------------------------------------------

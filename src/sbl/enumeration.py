@@ -13,10 +13,12 @@ downstream tie-break.
 
 A PreparedLattice holds what a query needs from its lattice: the reduced
 rows and their Gram-Schmidt data in integral form.  Preparing costs one
-reduction and one integral Gram-Schmidt pass; after that each query maps
-its center into the Gram-Schmidt frame with O(m^2) integer work, so
-callers that ask many questions of one lattice prepare it once and pass it
-to every call.  The frame is linear over integer vectors, so a caller
+reduction, whose own lambda/D data at exit is the output's (see
+reduction.lll_reduce), so no second Gram-Schmidt pass; after that each
+query maps its center into the Gram-Schmidt frame with O(m^2) integer
+work, so callers that ask many questions of one lattice prepare it once
+and pass it to every call.  The frame is linear over integer vectors, so a
+caller
 whose centers differ by fixed integer steps updates one frame in O(m) per
 step instead.  The walk's scale tables depend only on the lattice and the
 center's denominator; the lattice keeps them for the last denominator
@@ -26,16 +28,27 @@ denominator.
 
 svp_inf and cvp_inf answer sup-norm questions through Euclidean balls: a
 sup ball of radius d sits inside the Euclidean ball of radius d*sqrt(m), so
-enumerating the latter and filtering exactly is complete.  The filters
-compare integer sup distances on the center's common denominator.  Both
-searches grow the sup bound from a lower bound up to a free upper bound
-(the least sup norm of a reduced row, or the distance of Babai's vector)
-and stop at the first nonempty filter, which holds every vector up to its
-bound, so the answer is exact and the cost follows the answer.  With a cap
-at or below that upper bound a single ball at the cap decides "is there a
-vector within cap" instead (growth would end at that same ball, after
-listing the smaller ones too), and found=False certifies the answer is
-larger.  All the balls of one search draw on one point budget.
+enumerating the latter and filtering exactly is complete.  The walk of such
+a ball is pruned by Hölder's inequality (Schnorr and Euchner 1994; Ritter,
+max-norm enumeration, 1996): with the levels from k up chosen, u =
+pi_k(v - c) is fixed and |u|_2^2 = <v - c, u> <= d |u|_1 for every v in
+the sup ball, so a node breaking that holds none of its points.  The test
+is necessary, never sufficient, so the listing still holds every point of
+the sup ball and the filters see the same candidates in the same order;
+only the points outside the sup ball that get listed fall.  It runs in
+integers on the walk's scale (see _walk), with the vectors gram_det[i] *
+b*_i, integral by the same argument as the lambda/D data, built once per
+lattice on the first pruned walk.  enum_ball, a Euclidean question, is
+never pruned.  The filters compare integer sup distances on the center's
+common denominator.  Both searches grow the sup bound from a lower bound
+up to a free upper bound (the least sup norm of a reduced row, or the
+distance of Babai's vector) and stop at the first nonempty filter, which
+holds every vector up to its bound, so the answer is exact and the cost
+follows the answer.  With a cap at or below that upper bound a single
+ball at the cap decides "is there a vector within cap" instead (growth
+would end at that same ball, after listing the smaller ones too), and
+found=False certifies the answer is larger.  All the balls of one search
+draw on one point budget.
 
 cvp_inf checks its rational target and maps it to integers once: the
 common denominator, the scaled point and its frame.  An integer core then
@@ -63,9 +76,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import isqrt, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Optional, Tuple, Union
 
 from .core import (
@@ -73,7 +87,6 @@ from .core import (
     Box,
     Ellipsoid,
     InternalError,
-    dot,
     is_positive_definite,
     l2_sq,
     linf,
@@ -146,7 +159,7 @@ class PreparedLattice:
         dets = self.gram_det
         ys: list = []
         for row, lrow in zip(self.rows, self.lam):
-            u = dot(row, scaled)
+            u = sum(map(mul, row, scaled))
             for i, y in enumerate(ys):
                 u = (dets[i + 1] * u - y * lrow[i]) // dets[i]
             ys.append(u)
@@ -174,13 +187,31 @@ class PreparedLattice:
                     point[j] += z * b
         return tuple(point)
 
+    @cached_property
+    def _stars(self) -> Tuple[Tuple[int, ...], ...]:
+        """B_i = gram_det[i] * b*_i for every row, integral (Cohen, section
+        2.6), built on first use.  _frame(v)[i] = <B_i, v>, so the frame
+        of the unit vector e_l is column l of B; B is _frame's recurrence
+        run on all of those columns at once."""
+        dets = self.gram_det
+        out: list = []
+        for row, lrow in zip(self.rows, self.lam):
+            v = row
+            for i, b in enumerate(out):
+                d0, d1, l = dets[i], dets[i + 1], lrow[i]
+                v = [(d1 * a - l * c) // d0 for a, c in zip(v, b)]
+            out.append(tuple(v))
+        return tuple(out)
+
     def _plan(self, den: int):
         """The walk's scale tables for centers on the common denominator
-        den (see enum_ball): (L, w, t, steps) with L = lcm_i D[i] D[i+1],
-        w_i = L / (D[i] D[i+1]), t_i = den * D[i+1] and steps[i] =
+        den (see enum_ball): (L, w, t, steps, wbs) with L = lcm_i D[i]
+        D[i+1], w_i = L / (D[i] D[i+1]), t_i = den * D[i+1] and steps[i] =
         den * lam[i].  They do not depend on the radius: a ball multiplies
-        w by its radius denominator.  Only the last denominator's tables
-        are kept, which covers a search and a sweep of related centers."""
+        w by its radius denominator.  wbs, the Hölder prune's vectors, is
+        filled by the first pruned walk (_prune).  Only the last
+        denominator's tables are kept, which covers a search and a sweep
+        of related centers."""
         plan = self._plans.get(den)
         if plan is None:
             self._plans.clear()
@@ -192,6 +223,7 @@ class PreparedLattice:
                 [scale // p for p in pair],
                 [den * dets[i + 1] for i in range(self.rank)],
                 [[den * l for l in lrow] for lrow in self.lam],
+                [],
             )
         return plan
 
@@ -230,13 +262,14 @@ class _Target:
 
 
 def prepare(basis: Lattice, assume_reduced: bool = False) -> PreparedLattice:
-    """Reduce the basis (unless told it already is) and compute its
-    integral Gram-Schmidt data once; a lattice that is already prepared is
-    returned as it is."""
+    """Reduce the basis (unless told it already is) and take its integral
+    Gram-Schmidt data: the reducer's own for a basis lll_reduce returned,
+    one integral_gso pass otherwise.  A lattice that is already prepared
+    is returned as it is."""
     if isinstance(basis, PreparedLattice):
         return basis
     red = basis if (assume_reduced or basis.rank < 2) else lll_reduce(basis)
-    dets, lam = integral_gso(red)
+    dets, lam = red._gso or integral_gso(red)
     return PreparedLattice(red.rows, red.dim, dets, lam)
 
 
@@ -306,7 +339,7 @@ def _setup(lat: PreparedLattice, den: int, r_num: int, r_den: int):
     den (see enum_ball) and the ball's integer squared radius on that
     scale.  It depends on no center; on a full-rank lattice rem0 is also
     the radius left for the top level around every center."""
-    scale, ws, ts, steps = lat._plan(den)
+    scale, ws, ts, steps, _wbs = lat._plan(den)
     if r_den != 1:
         ws = [r_den * w for w in ws]
     return ws, ts, steps, r_num * den * den * scale
@@ -337,70 +370,156 @@ def _ball(t: _Target, r_num: int, r_den: int):
     return ws, ts, steps, rem0
 
 
-def _walk(t: _Target, ball, budget: int, spent: int = 0) -> list:
+def _prune(lat: PreparedLattice, den: int, p: int, q: int):
+    """The Hölder prune's data for the walk of the sup ball of squared
+    radius p / q around a center on the common denominator den, whose
+    Euclidean ball is set up on the radius denominator q, as
+    _setup(lat, den, m * p, q) and _ball(t, m * p, q) do: (free, pk2,
+    wbs, top_l1).  On that scale a node's cost C and its U (see _walk)
+    pass when C <= free = p den^2 L, which is |u|_2 <= R, or when C^2 <=
+    pk2 |U|_1^2 with pk2 = p q den^2, which is |u|_2^2 <= R |u|_1; at the
+    top level U = diff * wbs[-1], so |U|_1 = |diff| top_l1."""
+    scale, ws, _ts, _steps, wbs = lat._plan(den)
+    if not wbs:
+        # per level i, w_i B_i: U's change per unit of diff_i
+        wbs.extend([w * c for c in b] for w, b in zip(ws, lat._stars))
+    return (p * den * den * scale, p * q * den * den, wbs,
+            sum(map(abs, wbs[-1])))
+
+
+def _walk(t: _Target, ball, budget: int, spent: int = 0,
+          prune=None) -> list:
     """The sorted lattice points of the ball around the center t whose
     setup is ball: _ball's tuple for t, None for an empty ball, or on a
     full-rank lattice one _setup shared by every center on t's
     denominator.  spent points of the budget are already used by earlier
     balls of the same search; BudgetExceeded reports the whole budget as
-    its partial count."""
+    its partial count.
+
+    A sup ball |v - c|_inf <= R is walked as the Euclidean ball of radius
+    R sqrt(m) with prune = _prune(...), which drops every node that no
+    point of the sup ball lies under.  With levels >= k chosen, u =
+    pi_k(v - c) is fixed, and |u|_2^2 = <v - c, u> <= R |u|_1 by Hölder,
+    so a node at level k >= 2 breaking that is pruned; the test is
+    necessary, so every point of the sup ball is still listed, in the
+    same order, and only the points outside it that are listed fall.
+    Levels 1 and 0 are left to the sup filter, where a node costs less
+    than its test; they run as one loop (pair) over whole level-0 ranges
+    (emit).  Each level tests its children's ranges inline and enters,
+    and tests, only a node whose next level is not empty, which lists the
+    same points.
+
+    The test runs in integers on the walk's scale.  With diff_i = z_i t_i
+    - E_i, the node's cost C = rem0 - rem = sum_{i >= k} w_i diff_i^2 is
+    |u|_2^2 r_den den^2 L, and U = sum_{i >= k} diff_i (L / (D[i]
+    D[i+1])) B_i is den L u, with B_i = gram_det[i] b*_i integral
+    (PreparedLattice._stars); U is the node above's U plus the plan's
+    vector w_k B_k times diff_k, summed only when a node needs it.  For
+    R^2 = p / q on r_den = q, |u|_2 <= R is C <= p den^2 L, which passes
+    without the L1 sum, and the Hölder test is C^2 <= p q den^2
+    |U|_1^2."""
     if ball is None:
         return []
     ws, ts, steps, rem0 = ball
     lat = t.lat
-    rank = lat.rank
     rows = lat.rows
-    m = lat.dim
-    es = list(t.frame)  # es[i] = E_i while nothing above i is chosen
+    rank, top = len(rows), len(rows) - 1
+    e, s = t.frame[top], isqrt(rem0 // ws[top])
+    lo, hi = -((s - e) // ts[top]), (e + s) // ts[top]
+    if lo > hi:
+        return []
     room = budget - spent
     out: list = []
-    acc = [0] * m  # running integer point
+    w0, t0, row0 = ws[0], ts[0], rows[0]
+    if rank > 1:
+        w1, t1, row1, (step1,) = ws[1], ts[1], rows[1], steps[1]
+    if prune is not None:
+        free, pk2, wbs, top_l1 = prune
 
-    def descend(level: int, rem: int) -> None:
-        e, t, w = es[level], ts[level], ws[level]
-        s = isqrt(rem // w)
-        lo = -((s - e) // t)
-        hi = (e + s) // t
-        if lo > hi:
-            return
-        row = rows[level]
-        if level == 0:
-            if len(out) + (hi - lo + 1) > room:
-                what = "search lists" if spent else "ball holds"
-                raise BudgetExceeded(
-                    f"{what} more than {budget} points", partial=budget
-                )
-            p = tuple(map(add, acc, map(mul, row, repeat(lo))))
+    def emit(acc, row, lo: int, hi: int) -> None:
+        # the points acc + z row for z in [lo, hi]
+        if len(out) + (hi - lo + 1) > room:
+            what = "search lists" if spent else "ball holds"
+            raise BudgetExceeded(
+                f"{what} more than {budget} points", partial=budget
+            )
+        p = tuple(map(add, acc, map(mul, row, repeat(lo))))
+        out.append(p)
+        for _ in range(hi - lo):
+            p = tuple(map(add, p, row))
             out.append(p)
-            for _ in range(hi - lo):
-                p = tuple(map(add, p, row))
-                out.append(p)
-            return
-        # step z from lo to hi: E_k drops by den * lam[level][k] per unit
-        step = steps[level]
-        saved_es = es[:level]
-        saved_acc = acc[:]
-        for k in range(level):
-            es[k] -= step[k] * lo
-        for k in range(m):
-            acc[k] += lo * row[k]
-        diff = lo * t - e
-        for _ in range(hi - lo + 1):
-            descend(level - 1, rem - w * diff * diff)
-            for k in range(level):
-                es[k] -= step[k]
-            for k in range(m):
-                acc[k] += row[k]
-            diff += t
-        es[:level] = saved_es
-        acc[:] = saved_acc
 
+    def pair(_level: int, rem: int, es, acc, lo: int, hi: int,
+             *_pruned) -> None:
+        # level 1 over its nonempty range [lo, hi], above level 0, whose
+        # center E_0 drops by step1 per unit step here; not pruned
+        e, e0 = es[1], es[0]
+        for z in range(lo, hi + 1):
+            diff = z * t1 - e
+            ez = e0 - step1 * z
+            s = isqrt((rem - w1 * diff * diff) // w0)
+            a, b = -((s - ez) // t0), (ez + s) // t0
+            if a <= b:
+                emit(list(map(add, acc, map(mul, row1, repeat(z)))),
+                     row0, a, b)
+
+    def descend(level: int, rem: int, es, acc, lo: int, hi: int,
+                big, diff0, wb0) -> None:
+        # a level >= 2 over its nonempty range [lo, hi]: es[i] = E_i for
+        # i <= level given the levels above, acc the integer point so
+        # far.  A child is entered only when its own range is not empty.
+        # While nodes are pruned, big + diff0 * wb0 is U of the node
+        # above (big None: zero; wb0 None: big itself), summed when the
+        # first child is entered
+        t, w, row, step = ts[level], ws[level], rows[level], steps[level]
+        k = level - 1
+        tk, wk, sk = ts[k], ws[k], step[k]
+        e, ek0 = es[level], es[k]
+        down = descend if k > 1 else pair
+        u, du, wu = None, 0, None
+        for z in range(lo, hi + 1):
+            diff = z * t - e
+            r = rem - w * diff * diff
+            ek = ek0 - sk * z
+            s = isqrt(r // wk)
+            a, b = -((s - ek) // tk), (ek + s) // tk
+            if a > b:
+                continue
+            if prune is not None:
+                if wb0 is not None:
+                    big = (list(map(mul, wb0, repeat(diff0))) if big is None
+                           else list(map(add, big,
+                                         map(mul, wb0, repeat(diff0)))))
+                    wb0 = None
+                c = rem0 - r
+                if c <= free:
+                    u, du, wu = big, diff, wbs[level]
+                elif big is None:
+                    # the top level: U = diff * wb, |U|_1 = |diff| top_l1
+                    if c * c > pk2 * (diff * top_l1) ** 2:
+                        continue
+                    u, du, wu = None, diff, wbs[level]
+                else:
+                    u = list(map(add, big, map(mul, wbs[level], repeat(diff))))
+                    if c * c > pk2 * sum(map(abs, u)) ** 2:
+                        continue
+                    du, wu = 0, None
+            down(k, r, list(map(sub, es, map(mul, step, repeat(z)))),
+                 list(map(add, acc, map(mul, row, repeat(z)))), a, b,
+                 u, du, wu)
+
+    zero = [0] * lat.dim
     try:
-        descend(rank - 1, rem0)
+        if rank > 2:
+            descend(top, rem0, t.frame, zero, lo, hi, None, 0, None)
+        elif rank == 2:
+            pair(1, rem0, t.frame, zero, lo, hi)
+        else:
+            emit(zero, row0, lo, hi)
     finally:
-        # descend refers to itself, a cycle that would keep the listing
-        # alive until the next full garbage collection
-        del descend
+        # the walkers refer to each other, cycles that would keep the
+        # listing alive until the next full garbage collection
+        del emit, pair, descend
     out.sort()
     return out
 
@@ -420,16 +539,19 @@ def _schedule(start, step, last):
 
 
 def _grow(t: _Target, bounds, pick, budget):
-    """For each squared sup bound in turn, list the ball of squared radius
-    bound * m around the center t and apply pick(points, bound); return
-    (pick's first result that is not None, points listed), or (None,
-    points listed) when every bound comes up empty.  All the balls draw on
-    the one budget."""
-    m = t.lat.dim
+    """For each squared sup bound in turn, walk the sup ball at that bound
+    around the center t (the ball of squared radius bound * m, pruned) and
+    apply pick(points, bound); return (pick's first result that is not
+    None, points listed), or (None, points listed) when every bound comes
+    up empty.  All the balls draw on the one budget."""
+    lat = t.lat
+    m = lat.dim
     spent = 0
     for bound_sq in bounds:
-        r = bound_sq * m
-        pts = _walk(t, _ball(t, r.numerator, r.denominator), budget, spent)
+        p, q = bound_sq.numerator, bound_sq.denominator
+        ball = _ball(t, p * m, q)
+        pts = [] if ball is None else _walk(t, ball, budget, spent,
+                                            _prune(lat, t.den, p, q))
         spent += len(pts)
         best = pick(pts, bound_sq)
         if best is not None:
@@ -501,12 +623,13 @@ def svp_inf(
 
     The least sup norm u of a reduced row bounds the minimum from above,
     and s0 = max(1, ceil(min_i |b*_i| / sqrt(m))) bounds it from below.
-    The search lists the balls of squared radius s^2 * m for the integer
-    sup bounds s = s0, then max(s + 1, s (m + 1) // m), the last one
-    clamped to u, and returns at the first nonempty filter: it holds every
-    nonzero vector of sup norm <= s, so its minimum and lexicographically
-    least witness are exact.  The ball at u always holds that row, so the
-    search ends there at the latest; start_radius_sq is s0^2.
+    The search walks the sup balls (the balls of squared radius s^2 * m,
+    Hölder-pruned; see _walk) for the integer sup bounds s = s0, then
+    max(s + 1, s (m + 1) // m), the last one clamped to u, and returns at
+    the first nonempty filter: it holds every nonzero vector of sup norm
+    <= s, so its minimum and lexicographically least witness are exact.
+    The ball at u always holds that row, so the search ends there at the
+    latest; start_radius_sq is s0^2.
 
     With cap set at or below u, one ball at the cap decides instead, and
     found=False certifies the minimum exceeds the cap.  Every ball draws
@@ -592,14 +715,14 @@ def cvp_inf(
 
     Babai rounding gives a lattice vector at sup distance d0, an upper
     bound on the answer, for the price of the target's Gram-Schmidt frame,
-    which the balls then share.  The search lists the balls of squared
-    radius b * m around the target for squared sup bounds b = d0^2 / m
-    growing by (1 + 1/m)^2, the last one clamped to d0^2, and returns at
-    the first nonempty filter: it holds every vector within sqrt(b), so its
-    minimum distance and lexicographically least witness are exact.  The
-    ball at d0 holds Babai's vector, so the search ends there at the
-    latest; a target on the lattice (d0 = 0) is its own answer and lists
-    no ball.
+    which the balls then share.  The search walks the sup balls (the
+    balls of squared radius b * m, Hölder-pruned; see _walk) around the
+    target for squared sup bounds b = d0^2 / m growing by (1 + 1/m)^2, the
+    last one clamped to d0^2, and returns at the first nonempty filter: it
+    holds every vector within sqrt(b), so its minimum distance and
+    lexicographically least witness are exact.  The ball at d0 holds
+    Babai's vector, so the search ends there at the latest; a target on
+    the lattice (d0 = 0) is its own answer and lists no ball.
 
     With cap set at or below d0, one ball at the cap decides instead, and
     found=False certifies the distance exceeds the cap.  A cap ball whose
@@ -647,14 +770,15 @@ def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
     m = t.lat.dim
     if cap is not None:
         c_num, c_den = cap.numerator, cap.denominator
-        ball = _ball(t, c_num * c_num * m, c_den * c_den)
+        p, q = c_num * c_num, c_den * c_den
+        ball = _ball(t, p * m, q)
         if ball is None:
             return CvpResult(False, None, None, 0)
     v0, g0 = t.babai()
     if g0 == 0:
         return CvpResult(True, Fraction(0), v0, 0)
     if cap is not None and g0 * c_den >= c_num * den:
-        pts = _walk(t, ball, budget)
+        pts = _walk(t, ball, budget, 0, _prune(t.lat, den, p, q))
         best = _nearest(pts, den, scaled, c_num * den // c_den)
         count = len(pts)
     else:

@@ -10,9 +10,9 @@ and gauge norms for convex coefficient bodies live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .core import (
     Box,
@@ -34,10 +34,17 @@ class LatticeBasis:
     the Gram-Schmidt and reduction entry points, which reject dependent rows
     with an exact test; everything built here is independent by
     construction.
+
+    A basis that lll_reduce returns also carries the integral Gram-Schmidt
+    data (D, lam) the reducer holds for its rows (see
+    reduction.integral_gso), so preparing it for enumeration needs no
+    second pass; it is not part of the basis's value.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
     dim: int
+    _gso: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(int(v) for v in row) for row in self.rows)

@@ -8,8 +8,10 @@ comparison s*(D[k+1]*D[k-1] + lam[k][k-1]^2) >= p*D[k]^2.  No fraction is
 ever formed while reducing, which keeps the n = 64 instances fast.
 
 integral_gso computes the same lambda/D data for a fixed basis with the
-recurrence the reducer uses for each new row; the rational gram_schmidt
-stays as a plain reference.
+recurrence the reducer uses for each new row.  At exit the reducer holds
+exactly that data for its output rows, so the basis it returns carries it
+(LatticeBasis._gso) and enumeration.prepare pays no second Gram-Schmidt
+pass.  The rational gram_schmidt stays as a plain reference.
 """
 
 from __future__ import annotations
@@ -98,8 +100,9 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
 
     Output rows satisfy |mu_ij| <= 1/2 and the Lovasz condition for delta,
     so the first row obeys the usual 2^((r-1)/4) * det^(1/r) bound on its
-    Euclidean length.  Raises ValueError on dependent rows and on delta
-    outside (1/4, 1).
+    Euclidean length.  The result carries the reducer's integral
+    Gram-Schmidt data for its rows, integral_gso of the result.  Raises
+    ValueError on dependent rows and on delta outside (1/4, 1).
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -154,7 +157,10 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
                     redi(k, ll)
                 k += 1
                 break
-    return LatticeBasis(tuple(tuple(r) for r in rows), basis.dim)
+    out = LatticeBasis(tuple(tuple(r) for r in rows), basis.dim)
+    gso = (tuple(D), tuple(tuple(lrow[:i]) for i, lrow in enumerate(lam)))
+    object.__setattr__(out, "_gso", gso)
+    return out
 
 
 def lll_threshold(x, d: int) -> bool:

@@ -54,6 +54,7 @@ from .enumeration import (
     _cvp_core,
     _cvp_target,
     _nearest,
+    _prune,
     _setup,
     _Target,
     _walk,
@@ -419,18 +420,22 @@ def solve_gss_punctured(
     Every pattern is the gap decision of capped_cvp_oracle(radius), run on
     integer data set up once per solve.  On their common denominator den
     (1 for odd d, 2 for even d) the targets are base + h * sum s_i e_i
-    with h = den (d+1) / 2, and the Gram-Schmidt frame is linear, so the
-    solve computes n + 1 frames (base and each e_i) and a sign flip adds
-    +-2h frame(e_i), about two flips per pattern in this order.  The
-    embedding lattice has full rank, so the ball at the cap is set up
-    once (_cap_ball).  A pattern whose cap ball has an empty top level is
-    rejected by two floor divisions; otherwise the solve walks that ball
-    and filters it with the integer limit floor(radius * den), and a
-    pattern with no point within the cap is rejected with the ball's
-    points counted.  That is the capped search's rejection exactly: it
-    rejects only after listing that one ball, when Babai's distance is at
-    least the cap.  Neither rejection rounds with Babai or builds a
-    Fraction.  A pattern with a point within the cap, or whose walk
+    with h = den (d+1) / 2, and the Gram-Schmidt frame is linear, so a
+    sign flip adds +-2h frame(e_i), about two flips per pattern in this
+    order.  The frame of a unit vector e_l is column l of the lattice's
+    vectors gram_det[i] b*_i (PreparedLattice._stars), which the pruned
+    walk needs anyway, so the base frame and every frame(e_i) are read
+    off them.  The embedding lattice has full rank, so the ball at the cap
+    and its Hölder prune are set up once (_cap_ball, enumeration._prune).
+    A pattern whose cap ball has an empty top level is rejected by two
+    floor divisions; otherwise the solve walks that ball, pruned as the
+    capped search prunes it, so both list the same points and overrun the
+    same budgets, and filters it with the integer limit floor(radius *
+    den), and a pattern with no point within the cap is rejected with
+    the ball's points counted.  That is the capped search's rejection
+    exactly: it rejects only after listing that one ball, when Babai's
+    distance is at least the cap.  Neither rejection rounds with Babai or
+    builds a Fraction.  A pattern with a point within the cap, or whose walk
     overruns the budget, goes to the integer capped search
     (enumeration._cvp_core), which gives the witness, the count and the
     overrun; an accepted pattern builds its target and passes
@@ -457,15 +462,15 @@ def solve_gss_punctured(
     h = den * (d + 1) // 2
     head = den * params.alpha * tau
     ball, empty = _cap_ball(lat, den, radius)
+    prune = _prune(lat, den, radius.numerator ** 2, radius.denominator ** 2)
     limit = radius.numerator * den // radius.denominator
-    units = [lat._frame(tuple(int(j == i) for j in range(n + 1)))
-             for i in range(1, n + 1)]
+    # frame(e_l) is column l of the stars
+    stars = lat._stars
+    units = list(zip(*stars))[1:]
     ups = [[2 * h * u for u in unit] for unit in units]
     downs = [[-v for v in up] for up in ups]
     # frame = frame(base + h * last), starting at the all -1 pattern
-    frame = lat._frame((head,) + (0,) * n)
-    for unit in units:
-        frame = [f - h * u for f, u in zip(frame, unit)]
+    frame = [head * b[0] - h * sum(b[1:]) for b in stars]
     last = (-1,) * n
     for signs in product((-1, 1), repeat=n):
         for i in range(n):
@@ -478,7 +483,7 @@ def solve_gss_punctured(
             scaled = (head,) + tuple(h * s for s in signs)
             t = _Target(lat, den, scaled, frame)
             try:
-                pts = _walk(t, ball, budget)
+                pts = _walk(t, ball, budget, 0, prune)
             except BudgetExceeded:
                 pts = None
             if pts is None or _nearest(pts, den, scaled, limit) is not None:

@@ -7,9 +7,13 @@ code in the sbl package calls them.
 """
 
 from fractions import Fraction
+from math import floor
 from typing import Tuple
 
+from sbl.core import BudgetExceeded
 from sbl.enumeration import PreparedLattice, _nearest, _scaled, _sup_limit
+from sbl.lattice import LatticeBasis
+from sbl.reduction import gram_schmidt
 
 
 def gs_coords(lat: PreparedLattice, point) -> Tuple[Fraction, ...]:
@@ -38,3 +42,68 @@ def min_sup_to(points, center, bound_sq: Fraction):
     if best is None:
         return None
     return Fraction(best[0], den), best[1]
+
+
+def star_vectors(lat: PreparedLattice):
+    """(gram_schmidt of the rows, the vectors b*_i as lists of Fractions)."""
+    gso = gram_schmidt(LatticeBasis(lat.rows, lat.dim))
+    stars: list = []
+    for row, mus in zip(lat.rows, gso.mu):
+        v = [Fraction(a) for a in row]
+        for mu, b in zip(mus, stars):
+            v = [a - mu * c for a, c in zip(v, b)]
+        stars.append(v)
+    return gso, stars
+
+
+def holder_walk(lat: PreparedLattice, center, bound_sq,
+                budget: int = 10**7):
+    """The sorted points a sup-ball walk lists, in Fractions: every
+    lattice point v of the Euclidean ball |v - center|_2^2 <= m * bound_sq
+    whose every node at level k >= 2 keeps |u|_2^2 <= R |u|_1, u =
+    pi_k(v - center), R^2 = bound_sq; tested as |u|_2^4 <= R^2 |u|_1^2.
+    Levels run from the last row down, as the walk's do.  Raises
+    BudgetExceeded as a single ball does when it holds more than budget
+    points."""
+    rows = lat.rows
+    m, rank = lat.dim, lat.rank
+    bound_sq = Fraction(bound_sq)
+    center = [Fraction(c) for c in center]
+    gso, stars = star_vectors(lat)
+    sq = gso.b_star_sq
+    coords = [sum(a * c for a, c in zip(b, center)) / s
+              for b, s in zip(stars, sq)]
+    # the center's distance to the span is paid before any level
+    perp = sum(c * c for c in center) - sum(
+        c * c * s for c, s in zip(coords, sq))
+    out: list = []
+    zs = [0] * rank
+
+    def descend(level, rem, u):
+        e = coords[level] - sum(gso.mu[j][level] * zs[j]
+                                for j in range(level + 1, rank))
+        z0 = floor(e)
+        for direction, z in ((-1, z0), (1, z0 + 1)):
+            while (z - e) ** 2 * sq[level] <= rem:
+                zs[level] = z
+                left = rem - (z - e) ** 2 * sq[level]
+                w = [a + (z - e) * b for a, b in zip(u, stars[level])]
+                if level == 0:
+                    out.append(tuple(sum(c * row[i] for c, row in
+                                         zip(zs, rows)) for i in range(m)))
+                else:
+                    l2 = sum(a * a for a in w)
+                    l1 = sum(abs(a) for a in w)
+                    if level < 2 or l2 * l2 <= bound_sq * l1 * l1:
+                        descend(level - 1, left, w)
+                z += direction
+        zs[level] = 0
+
+    rem = m * bound_sq - perp
+    if rem >= 0:
+        descend(rank - 1, rem, [Fraction(0)] * m)
+    # the walk raises as it lists a point past the budget
+    if len(out) > max(budget, 0):
+        raise BudgetExceeded(f"ball holds more than {budget} points",
+                             partial=budget)
+    return sorted(out)

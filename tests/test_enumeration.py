@@ -27,10 +27,13 @@ from sbl.core import (
     mat_solve,
 )
 from sbl.enumeration import (
+    _ball,
     _cvp_core,
     _cvp_target,
     _min_sup_nonzero,
     _pd_lower_bound,
+    _prune,
+    _walk,
     BallQuery,
     CvpResult,
     PreparedLattice,
@@ -50,7 +53,13 @@ from sbl.lattice import (
 )
 from sbl.reduction import gram_schmidt, lll_reduce
 
-from reference import gs_coords, min_sup_to, nearest_plane
+from reference import (
+    gs_coords,
+    holder_walk,
+    min_sup_to,
+    nearest_plane,
+    star_vectors,
+)
 
 
 def _basis(*rows):
@@ -605,19 +614,20 @@ def test_capped_searches_equal_one_ball_at_the_cap(query):
 def _babai_first(lat, target, cap, budget):
     """The capped search rounding with Babai before it looks at the cap
     ball: a target on the lattice lists no ball, a cap at or below
-    Babai's distance lists the one ball at the cap, and a cap above it
-    grows from below like the uncapped search."""
+    Babai's distance lists the one sup ball at the cap (the reference
+    walk's points), and a cap above it grows from below like the uncapped
+    search."""
     t = _cvp_target(lat, target)
     v0, g0 = t.babai()
     if g0 == 0:
         return CvpResult(True, Fraction(0), v0, 0)
     if Fraction(g0, t.den) < cap:
         return _cvp_core(t, None, budget)
-    ball = enum_ball(BallQuery(lat, target, cap * cap * lat.dim), budget)
-    best = min_sup_to(ball.points, target, cap * cap)
+    pts = holder_walk(lat, target, cap * cap, budget)
+    best = min_sup_to(pts, target, cap * cap)
     if best is None:
-        return CvpResult(False, None, None, ball.count)
-    return CvpResult(True, best[0], best[1], ball.count)
+        return CvpResult(False, None, None, len(pts))
+    return CvpResult(True, best[0], best[1], len(pts))
 
 
 def _outcome(search, budget):
@@ -671,13 +681,12 @@ def test_capped_searches_at_their_upper_bound_list_one_ball():
     u = min(linf(row) for row in lat.rows)
     svp = svp_inf(lat, cap=u)
     assert svp.found and svp.start_radius_sq is None
-    assert svp.ball_count == enum_ball(BallQuery(lat, zero, u * u * m)).count
+    assert svp.ball_count == len(holder_walk(lat, zero, u * u))
     target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
     d0 = max(abs(a - c) for a, c in zip(nearest_plane(lat, target), target))
     cvp = cvp_inf(lat, target, cap=d0)
     assert cvp.found
-    ball = enum_ball(BallQuery(lat, target, d0 * d0 * m))
-    assert cvp.ball_count == ball.count
+    assert cvp.ball_count == len(holder_walk(lat, target, d0 * d0))
     # a cap above the bound grows instead, from below
     assert svp_inf(lat, cap=u + 1).start_radius_sq < u * u
 
@@ -716,6 +725,39 @@ def test_cvp_inf_on_the_lattice_lists_no_ball():
 
 
 # ---------------------------------------------------------------------------
+# the Hölder-pruned sup-ball walk
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _sup_walks(draw):
+    """_capped_queries' lattices and targets with the squared sup bound of
+    the cap, or any small rational one, as a growing search draws."""
+    lat, target, cap = draw(_capped_queries())
+    if draw(st.booleans()):
+        return lat, target, cap * cap
+    return lat, target, Fraction(draw(st.integers(0, 40)),
+                                 draw(st.sampled_from((1, 2, 3, 7, 9))))
+
+
+@given(_sup_walks())
+@settings(max_examples=150, deadline=None)
+def test_pruned_sup_walk_equals_the_reference_walk(query):
+    """The integer walk of a sup ball lists exactly the points of the
+    Fraction reference walk with the Hölder test, and among them every
+    point of the Euclidean ball within the exact sup bound."""
+    lat, target, bound_sq = query
+    t = _cvp_target(lat, target)
+    p, q = bound_sq.numerator, bound_sq.denominator
+    ball = _ball(t, p * lat.dim, q)
+    got = [] if ball is None else _walk(t, ball, 10**7, 0,
+                                        _prune(lat, t.den, p, q))
+    assert got == holder_walk(lat, target, bound_sq)
+    full = enum_ball(BallQuery(lat, target, bound_sq * lat.dim)).points
+    assert set(got) <= set(full)
+    assert {v for v in full if _sup_to(v, target) ** 2 <= bound_sq} <= set(got)
+
+
+# ---------------------------------------------------------------------------
 # the integer data a query sets up once
 # ---------------------------------------------------------------------------
 
@@ -751,6 +793,17 @@ def test_frame_is_additive_over_integer_vectors(case):
              for i in range(lat.dim)]
     assert fu == [sum(c * f[j] for c, f in zip(u, units))
                   for j in range(lat.rank)]
+
+
+@given(_frame_vectors())
+@settings(max_examples=40, deadline=None)
+def test_stars_are_the_scaled_gram_schmidt_vectors(case):
+    """B_i = gram_det[i] b*_i, and the frame of v is <B_i, v>."""
+    lat, v, _, _ = case
+    _, stars = star_vectors(lat)
+    assert lat._stars == tuple(
+        tuple(d * c for c in b) for d, b in zip(lat.gram_det, stars))
+    assert lat._frame(v) == [dot(b, v) for b in lat._stars]
 
 
 def test_walk_plans_follow_the_center_denominator():

@@ -7,8 +7,8 @@ zero and nonzero, with and without m_bound, at n = 1, with a zero weight
 and at a bound meeting the LLL threshold, under every --mode and every
 --engine, plus --nonzero and an exhausted --budget.  A second set runs the
 punctured sign-pattern sweep (n in {5, 6}, d from 2 to 5, weights below
-2^20, rejections and solved cases, one of them under an exhausted
---budget).  It also freezes the
+2^20, rejections and solved cases, one of them under a --budget it now
+fits and under one it exhausts).  It also freezes the
 `bench` CSV (wall-clock column dropped) of the built-in suites and the
 `probe` JSON of each solver choice.  A refactor that keeps this test
 passing keeps every verdict byte.
@@ -16,6 +16,11 @@ passing keeps every verdict byte.
 Regenerate the data only when a change of output is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+and list the records whose bytes moved against an earlier copy of the
+data (say, `git show HEAD:tests/data/golden.json > old.json`) with
+
+    python tests/test_golden.py --diff old.json
 """
 
 import contextlib
@@ -181,8 +186,12 @@ def cases():
         out.append((name, ["solve", INSTANCE], serialize_instance(inst)))
     last = serialize_instance(SWEEPS[-1][1])
     out.append(("sweep-mode-sbp", ["solve", INSTANCE, "--mode", "sbp"], last))
+    # the pruned sup-ball walks list at most 30 points here now, so the
+    # first record answers; the second keeps the exit-4 path covered
     out.append(("sweep-budget-exhausted",
                 ["solve", INSTANCE, "--budget", "30"], last))
+    out.append(("sweep-budget-exhausted-10",
+                ["solve", INSTANCE, "--budget", "10"], last))
     for name, suite, seed in BENCHES:
         out.append((name, ["bench", "--suite", suite, "--seed", str(seed)],
                     None))
@@ -254,5 +263,25 @@ def regenerate():
     DATA.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 
 
+def diff(old_path) -> None:
+    """Print the ids of records added, dropped or changed against the
+    data in old_path, then the count of byte-identical ones."""
+    old = {r["id"]: r
+           for r in json.loads(Path(old_path).read_text(encoding="utf-8"))}
+    new = _load()
+    for case_id in sorted(old.keys() | new.keys()):
+        if old.get(case_id) != new.get(case_id):
+            state = ("added" if case_id not in old else
+                     "dropped" if case_id not in new else "changed")
+            print(f"{state}: {case_id}")
+    same = sum(old[k] == new[k] for k in old.keys() & new.keys())
+    print(f"identical: {same} of {len(old)}")
+
+
 if __name__ == "__main__":
-    regenerate()
+    import sys
+
+    if sys.argv[1:2] == ["--diff"]:
+        diff(sys.argv[2])
+    else:
+        regenerate()

@@ -160,6 +160,24 @@ def test_lll_on_kernel_bases(x):
     assert _same_lattice(kb, red)
     for row in red.rows:
         assert dot(row, x) == 0
+    assert red._gso == integral_gso(red)
+
+
+@given(st.one_of(
+    _random_bases(max_dim=6),
+    st.tuples(st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=6)
+              .filter(any), st.integers(1, 5), st.integers(-100, 100))
+    .map(lambda a: embedding_basis(a[0], choose_params(a[0], a[1], a[2],
+                                                       "gss_worst")))))
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_carries_its_integral_gso(basis):
+    """The reducer's lambda/D data at exit is that of its output rows, so
+    preparing the output needs no second pass; it is not part of the
+    basis's value."""
+    red = lll_reduce(basis)
+    assert red._gso == integral_gso(red)
+    assert red == LatticeBasis(red.rows, red.dim)
+    assert LatticeBasis(red.rows, red.dim)._gso is None
 
 
 # ---------------------------------------------------------------------------

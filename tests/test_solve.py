@@ -66,6 +66,8 @@ from sbl.solve import (
     solve_sbp_lll,
 )
 
+from reference import holder_walk
+
 
 def _z2():
     return LatticeBasis(((1, 0), (0, 1)), 2)
@@ -158,6 +160,19 @@ def test_ball_points_stay_flat_in_d(solve, witness):
             assert v.witness == witness
         counts[d] = stats["ball_points"]
     assert all(c <= 2 * counts[3] for c in counts.values()), counts
+
+
+def test_pruned_walk_lists_fewer_points_at_n10():
+    """The n = 10 gss instance of x_i = trial_stream(11, 10).below(101) -
+    50 (0 replaced by 1), tau = 17, [-2, 2]: its search listed 3,304 points
+    before sup-ball walks were pruned; the Hölder prune cuts that at least
+    2.5-fold with the same witness."""
+    rng = trial_stream(11, 10)
+    x = tuple((rng.below(101) - 50) or 1 for _ in range(10))
+    stats = {}
+    v = solve_gss_interval(x, 17, -2, 2, stats=stats)
+    assert v.witness == (-1, -1, -1, -1, -1, -1, 0, 0, -1, 1)
+    assert stats["ball_points"] * 5 <= 3304 * 2
 
 
 def test_sbp_lll_fast_path():
@@ -461,7 +476,17 @@ def _count_calls(monkeypatch, fn):
     ((812874, 895347, 828298, 932437, 281331, 766550), -76),
 ])
 def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
-    gso_calls = _count_calls(monkeypatch, reduction.integral_gso)
+    # a Gram-Schmidt pass starts at row 0, in integral_gso or in the
+    # reducer, whose data prepare takes over
+    gso_calls = []
+    gso_row = reduction._gso_row
+
+    def counted_row(rows, k, D, lam):
+        if k == 0:
+            gso_calls.append(1)
+        return gso_row(rows, k, D, lam)
+
+    monkeypatch.setattr(reduction, "_gso_row", counted_row)
     solve_calls = _count_calls(monkeypatch, core.mat_solve)
     frame_calls = []
     frame = PreparedLattice._frame
@@ -477,12 +502,13 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
     assert stats["patterns_tried"] == 2 ** len(x)
     assert len(gso_calls) <= 1
     assert len(solve_calls) == 0
-    # one frame for the base target and one per coordinate; the patterns
-    # update it by sign flips
+    # at most one frame for the base target and one per coordinate; the
+    # patterns update it by sign flips
     assert len(frame_calls) <= len(x) + 1
     # the counter does see a query that prepares its own lattice
+    before = len(gso_calls)
     enum_ball(BallQuery(_z2(), (0, 0), 1))
-    assert len(gso_calls) >= 1
+    assert len(gso_calls) >= before + 1
 
 
 # two no-solution instances with 64 sign patterns and the points their
@@ -493,12 +519,31 @@ _REJECTED_SWEEPS = [
 ]
 
 
+def _swept_points(x, tau, d, points):
+    """The points the sweep lists: per sign pattern, the reference walk of
+    the sup ball at the cap, after checking that the patterns' Euclidean
+    cap balls hold the given points in all."""
+    params = choose_params(x, d, tau, "gss_worst")
+    lat = prepare(embedding_basis(x, params))
+    cap = Fraction(d - 1, 2)
+    held = listed = 0
+    for signs in product((-1, 1), repeat=len(x)):
+        target, _ = sign_pattern_target(tau, params.alpha, d, signs)
+        held += enum_ball(BallQuery(lat, target, cap * cap * lat.dim)).count
+        listed += len(holder_walk(lat, target, cap * cap))
+    assert held == points
+    return listed
+
+
 @pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
 def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
                                                          tau, d, points):
     """A pattern whose cap ball has an empty top level is rejected before
     Babai rounding; the patterns tried and the points listed are those of
-    a sweep that rounds every pattern."""
+    a sweep that rounds every pattern and walks every sup ball at the
+    cap."""
+    want = {"patterns_tried": 2 ** len(x),
+            "ball_points": _swept_points(x, tau, d, points)}
     rounds = []
     round_ = PreparedLattice._round
 
@@ -510,7 +555,7 @@ def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
     stats = {}
     v = solve_gss_punctured(x, tau, d, stats=stats)
     assert v.status == "no_solution"
-    assert stats == {"patterns_tried": 2 ** len(x), "ball_points": points}
+    assert stats == want
     assert len(rounds) < stats["patterns_tried"]
 
 
@@ -520,6 +565,8 @@ def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
     """A rejected pattern never rounds with Babai, and the solve sets up
     the walk for one ball, the ball at the cap, which every pattern
     shares."""
+    want = {"patterns_tried": 2 ** len(x),
+            "ball_points": _swept_points(x, tau, d, points)}
     rounds = []
     round_ = PreparedLattice._round
 
@@ -533,7 +580,7 @@ def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
     stats = {}
     v = solve_gss_punctured(x, tau, d, stats=stats)
     assert v.status == "no_solution"
-    assert stats == {"patterns_tried": 2 ** len(x), "ball_points": points}
+    assert stats == want
     assert len(rounds) == 0
     assert len(setups) <= 1 and len(balls) == 0
 

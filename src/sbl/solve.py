@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -48,18 +47,15 @@ from .core import (
 )
 from .enumeration import (
     DEFAULT_POINT_BUDGET,
-    BallQuery,
     CvpResult,
     Lattice,
     _cvp_core,
     _cvp_target,
-    _nearest,
-    _prune,
-    _setup,
+    _sup_search,
     _Target,
+    _top_test,
     _walk,
     cvp_inf,
-    enum_ball,
     prepare,
     svp_gauge,
     svp_inf,
@@ -378,28 +374,6 @@ def solve_gss_interval(
     return Verdict.solved(c)
 
 
-def _cap_ball(lat, den: int, cap: Fraction):
-    """The ball at the sup cap around every center on the common
-    denominator den of the full-rank lattice lat, set up once: (ball,
-    empty), with ball the walk's setup (enumeration._setup) and
-    empty(frame) the walk's top-level range test, true exactly when
-    _ball is None for the center of that frame.  On a full-rank lattice
-    no distance to the span is paid, so the radius left for the top level
-    and that level's integer half-width are the same for every center."""
-    _check(lat.rank == lat.dim,
-           "a shared cap ball on a rank-deficient lattice")
-    c_num, c_den = cap.numerator, cap.denominator
-    ball = _setup(lat, den, c_num * c_num * lat.dim, c_den * c_den)
-    ws, ts, _steps, rem0 = ball
-    t, s = ts[-1], isqrt(rem0 // ws[-1])
-
-    def empty(frame) -> bool:
-        e = frame[-1]
-        return -((s - e) // t) > (e + s) // t
-
-    return ball, empty
-
-
 def solve_gss_punctured(
     x: Sequence[int],
     tau: int,
@@ -423,24 +397,19 @@ def solve_gss_punctured(
     with h = den (d+1) / 2, and the Gram-Schmidt frame is linear, so a
     sign flip adds +-2h frame(e_i), about two flips per pattern in this
     order.  The frame of a unit vector e_l is column l of the lattice's
-    vectors gram_det[i] b*_i (PreparedLattice._stars), which the pruned
-    walk needs anyway, so the base frame and every frame(e_i) are read
-    off them.  The embedding lattice has full rank, so the ball at the cap
-    and its Hölder prune are set up once (_cap_ball, enumeration._prune).
-    A pattern whose cap ball has an empty top level is rejected by two
-    floor divisions; otherwise the solve walks that ball, pruned as the
-    capped search prunes it, so both list the same points and overrun the
-    same budgets, and filters it with the integer limit floor(radius *
-    den), and a pattern with no point within the cap is rejected with
-    the ball's points counted.  That is the capped search's rejection
-    exactly: it rejects only after listing that one ball, when Babai's
-    distance is at least the cap.  Neither rejection rounds with Babai or
-    builds a Fraction.  A pattern with a point within the cap, or whose walk
-    overruns the budget, goes to the integer capped search
-    (enumeration._cvp_core), which gives the witness, the count and the
-    overrun; an accepted pattern builds its target and passes
-    gap_decide's checks on the vector found, then the sign check and
-    verify_solution.  Each pattern's search has the whole budget.
+    vectors gram_det[i] b*_i (PreparedLattice._stars), which the sup walk
+    needs anyway, so the base frame and every frame(e_i) are read off
+    them.  The embedding lattice has full rank, so the walk's top-level
+    range test at the limit floor(radius * den) is set up once
+    (enumeration._top_test), and a pattern it rejects costs two floor
+    divisions.  Any other pattern runs the sup walk at that limit, which
+    visits only points within the radius and keeps the nearest one, the
+    capped search's witness: a pattern whose walk visits nothing is
+    rejected, and one whose walk finds a point builds its target and
+    passes gap_decide's checks on that point, then the sign check and
+    verify_solution.  Neither path rounds with Babai, and a rejection
+    builds no Fraction.  The walks of one solve draw on its one point
+    budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -461,9 +430,10 @@ def solve_gss_punctured(
     den = 1 if d % 2 == 1 else 2
     h = den * (d + 1) // 2
     head = den * params.alpha * tau
-    ball, empty = _cap_ball(lat, den, radius)
-    prune = _prune(lat, den, radius.numerator ** 2, radius.denominator ** 2)
     limit = radius.numerator * den // radius.denominator
+    _check(lat.rank == lat.dim,
+           "a shared top-level test on a rank-deficient lattice")
+    empty = _top_test(lat, den, limit)
     # frame(e_l) is column l of the stars
     stars = lat._stars
     units = list(zip(*stars))[1:]
@@ -472,37 +442,30 @@ def solve_gss_punctured(
     # frame = frame(base + h * last), starting at the all -1 pattern
     frame = [head * b[0] - h * sum(b[1:]) for b in stars]
     last = (-1,) * n
+    best, spent, tried = None, 0, 0
     for signs in product((-1, 1), repeat=n):
         for i in range(n):
             if signs[i] != last[i]:
                 frame = list(map(add, frame,
                                  ups[i] if signs[i] > 0 else downs[i]))
         last = signs
-        pts = []
+        tried += 1
         if not empty(frame):
             scaled = (head,) + tuple(h * s for s in signs)
-            t = _Target(lat, den, scaled, frame)
-            try:
-                pts = _walk(t, ball, budget, 0, prune)
-            except BudgetExceeded:
-                pts = None
-            if pts is None or _nearest(pts, den, scaled, limit) is not None:
+            best, count = _sup_search(_Target(lat, den, scaled, frame),
+                                      limit, budget, spent)
+            spent += count
+            if best is not None:
                 break
-        _tally(stats, "ball_points", len(pts))
-        _tally(stats, "patterns_tried", 1)
-    else:
+    _tally(stats, "ball_points", spent)
+    _tally(stats, "patterns_tried", tried)
+    if best is None:
         return Verdict.no_solution("every sign pattern rejected")
-    # a point within the cap, or an overrun: the capped search finds the
-    # witness and its count, or raises the overrun
-    res = _cvp_core(t, radius, budget)
-    _tally(stats, "ball_points", res.ball_count)
-    _tally(stats, "patterns_tried", 1)
-    _check(res.found, "the capped search misses a point within the cap")
-    # gap_decide's checks, on the vector the core found
+    # gap_decide's checks, on the point the walk found
     target, r = sign_pattern_target(tau, params.alpha, d, signs)
     _check(r == radius, "sign pattern radius")
     found = ApproxCvpOracle(Fraction(1),
-                            lambda _b, _t: (res.witness, res.dist))
+                            lambda _b, _t: (best[1], Fraction(best[0], den)))
     gv = gap_decide(found, lat, target, r, grid)
     _check(gv.accept, "the gap decision rejects a vector within r")
     c = gv.vector[1:]
@@ -526,17 +489,18 @@ def solve_gss_avg(
     stats: Optional[dict] = None,
 ) -> Verdict:
     """Density-regime solver: wrapper bound, short-vector guard, then one
-    ball around the target.
+    sup walk around the target.
 
     For m_bound above |C|^(2n) a solution is overwhelmingly unlikely and
     NoSolution is returned outright.  The guard aborts when the lattice
     has a sup-short nonzero vector (length at most M^(1/n)/4, tested as
-    the integer inequality (4 lambda)^n <= M), since then the ball may
-    hold too many points to list.  Otherwise every lattice point within
-    sup distance d of the target decodes to a witness; they all lie in
-    the ball of squared radius (n+1) d^2, so the lexicographically least
-    of them, the witness, is the first one the sorted listing decodes.
-    The guard search and the ball draw on the one budget.
+    the integer inequality (4 lambda)^n <= M), since then the walk may
+    visit too many points.  Otherwise every lattice point within sup
+    distance d of the target decodes to a witness (a punctured one when
+    no coefficient is 0): the sup walk at the fixed limit d visits exactly
+    those points, and its visitor keeps the lexicographically least that
+    decodes, the witness.  The guard search and the walk draw on the one
+    budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -570,26 +534,23 @@ def solve_gss_avg(
                 f"nonzero lattice vector of sup norm {gres.value} within the guard"
             )
         spent = gres.ball_count
-    try:
-        ball = enum_ball(BallQuery(lat, params.target, (n + 1) * d * d),
-                         budget=budget - spent)
-    except BudgetExceeded:
-        if not spent:
-            raise
-        raise BudgetExceeded(f"search lists more than {budget} points",
-                             partial=budget) from None
-    _tally(stats, "ball_points", ball.count)
-    for v in ball.points:
-        if any(abs(a - t) > d for a, t in zip(v, params.target)):
-            continue
-        c = v[1:]
-        if cset == "punctured" and any(vi == 0 for vi in c):
-            continue
-        _check(v[0] == params.alpha * tau,
-               "ball point does not decode to the target sum")
-        _check(verify_solution(inst, c, "gss"), "gss witness")
-        return Verdict.solved(c)
-    return Verdict.no_solution("no lattice point near the target decodes")
+    best = None
+
+    def keep(v) -> int:
+        nonlocal best
+        if (cset == "interval" or all(v[1:])) and (best is None or v < best):
+            best = v
+        return d
+
+    count = _walk(_Target.of(lat, params.target), keep, budget, spent, d)
+    _tally(stats, "ball_points", count)
+    if best is None:
+        return Verdict.no_solution("no lattice point near the target decodes")
+    _check(best[0] == params.alpha * tau,
+           "ball point does not decode to the target sum")
+    c = best[1:]
+    _check(verify_solution(inst, c, "gss"), "gss witness")
+    return Verdict.solved(c)
 
 
 # ---------------------------------------------------------------------------

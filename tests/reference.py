@@ -10,8 +10,7 @@ from fractions import Fraction
 from math import floor
 from typing import Tuple
 
-from sbl.core import BudgetExceeded
-from sbl.enumeration import PreparedLattice, _nearest, _scaled, _sup_limit
+from sbl.enumeration import PreparedLattice, _scaled
 from sbl.lattice import LatticeBasis
 from sbl.reduction import gram_schmidt
 
@@ -33,15 +32,20 @@ def nearest_plane(lat: PreparedLattice, target) -> Tuple[int, ...]:
     return lat._round(den, lat._frame(scaled))
 
 
-def min_sup_to(points, center, bound_sq: Fraction):
+def min_sup_to(points, center, bound_sq: Fraction, nonzero: bool = False):
     """Smallest sup distance to the center among points within
-    sqrt(bound_sq) of it, as an exact fraction, with the lexicographically
-    least witness; None when no point qualifies."""
-    den, cs = _scaled(center)
-    best = _nearest(points, den, cs, _sup_limit(bound_sq, den))
-    if best is None:
-        return None
-    return Fraction(best[0], den), best[1]
+    sqrt(bound_sq) of it (nonzero ones only, when asked), as an exact
+    fraction, with the lexicographically least witness; None when no point
+    qualifies."""
+    center = [Fraction(c) for c in center]
+    best = None
+    for p in points:
+        if nonzero and not any(p):
+            continue
+        dist = max(abs(a - c) for a, c in zip(p, center))
+        if dist * dist <= bound_sq and (best is None or (dist, p) < best):
+            best = (dist, p)
+    return best
 
 
 def star_vectors(lat: PreparedLattice):
@@ -56,15 +60,14 @@ def star_vectors(lat: PreparedLattice):
     return gso, stars
 
 
-def holder_walk(lat: PreparedLattice, center, bound_sq,
-                budget: int = 10**7):
-    """The sorted points a sup-ball walk lists, in Fractions: every
-    lattice point v of the Euclidean ball |v - center|_2^2 <= m * bound_sq
-    whose every node at level k >= 2 keeps |u|_2^2 <= R |u|_1, u =
-    pi_k(v - center), R^2 = bound_sq; tested as |u|_2^4 <= R^2 |u|_1^2.
-    Levels run from the last row down, as the walk's do.  Raises
-    BudgetExceeded as a single ball does when it holds more than budget
-    points."""
+def holder_walk(lat: PreparedLattice, center, bound_sq):
+    """The sorted points of a Hölder-pruned walk of the sup ball of radius
+    R, R^2 = bound_sq, in Fractions: every lattice point v of the
+    Euclidean ball |v - center|_2^2 <= m * bound_sq whose every node at
+    level k >= 2 keeps |u|_2^2 <= R |u|_1, u = pi_k(v - center); tested as
+    |u|_2^4 <= R^2 |u|_1^2.  Levels run from the last row down.  A
+    superset of the sup ball: filtered to it, these are exactly the
+    points a sup walk at that radius visits."""
     rows = lat.rows
     m, rank = lat.dim, lat.rank
     bound_sq = Fraction(bound_sq)
@@ -102,8 +105,4 @@ def holder_walk(lat: PreparedLattice, center, bound_sq,
     rem = m * bound_sq - perp
     if rem >= 0:
         descend(rank - 1, rem, [Fraction(0)] * m)
-    # the walk raises as it lists a point past the budget
-    if len(out) > max(budget, 0):
-        raise BudgetExceeded(f"ball holds more than {budget} points",
-                             partial=budget)
     return sorted(out)

@@ -27,12 +27,13 @@ from sbl.core import (
     mat_solve,
 )
 from sbl.enumeration import (
-    _ball,
     _cvp_core,
     _cvp_target,
-    _min_sup_nonzero,
     _pd_lower_bound,
-    _prune,
+    _perp,
+    _sup_search,
+    _Target,
+    _top_test,
     _walk,
     BallQuery,
     CvpResult,
@@ -285,12 +286,15 @@ def test_min_sup_to_breaks_ties_toward_the_least_point():
     assert (dist, witness) == (Fraction(2, 3), (0, 1))
 
 
-def test_min_sup_nonzero_skips_zero_and_breaks_ties():
-    points = [(1, -1), (0, 0), (-1, 1), (-1, -1), (2, 0)]
-    for order in (points, points[::-1]):
-        assert _min_sup_nonzero(order, Fraction(1)) == (1, (-1, -1))
-    assert _min_sup_nonzero(points, Fraction(99, 100)) is None
-    assert _min_sup_nonzero([(0, 0), (2, 0)], Fraction(4)) == (2, (2, 0))
+def test_sup_search_skips_zero_and_keeps_ties():
+    """Around 0 on Z^2 the eight points of sup norm 1 tie; the search
+    keeps the lexicographically least, and visits the whole sup ball, as
+    ties stay in when the limit drops to the best norm."""
+    lat = prepare(_basis((1, 0), (0, 1)))
+    t = _Target(lat, 1, (0, 0), [0, 0])
+    assert _sup_search(t, 1, 10**6, nonzero=True) == ((1, (-1, -1)), 9)
+    assert _sup_search(t, 1, 10**6)[0] == (0, (0, 0))
+    assert _sup_search(t, 0, 10**6, nonzero=True) == (None, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +414,6 @@ def test_svp_inf_skewed():
     res = svp_inf(_basis((5, 0), (2, 3)))
     assert res.value == 3
     assert res.witness == (-3, 3)
-    assert res.start_radius_sq is not None
-    assert res.start_radius_sq <= res.value ** 2
 
 
 def test_svp_inf_cap():
@@ -611,23 +613,40 @@ def test_capped_searches_equal_one_ball_at_the_cap(query):
                                                                 cap)
 
 
-def _babai_first(lat, target, cap, budget):
-    """The capped search rounding with Babai before it looks at the cap
-    ball: a target on the lattice lists no ball, a cap at or below
-    Babai's distance lists the one sup ball at the cap (the reference
-    walk's points), and a cap above it grows from below like the uncapped
-    search."""
-    t = _cvp_target(lat, target)
-    v0, g0 = t.babai()
-    if g0 == 0:
-        return CvpResult(True, Fraction(0), v0, 0)
-    if Fraction(g0, t.den) < cap:
-        return _cvp_core(t, None, budget)
-    pts = holder_walk(lat, target, cap * cap, budget)
-    best = min_sup_to(pts, target, cap * cap)
-    if best is None:
-        return CvpResult(False, None, None, len(pts))
-    return CvpResult(True, best[0], best[1], len(pts))
+def _sup_ball(lat, target, bound):
+    """The points of the sup ball of radius bound around the target: the
+    Fraction reference walk's listing, filtered exactly, sorted."""
+    return sorted(p for p in holder_walk(lat, target, bound * bound)
+                  if _sup_to(p, target) <= bound)
+
+
+@given(_capped_queries())
+@settings(max_examples=150, deadline=None)
+def test_searches_return_the_reference_minimum(query):
+    """svp_inf and cvp_inf, capped and uncapped, on full-rank and
+    rank-deficient lattices, give the least sup norm or distance and the
+    lexicographically least witness over the reference walk's points
+    within the cap, or within a bound known to hold a point (a reduced
+    row's sup norm, Babai's distance)."""
+    lat, target, cap = query
+    zero = (0,) * lat.dim
+    u = min(linf(row) for row in lat.rows)
+    d0 = _sup_to(nearest_plane(lat, target), target)
+    int_cap = int(cap)
+
+    def outcome(want):
+        return (False, None, None) if want is None else (True,) + want
+
+    for bound, res in ((min(int_cap, u), svp_inf(lat, cap=int_cap)),
+                       (u, svp_inf(lat))):
+        want = min_sup_to(holder_walk(lat, zero, bound * bound), zero,
+                          bound * bound, nonzero=True)
+        assert (res.found, res.value, res.witness) == outcome(want)
+    for bound, res in ((min(cap, d0), cvp_inf(lat, target, cap=cap)),
+                       (d0, cvp_inf(lat, target))):
+        want = min_sup_to(holder_walk(lat, target, bound * bound), target,
+                          bound * bound)
+        assert (res.found, res.dist, res.witness) == outcome(want)
 
 
 def _outcome(search, budget):
@@ -637,61 +656,89 @@ def _outcome(search, budget):
         return str(e), e.partial
 
 
+@st.composite
+def _sup_walks(draw):
+    """_capped_queries' lattices and targets with an integer sup limit on
+    the target's denominator."""
+    lat, target, _ = draw(_capped_queries())
+    return lat, target, draw(st.integers(0, 12))
+
+
+@given(_sup_walks())
+@settings(max_examples=150, deadline=None)
+def test_pruned_sup_walk_equals_the_reference_walk(query):
+    """A sup walk whose visitor keeps its limit visits every lattice point
+    within lim / den of the center once and nothing else: the reference
+    walk's points filtered to the sup ball, and those of the unpruned
+    Euclidean ball around it.  It overruns a budget one point short, with
+    the whole budget as its partial count, and names the search when
+    earlier work spent part of the budget."""
+    lat, target, lim = query
+    t = _cvp_target(lat, target)
+    bound = Fraction(lim, t.den)
+    seen = []
+
+    def keep(p):
+        seen.append(p)
+        return lim
+
+    count = _walk(t, keep, 10**7, lim=lim)
+    assert count == len(seen) == len(set(seen))
+    assert sorted(seen) == _sup_ball(lat, target, bound)
+    full = enum_ball(BallQuery(lat, target, bound * bound * lat.dim)).points
+    assert sorted(seen) == [v for v in full if _sup_to(v, target) <= bound]
+    if count:
+        walk = lambda budget, spent=0: _walk(t, keep, budget, spent, lim)
+        assert _outcome(walk, count - 1) == (
+            f"ball holds more than {count - 1} points", count - 1)
+        assert _outcome(lambda b: walk(b, 1), count) == (
+            f"search lists more than {count} points", count)
+        assert walk(count + 1, 1) == count
+
+
 @given(_capped_queries())
 @settings(max_examples=150, deadline=None)
 def test_capped_core_rejects_an_empty_cap_ball_before_babai(query):
-    """The core tests the cap ball's top level before it rounds: the same
-    result as rounding first, and the same overruns at tight budgets."""
+    """The core makes the walk's top-level range test at the cap before
+    it rounds: when that level is empty it rejects with no point visited
+    and no Babai rounding, and the sup ball at the cap is indeed empty."""
     lat, target, cap = query
-    core = lambda budget: _cvp_core(_cvp_target(lat, target), cap, budget)
-    ref = lambda budget: _babai_first(lat, target, cap, budget)
-    want = ref(10**7)
-    assert core(10**7) == want
-    for budget in (want.ball_count - 1, 0):
-        assert _outcome(core, budget) == _outcome(ref, budget)
-    int_cap = int(cap)
-    got = svp_inf(lat, cap=int_cap)
-    assert (got.found, got.value, got.witness) == _one_ball_svp(lat, int_cap)
+    t = _cvp_target(lat, target)
+    lim = cap.numerator * t.den // cap.denominator
+    res = _cvp_core(t, cap, 10**7)
+    if _top_test(lat, t.den, lim, _perp(t))(t.frame):
+        assert res == CvpResult(False, None, None, 0)
+        assert t._babai is None
+        assert _sup_ball(lat, target, cap) == []
+    else:
+        assert t._babai is not None
 
 
 def _grown_instance():
-    """The embedding lattice of eight values below 2^16, where the capped
-    searches grow through several balls before they hit."""
+    """The embedding lattice of eight values below 2^16, whose sup minimum
+    3 lies well below the cap 4 of its balancing search."""
     x = (52805, 51454, 4763, 7741, 51238, 37318, 20430, 61840)
     lat = prepare(embedding_basis(x, choose_params(x, 4, 0, "sbp")))
     return lat, x
 
 
-def test_capped_searches_grow_from_below():
+def test_capped_searches_visit_only_their_sup_ball():
+    """A search walks once, at its cap or below it at a free bound (a
+    reduced row's sup norm), and visits only points of that sup ball: a
+    fraction of what the Euclidean ball at the cap holds."""
     lat, _ = _grown_instance()
     svp = svp_inf(lat, cap=4)
     assert svp.found and svp.value == 3
     zero = (0,) * lat.dim
+    u = min(linf(row) for row in lat.rows)
+    assert 1 <= svp.ball_count <= len(_sup_ball(lat, zero, min(4, u)))
     one_ball = enum_ball(BallQuery(lat, zero, 4 * 4 * lat.dim))
     assert svp.ball_count * 5 < one_ball.count
 
 
-def test_capped_searches_at_their_upper_bound_list_one_ball():
-    """Growth would end at the ball at the cap, so a cap equal to the free
-    upper bound (a reduced row's sup norm, Babai's distance) lists only
-    that ball."""
-    lat, _ = _grown_instance()
-    m = lat.dim
-    zero = (0,) * m
-    u = min(linf(row) for row in lat.rows)
-    svp = svp_inf(lat, cap=u)
-    assert svp.found and svp.start_radius_sq is None
-    assert svp.ball_count == len(holder_walk(lat, zero, u * u))
-    target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
-    d0 = max(abs(a - c) for a, c in zip(nearest_plane(lat, target), target))
-    cvp = cvp_inf(lat, target, cap=d0)
-    assert cvp.found
-    assert cvp.ball_count == len(holder_walk(lat, target, d0 * d0))
-    # a cap above the bound grows instead, from below
-    assert svp_inf(lat, cap=u + 1).start_radius_sq < u * u
-
-
-def test_every_ball_of_a_search_draws_on_one_budget():
+def test_a_search_draws_on_its_budget():
+    """The points a search visits fit a budget of that count exactly; one
+    point less overruns its one walk."""
     lat, _ = _grown_instance()
     target = (Fraction(7, 2),) + (Fraction(1, 3),) * (lat.dim - 1)
     searches = (
@@ -704,15 +751,9 @@ def test_every_ball_of_a_search_draws_on_one_budget():
         res = search(10**7)
         assert res.found and res.ball_count > 1
         assert search(res.ball_count) == res
-        with pytest.raises(BudgetExceeded) as info:
-            search(res.ball_count - 1)
-        assert info.value.partial == res.ball_count - 1
-        # earlier balls spent part of the budget, so the message names
-        # the search; an overrun in the first ball names the ball
-        assert str(info.value) == (
-            f"search lists more than {res.ball_count - 1} points")
-        with pytest.raises(BudgetExceeded, match="^ball holds more than 0 "):
-            search(0)
+        assert _outcome(search, res.ball_count - 1) == (
+            f"ball holds more than {res.ball_count - 1} points",
+            res.ball_count - 1)
 
 
 def test_cvp_inf_on_the_lattice_lists_no_ball():
@@ -722,39 +763,6 @@ def test_cvp_inf_on_the_lattice_lists_no_ball():
         res = cvp_inf(lat, v, cap=cap)
         assert (res.found, res.dist, res.witness, res.ball_count) == (
             True, 0, v, 0)
-
-
-# ---------------------------------------------------------------------------
-# the Hölder-pruned sup-ball walk
-# ---------------------------------------------------------------------------
-
-@st.composite
-def _sup_walks(draw):
-    """_capped_queries' lattices and targets with the squared sup bound of
-    the cap, or any small rational one, as a growing search draws."""
-    lat, target, cap = draw(_capped_queries())
-    if draw(st.booleans()):
-        return lat, target, cap * cap
-    return lat, target, Fraction(draw(st.integers(0, 40)),
-                                 draw(st.sampled_from((1, 2, 3, 7, 9))))
-
-
-@given(_sup_walks())
-@settings(max_examples=150, deadline=None)
-def test_pruned_sup_walk_equals_the_reference_walk(query):
-    """The integer walk of a sup ball lists exactly the points of the
-    Fraction reference walk with the Hölder test, and among them every
-    point of the Euclidean ball within the exact sup bound."""
-    lat, target, bound_sq = query
-    t = _cvp_target(lat, target)
-    p, q = bound_sq.numerator, bound_sq.denominator
-    ball = _ball(t, p * lat.dim, q)
-    got = [] if ball is None else _walk(t, ball, 10**7, 0,
-                                        _prune(lat, t.den, p, q))
-    assert got == holder_walk(lat, target, bound_sq)
-    full = enum_ball(BallQuery(lat, target, bound_sq * lat.dim)).points
-    assert set(got) <= set(full)
-    assert {v for v in full if _sup_to(v, target) ** 2 <= bound_sq} <= set(got)
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +816,8 @@ def test_stars_are_the_scaled_gram_schmidt_vectors(case):
 
 def test_walk_plans_follow_the_center_denominator():
     """A search sets up the walk's scale tables once for its center's
-    denominator: growth balls with other radius denominators reuse them,
-    and a new denominator replaces them."""
+    denominator: a search with a cap of another denominator reuses them,
+    and a new center denominator replaces them."""
     lat, _ = _grown_instance()
     m = lat.dim
     target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
@@ -845,18 +853,20 @@ def _fraction_builds(fn):
 def test_capped_core_builds_a_fraction_only_for_its_answer():
     """The sign-pattern targets of a punctured gss instance at d = 5,
     capped at the decision radius 2: a search that finds nothing builds
-    no Fraction, walk and filter included."""
+    no Fraction, Babai rounding and the walk included, and visits no
+    point."""
     x, tau, d = (35, 734441, 23, 15, 28, 5), -96, 5
     params = choose_params(x, d, tau, "gss_worst")
     lat = prepare(embedding_basis(x, params))
     cap = Fraction(d - 1, 2)
-    listed = 0
+    walked = 0
     for signs in product((-1, 1), repeat=len(x)):
         target, _ = sign_pattern_target(tau, params.alpha, d, signs)
         t = _cvp_target(lat, target)
         res, builds = _fraction_builds(lambda: _cvp_core(t, cap, 10**6))
         assert res == cvp_inf(lat, target, cap=cap)
         if not res.found:
-            listed += res.ball_count
-            assert builds == 0
-    assert listed > 0
+            assert builds == 0 and res.ball_count == 0
+            # past the top-level test, so rounded and walked
+            walked += t._babai is not None
+    assert walked > 0

@@ -7,8 +7,8 @@ zero and nonzero, with and without m_bound, at n = 1, with a zero weight
 and at a bound meeting the LLL threshold, under every --mode and every
 --engine, plus --nonzero and an exhausted --budget.  A second set runs the
 punctured sign-pattern sweep (n in {5, 6}, d from 2 to 5, weights below
-2^20, rejections and solved cases, one of them under a --budget it now
-fits and under one it exhausts).  It also freezes the
+2^20, rejections and solved cases, a rejection under budgets it fits
+and a solved case under one it exhausts).  It also freezes the
 `bench` CSV (wall-clock column dropped) of the built-in suites and the
 `probe` JSON of each solver choice.  A refactor that keeps this test
 passing keeps every verdict byte.
@@ -186,12 +186,16 @@ def cases():
         out.append((name, ["solve", INSTANCE], serialize_instance(inst)))
     last = serialize_instance(SWEEPS[-1][1])
     out.append(("sweep-mode-sbp", ["solve", INSTANCE, "--mode", "sbp"], last))
-    # the pruned sup-ball walks list at most 30 points here now, so the
-    # first record answers; the second keeps the exit-4 path covered
+    # a rejected sweep visits no point, so these two records answer; the
+    # third, a solved sweep whose accepting walk visits 17 points, keeps
+    # the exit-4 path covered
     out.append(("sweep-budget-exhausted",
                 ["solve", INSTANCE, "--budget", "30"], last))
     out.append(("sweep-budget-exhausted-10",
                 ["solve", INSTANCE, "--budget", "10"], last))
+    out.append(("sweep-solved-budget-exhausted-10",
+                ["solve", INSTANCE, "--budget", "10"],
+                serialize_instance(SWEEPS[-2][1])))
     for name, suite, seed in BENCHES:
         out.append((name, ["bench", "--suite", suite, "--seed", str(seed)],
                     None))

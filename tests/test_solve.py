@@ -8,7 +8,6 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,17 +36,17 @@ from sbl.lattice import (
     sign_pattern_target,
 )
 from sbl.enumeration import (
-    _ball,
     _cvp_target,
+    _perp,
+    _top_test,
     BallQuery,
     PreparedLattice,
-    cvp_inf,
     enum_ball,
     prepare,
+    cvp_inf,
 )
 from sbl.experiment import trial_stream
 from sbl.solve import (
-    _cap_ball,
     ApproxCvpOracle,
     GapConfigError,
     HALF_INTEGER,
@@ -66,7 +65,7 @@ from sbl.solve import (
     solve_sbp_lll,
 )
 
-from reference import holder_walk
+from reference import gs_coords
 
 
 def _z2():
@@ -148,9 +147,10 @@ _FLAT_GSS = (2, 0, -1, -2, -2, 1, -1, 2)
                                          stats=stats), _FLAT_GSS),
 ], ids=["sbp", "gss_interval"])
 def test_ball_points_stay_flat_in_d(solve, witness):
-    """The searches grow from below and stop at the answer, so raising the
-    cap d from 3 to 12 must not raise the work; the single ball at the cap
-    listed 401 and 7,693,655 points for solve_sbp at d = 3 and 12."""
+    """The searches walk once, at the cap or below it at a free bound,
+    and lower their limit to the answer, so raising the cap d from 3 to
+    12 must not raise the work above a few points; the single ball at the
+    cap listed 401 and 7,693,655 points for solve_sbp at d = 3 and 12."""
     counts = {}
     for d in (3, 4, 6, 8, 12):
         stats = {}
@@ -159,7 +159,7 @@ def test_ball_points_stay_flat_in_d(solve, witness):
         if d <= 6:
             assert v.witness == witness
         counts[d] = stats["ball_points"]
-    assert all(c <= 2 * counts[3] for c in counts.values()), counts
+    assert all(c <= 16 for c in counts.values()), counts
 
 
 def test_pruned_walk_lists_fewer_points_at_n10():
@@ -512,61 +512,28 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
 
 
 # two no-solution instances with 64 sign patterns and the points their
-# cap balls hold
+# Euclidean cap balls hold
 _REJECTED_SWEEPS = [
     ((817970, 32519, 863577, 907572, 282520, 495714), 52, 3, 0),
     ((35, 734441, 23, 15, 28, 5), -96, 5, 1155),
 ]
 
 
-def _swept_points(x, tau, d, points):
-    """The points the sweep lists: per sign pattern, the reference walk of
-    the sup ball at the cap, after checking that the patterns' Euclidean
-    cap balls hold the given points in all."""
-    params = choose_params(x, d, tau, "gss_worst")
-    lat = prepare(embedding_basis(x, params))
-    cap = Fraction(d - 1, 2)
-    held = listed = 0
-    for signs in product((-1, 1), repeat=len(x)):
-        target, _ = sign_pattern_target(tau, params.alpha, d, signs)
-        held += enum_ball(BallQuery(lat, target, cap * cap * lat.dim)).count
-        listed += len(holder_walk(lat, target, cap * cap))
-    assert held == points
-    return listed
-
-
-@pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
-def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
-                                                         tau, d, points):
-    """A pattern whose cap ball has an empty top level is rejected before
-    Babai rounding; the patterns tried and the points listed are those of
-    a sweep that rounds every pattern and walks every sup ball at the
-    cap."""
-    want = {"patterns_tried": 2 ** len(x),
-            "ball_points": _swept_points(x, tau, d, points)}
-    rounds = []
-    round_ = PreparedLattice._round
-
-    def counted(self, den, frame):
-        rounds.append(1)
-        return round_(self, den, frame)
-
-    monkeypatch.setattr(PreparedLattice, "_round", counted)
-    stats = {}
-    v = solve_gss_punctured(x, tau, d, stats=stats)
-    assert v.status == "no_solution"
-    assert stats == want
-    assert len(rounds) < stats["patterns_tried"]
-
-
 @pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
 def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
                                                 points):
-    """A rejected pattern never rounds with Babai, and the solve sets up
-    the walk for one ball, the ball at the cap, which every pattern
-    shares."""
-    want = {"patterns_tried": 2 ** len(x),
-            "ball_points": _swept_points(x, tau, d, points)}
+    """The sweep's walks visit only points within the cap, so a rejected
+    pattern costs no point, though the patterns' Euclidean cap balls hold
+    points, and no pattern rounds with Babai."""
+    params = choose_params(x, d, tau, "gss_worst")
+    lat = prepare(embedding_basis(x, params))
+    cap = Fraction(d - 1, 2)
+    held = sum(
+        enum_ball(BallQuery(lat, sign_pattern_target(tau, params.alpha, d,
+                                                     signs)[0],
+                            cap * cap * lat.dim)).count
+        for signs in product((-1, 1), repeat=len(x)))
+    assert held == points
     rounds = []
     round_ = PreparedLattice._round
 
@@ -575,24 +542,23 @@ def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
         return round_(self, den, frame)
 
     monkeypatch.setattr(PreparedLattice, "_round", counted)
-    setups = _count_calls(monkeypatch, sbl.enumeration._setup)
-    balls = _count_calls(monkeypatch, sbl.enumeration._ball)
+    walks = _count_calls(monkeypatch, sbl.enumeration._walk)
     stats = {}
     v = solve_gss_punctured(x, tau, d, stats=stats)
     assert v.status == "no_solution"
-    assert stats == want
+    assert stats == {"patterns_tried": 2 ** len(x), "ball_points": 0}
     assert len(rounds) == 0
-    assert len(setups) <= 1 and len(balls) == 0
+    # some patterns pass the top-level test, and their walks visit none
+    assert len(walks) > 0
 
 
-def _reference_sweep(xs, tau, d, budget, stats):
+def _reference_sweep(xs, tau, d, stats):
     """The sign-pattern loop spelled out with the public gap machinery:
     one capped oracle, one target and one gap decision per pattern."""
     params = choose_params(xs, d, tau, "gss_worst")
     lat = prepare(embedding_basis(xs, params))
     grid = INTEGER if d % 2 == 1 else HALF_INTEGER
-    oracle = capped_cvp_oracle(Fraction(d - 1, 2), budget=budget,
-                               stats=stats)
+    oracle = capped_cvp_oracle(Fraction(d - 1, 2), stats=stats)
     for signs in product((-1, 1), repeat=len(xs)):
         target, r = sign_pattern_target(tau, params.alpha, d, signs)
         gv = gap_decide(oracle, lat, target, r, grid)
@@ -634,11 +600,22 @@ def _punctured_cases(draw):
 @given(_punctured_cases())
 @settings(max_examples=150, deadline=None)
 def test_gss_punctured_matches_the_gap_decision_loop(case):
+    """The sweep gives the verdict of the gap-decision loop after trying
+    the same patterns.  Its walks visit points only on the accepting
+    pattern, so its one budget overruns exactly when that walk visits
+    more points than the budget holds, naming the one walk."""
     xs, tau, d, budget = case
     got_stats, want_stats = {}, {}
-    got = _outcome(lambda: solve_gss_punctured(xs, tau, d, budget, got_stats))
-    want = _outcome(lambda: _reference_sweep(xs, tau, d, budget, want_stats))
-    assert got == want and got_stats == want_stats
+    want = _reference_sweep(xs, tau, d, want_stats)
+    full = solve_gss_punctured(xs, tau, d, stats=got_stats)
+    assert full == want
+    assert got_stats["patterns_tried"] == want_stats["patterns_tried"]
+    points = got_stats["ball_points"]
+    assert (points > 0) == (want.status == "solved")
+    got = _outcome(lambda: solve_gss_punctured(xs, tau, d, budget))
+    assert got == (full if points <= budget else
+                   ("budget", f"ball holds more than {budget} points",
+                    budget))
 
 
 @st.composite
@@ -654,25 +631,30 @@ def _sign_pattern_lattices(draw):
 @given(_sign_pattern_lattices())
 @settings(max_examples=60, deadline=None)
 def test_shared_cap_ball_matches_each_patterns_ball(case):
-    """For every sign pattern the shared top-level test agrees with _ball
-    on that pattern's center, and a ball _ball sets up is the shared
-    one."""
+    """The top-level test a sweep sets up once rejects a sign pattern
+    exactly when no coefficient of the top level fits the Euclidean ball
+    around the sup ball at the cap, worked out in Fractions for that
+    pattern's own center; a pattern it rejects has no point within the
+    cap."""
     xs, tau, d = case
     n = len(xs)
     params = choose_params(xs, d, tau, "gss_worst")
     lat = prepare(embedding_basis(xs, params))
     cap = Fraction(d - 1, 2)
-    target, _ = sign_pattern_target(tau, params.alpha, d, (1,) * n)
-    den = lcm(*(Fraction(c).denominator for c in target))
-    ball, empty = _cap_ball(lat, den, cap)
-    r_num, r_den = cap.numerator ** 2 * lat.dim, cap.denominator ** 2
+    den = 1 if d % 2 else 2
+    lim = cap.numerator * den // cap.denominator
+    empty = _top_test(lat, den, lim)
+    dets = lat.gram_det
+    top_sq = Fraction(dets[-1], dets[-2])
     for signs in product((-1, 1), repeat=n):
         target, _ = sign_pattern_target(tau, params.alpha, d, signs)
         t = _cvp_target(lat, target)
-        assert t.den == den
-        own = _ball(t, r_num, r_den)
-        assert empty(t.frame) == (own is None)
-        assert own is None or own == ball
+        assert t.den == den and _perp(t) == 0
+        e = gs_coords(lat, target)[-1]
+        fits = (round(e) - e) ** 2 * top_sq <= lat.dim * cap * cap
+        assert empty(t.frame) == (not fits)
+        if not fits:
+            assert not cvp_inf(lat, target, cap=cap).found
 
 
 # ---------------------------------------------------------------------------
@@ -688,16 +670,19 @@ def test_gss_avg_worked_instance():
 
 def test_gss_avg_guard_and_ball_share_one_budget():
     """The n = 8 row of the avg-small bench suite at seed 20240: the guard
-    search lists 1 point and the ball 18, so 19 points in all."""
+    search visits 1 point (0) and the walk of the sup ball 1, the
+    witness, so 2 points in all."""
     rng = trial_stream(20240, 2)
     x = tuple(rng.below(4 ** 8) for _ in range(8))
     stats = {}
-    v = solve_gss_avg(x, 5, 2, 4 ** 8, budget=19, stats=stats)
-    assert v.status == "solved" and stats["ball_points"] == 19
+    v = solve_gss_avg(x, 5, 2, 4 ** 8, budget=2, stats=stats)
+    assert v.status == "solved" and stats["ball_points"] == 2
     with pytest.raises(BudgetExceeded) as info:
-        solve_gss_avg(x, 5, 2, 4 ** 8, budget=18)
-    assert str(info.value) == "search lists more than 18 points"
-    assert info.value.partial == 18
+        solve_gss_avg(x, 5, 2, 4 ** 8, budget=1)
+    assert str(info.value) == "search lists more than 1 points"
+    assert info.value.partial == 1
+    with pytest.raises(BudgetExceeded, match="^ball holds more than 0 "):
+        solve_gss_avg(x, 5, 2, 4 ** 8, budget=0)
 
 
 def test_gss_avg_guard_abort():
@@ -746,6 +731,27 @@ def test_gss_avg_solutions_verify(x, tau, d):
             Instance(xs, Interval(-d, d), tau=tau), "gss"
         )
         assert want.status == "no_solution"
+
+
+@given(st.lists(st.integers(1, 30), min_size=2, max_size=4),
+       st.integers(-8, 8), st.integers(1, 2),
+       st.sampled_from(("interval", "punctured")))
+@settings(max_examples=40, deadline=None)
+def test_gss_avg_witness_is_the_least_decodable_point(x, tau, d, cset):
+    """The walk's visitor keeps the lexicographically least point within
+    sup distance d of the target that decodes: the first one of the
+    sorted listing of the Euclidean ball around that sup ball."""
+    xs = tuple(x)
+    n = len(xs)
+    v = solve_gss_avg(xs, tau, d, 4 ** n, cset)
+    assume(v.status != "guard_abort")
+    params = choose_params(xs, d, tau, "gss_avg", m_bound=4 ** n)
+    lat = prepare(embedding_basis(xs, params))
+    listing = enum_ball(BallQuery(lat, params.target, (n + 1) * d * d))
+    want = next((p[1:] for p in listing.points
+                 if max(abs(a - b) for a, b in zip(p, params.target)) <= d
+                 and (cset == "interval" or all(p[1:]))), None)
+    assert v.witness == want
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +834,7 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
     import sbl.lattice
     import sbl.oracle
     import sbl.solve
-    from sbl.core import Box, Instance, InternalError, Interval
+    from sbl.core import Ellipsoid, Instance, InternalError, Interval
     from sbl.lattice import LatticeBasis
 
     if __debug__:
@@ -838,6 +844,7 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
         return False
 
     lat = LatticeBasis(((5, 0), (2, 3)), 2)
+    ellipse = Ellipsoid(((Fraction(1, 4), 0), (0, 1)))
     inst = Instance((2, 3), Interval(0, 2), tau=7)
     # (module, global, a stand-in that breaks the check, a call reaching it)
     cases = [
@@ -851,10 +858,12 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
          lambda: sbl.solve.solve_gss_punctured((2, 3), 1, 1)),
         (sbl.solve, "verify_solution", reject,
          lambda: sbl.solve.solve_gss_avg((7, 9), 2, 2, 16)),
-        (sbl.enumeration, "_min_sup_nonzero", lambda *a: (0, (1, 0)),
+        (sbl.enumeration, "_walk", lambda *a, **k: 0,
          lambda: sbl.enumeration.svp_inf(lat)),
+        (sbl.enumeration, "_walk", lambda *a, **k: 0,
+         lambda: sbl.enumeration.cvp_inf(lat, (Fraction(1, 3), 0))),
         (sbl.enumeration, "gauge_sq", lambda *a: Fraction(0),
-         lambda: sbl.enumeration.svp_gauge(lat, Box(1))),
+         lambda: sbl.enumeration.svp_gauge(lat, ellipse)),
         (sbl.lattice, "dot", lambda *a: 1,
          lambda: sbl.lattice.kernel_basis((3, 5, 8))),
         (sbl.lattice, "max", min,
@@ -887,7 +896,7 @@ def test_self_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["internal-error"] * 11
+    assert proc.stdout.split() == ["internal-error"] * 12
 
 
 def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path,

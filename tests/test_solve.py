@@ -65,7 +65,7 @@ from sbl.solve import (
     solve_sbp_lll,
 )
 
-from reference import gs_coords
+from reference import gs_coords, holder_walk
 
 
 def _z2():
@@ -519,21 +519,25 @@ _REJECTED_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
-def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
-                                                points):
-    """The sweep's walks visit only points within the cap, so a rejected
-    pattern costs no point, though the patterns' Euclidean cap balls hold
-    points, and no pattern rounds with Babai."""
+def _swept_points(x, tau, d, points):
+    """The points the sweep visits: per sign pattern, the reference walk of
+    the sup ball at the cap filtered to that ball, after checking that the
+    patterns' Euclidean cap balls hold the given points in all."""
     params = choose_params(x, d, tau, "gss_worst")
     lat = prepare(embedding_basis(x, params))
     cap = Fraction(d - 1, 2)
-    held = sum(
-        enum_ball(BallQuery(lat, sign_pattern_target(tau, params.alpha, d,
-                                                     signs)[0],
-                            cap * cap * lat.dim)).count
-        for signs in product((-1, 1), repeat=len(x)))
+    held = visited = 0
+    for signs in product((-1, 1), repeat=len(x)):
+        target, _ = sign_pattern_target(tau, params.alpha, d, signs)
+        held += enum_ball(BallQuery(lat, target, cap * cap * lat.dim)).count
+        visited += sum(
+            1 for p in holder_walk(lat, target, cap * cap)
+            if max(abs(a - c) for a, c in zip(p, target)) <= cap)
     assert held == points
+    return visited
+
+
+def _counted_rounds(monkeypatch):
     rounds = []
     round_ = PreparedLattice._round
 
@@ -542,6 +546,33 @@ def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
         return round_(self, den, frame)
 
     monkeypatch.setattr(PreparedLattice, "_round", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
+def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
+                                                         tau, d, points):
+    """The patterns tried and the points visited are those of a sweep that
+    walks every pattern's sup ball at the cap, and fewer targets are
+    rounded with Babai than patterns are tried."""
+    want = {"patterns_tried": 2 ** len(x),
+            "ball_points": _swept_points(x, tau, d, points)}
+    rounds = _counted_rounds(monkeypatch)
+    stats = {}
+    v = solve_gss_punctured(x, tau, d, stats=stats)
+    assert v.status == "no_solution"
+    assert stats == want
+    assert len(rounds) < stats["patterns_tried"]
+
+
+@pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
+def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
+                                                points):
+    """The sweep's walks visit only points within the cap, so a rejected
+    pattern costs no point, though the patterns' Euclidean cap balls hold
+    points, and no pattern rounds with Babai."""
+    assert _swept_points(x, tau, d, points) == 0
+    rounds = _counted_rounds(monkeypatch)
     walks = _count_calls(monkeypatch, sbl.enumeration._walk)
     stats = {}
     v = solve_gss_punctured(x, tau, d, stats=stats)

@@ -8,7 +8,10 @@ and at a bound meeting the LLL threshold, under every --mode and every
 --engine, plus --nonzero and an exhausted --budget.  A second set runs the
 punctured sign-pattern sweep (n in {5, 6}, d from 2 to 5, weights below
 2^20, rejections and solved cases, a rejection under budgets it fits
-and a solved case under one it exhausts).  It also freezes the
+and a solved case under one it exhausts).  A third set runs balancing
+(--mode sbp) on the diagonal ellipsoids of perfbench's ball-dense cell
+(n = 6, weights below 100, semi-axes 2 and 3) and on a tighter body with
+semi-axes 1 and 2, solved and no_solution.  It also freezes the
 `bench` CSV (wall-clock column dropped) of the built-in suites and the
 `probe` JSON of each solver choice.  A refactor that keeps this test
 passing keeps every verdict byte.
@@ -146,6 +149,34 @@ SWEEPS = (
      Instance((35, 734441, 23, 15, 28, 5), Punctured(5), tau=-96)),
 )
 
+
+def _axes(n: int, a: int, b: int) -> Ellipsoid:
+    """The diagonal body sum c_i^2 / s_i^2 <= 1 with semi-axis s_i = a on
+    the first n // 2 coordinates and b on the rest."""
+    diag = [Fraction(1, a * a) if i < n // 2 else Fraction(1, b * b)
+            for i in range(n)]
+    return Ellipsoid(tuple(
+        tuple(diag[i] if i == j else Fraction(0) for j in range(n))
+        for i in range(n)
+    ))
+
+
+# ball-dense's ellipsoid cell: solved and rejected at semi-axes 2 and 3,
+# then rejected and solved (a zero weight) on the tighter body
+ELLIPSOIDS = (
+    ("ellipsoid-n6-solved", Instance((10, 36, 43, 51, 9, 76), _axes(6, 2, 3))),
+    ("ellipsoid-n6-solved-two",
+     Instance((20, 82, 2, 50, 7, 46), _axes(6, 2, 3))),
+    ("ellipsoid-n6-solved-ones",
+     Instance((43, 52, 40, 77, 45, 35), _axes(6, 2, 3))),
+    ("ellipsoid-n6-no-solution",
+     Instance((59, 2, 66, 72, 91, 50), _axes(6, 2, 3))),
+    ("ellipsoid-n6-tight-no-solution",
+     Instance((10, 36, 43, 51, 9, 76), _axes(6, 1, 2))),
+    ("ellipsoid-n6-tight-zero-weight",
+     Instance((61, 3, 12, 15, 41, 0), _axes(6, 1, 2))),
+)
+
 PROBES = (
     ("probe-both", ["probe", "--n", "5", "--M", "256", "--d", "1",
                     "--trials", "12", "--seed", "5", "--solver", "both"]),
@@ -196,6 +227,9 @@ def cases():
     out.append(("sweep-solved-budget-exhausted-10",
                 ["solve", INSTANCE, "--budget", "10"],
                 serialize_instance(SWEEPS[-2][1])))
+    for name, inst in ELLIPSOIDS:
+        out.append((name, ["solve", INSTANCE, "--mode", "sbp"],
+                    serialize_instance(inst)))
     for name, suite, seed in BENCHES:
         out.append((name, ["bench", "--suite", suite, "--seed", str(seed)],
                     None))

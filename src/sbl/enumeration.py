@@ -48,6 +48,11 @@ own prepared center.  On a full-rank lattice no center pays a distance to
 the span, so one top-level test (_top_test) serves every center on one
 denominator: a sweep of capped questions sets it up once and walks only
 the centers it passes (see solve.solve_gss_punctured).
+
+svp_gauge answers an ellipsoid c A c^T <= 1 by one Euclidean walk under
+its integral form F = L A, L the common denominator of A: on rows reduced
+under the inner product u F v^T, whose Gram-Schmidt data the walk runs on,
+it lists exactly the lattice points of F-value at most a reduced row's.
 """
 
 from __future__ import annotations
@@ -60,16 +65,8 @@ from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Optional, Tuple, Union
 
-from .core import (
-    BudgetExceeded,
-    Box,
-    Ellipsoid,
-    InternalError,
-    is_positive_definite,
-    l2_sq,
-    linf,
-)
-from .lattice import GaugeBody, LatticeBasis, gauge_sq
+from .core import BudgetExceeded, Box, InternalError, l2_sq, linf
+from .lattice import GaugeBody, LatticeBasis
 from .reduction import integral_gso, lll_reduce
 
 __all__ = [
@@ -717,21 +714,6 @@ class GaugeResult:
     ball_count: int
 
 
-def _pd_lower_bound(ell: Ellipsoid) -> Fraction:
-    """A positive rational strictly below the least eigenvalue of A,
-    found by halving until A - mu*I is positive definite."""
-    n = ell.dim
-    mu = min(ell.a[i][i] for i in range(n))
-    while True:
-        shifted = [
-            [ell.a[i][j] - (mu if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        if is_positive_definite(shifted):
-            return mu
-        mu /= 2
-
-
 def svp_gauge(
     basis: Lattice,
     body: GaugeBody,
@@ -740,37 +722,44 @@ def svp_gauge(
     """Nonzero lattice vector minimizing the body's gauge, exactly.
 
     A box [-d, d]^m has the gauge |v|_inf / d, so its answer is svp_inf's,
-    value divided by d.  For an ellipsoid a shortest Euclidean vector gives
-    an upper bound g on the squared gauge, and every vector of squared
-    gauge <= g lies in the Euclidean ball of squared radius g over the
-    least eigenvalue of the form, so one enumeration is complete.
+    value divided by d.  An ellipsoid c A c^T <= 1 has the squared gauge
+    v F v^T / L, with L the common denominator of A and F = L A integral.
+    Reduced under the inner product u F v^T (lll_reduce's ip), the rows'
+    integral Gram-Schmidt data turns the Euclidean walk into a walk of F's
+    balls (Fincke and Pohst 1985).  One walk around 0 at g0, the least
+    F-value of a reduced row, visits exactly the points of F-value <= g0
+    and keeps the least (F-value, point) among the nonzero ones.  This
+    F-reduced lattice stays here: its frame and sup tables are Euclidean.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
-    lat = prepare(basis)
     if isinstance(body, Box):
-        res = svp_inf(lat, budget=budget)
+        res = svp_inf(basis, budget=budget)
         return GaugeResult(Fraction(res.value, body.d), res.witness,
                            res.ball_count)
-    zero = (Fraction(0),) * lat.dim
-    b1_sq = Fraction(l2_sq(lat.rows[0]))
-    ball = enum_ball(BallQuery(lat, zero, b1_sq), budget)
-    u = min(
-        (p for p in ball.points if any(p)),
-        key=lambda p: (l2_sq(p), p),
-    )
-    g0 = gauge_sq(body, u)
-    if g0 <= 0:
-        raise InternalError("self-check failed: nonzero vector of gauge 0")
-    res = enum_ball(BallQuery(lat, zero, g0 / _pd_lower_bound(body)), budget)
-    # the integer form L A, L the common denominator of A, ranks as the
-    # gauge does
+    if body.dim != basis.dim:
+        raise ValueError("body dimension does not match the lattice")
     den = lcm(*(a.denominator for row in body.a for a in row))
     form = [[a.numerator * (den // a.denominator) for a in row]
             for row in body.a]
 
-    def rank(p) -> int:
-        return sum(c * sum(map(mul, row, p)) for c, row in zip(p, form))
+    def ip(u, v) -> int:
+        return sum(map(mul, u, [sum(map(mul, row, v)) for row in form]))
 
-    best = min((p for p in res.points if any(p)), key=lambda p: (rank(p), p))
-    return GaugeResult(Fraction(rank(best), den), best, res.count)
+    red = lll_reduce(basis, ip=ip)
+    lat = PreparedLattice(red.rows, red.dim, *red._gso)
+    g0 = min(ip(row, row) for row in lat.rows)
+    best = None
+
+    def visit(p) -> None:
+        nonlocal best
+        if any(p):
+            g = ip(p, p)
+            if best is None or (g, p) < best:
+                best = (g, p)
+
+    count = _walk(_Target(lat, 1, (0,) * lat.dim, [0] * lat.rank), visit,
+                  budget, r_sq=g0)
+    if best is None:
+        raise InternalError("self-check failed: the walk misses a reduced row")
+    return GaugeResult(Fraction(best[0], den), best[1], count)

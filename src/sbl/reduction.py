@@ -12,6 +12,10 @@ recurrence the reducer uses for each new row.  At exit the reducer holds
 exactly that data for its output rows, so the basis it returns carries it
 (LatticeBasis._gso) and enumeration.prepare pays no second Gram-Schmidt
 pass.  The rational gram_schmidt stays as a plain reference.
+
+The lambda/D data needs the rows only through their inner products (Cohen,
+section 2.6), so integral_gso and lll_reduce take one as the keyword ip,
+the dot product by default; an integral form u F v^T reduces under F.
 """
 
 from __future__ import annotations
@@ -61,13 +65,13 @@ def gram_schmidt(basis: LatticeBasis) -> GSO:
     return GSO(tuple(mus), tuple(sqs))
 
 
-def _gso_row(rows, k: int, D: list, lam: list) -> None:
+def _gso_row(rows, k: int, D: list, lam: list, ip=dot) -> None:
     """Set lam[k][j] for j < k and D[k+1] from the data of rows 0..k-1
-    (Cohen, Alg. 2.6.7, step 2); every division is exact.  Raises
-    ValueError when row k depends on the rows before it."""
+    under the inner product ip (Cohen, Alg. 2.6.7, step 2); each division
+    is exact.  Raises ValueError when row k depends on earlier rows."""
     rk, lk = rows[k], lam[k]
     for j in range(k + 1):
-        u = dot(rk, rows[j])
+        u = ip(rk, rows[j])
         lj = lam[j]
         for i in range(j):
             u = (D[i + 1] * u - lk[i] * lj[i]) // D[i]
@@ -79,8 +83,8 @@ def _gso_row(rows, k: int, D: list, lam: list) -> None:
             D[k + 1] = u
 
 
-def integral_gso(basis: LatticeBasis):
-    """The Gram-Schmidt data of the rows in integral form, (D, lam).
+def integral_gso(basis: LatticeBasis, *, ip=dot):
+    """The Gram-Schmidt data of the rows under ip in integral form, (D, lam).
 
     D[i] is the Gram determinant of the first i rows (D[0] = 1, so
     |b*_i|^2 = D[i+1] / D[i]) and lam[i][j] = mu_ij * D[j+1] for j < i, a
@@ -91,16 +95,17 @@ def integral_gso(basis: LatticeBasis):
     D = [1] + [0] * len(rows)
     lam = [[0] * k for k in range(len(rows))]
     for k in range(len(rows)):
-        _gso_row(rows, k, D, lam)
+        _gso_row(rows, k, D, lam, ip)
     return tuple(D), tuple(tuple(row) for row in lam)
 
 
-def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
-    """Delta-reduce the basis; same lattice, exact arithmetic throughout.
+def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4), *,
+               ip=dot) -> LatticeBasis:
+    """Delta-reduce the basis under ip; same lattice, exact arithmetic.
 
     Output rows satisfy |mu_ij| <= 1/2 and the Lovasz condition for delta,
     so the first row obeys the usual 2^((r-1)/4) * det^(1/r) bound on its
-    Euclidean length.  The result carries the reducer's integral
+    length under ip.  The result carries the reducer's integral
     Gram-Schmidt data for its rows, integral_gso of the result.  Raises
     ValueError on dependent rows and on delta outside (1/4, 1).
     """
@@ -115,7 +120,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     D = [0] * (nrows + 1)
     D[0] = 1
     lam = [[0] * nrows for _ in range(nrows)]
-    _gso_row(rows, 0, D, lam)
+    _gso_row(rows, 0, D, lam, ip)
     kmax = 0
     k = 1
 
@@ -145,7 +150,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     while k < nrows:
         if k > kmax:
             kmax = k
-            _gso_row(rows, k, D, lam)
+            _gso_row(rows, k, D, lam, ip)
         while True:
             redi(k, k - 1)
             lam_v = lam[k][k - 1]

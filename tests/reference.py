@@ -2,15 +2,18 @@
 
 The solver works on the integral Gram-Schmidt frame and on integer sup
 distances; these functions state the same quantities as exact fractions,
-so tests can hold the integer code against plain rational algebra.  No
-code in the sbl package calls them.
+so tests can hold the integer code against plain rational algebra.  The
+eigenvalue-shift relaxation of an ellipsoid ball (relaxed_ellipsoid_ball)
+is the reference listing for the exact gauge walk.  No code in the sbl
+package calls them.
 """
 
 from fractions import Fraction
 from math import floor
 from typing import Tuple
 
-from sbl.enumeration import PreparedLattice, _scaled
+from sbl.core import Ellipsoid, is_positive_definite
+from sbl.enumeration import BallQuery, PreparedLattice, _scaled, enum_ball
 from sbl.lattice import LatticeBasis
 from sbl.reduction import gram_schmidt
 
@@ -106,3 +109,28 @@ def holder_walk(lat: PreparedLattice, center, bound_sq):
     if rem >= 0:
         descend(rank - 1, rem, [Fraction(0)] * m)
     return sorted(out)
+
+
+def pd_lower_bound(ell: Ellipsoid) -> Fraction:
+    """A positive rational strictly below the least eigenvalue of A,
+    found by halving until A - mu*I is positive definite."""
+    n = ell.dim
+    mu = min(ell.a[i][i] for i in range(n))
+    while True:
+        shifted = [
+            [ell.a[i][j] - (mu if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        if is_positive_definite(shifted):
+            return mu
+        mu /= 2
+
+
+def relaxed_ellipsoid_ball(lat, ell: Ellipsoid, bound):
+    """The eigenvalue-shift relaxation of the ellipsoid ball v A v^T <=
+    bound: the sorted lattice points of the Euclidean ball of squared
+    radius bound / mu around 0, mu = pd_lower_bound(ell).  As v A v^T >=
+    mu |v|_2^2, it holds every point of the ellipsoid ball, and more."""
+    zero = (Fraction(0),) * lat.dim
+    query = BallQuery(lat, zero, Fraction(bound) / pd_lower_bound(ell))
+    return enum_ball(query).points

@@ -9,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,6 @@ from sbl.core import (
     Ellipsoid,
     ceil_sqrt_frac,
     dot,
-    l2_sq,
     linf,
     mat_det,
     mat_inverse,
@@ -29,7 +29,6 @@ from sbl.core import (
 from sbl.enumeration import (
     _cvp_core,
     _cvp_target,
-    _pd_lower_bound,
     _perp,
     _sup_search,
     _Target,
@@ -49,6 +48,7 @@ from sbl.lattice import (
     LatticeBasis,
     choose_params,
     embedding_basis,
+    full_rank_completion,
     kernel_basis,
     sign_pattern_target,
 )
@@ -59,6 +59,7 @@ from reference import (
     holder_walk,
     min_sup_to,
     nearest_plane,
+    relaxed_ellipsoid_ball,
     star_vectors,
 )
 
@@ -530,21 +531,54 @@ def _gauge_cases(draw):
 @given(_gauge_cases())
 @settings(max_examples=60, deadline=None)
 def test_svp_gauge_ranks_like_the_rational_form(case):
-    """The integer ranking of svp_gauge gives the value and witness of the
-    least Fraction quad_form, ties broken lexicographically, over the same
-    listing: the ball of squared radius quad_form(u) / mu around 0, u the
-    shortest Euclidean vector of the ball at |b_1|^2."""
+    """svp_gauge's value and witness are the least (quad_form, p), ties
+    broken lexicographically, over the reference listing: the eigenvalue
+    relaxation of the ellipsoid ball at g0 / L, with g0 the least F-value
+    of a row reduced under F = L A.  Its walk visits exactly the reference
+    points within that ellipsoid ball: it lists the ellipsoid and nothing
+    more."""
     basis, body = case
-    lat = prepare(basis)
-    zero = (0,) * lat.dim
-    first = enum_ball(BallQuery(lat, zero, l2_sq(lat.rows[0]))).points
-    u = min((p for p in first if any(p)), key=lambda p: (l2_sq(p), p))
-    radius_sq = body.quad_form(u) / _pd_lower_bound(body)
-    listing = enum_ball(BallQuery(lat, zero, radius_sq)).points
+    den = lcm(*(a.denominator for row in body.a for a in row))
+
+    def ip(u, v) -> int:
+        return int(den * sum(a * dot(row, v) for a, row in zip(u, body.a)))
+
+    bound = min(body.quad_form(row) for row in lll_reduce(basis, ip=ip).rows)
+    listing = relaxed_ellipsoid_ball(prepare(basis), body, bound)
     want = min((body.quad_form(p), p) for p in listing if any(p))
     got = svp_gauge(basis, body)
     assert (got.value, got.witness) == want
-    assert got.ball_count == len(listing)
+    assert got.ball_count == sum(body.quad_form(p) <= bound for p in listing)
+
+
+def test_svp_gauge_rejects_a_body_of_another_dimension():
+    basis = _basis((4, 0), (1, 3))
+    for n in (1, 3):
+        body = Ellipsoid(tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                               for i in range(n)))
+        with pytest.raises(ValueError, match="dimension"):
+            svp_gauge(basis, body)
+
+
+def test_a_gauge_search_draws_on_one_budget():
+    """An ellipsoid or box gauge search walks once: it fits a budget of the
+    points it visits exactly, and one point less overruns with the whole
+    budget as its partial count.  The body is ball-dense's ellipsoid cell
+    (n = 6, semi-axes 2 and 3)."""
+    diag = (Fraction(1, 4),) * 3 + (Fraction(1, 9),) * 3
+    body = Ellipsoid(tuple(tuple(diag[i] if i == j else 0 for j in range(6))
+                           for i in range(6)))
+    basis, _ = full_rank_completion((10, 36, 43, 51, 9, 76), body)
+    for b in (body, Box(2)):
+        def search(budget, b=b):
+            return svp_gauge(basis, b, budget=budget)
+
+        res = search(10**7)
+        assert res.ball_count > 1
+        assert search(res.ball_count) == res
+        assert _outcome(search, res.ball_count - 1) == (
+            f"ball holds more than {res.ball_count - 1} points",
+            res.ball_count - 1)
 
 
 # ---------------------------------------------------------------------------

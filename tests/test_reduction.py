@@ -180,6 +180,45 @@ def test_reduced_basis_carries_its_integral_gso(basis):
     assert LatticeBasis(red.rows, red.dim)._gso is None
 
 
+@st.composite
+def _bases_and_forms(draw):
+    """A basis and an integral positive definite form F = M^T M + I of its
+    dimension, as the inner product u F v^T."""
+    basis = draw(_random_bases(max_dim=5, bound=12))
+    m = basis.dim
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                         min_size=1, max_size=m))
+    form = [[sum(r[i] * r[j] for r in rows) + (i == j) for j in range(m)]
+            for i in range(m)]
+
+    def ip(u, v):
+        return sum(a * dot(row, v) for a, row in zip(u, form))
+
+    return basis, ip
+
+
+@given(_bases_and_forms())
+@settings(max_examples=60, deadline=None)
+def test_lll_reduces_under_an_integral_form(case):
+    """With ip = u F v^T the reducer's lambda/D data is that of F's Gram
+    matrix (D[i] its leading minors), and the output is size-reduced and
+    Lovasz-reduced under F, stated in those integers."""
+    basis, ip = case
+    red = lll_reduce(basis, ip=ip)
+    assert _same_lattice(basis, red)
+    dets, lam = red._gso
+    assert (dets, lam) == integral_gso(red, ip=ip)
+    gram = [[ip(a, b) for b in red.rows] for a in red.rows]
+    for i in range(red.rank + 1):
+        assert dets[i] == mat_det([row[:i] for row in gram[:i]])
+    for i in range(red.rank):
+        for j in range(i):
+            assert 2 * abs(lam[i][j]) <= dets[j + 1]
+    for k in range(red.rank - 1):
+        lhs = dets[k + 2] * dets[k] + lam[k + 1][k] ** 2
+        assert 4 * lhs >= 3 * dets[k + 1] ** 2
+
+
 # ---------------------------------------------------------------------------
 # the guarantee threshold
 # ---------------------------------------------------------------------------

@@ -49,10 +49,8 @@ the span, so one top-level test (_top_test) serves every center on one
 denominator: a sweep of capped questions sets it up once and walks only
 the centers it passes (see solve.solve_gss_punctured).
 
-svp_gauge answers an ellipsoid c A c^T <= 1 by one Euclidean walk under
-its integral form F = L A, L the common denominator of A: on rows reduced
-under the inner product u F v^T, whose Gram-Schmidt data the walk runs on,
-it lists exactly the lattice points of F-value at most a reduced row's.
+svp_gauge walks an ellipsoid c A c^T <= 1 exactly, on the Gram-Schmidt
+data of rows reduced under its integral form F = L A (see svp_gauge).
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from typing import Optional, Tuple, Union
 
 from .core import BudgetExceeded, Box, InternalError, l2_sq, linf
 from .lattice import GaugeBody, LatticeBasis
-from .reduction import integral_gso, lll_reduce
+from .reduction import _reduce, integral_gso, lll_reduce
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -724,11 +722,11 @@ def svp_gauge(
     A box [-d, d]^m has the gauge |v|_inf / d, so its answer is svp_inf's,
     value divided by d.  An ellipsoid c A c^T <= 1 has the squared gauge
     v F v^T / L, with L the common denominator of A and F = L A integral.
-    Reduced under the inner product u F v^T (lll_reduce's ip), the rows'
-    integral Gram-Schmidt data turns the Euclidean walk into a walk of F's
-    balls (Fincke and Pohst 1985).  One walk around 0 at g0, the least
-    F-value of a reduced row, visits exactly the points of F-value <= g0
-    and keeps the least (F-value, point) among the nonzero ones.  This
+    Reduced under the inner product u F v^T (reduction._reduce's ip), the
+    rows' integral Gram-Schmidt data turns the Euclidean walk into a walk
+    of F's balls (Fincke and Pohst 1985).  One walk around 0 at g0, the
+    least F-value of a reduced row, visits exactly the points of F-value
+    <= g0 and keeps the least (F-value, point) among the nonzero ones.  This
     F-reduced lattice stays here: its frame and sup tables are Euclidean.
     """
     if basis.rank == 0:
@@ -746,8 +744,8 @@ def svp_gauge(
     def ip(u, v) -> int:
         return sum(map(mul, u, [sum(map(mul, row, v)) for row in form]))
 
-    red = lll_reduce(basis, ip=ip)
-    lat = PreparedLattice(red.rows, red.dim, *red._gso)
+    rows, gso = _reduce(basis.rows, Fraction(3, 4), ip)
+    lat = PreparedLattice(rows, basis.dim, *gso)
     g0 = min(ip(row, row) for row in lat.rows)
     best = None
 

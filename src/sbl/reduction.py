@@ -13,9 +13,9 @@ exactly that data for its output rows, so the basis it returns carries it
 (LatticeBasis._gso) and enumeration.prepare pays no second Gram-Schmidt
 pass.  The rational gram_schmidt stays as a plain reference.
 
-The lambda/D data needs the rows only through their inner products (Cohen,
-section 2.6), so integral_gso and lll_reduce take one as the keyword ip,
-the dot product by default; an integral form u F v^T reduces under F.
+The lambda/D data needs the rows only through inner products (Cohen, 2.6):
+the private _reduce takes one as ip, which svp_gauge sets to an integral
+form u F v^T.  Data under F never rides on a LatticeBasis's _gso.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _gso_row(rows, k: int, D: list, lam: list, ip=dot) -> None:
             D[k + 1] = u
 
 
-def integral_gso(basis: LatticeBasis, *, ip=dot):
-    """The Gram-Schmidt data of the rows under ip in integral form, (D, lam).
+def integral_gso(basis: LatticeBasis):
+    """The Gram-Schmidt data of the rows in integral form, (D, lam).
 
     D[i] is the Gram determinant of the first i rows (D[0] = 1, so
     |b*_i|^2 = D[i+1] / D[i]) and lam[i][j] = mu_ij * D[j+1] for j < i, a
@@ -95,27 +95,36 @@ def integral_gso(basis: LatticeBasis, *, ip=dot):
     D = [1] + [0] * len(rows)
     lam = [[0] * k for k in range(len(rows))]
     for k in range(len(rows)):
-        _gso_row(rows, k, D, lam, ip)
+        _gso_row(rows, k, D, lam)
     return tuple(D), tuple(tuple(row) for row in lam)
 
 
-def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4), *,
-               ip=dot) -> LatticeBasis:
-    """Delta-reduce the basis under ip; same lattice, exact arithmetic.
+def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
+    """Delta-reduce the basis; same lattice, exact arithmetic throughout.
 
     Output rows satisfy |mu_ij| <= 1/2 and the Lovasz condition for delta,
     so the first row obeys the usual 2^((r-1)/4) * det^(1/r) bound on its
-    length under ip.  The result carries the reducer's integral
+    Euclidean length.  The result carries the reducer's integral
     Gram-Schmidt data for its rows, integral_gso of the result.  Raises
     ValueError on dependent rows and on delta outside (1/4, 1).
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
-    nrows = basis.rank
-    if nrows == 0:
+    if basis.rank == 0:
         return basis
-    rows = [list(r) for r in basis.rows]
+    rows, gso = _reduce(basis.rows, delta, dot)
+    out = LatticeBasis(rows, basis.dim)
+    object.__setattr__(out, "_gso", gso)
+    return out
+
+
+def _reduce(basis_rows, delta: Fraction, ip):
+    """Delta-reduce nonempty rows under the inner product ip: the reduced
+    rows as tuples and their integral Gram-Schmidt data under ip, (D, lam)
+    as integral_gso gives it.  Raises ValueError on dependent rows."""
+    rows = [list(r) for r in basis_rows]
+    nrows = len(rows)
     p_num, p_den = delta.numerator, delta.denominator
     D = [0] * (nrows + 1)
     D[0] = 1
@@ -162,10 +171,8 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4), *,
                     redi(k, ll)
                 k += 1
                 break
-    out = LatticeBasis(tuple(tuple(r) for r in rows), basis.dim)
-    gso = (tuple(D), tuple(tuple(lrow[:i]) for i, lrow in enumerate(lam)))
-    object.__setattr__(out, "_gso", gso)
-    return out
+    return (tuple(tuple(r) for r in rows),
+            (tuple(D), tuple(tuple(lrow[:i]) for i, lrow in enumerate(lam))))
 
 
 def lll_threshold(x, d: int) -> bool:

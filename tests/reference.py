@@ -3,9 +3,9 @@
 The solver works on the integral Gram-Schmidt frame and on integer sup
 distances; these functions state the same quantities as exact fractions,
 so tests can hold the integer code against plain rational algebra.  The
-eigenvalue-shift relaxation of an ellipsoid ball (relaxed_ellipsoid_ball)
-is the reference listing for the exact gauge walk.  No code in the sbl
-package calls them.
+eigenvalue-shift relaxation of an ellipsoid ball (relaxed_ellipsoid_ball),
+listed by a Fraction walk of a Euclidean ball, is the reference listing
+for the exact gauge walk.  No code in the sbl package calls them.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from math import floor
 from typing import Tuple
 
 from sbl.core import Ellipsoid, is_positive_definite
-from sbl.enumeration import BallQuery, PreparedLattice, _scaled, enum_ball
+from sbl.enumeration import PreparedLattice, _scaled
 from sbl.lattice import LatticeBasis
 from sbl.reduction import gram_schmidt
 
@@ -63,17 +63,13 @@ def star_vectors(lat: PreparedLattice):
     return gso, stars
 
 
-def holder_walk(lat: PreparedLattice, center, bound_sq):
-    """The sorted points of a Hölder-pruned walk of the sup ball of radius
-    R, R^2 = bound_sq, in Fractions: every lattice point v of the
-    Euclidean ball |v - center|_2^2 <= m * bound_sq whose every node at
-    level k >= 2 keeps |u|_2^2 <= R |u|_1, u = pi_k(v - center); tested as
-    |u|_2^4 <= R^2 |u|_1^2.  Levels run from the last row down.  A
-    superset of the sup ball: filtered to it, these are exactly the
-    points a sup walk at that radius visits."""
+def _fraction_walk(lat, center, radius_sq, keep):
+    """The sorted lattice points v of the Euclidean ball |v - center|_2^2
+    <= radius_sq whose every node passes keep(level, u), u = pi_k(v -
+    center) the node's projection, in Fractions.  Levels run from the last
+    row down; lat needs only rows, dim and rank."""
     rows = lat.rows
     m, rank = lat.dim, lat.rank
-    bound_sq = Fraction(bound_sq)
     center = [Fraction(c) for c in center]
     gso, stars = star_vectors(lat)
     sq = gso.b_star_sq
@@ -97,18 +93,39 @@ def holder_walk(lat: PreparedLattice, center, bound_sq):
                 if level == 0:
                     out.append(tuple(sum(c * row[i] for c, row in
                                          zip(zs, rows)) for i in range(m)))
-                else:
-                    l2 = sum(a * a for a in w)
-                    l1 = sum(abs(a) for a in w)
-                    if level < 2 or l2 * l2 <= bound_sq * l1 * l1:
-                        descend(level - 1, left, w)
+                elif keep(level, w):
+                    descend(level - 1, left, w)
                 z += direction
         zs[level] = 0
 
-    rem = m * bound_sq - perp
+    rem = Fraction(radius_sq) - perp
     if rem >= 0:
         descend(rank - 1, rem, [Fraction(0)] * m)
     return sorted(out)
+
+
+def ball_walk(lat, center, radius_sq):
+    """The sorted lattice points of the Euclidean ball |v - center|_2^2 <=
+    radius_sq, by an unpruned walk in Fractions."""
+    return _fraction_walk(lat, center, radius_sq, lambda level, w: True)
+
+
+def holder_walk(lat: PreparedLattice, center, bound_sq):
+    """The sorted points of a Hölder-pruned walk of the sup ball of radius
+    R, R^2 = bound_sq, in Fractions: every lattice point v of the
+    Euclidean ball |v - center|_2^2 <= m * bound_sq whose every node at
+    level k >= 2 keeps |u|_2^2 <= R |u|_1, u = pi_k(v - center); tested as
+    |u|_2^4 <= R^2 |u|_1^2.  Levels run from the last row down.  A
+    superset of the sup ball: filtered to it, these are exactly the
+    points a sup walk at that radius visits."""
+    bound_sq = Fraction(bound_sq)
+
+    def keep(level, w):
+        l2 = sum(a * a for a in w)
+        l1 = sum(abs(a) for a in w)
+        return level < 2 or l2 * l2 <= bound_sq * l1 * l1
+
+    return _fraction_walk(lat, center, lat.dim * bound_sq, keep)
 
 
 def pd_lower_bound(ell: Ellipsoid) -> Fraction:
@@ -129,8 +146,8 @@ def pd_lower_bound(ell: Ellipsoid) -> Fraction:
 def relaxed_ellipsoid_ball(lat, ell: Ellipsoid, bound):
     """The eigenvalue-shift relaxation of the ellipsoid ball v A v^T <=
     bound: the sorted lattice points of the Euclidean ball of squared
-    radius bound / mu around 0, mu = pd_lower_bound(ell).  As v A v^T >=
-    mu |v|_2^2, it holds every point of the ellipsoid ball, and more."""
-    zero = (Fraction(0),) * lat.dim
-    query = BallQuery(lat, zero, Fraction(bound) / pd_lower_bound(ell))
-    return enum_ball(query).points
+    radius bound / mu around 0, mu = pd_lower_bound(ell), listed by
+    ball_walk.  As v A v^T >= mu |v|_2^2, it holds every point of the
+    ellipsoid ball, and more."""
+    zero = (0,) * lat.dim
+    return ball_walk(lat, zero, Fraction(bound) / pd_lower_bound(ell))

@@ -52,7 +52,7 @@ from sbl.lattice import (
     kernel_basis,
     sign_pattern_target,
 )
-from sbl.reduction import gram_schmidt, lll_reduce
+from sbl.reduction import _reduce, gram_schmidt, lll_reduce
 
 from reference import (
     gs_coords,
@@ -543,8 +543,9 @@ def test_svp_gauge_ranks_like_the_rational_form(case):
     def ip(u, v) -> int:
         return int(den * sum(a * dot(row, v) for a, row in zip(u, body.a)))
 
-    bound = min(body.quad_form(row) for row in lll_reduce(basis, ip=ip).rows)
-    listing = relaxed_ellipsoid_ball(prepare(basis), body, bound)
+    rows, _ = _reduce(basis.rows, Fraction(3, 4), ip)
+    bound = min(body.quad_form(row) for row in rows)
+    listing = relaxed_ellipsoid_ball(basis, body, bound)
     want = min((body.quad_form(p), p) for p in listing if any(p))
     got = svp_gauge(basis, body)
     assert (got.value, got.witness) == want

@@ -16,6 +16,7 @@ from sbl.core import dot, mat_det, mat_solve
 from sbl.lattice import LatticeBasis, embedding_basis, choose_params, kernel_basis
 from sbl.reduction import (
     GSO,
+    _reduce,
     gram_schmidt,
     integral_gso,
     lll_reduce,
@@ -197,24 +198,40 @@ def _bases_and_forms(draw):
     return basis, ip
 
 
+def _gram_gso(gram):
+    """mu and |b*_i|^2 of rows with the Gram matrix gram, in Fractions."""
+    mu: list = []
+    sqs: list = []
+    for i, gi in enumerate(gram):
+        mi = []
+        for j in range(i):
+            mi.append((gi[j] - sum(mu[j][k] * mi[k] * sqs[k]
+                                   for k in range(j))) / sqs[j])
+        sqs.append(gi[i] - sum(m * m * s for m, s in zip(mi, sqs)))
+        mu.append(mi)
+    return mu, sqs
+
+
 @given(_bases_and_forms())
 @settings(max_examples=60, deadline=None)
-def test_lll_reduces_under_an_integral_form(case):
-    """With ip = u F v^T the reducer's lambda/D data is that of F's Gram
-    matrix (D[i] its leading minors), and the output is size-reduced and
+def test_the_reducer_reduces_under_an_integral_form(case):
+    """With ip = u F v^T the private reducer's lambda/D data is that of F's
+    Gram matrix (D[i] its leading minors, lam[i][j] = mu_ij D[j+1] for its
+    rational Gram-Schmidt data), and the output is size-reduced and
     Lovasz-reduced under F, stated in those integers."""
     basis, ip = case
-    red = lll_reduce(basis, ip=ip)
-    assert _same_lattice(basis, red)
-    dets, lam = red._gso
-    assert (dets, lam) == integral_gso(red, ip=ip)
-    gram = [[ip(a, b) for b in red.rows] for a in red.rows]
-    for i in range(red.rank + 1):
+    rows, (dets, lam) = _reduce(basis.rows, Fraction(3, 4), ip)
+    assert _same_lattice(basis, LatticeBasis(rows, basis.dim))
+    gram = [[Fraction(ip(a, b)) for b in rows] for a in rows]
+    mu, sqs = _gram_gso(gram)
+    for i in range(len(rows) + 1):
         assert dets[i] == mat_det([row[:i] for row in gram[:i]])
-    for i in range(red.rank):
+    for i in range(len(rows)):
+        assert sqs[i] == Fraction(dets[i + 1], dets[i])
+        assert list(lam[i]) == [mu[i][j] * dets[j + 1] for j in range(i)]
         for j in range(i):
             assert 2 * abs(lam[i][j]) <= dets[j + 1]
-    for k in range(red.rank - 1):
+    for k in range(len(rows) - 1):
         lhs = dets[k + 2] * dets[k] + lam[k + 1][k] ** 2
         assert 4 * lhs >= 3 * dets[k + 1] ** 2
 

@@ -20,7 +20,6 @@ from .core import (
     InternalError,
     ceil_root,
     dot,
-    linf,
 )
 
 GaugeBody = Union[Box, Ellipsoid]
@@ -224,12 +223,3 @@ def full_rank_completion(x: Sequence[int], body: GaugeBody):
     rows = kb.rows + (tuple(completion),)
     return LatticeBasis(rows, len(xs)), q
 
-
-def gauge_sq(body: GaugeBody, v: Sequence) -> Fraction:
-    """Squared gauge, uniform across body kinds; use for comparisons."""
-    if isinstance(body, Box):
-        m = linf(v)
-        return Fraction(m * m, body.d * body.d)
-    if isinstance(body, Ellipsoid):
-        return body.quad_form(v)
-    raise TypeError(f"unknown gauge body {body!r}")

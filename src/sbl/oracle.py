@@ -109,13 +109,28 @@ def brute_force_solve(inst: Instance, mode: str = "balancing", budget=None) -> V
     return Verdict.no_solution(f"no admissible vector reaches {target}")
 
 
+def _half_sums(vals, coeffs) -> list:
+    """c·coeffs for every c of itertools.product(vals, repeat=len(coeffs)),
+    in that order, one coordinate at a time: one integer add per entry and
+    layer, no product per candidate."""
+    sums = [0]
+    for a in coeffs:
+        steps = [v * a for v in vals]
+        sums = [s + t for s in sums for t in steps]
+    return sums
+
+
 def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
     """Meet in the middle: tabulate first-half partial sums, scan the rest.
 
-    Work and memory are |C|^ceil(n/2).  The first half is tabulated in
-    lexicographic order (ties in a sum bucket keep insertion order) and the
-    second half is scanned lexicographically, so the returned witness is
-    deterministic, though not necessarily the same one brute force finds.
+    Work is about |C|^ceil(n/2) integer additions per half: each half's
+    sums are built coordinate by coordinate from the previous layer's, not
+    by a multiply-and-sum per candidate.  Memory is the first-half table
+    plus one list of sums per half; second-half vectors are generated as
+    the scan reaches them.  The first half is tabulated in lexicographic
+    order (ties in a sum bucket keep insertion order) and the second half
+    is scanned lexicographically, so the returned witness is deterministic,
+    though not necessarily the same one brute force finds.
     """
     budget = _as_budget(budget)
     target = _target(inst, mode)
@@ -132,12 +147,11 @@ def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
         )
     head, tail = x[:h], x[h:]
     table: dict = {}
-    for c1 in itertools.product(vals, repeat=h):
-        s = sum(a * b for a, b in zip(c1, head))
+    for c1, s in zip(itertools.product(vals, repeat=h), _half_sums(vals, head)):
         table.setdefault(s, []).append(c1)
     nonzero_needed = mode == "balancing"
-    for c2 in itertools.product(vals, repeat=n - h):
-        s2 = sum(a * b for a, b in zip(c2, tail))
+    second = zip(itertools.product(vals, repeat=n - h), _half_sums(vals, tail))
+    for c2, s2 in second:
         for c1 in table.get(target - s2, ()):
             c = c1 + c2
             if nonzero_needed and all(v == 0 for v in c):

@@ -5,16 +5,32 @@ distances; these functions state the same quantities as exact fractions,
 so tests can hold the integer code against plain rational algebra.  The
 eigenvalue-shift relaxation of an ellipsoid ball (relaxed_ellipsoid_ball),
 listed by a Fraction walk of a Euclidean ball, is the reference listing
-for the exact gauge walk.  No code in the sbl package calls them.
+for the exact gauge walk.  gauge_sq is the Fraction gauge of a body, and
+mitm_reference is meet in the middle with a multiply-and-sum per
+half-candidate, the reference for sbl.oracle.mitm_solve's witnesses.  No
+code in the sbl package calls them.
 """
 
+import itertools
 from fractions import Fraction
 from math import floor
-from typing import Tuple
+from typing import Sequence, Tuple
 
-from sbl.core import Ellipsoid, is_positive_definite
+from sbl.core import (
+    Box,
+    BudgetExceeded,
+    Ellipsoid,
+    Instance,
+    InternalError,
+    Verdict,
+    coefficient_alphabet,
+    is_positive_definite,
+    linf,
+    verify_solution,
+)
 from sbl.enumeration import PreparedLattice, _scaled
-from sbl.lattice import LatticeBasis
+from sbl.lattice import GaugeBody, LatticeBasis
+from sbl.oracle import _as_budget, _target
 from sbl.reduction import gram_schmidt
 
 
@@ -151,3 +167,50 @@ def relaxed_ellipsoid_ball(lat, ell: Ellipsoid, bound):
     ellipsoid ball, and more."""
     zero = (0,) * lat.dim
     return ball_walk(lat, zero, Fraction(bound) / pd_lower_bound(ell))
+
+
+def gauge_sq(body: GaugeBody, v: Sequence) -> Fraction:
+    """Squared gauge, uniform across body kinds; use for comparisons."""
+    if isinstance(body, Box):
+        m = linf(v)
+        return Fraction(m * m, body.d * body.d)
+    if isinstance(body, Ellipsoid):
+        return body.quad_form(v)
+    raise TypeError(f"unknown gauge body {body!r}")
+
+
+def mitm_reference(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
+    """Meet in the middle with every half-candidate's sum taken from scratch
+    by a multiply-and-sum: the same table, scan order and witness rule as
+    sbl.oracle.mitm_solve, without its layered half sums."""
+    budget = _as_budget(budget)
+    target = _target(inst, mode)
+    vals = coefficient_alphabet(inst.coeffs)
+    if vals is None:
+        raise ValueError("meet-in-the-middle needs a per-coordinate coefficient set")
+    x = inst.x
+    n = inst.n
+    h = (n + 1) // 2
+    if len(vals) ** h > budget.max_candidates:
+        raise BudgetExceeded(
+            f"{len(vals)}^{h} half-candidates exceed the budget of "
+            f"{budget.max_candidates}"
+        )
+    head, tail = x[:h], x[h:]
+    table: dict = {}
+    for c1 in itertools.product(vals, repeat=h):
+        s = sum(a * b for a, b in zip(c1, head))
+        table.setdefault(s, []).append(c1)
+    nonzero_needed = mode == "balancing"
+    for c2 in itertools.product(vals, repeat=n - h):
+        s2 = sum(a * b for a, b in zip(c2, tail))
+        for c1 in table.get(target - s2, ()):
+            c = c1 + c2
+            if nonzero_needed and all(v == 0 for v in c):
+                continue
+            if not verify_solution(inst, c, mode):
+                raise InternalError(
+                    "self-check failed: meet-in-the-middle witness"
+                )
+            return Verdict.solved(c)
+    return Verdict.no_solution(f"no admissible vector reaches {target}")

@@ -12,11 +12,11 @@ from sbl.lattice import (
     choose_params,
     embedding_basis,
     full_rank_completion,
-    gauge_sq,
     interval_shift_target,
     kernel_basis,
     sign_pattern_target,
 )
+from reference import gauge_sq
 
 nonzero_vecs = (
     st.lists(st.integers(-200, 200), min_size=2, max_size=8)

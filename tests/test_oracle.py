@@ -5,6 +5,8 @@ against, so they get their own cross-check here: on every random small
 instance the two must agree on status, and every witness must verify.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from sbl.core import (
     verify_solution,
 )
 from sbl.oracle import OracleBudget, brute_force_solve, mitm_solve
+from reference import mitm_reference
 
 
 def _coeff_sets():
@@ -99,6 +102,68 @@ def test_mitm_balancing_skips_zero():
     # tau=0 with 0 in C: balancing must not return the zero vector
     v = mitm_solve(Instance((3, 5), Interval(-2, 2)))
     assert v.status == "no_solution"
+
+
+def test_mitm_budget_boundary():
+    # 7 coordinates split 4 + 3: the budget counts the |C|^4 first-half
+    # candidates, and one fewer refuses the call before any work
+    inst = Instance((3, -5, 8, 13, -21, 34, 55), Interval(-2, 2), tau=1)
+    v = mitm_solve(inst, "gss", budget=OracleBudget(5 ** 4))
+    assert v.status == "solved"
+    assert verify_solution(inst, v.witness, "gss")
+    with pytest.raises(BudgetExceeded) as info:
+        mitm_solve(inst, "gss", budget=OracleBudget(5 ** 4 - 1))
+    assert str(info.value) == "5^4 half-candidates exceed the budget of 624"
+
+
+def _outcome(solver, inst, mode):
+    try:
+        return solver(inst, mode)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _random_case(rng):
+    n = rng.randint(1, 8)
+    d = rng.randint(1, 3 if n <= 6 else 2)
+    cset = rng.choice(
+        (Interval(-d, d), Interval(0, d), Box(d), Punctured(d),
+         Interval(-rng.randint(0, d), d))
+    )
+    zeros = rng.random() < 0.3
+    x = tuple(0 if zeros and rng.random() < 0.4 else rng.randint(-40, 40)
+              for _ in range(n))
+    if rng.random() < 0.5:
+        return Instance(x, cset), "balancing"
+    reach = d * sum(abs(v) for v in x)
+    if rng.random() < 0.2:
+        tau = rng.choice((-1, 1)) * (reach + rng.randint(1, 20))
+    else:
+        tau = rng.randint(-reach // 3 - 5, reach // 3 + 5)
+    return Instance(x, cset, tau), "gss"
+
+
+def test_mitm_witnesses_match_the_reference():
+    # the layered half sums must change no status, witness or reason: the
+    # same first-half table in the same order, the same lexicographic scan
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(2400):
+        inst, mode = _random_case(rng)
+        got = _outcome(mitm_solve, inst, mode)
+        assert got == _outcome(mitm_reference, inst, mode), (inst, mode)
+        status = got.status if hasattr(got, "status") else "error"
+        seen[mode, type(inst.coeffs).__name__, status] += 1
+        seen["n", inst.n] += 1
+        seen["zero in x", 0 in inst.x] += 1
+    for n in range(1, 9):
+        assert seen["n", n] > 0
+    assert seen["zero in x", True] > 0
+    for mode in ("balancing", "gss"):
+        for kind in ("Interval", "Box", "Punctured"):
+            assert seen[mode, kind, "solved"] > 0
+            assert seen[mode, kind, "no_solution"] > 0
+    assert seen["balancing", "Interval", "error"] > 0  # all-zero x
 
 
 @given(small_instances)

@@ -5,8 +5,9 @@ size, every non-integer quantity is a `fractions.Fraction`, and no
 correctness decision is made in floating point.  Timing measurements are the
 only floats anywhere, and they never feed back into a result.
 
-The shared exact helpers (vector arithmetic, small dense rational linear
-algebra, integer roots) live here because every other module needs them.
+The shared exact helpers (vector arithmetic, the exact positive
+definiteness test, integer roots) live here because every other module
+needs them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ __all__ = [
     "l2_sq",
     "linf",
     "gcd_vector",
-    "mat_det",
-    "mat_solve",
-    "mat_inverse",
     "is_positive_definite",
     "iroot",
     "ceil_root",
@@ -103,72 +101,14 @@ def gcd_vector(x: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# small dense rational linear algebra
+# the exact LDL factorisation of a symmetric rational matrix
 #
-# These run at desk scale (a dozen rows, say).  Plain fraction Gaussian
-# elimination is fine there and trivially exact.
+# It runs at desk scale (a dozen rows, say), where plain fraction
+# elimination is fine and trivially exact.
 # ---------------------------------------------------------------------------
 
 def _frac_rows(rows) -> list:
     return [[Fraction(a) for a in row] for row in rows]
-
-
-def mat_det(rows) -> Fraction:
-    """Determinant of a square rational matrix."""
-    a = _frac_rows(rows)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def mat_solve(rows, rhs) -> tuple:
-    """Solve A t = rhs for square rational A; raises on a singular system."""
-    a = _frac_rows(rows)
-    n = len(a)
-    b = [Fraction(v) for v in rhs]
-    if len(b) != n or any(len(r) != n for r in a):
-        raise ValueError("dimension mismatch")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = 1 / a[col][col]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col] * inv
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            b[r] -= f * b[col]
-    return tuple(b[i] / a[i][i] for i in range(n))
-
-
-def mat_inverse(rows) -> tuple:
-    """Inverse of a square rational matrix as a tuple of tuples."""
-    n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(mat_solve(rows, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def _ldl(a: list) -> Optional[list]:

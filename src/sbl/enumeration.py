@@ -14,7 +14,7 @@ points and it sorts them, which fixes every downstream tie-break.
 A PreparedLattice holds what a query needs from its lattice: the reduced
 rows and their Gram-Schmidt data in integral form.  Preparing costs one
 reduction, whose own lambda/D data at exit is the output's (see
-reduction.lll_reduce), so no second Gram-Schmidt pass; after that each
+reduction._reduce), so no second Gram-Schmidt pass; after that each
 query maps its center into the Gram-Schmidt frame with O(m^2) integer
 work, so callers that ask many questions of one lattice prepare it once
 and pass it to every call.  The frame is linear over integer vectors, so a
@@ -65,7 +65,7 @@ from typing import Optional, Tuple, Union
 
 from .core import BudgetExceeded, Box, InternalError, l2_sq, linf
 from .lattice import GaugeBody, LatticeBasis
-from .reduction import _reduce, integral_gso, lll_reduce
+from .reduction import _reduce
 
 __all__ = [
     "DEFAULT_POINT_BUDGET",
@@ -251,16 +251,15 @@ class _Target:
         return self._babai
 
 
-def prepare(basis: Lattice, assume_reduced: bool = False) -> PreparedLattice:
-    """Reduce the basis (unless told it already is) and take its integral
-    Gram-Schmidt data: the reducer's own for a basis lll_reduce returned,
-    one integral_gso pass otherwise.  A lattice that is already prepared
-    is returned as it is."""
+def prepare(basis: Lattice) -> PreparedLattice:
+    """Reduce the basis and keep the reducer's integral Gram-Schmidt data
+    of its output rows (reduction._reduce).  A basis that is already
+    reduced keeps its rows; a lattice that is already prepared is returned
+    as it is.  Raises ValueError on dependent rows."""
     if isinstance(basis, PreparedLattice):
         return basis
-    red = basis if (assume_reduced or basis.rank < 2) else lll_reduce(basis)
-    dets, lam = red._gso or integral_gso(red)
-    return PreparedLattice(red.rows, red.dim, dets, lam)
+    rows, gso = _reduce(basis.rows)
+    return PreparedLattice(rows, basis.dim, *gso)
 
 
 @dataclass(frozen=True)
@@ -744,7 +743,7 @@ def svp_gauge(
     def ip(u, v) -> int:
         return sum(map(mul, u, [sum(map(mul, row, v)) for row in form]))
 
-    rows, gso = _reduce(basis.rows, Fraction(3, 4), ip)
+    rows, gso = _reduce(basis.rows, ip)
     lat = PreparedLattice(rows, basis.dim, *gso)
     g0 = min(ip(row, row) for row in lat.rows)
     best = None

@@ -10,9 +10,9 @@ and gauge norms for convex coefficient bodies live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .core import (
     Box,
@@ -30,20 +30,14 @@ class LatticeBasis:
     """Row-major integer basis.
 
     Construction checks the shape only.  Linear independence is enforced by
-    the Gram-Schmidt and reduction entry points, which reject dependent rows
-    with an exact test; everything built here is independent by
-    construction.
-
-    A basis that lll_reduce returns also carries the integral Gram-Schmidt
-    data (D, lam) the reducer holds for its rows (see
-    reduction.integral_gso), so preparing it for enumeration needs no
-    second pass; it is not part of the basis's value.
+    the reducer behind lll_reduce and enumeration.prepare, which rejects
+    dependent rows with an exact test; everything built here is
+    independent by construction.  A basis holds rows only: its
+    Gram-Schmidt data lives on the PreparedLattice that prepare builds.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
     dim: int
-    _gso: Optional[tuple] = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(int(v) for v in row) for row in self.rows)

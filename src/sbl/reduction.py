@@ -1,71 +1,34 @@
-"""Exact lattice reduction: rational Gram-Schmidt and all-integer LLL.
+"""Exact lattice reduction: all-integer LLL at delta = 3/4.
 
 The reducer keeps the classical lambda/D integer representation of the
 Gram-Schmidt data: D[k] is the Gram determinant of the first k rows and
 lam[i][j] = mu_ij * D[j+1].  Every update is integer arithmetic with exact
-divisions, and the Lovasz test for a rational delta = p/s is the integer
-comparison s*(D[k+1]*D[k-1] + lam[k][k-1]^2) >= p*D[k]^2.  No fraction is
-ever formed while reducing, which keeps the n = 64 instances fast.
+divisions, and the Lovasz test for delta = p/s is the integer comparison
+s*(D[k+1]*D[k-1] + lam[k][k-1]^2) >= p*D[k]^2.  No fraction is ever formed
+while reducing, which keeps the n = 64 instances fast.  delta is fixed at
+3/4, the value lll_threshold's 2^((n-2)/4) bound is stated for.
 
-integral_gso computes the same lambda/D data for a fixed basis with the
-recurrence the reducer uses for each new row.  At exit the reducer holds
-exactly that data for its output rows, so the basis it returns carries it
-(LatticeBasis._gso) and enumeration.prepare pays no second Gram-Schmidt
-pass.  The rational gram_schmidt stays as a plain reference.
-
-The lambda/D data needs the rows only through inner products (Cohen, 2.6):
-the private _reduce takes one as ip, which svp_gauge sets to an integral
-form u F v^T.  Data under F never rides on a LatticeBasis's _gso.
+The private _reduce is the package's one source of Gram-Schmidt data: at
+exit it holds exactly the lambda/D data of its output rows and returns it
+with them.  enumeration.prepare builds its PreparedLattice from that, and
+lll_reduce keeps the rows only.  The data needs the rows only through
+inner products (Cohen, 2.6): _reduce takes one as ip, which svp_gauge sets
+to an integral form u F v^T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 from .core import dot, gcd_vector, l2_sq
 from .lattice import LatticeBasis
 
-__all__ = ["GSO", "gram_schmidt", "integral_gso", "lll_reduce", "lll_threshold"]
+__all__ = ["lll_reduce", "lll_threshold"]
+
+_DELTA = Fraction(3, 4)
 
 
-@dataclass(frozen=True)
-class GSO:
-    """Exact Gram-Schmidt data.
-
-    mu[i] holds the projection coefficients of row i onto rows j < i (a
-    ragged lower triangle) and b_star_sq[i] the squared norm of the i-th
-    orthogonalized vector, all as fractions.
-    """
-
-    mu: Tuple[Tuple[Fraction, ...], ...]
-    b_star_sq: Tuple[Fraction, ...]
-
-
-def gram_schmidt(basis: LatticeBasis) -> GSO:
-    """Orthogonalize exactly; raises ValueError on dependent rows."""
-    rows = basis.rows
-    star: list = []
-    mus: list = []
-    sqs: list = []
-    for i, row in enumerate(rows):
-        v = [Fraction(a) for a in row]
-        mu_row = []
-        for j in range(i):
-            m = dot(rows[i], star[j]) / sqs[j]
-            mu_row.append(m)
-            v = [a - m * b for a, b in zip(v, star[j])]
-        sq = sum(a * a for a in v)
-        if sq == 0:
-            raise ValueError("dependent rows")
-        star.append(v)
-        mus.append(tuple(mu_row))
-        sqs.append(sq)
-    return GSO(tuple(mus), tuple(sqs))
-
-
-def _gso_row(rows, k: int, D: list, lam: list, ip=dot) -> None:
+def _gso_row(rows, k: int, D: list, lam: list, ip) -> None:
     """Set lam[k][j] for j < k and D[k+1] from the data of rows 0..k-1
     under the inner product ip (Cohen, Alg. 2.6.7, step 2); each division
     is exact.  Raises ValueError when row k depends on earlier rows."""
@@ -83,53 +46,32 @@ def _gso_row(rows, k: int, D: list, lam: list, ip=dot) -> None:
             D[k + 1] = u
 
 
-def integral_gso(basis: LatticeBasis):
-    """The Gram-Schmidt data of the rows in integral form, (D, lam).
-
-    D[i] is the Gram determinant of the first i rows (D[0] = 1, so
-    |b*_i|^2 = D[i+1] / D[i]) and lam[i][j] = mu_ij * D[j+1] for j < i, a
-    ragged lower triangle of integers.  Raises ValueError on dependent
-    rows.
-    """
-    rows = basis.rows
-    D = [1] + [0] * len(rows)
-    lam = [[0] * k for k in range(len(rows))]
-    for k in range(len(rows)):
-        _gso_row(rows, k, D, lam)
-    return tuple(D), tuple(tuple(row) for row in lam)
-
-
-def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
-    """Delta-reduce the basis; same lattice, exact arithmetic throughout.
+def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
+    """Reduce the basis at delta = 3/4; same lattice, exact arithmetic
+    throughout.
 
     Output rows satisfy |mu_ij| <= 1/2 and the Lovasz condition for delta,
     so the first row obeys the usual 2^((r-1)/4) * det^(1/r) bound on its
-    Euclidean length.  The result carries the reducer's integral
-    Gram-Schmidt data for its rows, integral_gso of the result.  Raises
-    ValueError on dependent rows and on delta outside (1/4, 1).
+    Euclidean length.  Raises ValueError on dependent rows.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
-    if basis.rank == 0:
-        return basis
-    rows, gso = _reduce(basis.rows, delta, dot)
-    out = LatticeBasis(rows, basis.dim)
-    object.__setattr__(out, "_gso", gso)
-    return out
+    return LatticeBasis(_reduce(basis.rows)[0], basis.dim)
 
 
-def _reduce(basis_rows, delta: Fraction, ip):
-    """Delta-reduce nonempty rows under the inner product ip: the reduced
-    rows as tuples and their integral Gram-Schmidt data under ip, (D, lam)
-    as integral_gso gives it.  Raises ValueError on dependent rows."""
+def _reduce(basis_rows, ip=dot):
+    """Reduce rows under the inner product ip: the reduced rows as tuples
+    and their integral Gram-Schmidt data under ip, (D, lam).  D[i] is the
+    Gram determinant of the first i rows (D[0] = 1, so
+    |b*_i|^2 = D[i+1] / D[i]) and lam[i][j] = mu_ij * D[j+1] for j < i, a
+    ragged lower triangle of integers; no rows give ((), ((1,), ())).
+    Raises ValueError on dependent rows."""
     rows = [list(r) for r in basis_rows]
     nrows = len(rows)
-    p_num, p_den = delta.numerator, delta.denominator
+    p_num, p_den = _DELTA.numerator, _DELTA.denominator
     D = [0] * (nrows + 1)
     D[0] = 1
     lam = [[0] * nrows for _ in range(nrows)]
-    _gso_row(rows, 0, D, lam, ip)
+    if nrows:
+        _gso_row(rows, 0, D, lam, ip)
     kmax = 0
     k = 1
 

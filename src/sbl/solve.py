@@ -252,7 +252,6 @@ class ApproxCvpOracle:
 def capped_cvp_oracle(
     r,
     budget: int = DEFAULT_POINT_BUDGET,
-    assume_reduced: bool = False,
     stats: Optional[dict] = None,
 ) -> ApproxCvpOracle:
     """A gamma = 1 oracle answering only up to radius r, by cvp_inf capped
@@ -267,9 +266,8 @@ def capped_cvp_oracle(
         raise ValueError("radius must be nonnegative")
 
     def solver(basis: Lattice, target):
-        lat = prepare(basis, assume_reduced)
-        return _capped_answer(cvp_inf(lat, target, cap=r, budget=budget), r,
-                              stats)
+        return _capped_answer(cvp_inf(basis, target, cap=r, budget=budget),
+                              r, stats)
 
     return ApproxCvpOracle(Fraction(1), solver)
 

@@ -1,22 +1,28 @@
-"""Rational forms of the enumeration layer's integer helpers.
+"""Rational forms of the solver's integer helpers.
 
 The solver works on the integral Gram-Schmidt frame and on integer sup
 distances; these functions state the same quantities as exact fractions,
-so tests can hold the integer code against plain rational algebra.  The
-eigenvalue-shift relaxation of an ellipsoid ball (relaxed_ellipsoid_ball),
-listed by a Fraction walk of a Euclidean ball, is the reference listing
-for the exact gauge walk.  gauge_sq is the Fraction gauge of a body, and
-mitm_reference is meet in the middle with a multiply-and-sum per
-half-candidate, the reference for sbl.oracle.mitm_solve's witnesses.  No
-code in the sbl package calls them.
+so tests can hold the integer code against plain rational algebra.
+gram_schmidt (with its GSO) is the rational Gram-Schmidt process, the
+reference for the reducer's lambda/D data, and mat_det, mat_solve and
+mat_inverse are fraction Gaussian elimination, for Gram determinants and
+basis coordinates.  The eigenvalue-shift relaxation of an ellipsoid ball
+(relaxed_ellipsoid_ball), listed by a Fraction walk of a Euclidean ball,
+is the reference listing for the exact gauge walk.  gauge_sq is the
+Fraction gauge of a body, and mitm_reference is meet in the middle with a
+multiply-and-sum per half-candidate, the reference for
+sbl.oracle.mitm_solve's witnesses.  No code in the sbl package calls
+them.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 from typing import Sequence, Tuple
 
 from sbl.core import (
+    _frac_rows,
     Box,
     BudgetExceeded,
     Ellipsoid,
@@ -24,14 +30,108 @@ from sbl.core import (
     InternalError,
     Verdict,
     coefficient_alphabet,
+    dot,
     is_positive_definite,
     linf,
     verify_solution,
 )
 from sbl.enumeration import PreparedLattice, _scaled
-from sbl.lattice import GaugeBody, LatticeBasis
+from sbl.lattice import GaugeBody
 from sbl.oracle import _as_budget, _target
-from sbl.reduction import gram_schmidt
+
+
+def mat_det(rows) -> Fraction:
+    """Determinant of a square rational matrix."""
+    a = _frac_rows(rows)
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix is not square")
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] == 0:
+                continue
+            f = a[r][col] * inv
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def mat_solve(rows, rhs) -> tuple:
+    """Solve A t = rhs for square rational A; raises on a singular system."""
+    a = _frac_rows(rows)
+    n = len(a)
+    b = [Fraction(v) for v in rhs]
+    if len(b) != n or any(len(r) != n for r in a):
+        raise ValueError("dimension mismatch")
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
+        inv = 1 / a[col][col]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            f = a[r][col] * inv
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            b[r] -= f * b[col]
+    return tuple(b[i] / a[i][i] for i in range(n))
+
+
+def mat_inverse(rows) -> tuple:
+    """Inverse of a square rational matrix as a tuple of tuples."""
+    n = len(rows)
+    cols = []
+    for j in range(n):
+        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
+        cols.append(mat_solve(rows, e))
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+@dataclass(frozen=True)
+class GSO:
+    """Exact Gram-Schmidt data.
+
+    mu[i] holds the projection coefficients of row i onto rows j < i (a
+    ragged lower triangle) and b_star_sq[i] the squared norm of the i-th
+    orthogonalized vector, all as fractions.
+    """
+
+    mu: Tuple[Tuple[Fraction, ...], ...]
+    b_star_sq: Tuple[Fraction, ...]
+
+
+def gram_schmidt(basis) -> GSO:
+    """Orthogonalize the rows of a basis or prepared lattice exactly;
+    raises ValueError on dependent rows."""
+    rows = basis.rows
+    star: list = []
+    mus: list = []
+    sqs: list = []
+    for i, row in enumerate(rows):
+        v = [Fraction(a) for a in row]
+        mu_row = []
+        for j in range(i):
+            m = dot(rows[i], star[j]) / sqs[j]
+            mu_row.append(m)
+            v = [a - m * b for a, b in zip(v, star[j])]
+        sq = sum(a * a for a in v)
+        if sq == 0:
+            raise ValueError("dependent rows")
+        star.append(v)
+        mus.append(tuple(mu_row))
+        sqs.append(sq)
+    return GSO(tuple(mus), tuple(sqs))
 
 
 def gs_coords(lat: PreparedLattice, point) -> Tuple[Fraction, ...]:
@@ -69,7 +169,7 @@ def min_sup_to(points, center, bound_sq: Fraction, nonzero: bool = False):
 
 def star_vectors(lat: PreparedLattice):
     """(gram_schmidt of the rows, the vectors b*_i as lists of Fractions)."""
-    gso = gram_schmidt(LatticeBasis(lat.rows, lat.dim))
+    gso = gram_schmidt(lat)
     stars: list = []
     for row, mus in zip(lat.rows, gso.mu):
         v = [Fraction(a) for a in row]

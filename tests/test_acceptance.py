@@ -24,10 +24,9 @@ from sbl.core import (
     dot,
     gcd_vector,
     l2_sq,
-    mat_det,
     verify_solution,
 )
-from sbl.enumeration import BallQuery, cvp_inf, enum_ball
+from sbl.enumeration import BallQuery, cvp_inf, enum_ball, prepare
 from sbl.experiment import (
     ProbeConfig,
     SplitMix64,
@@ -42,7 +41,7 @@ from sbl.lattice import (
     sign_pattern_target,
 )
 from sbl.oracle import brute_force_solve, mitm_solve
-from sbl.reduction import lll_reduce, lll_threshold
+from sbl.reduction import lll_threshold
 from sbl.solve import (
     ApproxCvpOracle,
     HALF_INTEGER,
@@ -58,6 +57,8 @@ from sbl.solve import (
 )
 
 import pytest
+
+from reference import mat_det
 
 
 def _line(num, ok, detail):
@@ -253,10 +254,10 @@ def test_criterion_07_distance_grid(gss_corpus):
     realized = 0
     for x, tau, d in gss_corpus:
         params = choose_params(x, d, tau, "gss_worst")
-        basis = lll_reduce(embedding_basis(x, params))
+        basis = prepare(embedding_basis(x, params))
         grid = INTEGER if d % 2 == 1 else HALF_INTEGER
         r = Fraction(d - 1, 2)
-        oracle = capped_cvp_oracle(r, assume_reduced=True)
+        oracle = capped_cvp_oracle(r)
         for signs in product((-1, 1), repeat=len(x)):
             target, rr = sign_pattern_target(tau, params.alpha, d, signs)
             gv = gap_decide(oracle, basis, target, rr, grid)

@@ -24,15 +24,14 @@ from sbl.core import (
     is_positive_definite,
     l2_sq,
     linf,
-    mat_det,
-    mat_inverse,
-    mat_solve,
     parse_instance,
     parse_verdict,
     serialize_instance,
     serialize_verdict,
     verify_solution,
 )
+
+from reference import mat_det, mat_inverse, mat_solve
 
 ints = st.integers(min_value=-10**6, max_value=10**6)
 small_vecs = st.lists(ints, min_size=1, max_size=6).map(tuple)

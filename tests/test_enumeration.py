@@ -22,9 +22,6 @@ from sbl.core import (
     ceil_sqrt_frac,
     dot,
     linf,
-    mat_det,
-    mat_inverse,
-    mat_solve,
 )
 from sbl.enumeration import (
     _cvp_core,
@@ -52,11 +49,15 @@ from sbl.lattice import (
     kernel_basis,
     sign_pattern_target,
 )
-from sbl.reduction import _reduce, gram_schmidt, lll_reduce
+from sbl.reduction import _reduce, lll_reduce
 
 from reference import (
+    gram_schmidt,
     gs_coords,
     holder_walk,
+    mat_det,
+    mat_inverse,
+    mat_solve,
     min_sup_to,
     nearest_plane,
     relaxed_ellipsoid_ball,
@@ -334,14 +335,23 @@ def test_prepare_is_a_noop_on_a_prepared_lattice():
     lat = prepare(_basis((2, 1), (1, 2)))
     assert isinstance(lat, PreparedLattice)
     assert prepare(lat) is lat
-    assert prepare(lat, assume_reduced=True) is lat
     assert (lat.rank, lat.dim) == (2, 2)
 
 
-def test_prepare_reduces_unless_told_otherwise():
-    basis = _basis((1, 0), (7, 1))
-    assert prepare(basis).rows == lll_reduce(basis).rows
-    assert prepare(basis, assume_reduced=True).rows == basis.rows
+def test_prepare_on_rank_zero_and_one():
+    empty = prepare(LatticeBasis((), 3))
+    assert (empty.rows, empty.gram_det, empty.lam) == ((), (1,), ())
+    with pytest.raises(ValueError, match="empty lattice"):
+        cvp_inf(empty, (0, 0, 0))
+    line = prepare(LatticeBasis(((3, 4, 0),), 3))
+    assert (line.rows, line.gram_det, line.lam) == (((3, 4, 0),), (1, 25),
+                                                     ((),))
+
+
+def test_prepare_rejects_dependent_rows():
+    for rows in (((1, 2), (2, 4)), ((0, 0),)):
+        with pytest.raises(ValueError, match="dependent rows"):
+            prepare(LatticeBasis(rows, 2))
 
 
 def test_gs_coords_match_the_gram_solve():
@@ -381,7 +391,7 @@ def test_prepared_enumeration_matches_plain_basis():
     overruns = 0
     for k, (basis, center, radius_sq) in enumerate(_random_lattices(11, 80)):
         red = lll_reduce(basis)
-        lat = prepare(red, assume_reduced=True)
+        lat = prepare(red)
         budget = (3, 40, 10**6)[k % 3]
         plain = _listing(BallQuery(red, center, radius_sq), budget)
         assert _listing(BallQuery(lat, center, radius_sq), budget) == plain
@@ -543,7 +553,7 @@ def test_svp_gauge_ranks_like_the_rational_form(case):
     def ip(u, v) -> int:
         return int(den * sum(a * dot(row, v) for a, row in zip(u, body.a)))
 
-    rows, _ = _reduce(basis.rows, Fraction(3, 4), ip)
+    rows, _ = _reduce(basis.rows, ip)
     bound = min(body.quad_form(row) for row in rows)
     listing = relaxed_ellipsoid_ball(basis, body, bound)
     want = min((body.quad_form(p), p) for p in listing if any(p))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sbl.core import Box, Ellipsoid, dot, gcd_vector, l2_sq, mat_det
+from sbl.core import Box, Ellipsoid, dot, gcd_vector, l2_sq
 from sbl.lattice import (
     LatticeBasis,
     choose_params,
@@ -16,7 +16,7 @@ from sbl.lattice import (
     kernel_basis,
     sign_pattern_target,
 )
-from reference import gauge_sq
+from reference import gauge_sq, mat_det, mat_solve
 
 nonzero_vecs = (
     st.lists(st.integers(-200, 200), min_size=2, max_size=8)
@@ -143,8 +143,6 @@ def test_full_rank_completion_span():
     assert _gram_det(basis) == q * q
     # membership: both (1,-1) and (11,0) must be integer combinations
     # of the rows; check via exact solve against the gram system
-    from sbl.core import mat_solve
-
     gram = [[dot(a, b) for b in basis.rows] for a in basis.rows]
     for v in ((1, -1), (11, 0)):
         coords = mat_solve(gram, [dot(r, v) for r in basis.rows])

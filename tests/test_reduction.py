@@ -1,4 +1,4 @@
-"""Exact Gram-Schmidt and the all-integer reduction.
+"""The rational Gram-Schmidt reference and the all-integer reduction.
 
 Reduction correctness is stated entirely in checkable invariants: the
 reduced basis spans the same lattice (equal Gram determinant plus integer
@@ -9,19 +9,15 @@ the Lovasz condition at delta = 3/4.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sbl.core import dot, mat_det, mat_solve
+from sbl.core import dot
+from sbl.enumeration import prepare
 from sbl.lattice import LatticeBasis, embedding_basis, choose_params, kernel_basis
-from sbl.reduction import (
-    GSO,
-    _reduce,
-    gram_schmidt,
-    integral_gso,
-    lll_reduce,
-    lll_threshold,
-)
+from sbl.reduction import _reduce, lll_reduce, lll_threshold
+
+from reference import gram_schmidt, mat_det, mat_solve
 
 
 def _gram(rows):
@@ -95,22 +91,6 @@ def test_gso_orthogonality(basis):
 # reduction
 # ---------------------------------------------------------------------------
 
-@given(_random_bases())
-@settings(max_examples=40, deadline=None)
-def test_integral_gso_matches_the_rational_one(basis):
-    gso = gram_schmidt(basis)
-    dets, lam = integral_gso(basis)
-    assert dets[0] == 1
-    for i, b2 in enumerate(gso.b_star_sq):
-        assert Fraction(dets[i + 1], dets[i]) == b2
-        assert lam[i] == tuple(m * dets[j + 1] for j, m in enumerate(gso.mu[i]))
-
-
-def test_integral_gso_rejects_dependent_rows():
-    with pytest.raises(ValueError):
-        integral_gso(LatticeBasis(((1, 2), (2, 4)), 2))
-
-
 def test_lll_identity_is_fixed():
     basis = LatticeBasis(((1, 0), (0, 1)), 2)
     assert lll_reduce(basis).rows == ((1, 0), (0, 1))
@@ -121,14 +101,6 @@ def test_lll_classic_example():
     assert _same_lattice(red, LatticeBasis(((1, 1, 1), (-1, 0, 2), (3, 5, 6)), 3))
     # first vector of the reduced basis is short
     assert dot(red.rows[0], red.rows[0]) <= 3
-
-
-def test_lll_rejects_bad_delta():
-    basis = LatticeBasis(((1, 0), (0, 1)), 2)
-    with pytest.raises(ValueError):
-        lll_reduce(basis, delta=Fraction(1, 4))
-    with pytest.raises(ValueError):
-        lll_reduce(basis, delta=Fraction(1))
 
 
 def test_lll_rejects_dependent_rows():
@@ -161,24 +133,43 @@ def test_lll_on_kernel_bases(x):
     assert _same_lattice(kb, red)
     for row in red.rows:
         assert dot(row, x) == 0
-    assert red._gso == integral_gso(red)
 
 
-@given(st.one_of(
+_kernel_embedding_and_random_bases = st.one_of(
     _random_bases(max_dim=6),
+    st.lists(st.integers(-10**4, 10**4), min_size=2, max_size=6)
+    .filter(any).map(kernel_basis),
     st.tuples(st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=6)
               .filter(any), st.integers(1, 5), st.integers(-100, 100))
     .map(lambda a: embedding_basis(a[0], choose_params(a[0], a[1], a[2],
-                                                       "gss_worst")))))
+                                                       "gss_worst"))))
+
+
+@given(_kernel_embedding_and_random_bases)
 @settings(max_examples=60, deadline=None)
-def test_reduced_basis_carries_its_integral_gso(basis):
-    """The reducer's lambda/D data at exit is that of its output rows, so
-    preparing the output needs no second pass; it is not part of the
-    basis's value."""
+def test_the_reducer_exits_with_the_gram_schmidt_data_of_its_rows(basis):
+    """The reducer's lambda/D data at exit, which prepare keeps, is the
+    integral form of the rational Gram-Schmidt data of its output rows:
+    D[i+1] / D[i] = |b*_i|^2 and lam[i][j] = mu_ij D[j+1].  lll_reduce
+    returns the same rows."""
+    rows, (dets, lam) = _reduce(basis.rows)
+    assert rows == lll_reduce(basis).rows
+    gso = gram_schmidt(LatticeBasis(rows, basis.dim))
+    assert dets[0] == 1 and len(dets) == len(rows) + 1
+    for i, b2 in enumerate(gso.b_star_sq):
+        assert Fraction(dets[i + 1], dets[i]) == b2
+        assert lam[i] == tuple(m * dets[j + 1] for j, m in enumerate(gso.mu[i]))
+
+
+@given(_kernel_embedding_and_random_bases)
+@example(LatticeBasis(((1, 0), (7, 1)), 2))
+@settings(max_examples=60, deadline=None)
+def test_prepare_keeps_the_rows_of_a_reduced_basis(basis):
+    """prepare reduces, and reducing a reduced basis changes no row, so a
+    basis lll_reduce returned is prepared as it stands."""
     red = lll_reduce(basis)
-    assert red._gso == integral_gso(red)
-    assert red == LatticeBasis(red.rows, red.dim)
-    assert LatticeBasis(red.rows, red.dim)._gso is None
+    assert prepare(basis).rows == red.rows
+    assert prepare(red) == prepare(basis)
 
 
 @st.composite
@@ -220,7 +211,7 @@ def test_the_reducer_reduces_under_an_integral_form(case):
     rational Gram-Schmidt data), and the output is size-reduced and
     Lovasz-reduced under F, stated in those integers."""
     basis, ip = case
-    rows, (dets, lam) = _reduce(basis.rows, Fraction(3, 4), ip)
+    rows, (dets, lam) = _reduce(basis.rows, ip)
     assert _same_lattice(basis, LatticeBasis(rows, basis.dim))
     gram = [[Fraction(ip(a, b)) for b in rows] for a in rows]
     mu, sqs = _gram_gso(gram)

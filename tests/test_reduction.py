@@ -145,20 +145,32 @@ _kernel_embedding_and_random_bases = st.one_of(
                                                        "gss_worst"))))
 
 
-@given(_kernel_embedding_and_random_bases)
-@settings(max_examples=60, deadline=None)
-def test_the_reducer_exits_with_the_gram_schmidt_data_of_its_rows(basis):
-    """The reducer's lambda/D data at exit, which prepare keeps, is the
-    integral form of the rational Gram-Schmidt data of its output rows:
-    D[i+1] / D[i] = |b*_i|^2 and lam[i][j] = mu_ij D[j+1].  lll_reduce
-    returns the same rows."""
+@given(_random_bases())
+@settings(max_examples=40, deadline=None)
+def test_integral_gso_matches_the_rational_one(basis):
+    """The reducer's lambda/D data at exit is the integral form of the
+    rational Gram-Schmidt data of its output rows:
+    D[i+1] / D[i] = |b*_i|^2 and lam[i][j] = mu_ij D[j+1]."""
     rows, (dets, lam) = _reduce(basis.rows)
-    assert rows == lll_reduce(basis).rows
     gso = gram_schmidt(LatticeBasis(rows, basis.dim))
     assert dets[0] == 1 and len(dets) == len(rows) + 1
     for i, b2 in enumerate(gso.b_star_sq):
         assert Fraction(dets[i + 1], dets[i]) == b2
         assert lam[i] == tuple(m * dets[j + 1] for j, m in enumerate(gso.mu[i]))
+
+
+@given(_kernel_embedding_and_random_bases)
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_carries_its_integral_gso(basis):
+    """prepare keeps the reducer's exit data, which is that of lll_reduce's
+    output rows, so preparing needs no second pass; lll_reduce returns rows
+    only, with nothing beside them in the basis's value."""
+    red = lll_reduce(basis)
+    rows, gso = _reduce(basis.rows)
+    assert rows == red.rows
+    assert (prepare(basis).gram_det, prepare(basis).lam) == gso
+    assert red == LatticeBasis(red.rows, red.dim)
+    assert vars(red) == vars(LatticeBasis(red.rows, red.dim))
 
 
 @given(_kernel_embedding_and_random_bases)

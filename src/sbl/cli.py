@@ -20,6 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .core import (
+    DEFAULT_POINT_BUDGET,
     BudgetExceeded,
     GUARD_ABORT,
     InternalError,
@@ -34,7 +35,6 @@ from .core import (
     serialize_verdict,
     verify_solution,
 )
-from .enumeration import DEFAULT_POINT_BUDGET
 from .experiment import (
     BENCH_HEADER,
     ProbeConfig,

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 __all__ = [
     "ParseError",
+    "Budget",
     "BudgetExceeded",
     "InternalError",
     "dot",
@@ -52,6 +54,32 @@ __all__ = [
 
 class ParseError(ValueError):
     """Raised when an instance or verdict document is malformed."""
+
+
+DEFAULT_POINT_BUDGET = 10_000_000
+
+
+@dataclass(slots=True)
+class Budget:
+    """The work cap of a solve and the lattice points charged to it.
+
+    limit caps the points that the walks handed this Budget visit together,
+    and the candidates a baseline solver may touch; charged counts the
+    points visited so far.  Baselines check the limit but charge nothing.
+    """
+
+    limit: int = DEFAULT_POINT_BUDGET
+    charged: int = 0
+
+
+def _as_budget(budget) -> Budget:
+    """The Budget a search draws on: None is a fresh one at the default
+    limit, an int a fresh one at that limit, a Budget itself."""
+    if budget is None:
+        return Budget()
+    if isinstance(budget, Budget):
+        return budget
+    return Budget(int(budget))
 
 
 class BudgetExceeded(RuntimeError):
@@ -441,6 +469,19 @@ def _parse_int(value, field: str) -> int:
     raise ParseError(f"{field}: expected an integer, got {type(value).__name__}")
 
 
+# "p" or "p/q" in decimal digits, q nonzero
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _parse_rational(value, field: str) -> Fraction:
+    """A JSON integer (not a bool) or a "p" or "p/q" string, exactly."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        return Fraction(value)
+    raise ParseError(f"{field}: not a rational: {value!r}")
+
+
 def _parse_coeffs(doc, n: int) -> CoefficientSet:
     if not isinstance(doc, dict):
         raise ParseError("coeffs: expected an object")
@@ -462,15 +503,8 @@ def _parse_coeffs(doc, n: int) -> CoefficientSet:
             for i, row in enumerate(raw):
                 if not isinstance(row, list):
                     raise ParseError(f"coeffs.a[{i}]: expected a row")
-                parsed = []
-                for j, entry in enumerate(row):
-                    try:
-                        parsed.append(Fraction(entry))
-                    except (ValueError, ZeroDivisionError, TypeError):
-                        raise ParseError(
-                            f"coeffs.a[{i}][{j}]: not a rational: {entry!r}"
-                        ) from None
-                rows.append(tuple(parsed))
+                rows.append(tuple(_parse_rational(entry, f"coeffs.a[{i}][{j}]")
+                                  for j, entry in enumerate(row)))
             if len(rows) != n:
                 raise ParseError("coeffs.a: dimension does not match x")
             return Ellipsoid(tuple(rows))

@@ -51,6 +51,9 @@ the centers it passes (see solve.solve_gss_punctured).
 
 svp_gauge walks an ellipsoid c A c^T <= 1 exactly, on the Gram-Schmidt
 data of rows reduced under its integral form F = L A (see svp_gauge).
+
+A search's budget is None or an int limit, for a fresh core.Budget, or a
+Budget, which every walk of the searches it is passed to charges.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Optional, Tuple, Union
 
-from .core import BudgetExceeded, Box, InternalError, l2_sq, linf
+from .core import (DEFAULT_POINT_BUDGET, Budget, BudgetExceeded, Box,
+                   InternalError, _as_budget, l2_sq, linf)
 from .lattice import GaugeBody, LatticeBasis
 from .reduction import _reduce
 
@@ -81,9 +85,6 @@ __all__ = [
     "GaugeResult",
     "svp_gauge",
 ]
-
-DEFAULT_POINT_BUDGET = 10_000_000
-
 
 def _rational(c) -> Union[int, Fraction]:
     """c as an exact number: ints and Fractions are kept as they are."""
@@ -289,7 +290,7 @@ class EnumerationResult:
 
 def enum_ball(
     query: BallQuery,
-    budget: int = DEFAULT_POINT_BUDGET,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> EnumerationResult:
     """All lattice points v with |v - center|_2^2 <= radius_sq, sorted
     lexicographically.
@@ -308,7 +309,7 @@ def enum_ball(
         pts = (tuple([0] * basis.dim),) if inside else ()
         return EnumerationResult(pts, len(pts))
     out: list = []
-    _walk(_Target.of(prepare(basis), center), out.append, budget,
+    _walk(_Target.of(prepare(basis), center), out.append, _as_budget(budget),
           r_sq=query.radius_sq)
     out.sort()
     return EnumerationResult(tuple(out), len(out))
@@ -344,10 +345,10 @@ def _top_test(lat: PreparedLattice, den: int, lim: int, perp: int = 0):
     return empty
 
 
-def _walk(t: _Target, visit, budget: int, spent: int = 0,
-          lim: Optional[int] = None, r_sq=None) -> int:
+def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
+          r_sq=None) -> None:
     """Hand every lattice point of a ball around the center t to visit(p),
-    in walk order, and return how many points it visited.
+    in walk order, and charge them to the budget.
 
     With lim set this is the sup walk: the ball is |den v - scaled|_inf <=
     lim, the lattice points within sup distance lim / den of the center,
@@ -355,9 +356,10 @@ def _walk(t: _Target, visit, budget: int, spent: int = 0,
     The visitor of a search lowers it to the best distance found (see
     _sup_search); one that keeps every point returns lim.  With r_sq
     instead, the ball is |v - center|_2^2 <= r_sq, the walk is not pruned
-    and what visit returns is ignored.  spent points of the budget went to
-    earlier work that shares it; the walk raises BudgetExceeded, with the
-    whole budget as its partial count, before it visits past it.
+    and what visit returns is ignored.  It raises BudgetExceeded, with the
+    whole limit as its partial count, before the points charged to the
+    budget by it and earlier walks pass the limit; it writes its count back
+    once, on a raise too.
 
     The walk is depth first over the levels from the last row down.  With
     den the center's common denominator, D = gram_det, L = lcm_i D[i]
@@ -412,12 +414,13 @@ def _walk(t: _Target, visit, budget: int, spent: int = 0,
             ws = [r_den * w for w in ws]
         rem0 = r_num * den * den * scale - r_den * perp
     if rem0 < 0:
-        return 0
+        return
     e, s = t.frame[top], isqrt(rem0 // ws[top])
     lo, hi = -((s - e) // ts[top]), (e + s) // ts[top]
     if lo > hi:
-        return 0
-    count = spent
+        return
+    count = before = budget.charged
+    limit = budget.limit
     w0, t0, row0 = ws[0], ts[0], rows[0]
     if rank > 1:
         w1, t1, row1, (step1,) = ws[1], ts[1], rows[1], steps[1]
@@ -446,10 +449,10 @@ def _walk(t: _Target, visit, budget: int, spent: int = 0,
                 if a > b:
                     return
         count += b - a + 1
-        if count > budget:
-            what = "search lists" if spent else "ball holds"
+        if count > limit:
+            what = "search lists" if before else "ball holds"
             raise BudgetExceeded(
-                f"{what} more than {budget} points", partial=budget
+                f"{what} more than {limit} points", partial=limit
             )
         p = tuple(map(add, acc, map(mul, row0, repeat(a))))
         new = visit(p)
@@ -536,19 +539,17 @@ def _walk(t: _Target, visit, budget: int, spent: int = 0,
         else:
             emit(zero, lo, hi)
     finally:
+        budget.charged = count
         # the walkers refer to each other, cycles that would keep their
         # frames alive until the next full garbage collection
         del emit, pair, descend
-    return count - spent
 
 
-def _sup_search(t: _Target, lim: int, budget: int, spent: int = 0,
-                nonzero: bool = False):
-    """(best, count): the sup walk around t at the limit lim (see _walk),
-    with best = (g, p) for the lattice point p nearest the center, at sup
+def _sup_search(t: _Target, lim: int, budget: Budget, nonzero: bool = False):
+    """The sup walk around t at the limit lim (see _walk), charged to the
+    budget: (g, p) for the lattice point p nearest the center, at sup
     distance g / den, nonzero when asked, and the lexicographically least
-    such p; None when no such point lies within lim / den.  count is the
-    number of points visited.
+    such p; None when no such point lies within lim / den.
 
     The visitor keeps the least (g, p) and lowers the walk's limit to g:
     ties at g still come in, so the least witness survives, and the
@@ -563,8 +564,8 @@ def _sup_search(t: _Target, lim: int, budget: int, spent: int = 0,
             best, lim = (g, p), g
         return lim
 
-    count = _walk(t, visit, budget, spent, lim)
-    return best, count
+    _walk(t, visit, budget, lim)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +574,17 @@ def _sup_search(t: _Target, lim: int, budget: int, spent: int = 0,
 
 @dataclass(frozen=True)
 class SvpResult:
-    """found is False only for capped searches, certifying value > cap.
-    ball_count is the number of points the search's walk visited."""
+    """found is False only for capped searches, certifying value > cap."""
 
     found: bool
     value: Optional[int]
     witness: Optional[Tuple[int, ...]]
-    ball_count: int
 
 
 def svp_inf(
     basis: Lattice,
     cap: Optional[int] = None,
-    budget: int = DEFAULT_POINT_BUDGET,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> SvpResult:
     """Exact sup-norm shortest vector.
 
@@ -604,15 +603,15 @@ def svp_inf(
     lat = prepare(basis)
     u = min(linf(row) for row in lat.rows)
     lim = u if cap is None else min(cap, u)
-    best, count = _sup_search(_Target(lat, 1, (0,) * lat.dim, [0] * lat.rank),
-                              lim, budget, nonzero=True)
+    best = _sup_search(_Target(lat, 1, (0,) * lat.dim, [0] * lat.rank),
+                       lim, _as_budget(budget), nonzero=True)
     if best is None:
         if lim == u:
             raise InternalError(
                 "self-check failed: the sup walk misses a reduced row"
             )
-        return SvpResult(False, None, None, count)
-    return SvpResult(True, best[0], best[1], count)
+        return SvpResult(False, None, None)
+    return SvpResult(True, best[0], best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -621,20 +620,18 @@ def svp_inf(
 
 @dataclass(frozen=True)
 class CvpResult:
-    """found is False only for capped searches, certifying dist > cap.
-    ball_count is the number of points the search's walk visited."""
+    """found is False only for capped searches, certifying dist > cap."""
 
     found: bool
     dist: Optional[Fraction]
     witness: Optional[Tuple[int, ...]]
-    ball_count: int
 
 
 def cvp_inf(
     basis: Lattice,
     target,
     cap: Optional[Fraction] = None,
-    budget: int = DEFAULT_POINT_BUDGET,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> CvpResult:
     """Exact sup-norm closest vector to a rational target.
 
@@ -659,7 +656,7 @@ def cvp_inf(
         cap = _rational(cap)
         if cap < 0:
             raise ValueError("cap must be nonnegative")
-    return _cvp_core(t, cap, budget)
+    return _cvp_core(t, cap, _as_budget(budget))
 
 
 def _cvp_target(basis: Lattice, target) -> _Target:
@@ -674,7 +671,7 @@ def _cvp_target(basis: Lattice, target) -> _Target:
     return _Target(lat, den, scaled, lat._frame(scaled))
 
 
-def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
+def _cvp_core(t: _Target, cap, budget: Budget) -> CvpResult:
     """cvp_inf around the center t, with cap None or a nonnegative int or
     Fraction.  A scaled sup distance g is within the cap iff g <=
     floor(cap * den), the walk's integer limit; a search that finds
@@ -684,20 +681,20 @@ def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
     if cap is not None:
         lim = cap.numerator * den // cap.denominator
         if _top_test(t.lat, den, lim, _perp(t))(t.frame):
-            return CvpResult(False, None, None, 0)
+            return CvpResult(False, None, None)
     v0, g0 = t.babai()
     if g0 == 0:
-        return CvpResult(True, Fraction(0), v0, 0)
+        return CvpResult(True, Fraction(0), v0)
     if lim is None or g0 < lim:
         lim = g0
-    best, count = _sup_search(t, lim, budget)
+    best = _sup_search(t, lim, budget)
     if best is None:
         if lim == g0:
             raise InternalError(
                 "self-check failed: the sup walk misses Babai's vector"
             )
-        return CvpResult(False, None, None, count)
-    return CvpResult(True, Fraction(best[0], den), best[1], count)
+        return CvpResult(False, None, None)
+    return CvpResult(True, Fraction(best[0], den), best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +705,12 @@ def _cvp_core(t: _Target, cap, budget: int) -> CvpResult:
 class GaugeResult:
     value: Fraction  # gauge for a box, squared gauge for an ellipsoid
     witness: Tuple[int, ...]
-    ball_count: int
 
 
 def svp_gauge(
     basis: Lattice,
     body: GaugeBody,
-    budget: int = DEFAULT_POINT_BUDGET,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> GaugeResult:
     """Nonzero lattice vector minimizing the body's gauge, exactly.
 
@@ -732,8 +728,7 @@ def svp_gauge(
         raise ValueError("empty lattice")
     if isinstance(body, Box):
         res = svp_inf(basis, budget=budget)
-        return GaugeResult(Fraction(res.value, body.d), res.witness,
-                           res.ball_count)
+        return GaugeResult(Fraction(res.value, body.d), res.witness)
     if body.dim != basis.dim:
         raise ValueError("body dimension does not match the lattice")
     den = lcm(*(a.denominator for row in body.a for a in row))
@@ -755,8 +750,8 @@ def svp_gauge(
             if best is None or (g, p) < best:
                 best = (g, p)
 
-    count = _walk(_Target(lat, 1, (0,) * lat.dim, [0] * lat.rank), visit,
-                  budget, r_sq=g0)
+    _walk(_Target(lat, 1, (0,) * lat.dim, [0] * lat.rank), visit,
+          _as_budget(budget), r_sq=g0)
     if best is None:
         raise InternalError("self-check failed: the walk misses a reduced row")
-    return GaugeResult(Fraction(best[0], den), best[1], count)
+    return GaugeResult(Fraction(best[0], den), best[1])

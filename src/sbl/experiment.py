@@ -26,14 +26,16 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .core import (
+    DEFAULT_POINT_BUDGET,
     GUARD_ABORT,
     SOLVED,
+    Budget,
     Instance,
     Interval,
     Punctured,
+    _parse_int,
     verify_solution,
 )
-from .enumeration import DEFAULT_POINT_BUDGET
 from .solve import solve_instance
 
 __all__ = [
@@ -151,14 +153,11 @@ class ProbeConfig:
     solver: str = "mitm"
 
     def __post_init__(self):
-        if self.n < 1 or self.m_bound < 1 or self.d < 1:
-            raise ValueError("n, m_bound, d must be positive")
+        _check_sample(self.n, self.m_bound, self.d, self.cset)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
-        if self.cset not in ("interval", "punctured"):
-            raise ValueError(f"unknown coefficient set kind {self.cset!r}")
         if self.solver not in ("mitm", "lattice", "both"):
             raise ValueError(f"unknown solver choice {self.solver!r}")
 
@@ -390,16 +389,16 @@ def _load_suite(suite) -> list:
             raise ValueError(f"suite entry {i}: expected an object")
         try:
             run = {
-                "n": int(entry["n"]),
-                "m_bound": int(entry.get("m_bound", 100)),
-                "d": int(entry["d"]),
-                "tau": int(entry.get("tau", 0)),
+                "n": _parse_int(entry["n"], "n"),
+                "m_bound": _parse_int(entry.get("m_bound", 100), "m_bound"),
+                "d": _parse_int(entry["d"], "d"),
+                "tau": _parse_int(entry.get("tau", 0), "tau"),
                 "cset": entry.get("cset", "interval"),
                 "solvers": tuple(entry.get("solvers", ("mitm",))),
             }
         except KeyError as e:
             raise ValueError(f"suite entry {i}: missing field {e.args[0]!r}")
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(f"suite entry {i}: {e}")
         for solver in run["solvers"]:
             if solver not in _BENCH_SOLVERS:
@@ -416,8 +415,10 @@ def bench(suite, seed: int = 20240, budget: int = DEFAULT_POINT_BUDGET) -> list:
     """Rows of (solver, n, d, M, status, wall_micros, enumerated_points).
 
     suite is a built-in name, a path to a JSON list of run descriptors, or
-    the list itself.  Instance columns are deterministic in the seed; wall
-    times are informational only.
+    the list itself.  Each solve draws on a Budget of its own at the limit
+    budget, and enumerated_points is the count charged to it.  Instance
+    columns are deterministic in the seed; wall times are informational
+    only.
     """
     runs = _load_suite(suite)
     rows = []
@@ -434,9 +435,9 @@ def bench(suite, seed: int = 20240, budget: int = DEFAULT_POINT_BUDGET) -> list:
                 engine = _lattice_engine(mode, run["cset"])
             else:
                 engine = solver
-            stats: dict = {}
+            meter = Budget(budget)
             t0 = time.perf_counter()
-            verdict = solve_instance(inst, mode, engine, budget, stats)
+            verdict = solve_instance(inst, mode, engine, meter)
             wall = time.perf_counter() - t0
             rows.append((
                 solver,
@@ -445,6 +446,6 @@ def bench(suite, seed: int = 20240, budget: int = DEFAULT_POINT_BUDGET) -> list:
                 run["m_bound"],
                 verdict.status,
                 int(wall * 1_000_000),
-                stats.get("ball_points", 0),
+                meter.charged,
             ))
     return rows

@@ -8,8 +8,6 @@ may differ between the two but every returned witness verifies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
 
 from .core import (
     BudgetExceeded,
@@ -17,30 +15,10 @@ from .core import (
     Instance,
     InternalError,
     Verdict,
+    _as_budget,
     coefficient_alphabet,
     verify_solution,
 )
-
-DEFAULT_ORACLE_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Cap on the number of candidate vectors a baseline solver may touch."""
-
-    max_candidates: int = DEFAULT_ORACLE_BUDGET
-
-    def __post_init__(self):
-        if self.max_candidates < 1:
-            raise ValueError("budget must be positive")
-
-
-def _as_budget(budget) -> OracleBudget:
-    if budget is None:
-        return OracleBudget()
-    if isinstance(budget, OracleBudget):
-        return budget
-    return OracleBudget(int(budget))
 
 
 def _target(inst: Instance, mode: str) -> int:
@@ -59,7 +37,7 @@ def brute_force_solve(inst: Instance, mode: str = "balancing", budget=None) -> V
     The witness, when one exists, is the lexicographically smallest
     admissible vector.  An ellipsoid set is scanned through its bounding box
     with an exact membership filter.  Refuses to start when |C|^n exceeds
-    the budget.
+    the budget's limit, and charges nothing to it.
     """
     budget = _as_budget(budget)
     target = _target(inst, mode)
@@ -77,9 +55,9 @@ def brute_force_solve(inst: Instance, mode: str = "balancing", budget=None) -> V
         vals = tuple(range(-r, r + 1))
         joint = cs.contains
     k = len(vals)
-    if k ** n > budget.max_candidates:
+    if k ** n > budget.limit:
         raise BudgetExceeded(
-            f"{k}^{n} candidates exceed the budget of {budget.max_candidates}"
+            f"{k}^{n} candidates exceed the budget of {budget.limit}"
         )
     nonzero_needed = mode == "balancing"
 
@@ -130,7 +108,9 @@ def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
     the scan reaches them.  The first half is tabulated in lexicographic
     order (ties in a sum bucket keep insertion order) and the second half
     is scanned lexicographically, so the returned witness is deterministic,
-    though not necessarily the same one brute force finds.
+    though not necessarily the same one brute force finds.  Refuses to
+    start when |C|^ceil(n/2) exceeds the budget's limit, and charges
+    nothing to it.
     """
     budget = _as_budget(budget)
     target = _target(inst, mode)
@@ -140,10 +120,10 @@ def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
     x = inst.x
     n = inst.n
     h = (n + 1) // 2
-    if len(vals) ** h > budget.max_candidates:
+    if len(vals) ** h > budget.limit:
         raise BudgetExceeded(
             f"{len(vals)}^{h} half-candidates exceed the budget of "
-            f"{budget.max_candidates}"
+            f"{budget.limit}"
         )
     head, tail = x[:h], x[h:]
     table: dict = {}

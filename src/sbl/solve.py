@@ -18,7 +18,8 @@ true distance can only be the next grid value up.
 
 solve_instance is the one place that maps a mode, a coefficient set and
 an engine name to a solver; the command line, probes and benchmarks all
-go through it.
+go through it.  Every walk of a solve draws on its one core.Budget, whose
+charged count a caller that passes it reads.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_POINT_BUDGET,
     BudgetExceeded,
     Box,
     Ellipsoid,
@@ -43,10 +45,10 @@ from .core import (
     iroot,
     l2_sq,
     linf,
+    _as_budget,
     verify_solution,
 )
 from .enumeration import (
-    DEFAULT_POINT_BUDGET,
     CvpResult,
     Lattice,
     _cvp_core,
@@ -110,11 +112,6 @@ class GapConfigError(ValueError):
     """Oracle approximation factor too large for the requested radius."""
 
 
-def _tally(stats: Optional[dict], key: str, amount: int) -> None:
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + amount
-
-
 def _check(ok: bool, what: str) -> None:
     """A self-check on a witness or a decision; unlike assert it also runs
     under python -O."""
@@ -148,8 +145,7 @@ def check_minkowski(x: Sequence[int], d: int) -> bool:
 def solve_sbp(
     x: Sequence[int],
     d: int,
-    budget: int = DEFAULT_POINT_BUDGET,
-    stats: Optional[dict] = None,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
     """Decide balancing with coefficients in [-d, d] by one sup-norm
     shortest vector call on the embedding lattice.
@@ -162,7 +158,6 @@ def solve_sbp(
     params = choose_params(xs, d, 0, "sbp")
     basis = embedding_basis(xs, params)
     res = svp_inf(basis, cap=d, budget=budget)
-    _tally(stats, "ball_points", res.ball_count)
     if not res.found:
         return Verdict.no_solution("no nonzero lattice vector within the bound")
     v = res.witness
@@ -196,8 +191,7 @@ def solve_sbp_lll(x: Sequence[int], d: int) -> Verdict:
 def solve_sbp_body(
     x: Sequence[int],
     body: GaugeBody,
-    budget: int = DEFAULT_POINT_BUDGET,
-    stats: Optional[dict] = None,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
     """Balancing over an arbitrary box or ellipsoid coefficient body.
 
@@ -208,7 +202,6 @@ def solve_sbp_body(
     xs = tuple(int(v) for v in x)
     basis, _q = full_rank_completion(xs, body)
     res = svp_gauge(basis, body, budget=budget)
-    _tally(stats, "ball_points", res.ball_count)
     c = res.witness
     if res.value > 1:
         return Verdict.no_solution("shortest gauge vector lies outside the body")
@@ -249,13 +242,10 @@ class ApproxCvpOracle:
             raise ValueError("gamma must be at least 1")
 
 
-def capped_cvp_oracle(
-    r,
-    budget: int = DEFAULT_POINT_BUDGET,
-    stats: Optional[dict] = None,
-) -> ApproxCvpOracle:
+def capped_cvp_oracle(r, budget=DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
     """A gamma = 1 oracle answering only up to radius r, by cvp_inf capped
-    at r.
+    at r.  Each answer draws on the budget: a Budget is shared by all of
+    them, and an int or None gives each its own.
 
     When nothing lies within r it reports r + 1 with no vector, which is a
     valid distance lower bound exactly when attainable distances skip the
@@ -266,16 +256,14 @@ def capped_cvp_oracle(
         raise ValueError("radius must be nonnegative")
 
     def solver(basis: Lattice, target):
-        return _capped_answer(cvp_inf(basis, target, cap=r, budget=budget),
-                              r, stats)
+        return _capped_answer(cvp_inf(basis, target, cap=r, budget=budget), r)
 
     return ApproxCvpOracle(Fraction(1), solver)
 
 
-def _capped_answer(res: CvpResult, r: Fraction, stats: Optional[dict]):
+def _capped_answer(res: CvpResult, r: Fraction):
     """The capped oracle's (vector, reported) for a search capped at r:
     the vector found, or none and r + 1."""
-    _tally(stats, "ball_points", res.ball_count)
     if res.found:
         return res.witness, res.dist
     return None, r + 1
@@ -337,8 +325,7 @@ def solve_gss_interval(
     tau: int,
     a: int,
     b: int,
-    budget: int = DEFAULT_POINT_BUDGET,
-    stats: Optional[dict] = None,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
     """c.x = tau with every c_i in [a, b], by one gap decision.
 
@@ -363,7 +350,7 @@ def solve_gss_interval(
     basis = embedding_basis(xs, params)
     target, r = interval_shift_target(tau, params.alpha, a, b, n)
     grid = INTEGER if (b - a) % 2 == 0 else HALF_INTEGER
-    oracle = capped_cvp_oracle(r, budget=budget, stats=stats)
+    oracle = capped_cvp_oracle(r, budget=budget)
     gv = gap_decide(oracle, basis, target, r, grid)
     if not gv.accept:
         return Verdict.no_solution("gap decision rejected")
@@ -376,8 +363,7 @@ def solve_gss_punctured(
     x: Sequence[int],
     tau: int,
     d: int,
-    budget: int = DEFAULT_POINT_BUDGET,
-    stats: Optional[dict] = None,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
     """c.x = tau with 1 <= |c_i| <= d, via one gap decision per sign
     pattern.
@@ -406,8 +392,7 @@ def solve_gss_punctured(
     rejected, and one whose walk finds a point builds its target and
     passes gap_decide's checks on that point, then the sign check and
     verify_solution.  Neither path rounds with Babai, and a rejection
-    builds no Fraction.  The walks of one solve draw on its one point
-    budget.
+    builds no Fraction.  The walks of one solve draw on its one Budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -421,6 +406,7 @@ def solve_gss_punctured(
             f"2^{SIGN_PATTERN_CAP}"
         )
     inst = Instance(xs, Punctured(d), tau=tau)
+    budget = _as_budget(budget)
     params = choose_params(xs, d, tau, "gss_worst")
     lat = prepare(embedding_basis(xs, params))
     grid = INTEGER if d % 2 == 1 else HALF_INTEGER
@@ -440,23 +426,19 @@ def solve_gss_punctured(
     # frame = frame(base + h * last), starting at the all -1 pattern
     frame = [head * b[0] - h * sum(b[1:]) for b in stars]
     last = (-1,) * n
-    best, spent, tried = None, 0, 0
+    best = None
     for signs in product((-1, 1), repeat=n):
         for i in range(n):
             if signs[i] != last[i]:
                 frame = list(map(add, frame,
                                  ups[i] if signs[i] > 0 else downs[i]))
         last = signs
-        tried += 1
         if not empty(frame):
             scaled = (head,) + tuple(h * s for s in signs)
-            best, count = _sup_search(_Target(lat, den, scaled, frame),
-                                      limit, budget, spent)
-            spent += count
+            best = _sup_search(_Target(lat, den, scaled, frame), limit,
+                               budget)
             if best is not None:
                 break
-    _tally(stats, "ball_points", spent)
-    _tally(stats, "patterns_tried", tried)
     if best is None:
         return Verdict.no_solution("every sign pattern rejected")
     # gap_decide's checks, on the point the walk found
@@ -483,8 +465,7 @@ def solve_gss_avg(
     d: int,
     m_bound: int,
     cset: str = "interval",
-    budget: int = DEFAULT_POINT_BUDGET,
-    stats: Optional[dict] = None,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
     """Density-regime solver: wrapper bound, short-vector guard, then one
     sup walk around the target.
@@ -497,8 +478,8 @@ def solve_gss_avg(
     distance d of the target decodes to a witness (a punctured one when
     no coefficient is 0): the sup walk at the fixed limit d visits exactly
     those points, and its visitor keeps the lexicographically least that
-    decodes, the witness.  The guard search and the walk draw on the one
-    budget.
+    decodes, the witness.  The guard search and the walk draw on one
+    Budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -517,21 +498,16 @@ def solve_gss_avg(
     inst = Instance(xs, coeffs, tau=tau, m_bound=m_bound)
     params = choose_params(xs, d, tau, "gss_avg", m_bound=m_bound)
     lat = prepare(embedding_basis(xs, params))
-    if stats is not None:
-        stats["alpha"] = params.alpha
-        stats["q"] = params.q
+    budget = _as_budget(budget)
     guard_cap = iroot(m_bound, n) // 4
-    spent = 0
     if guard_cap >= 1:
         gres = svp_inf(lat, cap=guard_cap, budget=budget)
-        _tally(stats, "ball_points", gres.ball_count)
         if gres.found:
             _check((4 * gres.value) ** n <= m_bound,
                    "guard vector is longer than the guard")
             return Verdict.guard_abort(
                 f"nonzero lattice vector of sup norm {gres.value} within the guard"
             )
-        spent = gres.ball_count
     best = None
 
     def keep(v) -> int:
@@ -540,8 +516,7 @@ def solve_gss_avg(
             best = v
         return d
 
-    count = _walk(_Target.of(lat, params.target), keep, budget, spent, d)
-    _tally(stats, "ball_points", count)
+    _walk(_Target.of(lat, params.target), keep, budget, d)
     if best is None:
         return Verdict.no_solution("no lattice point near the target decodes")
     _check(best[0] == params.alpha * tau,
@@ -561,7 +536,7 @@ def cvp_via_gap_search(
     grid: str = INTEGER,
     r_max=None,
     oracle_factory: Optional[Callable] = None,
-    budget: int = DEFAULT_POINT_BUDGET,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> Tuple[Tuple[int, ...], Fraction]:
     """Recover a closest vector from gap decisions alone by binary search
     over grid radii.
@@ -571,18 +546,20 @@ def cvp_via_gap_search(
     on grid-structured targets.  The search needs an accepting radius to
     start from; r_max defaults to the rounding bound of a nearest-plane
     walk, which always accepts.  The default oracle maps the target to
-    its frame and rounds it with Babai once for the whole search.
+    its frame and rounds it with Babai once for the whole search, and the
+    walks of all its radii draw on one Budget.
     """
     if grid not in _GRIDS:
         raise ValueError(f"unknown grid {grid!r}")
     lat = prepare(basis)
     tgt = tuple(Fraction(t) for t in target)
     center = _cvp_target(lat, tgt)
+    budget = _as_budget(budget)
     if oracle_factory is None:
         def oracle_factory(rr):
             # gap_decide passes back this search's lattice and target
             return ApproxCvpOracle(Fraction(1), lambda _b, _t: _capped_answer(
-                _cvp_core(center, rr, budget), rr, None))
+                _cvp_core(center, rr, budget), rr))
     base = Fraction(0) if grid == INTEGER else Fraction(1, 2)
     if r_max is None:
         d0 = Fraction(center.babai()[1], center.den)
@@ -637,8 +614,7 @@ def solve_instance(
     inst: Instance,
     mode: str,
     engine: str = "auto",
-    budget: int = DEFAULT_POINT_BUDGET,
-    stats: Optional[dict] = None,
+    budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
     """Solve inst in mode "balancing" (nonzero c with c.x = 0) or "gss"
     (c.x = tau) with the named engine from ENGINES.
@@ -658,15 +634,13 @@ def solve_instance(
     d = _symmetric_bound(coeffs)
     if engine == "auto":
         if isinstance(coeffs, Punctured):
-            return solve_gss_punctured(x, tau, coeffs.d, budget=budget,
-                                       stats=stats)
+            return solve_gss_punctured(x, tau, coeffs.d, budget=budget)
         if mode == "gss":
             if isinstance(coeffs, Ellipsoid):
                 # ellipsoid targets have no lattice route here; small cases only
                 return brute_force_solve(inst, mode, budget)
             lo, hi = (coeffs.lo, coeffs.hi) if d is None else (-d, d)
-            return solve_gss_interval(x, tau, lo, hi, budget=budget,
-                                      stats=stats)
+            return solve_gss_interval(x, tau, lo, hi, budget=budget)
         if isinstance(coeffs, Ellipsoid):
             engine = "body"
         elif d is not None:
@@ -686,13 +660,13 @@ def solve_instance(
             raise ValueError("avg engine: m_bound required on the instance")
         if isinstance(coeffs, Punctured):
             return solve_gss_avg(x, tau, coeffs.d, inst.m_bound, "punctured",
-                                 budget=budget, stats=stats)
+                                 budget=budget)
         if d is None:
             raise ValueError(
                 "avg engine needs a symmetric [-d,d] or punctured coefficient set"
             )
         return solve_gss_avg(x, tau, d, inst.m_bound, "interval",
-                             budget=budget, stats=stats)
+                             budget=budget)
     if engine in ("svp", "lll"):
         if d is None:
             raise ValueError(
@@ -700,13 +674,13 @@ def solve_instance(
             )
         if engine == "lll":
             return solve_sbp_lll(x, d)
-        return solve_sbp(x, d, budget=budget, stats=stats)
+        return solve_sbp(x, d, budget=budget)
     if engine == "body":
         if isinstance(coeffs, Ellipsoid):
-            return solve_sbp_body(x, coeffs, budget=budget, stats=stats)
+            return solve_sbp_body(x, coeffs, budget=budget)
         if d is None:
             raise ValueError("body engine needs a box or ellipsoid coefficient set")
-        return solve_sbp_body(x, Box(d), budget=budget, stats=stats)
+        return solve_sbp_body(x, Box(d), budget=budget)
     if engine == "avg":
         raise ValueError("avg engine solves gss; use --mode gss")
     raise ValueError(f"engine {engine} does not apply to balancing")

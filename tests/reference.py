@@ -22,6 +22,7 @@ from math import floor
 from typing import Sequence, Tuple
 
 from sbl.core import (
+    _as_budget,
     _frac_rows,
     Box,
     BudgetExceeded,
@@ -37,7 +38,7 @@ from sbl.core import (
 )
 from sbl.enumeration import PreparedLattice, _scaled
 from sbl.lattice import GaugeBody
-from sbl.oracle import _as_budget, _target
+from sbl.oracle import _target
 
 
 def mat_det(rows) -> Fraction:
@@ -291,10 +292,10 @@ def mitm_reference(inst: Instance, mode: str = "balancing", budget=None) -> Verd
     x = inst.x
     n = inst.n
     h = (n + 1) // 2
-    if len(vals) ** h > budget.max_candidates:
+    if len(vals) ** h > budget.limit:
         raise BudgetExceeded(
             f"{len(vals)}^{h} half-candidates exceed the budget of "
-            f"{budget.max_candidates}"
+            f"{budget.limit}"
         )
     head, tail = x[:h], x[h:]
     table: dict = {}

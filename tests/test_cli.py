@@ -78,6 +78,17 @@ def test_solve_missing_file_exit_three(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_solve_overflowing_ellipsoid_entry_exit_three(tmp_path, capsys):
+    # JSON reads 1e400 as a float infinity, which no exact entry can be
+    path = tmp_path / "inst.json"
+    path.write_text('{"x":["2","3"],"coeffs":{"kind":"ellipsoid",'
+                    '"a":[[1e400,"0"],["0","1"]]}}', encoding="utf-8")
+    assert main(["solve", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "sbl: coeffs.a[0][0]: not a rational: inf\n"
+
+
 def test_solve_bad_flag_exit_three(tmp_path):
     path = _write_instance(tmp_path, Instance((1, 2), Interval(0, 1)))
     with pytest.raises(SystemExit) as e:

@@ -258,6 +258,11 @@ def test_parse_instance_errors_name_fields():
         parse_instance("{")
     with pytest.raises(ParseError, match="d"):
         parse_instance('{"x":["1"],"coeffs":{"kind":"box","d":0}}')
+    # a float or a bool is no exact ellipsoid entry, however JSON spells it
+    for entry in ("1e400", "0.1", "true"):
+        with pytest.raises(ParseError, match=r"^coeffs\.a\[0\]\[1\]: "):
+            parse_instance('{"x":["1","2"],"coeffs":{"kind":"ellipsoid",'
+                           '"a":[["1",%s],["0","1"]]}}' % entry)
 
 
 def test_verdict_roundtrip():

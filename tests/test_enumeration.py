@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from sbl.core import (
     Box,
+    Budget,
     BudgetExceeded,
     Ellipsoid,
     ceil_sqrt_frac,
@@ -67,6 +68,13 @@ from reference import (
 
 def _basis(*rows):
     return LatticeBasis(tuple(tuple(r) for r in rows), len(rows[0]))
+
+
+def _charged(search):
+    """search(budget)'s result on a fresh Budget and the points charged to
+    it."""
+    budget = Budget()
+    return search(budget), budget.charged
 
 
 def _sweep(basis, span):
@@ -294,9 +302,10 @@ def test_sup_search_skips_zero_and_keeps_ties():
     ties stay in when the limit drops to the best norm."""
     lat = prepare(_basis((1, 0), (0, 1)))
     t = _Target(lat, 1, (0, 0), [0, 0])
-    assert _sup_search(t, 1, 10**6, nonzero=True) == ((1, (-1, -1)), 9)
-    assert _sup_search(t, 1, 10**6)[0] == (0, (0, 0))
-    assert _sup_search(t, 0, 10**6, nonzero=True) == (None, 1)
+    assert _charged(lambda b: _sup_search(t, 1, b, nonzero=True)) == (
+        (1, (-1, -1)), 9)
+    assert _sup_search(t, 1, Budget()) == (0, (0, 0))
+    assert _charged(lambda b: _sup_search(t, 0, b, nonzero=True)) == (None, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +566,9 @@ def test_svp_gauge_ranks_like_the_rational_form(case):
     bound = min(body.quad_form(row) for row in rows)
     listing = relaxed_ellipsoid_ball(basis, body, bound)
     want = min((body.quad_form(p), p) for p in listing if any(p))
-    got = svp_gauge(basis, body)
+    got, count = _charged(lambda b: svp_gauge(basis, body, budget=b))
     assert (got.value, got.witness) == want
-    assert got.ball_count == sum(body.quad_form(p) <= bound for p in listing)
+    assert count == sum(body.quad_form(p) <= bound for p in listing)
 
 
 def test_svp_gauge_rejects_a_body_of_another_dimension():
@@ -584,12 +593,11 @@ def test_a_gauge_search_draws_on_one_budget():
         def search(budget, b=b):
             return svp_gauge(basis, b, budget=budget)
 
-        res = search(10**7)
-        assert res.ball_count > 1
-        assert search(res.ball_count) == res
-        assert _outcome(search, res.ball_count - 1) == (
-            f"ball holds more than {res.ball_count - 1} points",
-            res.ball_count - 1)
+        res, count = _charged(search)
+        assert count > 1
+        assert search(count) == res
+        assert _outcome(search, count - 1) == (
+            f"ball holds more than {count - 1} points", count - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +724,8 @@ def test_pruned_sup_walk_equals_the_reference_walk(query):
     within lim / den of the center once and nothing else: the reference
     walk's points filtered to the sup ball, and those of the unpruned
     Euclidean ball around it.  It overruns a budget one point short, with
-    the whole budget as its partial count, and names the search when
-    earlier work spent part of the budget."""
+    the whole budget as its partial count, names the search when earlier
+    work was charged to the budget, and adds its points to that charge."""
     lat, target, lim = query
     t = _cvp_target(lat, target)
     bound = Fraction(lim, t.den)
@@ -727,18 +735,22 @@ def test_pruned_sup_walk_equals_the_reference_walk(query):
         seen.append(p)
         return lim
 
-    count = _walk(t, keep, 10**7, lim=lim)
+    _, count = _charged(lambda b: _walk(t, keep, b, lim))
     assert count == len(seen) == len(set(seen))
     assert sorted(seen) == _sup_ball(lat, target, bound)
     full = enum_ball(BallQuery(lat, target, bound * bound * lat.dim)).points
     assert sorted(seen) == [v for v in full if _sup_to(v, target) <= bound]
     if count:
-        walk = lambda budget, spent=0: _walk(t, keep, budget, spent, lim)
+        def walk(limit, charged=0):
+            budget = Budget(limit, charged)
+            _walk(t, keep, budget, lim)
+            return budget.charged
+
         assert _outcome(walk, count - 1) == (
             f"ball holds more than {count - 1} points", count - 1)
         assert _outcome(lambda b: walk(b, 1), count) == (
             f"search lists more than {count} points", count)
-        assert walk(count + 1, 1) == count
+        assert walk(count + 1, 1) == count + 1
 
 
 @given(_capped_queries())
@@ -750,9 +762,9 @@ def test_capped_core_rejects_an_empty_cap_ball_before_babai(query):
     lat, target, cap = query
     t = _cvp_target(lat, target)
     lim = cap.numerator * t.den // cap.denominator
-    res = _cvp_core(t, cap, 10**7)
+    res, count = _charged(lambda b: _cvp_core(t, cap, b))
     if _top_test(lat, t.den, lim, _perp(t))(t.frame):
-        assert res == CvpResult(False, None, None, 0)
+        assert (res, count) == (CvpResult(False, None, None), 0)
         assert t._babai is None
         assert _sup_ball(lat, target, cap) == []
     else:
@@ -772,13 +784,13 @@ def test_capped_searches_visit_only_their_sup_ball():
     reduced row's sup norm), and visits only points of that sup ball: a
     fraction of what the Euclidean ball at the cap holds."""
     lat, _ = _grown_instance()
-    svp = svp_inf(lat, cap=4)
+    svp, count = _charged(lambda b: svp_inf(lat, cap=4, budget=b))
     assert svp.found and svp.value == 3
     zero = (0,) * lat.dim
     u = min(linf(row) for row in lat.rows)
-    assert 1 <= svp.ball_count <= len(_sup_ball(lat, zero, min(4, u)))
+    assert 1 <= count <= len(_sup_ball(lat, zero, min(4, u)))
     one_ball = enum_ball(BallQuery(lat, zero, 4 * 4 * lat.dim))
-    assert svp.ball_count * 5 < one_ball.count
+    assert count * 5 < one_ball.count
 
 
 def test_a_search_draws_on_its_budget():
@@ -793,21 +805,19 @@ def test_a_search_draws_on_its_budget():
         lambda budget: cvp_inf(lat, target, budget=budget),
     )
     for search in searches:
-        res = search(10**7)
-        assert res.found and res.ball_count > 1
-        assert search(res.ball_count) == res
-        assert _outcome(search, res.ball_count - 1) == (
-            f"ball holds more than {res.ball_count - 1} points",
-            res.ball_count - 1)
+        res, count = _charged(search)
+        assert res.found and count > 1
+        assert search(count) == res
+        assert _outcome(search, count - 1) == (
+            f"ball holds more than {count - 1} points", count - 1)
 
 
 def test_cvp_inf_on_the_lattice_lists_no_ball():
     lat, _ = _grown_instance()
     v = tuple(map(sum, zip(lat.rows[0], lat.rows[2])))
     for cap in (None, 0, 2):
-        res = cvp_inf(lat, v, cap=cap)
-        assert (res.found, res.dist, res.witness, res.ball_count) == (
-            True, 0, v, 0)
+        res, count = _charged(lambda b: cvp_inf(lat, v, cap=cap, budget=b))
+        assert (res.found, res.dist, res.witness, count) == (True, 0, v, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -866,8 +876,8 @@ def test_walk_plans_follow_the_center_denominator():
     lat, _ = _grown_instance()
     m = lat.dim
     target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
-    res = cvp_inf(lat, target)
-    assert res.found and res.ball_count > 1
+    res, count = _charged(lambda b: cvp_inf(lat, target, budget=b))
+    assert res.found and count > 1
     plan = lat._plans[6]
     assert list(lat._plans) == [6]
     cvp_inf(lat, target, cap=Fraction(5, 7))
@@ -908,10 +918,11 @@ def test_capped_core_builds_a_fraction_only_for_its_answer():
     for signs in product((-1, 1), repeat=len(x)):
         target, _ = sign_pattern_target(tau, params.alpha, d, signs)
         t = _cvp_target(lat, target)
-        res, builds = _fraction_builds(lambda: _cvp_core(t, cap, 10**6))
+        budget = Budget()
+        res, builds = _fraction_builds(lambda: _cvp_core(t, cap, budget))
         assert res == cvp_inf(lat, target, cap=cap)
         if not res.found:
-            assert builds == 0 and res.ball_count == 0
+            assert builds == 0 and budget.charged == 0
             # past the top-level test, so rounded and walked
             walked += t._babai is not None
     assert walked > 0

@@ -302,6 +302,10 @@ def test_bench_rejects_unknown_solvers_before_running(monkeypatch):
     ("d", 0, "coefficient bound must be positive"),
     ("m_bound", 0, "m_bound must be positive"),
     ("cset", "bogus", "unknown coefficient set kind 'bogus'"),
+    ("n", 2.7, "n: expected an integer, got float"),
+    ("d", True, "d: expected an integer"),
+    ("m_bound", "1e3", "m_bound: not a decimal integer: '1e3'"),
+    ("tau", 0.5, "tau: expected an integer, got float"),
 ])
 def test_bench_checks_values_before_running(monkeypatch, field, value,
                                             message):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sbl.core import (
     Box,
+    Budget,
     BudgetExceeded,
     Ellipsoid,
     Instance,
@@ -22,7 +23,7 @@ from sbl.core import (
     Punctured,
     verify_solution,
 )
-from sbl.oracle import OracleBudget, brute_force_solve, mitm_solve
+from sbl.oracle import brute_force_solve, mitm_solve
 from reference import mitm_reference
 
 
@@ -74,7 +75,7 @@ def test_brute_force_ellipsoid():
 def test_brute_force_budget():
     inst = Instance(tuple(range(1, 9)), Interval(-4, 4))
     with pytest.raises(BudgetExceeded):
-        brute_force_solve(inst, budget=OracleBudget(1000))
+        brute_force_solve(inst, budget=Budget(1000))
 
 
 def test_zero_x_balancing_rejected():
@@ -108,11 +109,11 @@ def test_mitm_budget_boundary():
     # 7 coordinates split 4 + 3: the budget counts the |C|^4 first-half
     # candidates, and one fewer refuses the call before any work
     inst = Instance((3, -5, 8, 13, -21, 34, 55), Interval(-2, 2), tau=1)
-    v = mitm_solve(inst, "gss", budget=OracleBudget(5 ** 4))
+    v = mitm_solve(inst, "gss", budget=Budget(5 ** 4))
     assert v.status == "solved"
     assert verify_solution(inst, v.witness, "gss")
     with pytest.raises(BudgetExceeded) as info:
-        mitm_solve(inst, "gss", budget=OracleBudget(5 ** 4 - 1))
+        mitm_solve(inst, "gss", budget=Budget(5 ** 4 - 1))
     assert str(info.value) == "5^4 half-candidates exceed the budget of 624"
 
 

@@ -17,6 +17,7 @@ import sbl
 from sbl import reduction
 from sbl.core import (
     Box,
+    Budget,
     BudgetExceeded,
     Ellipsoid,
     Instance,
@@ -45,8 +46,17 @@ from sbl.enumeration import (
     prepare,
     cvp_inf,
 )
-from sbl.experiment import trial_stream
+from sbl.experiment import (
+    SUITE_NAMES,
+    _lattice_engine,
+    _load_suite,
+    _mode_for,
+    bench,
+    sample_instance,
+    trial_stream,
+)
 from sbl.solve import (
+    ENGINES,
     ApproxCvpOracle,
     GapConfigError,
     HALF_INTEGER,
@@ -61,6 +71,7 @@ from sbl.solve import (
     solve_gss_interval,
     solve_gss_punctured,
     solve_sbp,
+    solve_instance,
     solve_sbp_body,
     solve_sbp_lll,
 )
@@ -128,9 +139,9 @@ def test_sbp_agrees_with_oracle():
 
 
 def test_sbp_stats_counts_points():
-    stats = {}
-    solve_sbp((3, 5, 8), 1, stats=stats)
-    assert stats["ball_points"] >= 1
+    budget = Budget()
+    solve_sbp((3, 5, 8), 1, budget)
+    assert budget.charged >= 1
 
 
 # eight values below 2^16 from trial_stream(7, 0), and the witnesses the
@@ -142,9 +153,9 @@ _FLAT_GSS = (2, 0, -1, -2, -2, 1, -1, 2)
 
 
 @pytest.mark.parametrize("solve,witness", [
-    (lambda d, stats: solve_sbp(_FLAT_X, d, stats=stats), _FLAT_SBP),
-    (lambda d, stats: solve_gss_interval(_FLAT_X, 123457, -d, d,
-                                         stats=stats), _FLAT_GSS),
+    (lambda d, budget: solve_sbp(_FLAT_X, d, budget), _FLAT_SBP),
+    (lambda d, budget: solve_gss_interval(_FLAT_X, 123457, -d, d, budget),
+     _FLAT_GSS),
 ], ids=["sbp", "gss_interval"])
 def test_ball_points_stay_flat_in_d(solve, witness):
     """The searches walk once, at the cap or below it at a free bound,
@@ -153,12 +164,12 @@ def test_ball_points_stay_flat_in_d(solve, witness):
     cap listed 401 and 7,693,655 points for solve_sbp at d = 3 and 12."""
     counts = {}
     for d in (3, 4, 6, 8, 12):
-        stats = {}
-        v = solve(d, stats)
+        budget = Budget()
+        v = solve(d, budget)
         assert v.status == "solved"
         if d <= 6:
             assert v.witness == witness
-        counts[d] = stats["ball_points"]
+        counts[d] = budget.charged
     assert all(c <= 16 for c in counts.values()), counts
 
 
@@ -169,10 +180,10 @@ def test_pruned_walk_lists_fewer_points_at_n10():
     2.5-fold with the same witness."""
     rng = trial_stream(11, 10)
     x = tuple((rng.below(101) - 50) or 1 for _ in range(10))
-    stats = {}
-    v = solve_gss_interval(x, 17, -2, 2, stats=stats)
+    budget = Budget()
+    v = solve_gss_interval(x, 17, -2, 2, budget)
     assert v.witness == (-1, -1, -1, -1, -1, -1, 0, 0, -1, 1)
-    assert stats["ball_points"] * 5 <= 3304 * 2
+    assert budget.charged * 5 <= 3304 * 2
 
 
 def test_sbp_lll_fast_path():
@@ -386,9 +397,9 @@ def test_gss_interval_witness_is_deterministic():
 
 
 def test_gss_interval_stats():
-    stats = {}
-    solve_gss_interval((2, 3), 7, 0, 2, stats=stats)
-    assert stats["ball_points"] >= 1
+    budget = Budget()
+    solve_gss_interval((2, 3), 7, 0, 2, budget)
+    assert budget.charged >= 1
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
@@ -438,11 +449,31 @@ def test_gss_punctured_pattern_cap():
         solve_gss_punctured((1,) * n, 0, 1)
 
 
-def test_gss_punctured_stats():
-    stats = {}
-    solve_gss_punctured((2, 3), 1, 1, stats=stats)
-    assert stats["patterns_tried"] >= 1
-    assert stats["ball_points"] >= 0
+def _count_patterns(monkeypatch):
+    """Count the sign patterns a sweep tries: it tests each once with the
+    top-level test _top_test returns."""
+    tried = []
+    top_test = sbl.solve._top_test
+
+    def counted_top_test(*args):
+        empty = top_test(*args)
+
+        def counted(frame):
+            tried.append(1)
+            return empty(frame)
+
+        return counted
+
+    monkeypatch.setattr(sbl.solve, "_top_test", counted_top_test)
+    return tried
+
+
+def test_gss_punctured_stats(monkeypatch):
+    tried = _count_patterns(monkeypatch)
+    budget = Budget()
+    solve_gss_punctured((2, 3), 1, 1, budget)
+    assert len(tried) >= 1
+    assert budget.charged >= 0
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
@@ -500,10 +531,10 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
         return frame(self, scaled)
 
     monkeypatch.setattr(PreparedLattice, "_frame", counted_frame)
-    stats = {}
-    v = solve_gss_punctured(x, tau, 2, stats=stats)
+    tried = _count_patterns(monkeypatch)
+    v = solve_gss_punctured(x, tau, 2)
     assert v.status == "no_solution"
-    assert stats["patterns_tried"] == 2 ** len(x)
+    assert len(tried) == 2 ** len(x)
     assert len(gso_calls) <= 1
     # at most one frame for the base target and one per coordinate; the
     # patterns update it by sign flips
@@ -558,14 +589,14 @@ def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
     """The patterns tried and the points visited are those of a sweep that
     walks every pattern's sup ball at the cap, and fewer targets are
     rounded with Babai than patterns are tried."""
-    want = {"patterns_tried": 2 ** len(x),
-            "ball_points": _swept_points(x, tau, d, points)}
+    want = (2 ** len(x), _swept_points(x, tau, d, points))
     rounds = _counted_rounds(monkeypatch)
-    stats = {}
-    v = solve_gss_punctured(x, tau, d, stats=stats)
+    tried = _count_patterns(monkeypatch)
+    budget = Budget()
+    v = solve_gss_punctured(x, tau, d, budget)
     assert v.status == "no_solution"
-    assert stats == want
-    assert len(rounds) < stats["patterns_tried"]
+    assert (len(tried), budget.charged) == want
+    assert len(rounds) < len(tried)
 
 
 @pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
@@ -577,29 +608,32 @@ def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
     assert _swept_points(x, tau, d, points) == 0
     rounds = _counted_rounds(monkeypatch)
     walks = _count_calls(monkeypatch, sbl.enumeration._walk)
-    stats = {}
-    v = solve_gss_punctured(x, tau, d, stats=stats)
+    tried = _count_patterns(monkeypatch)
+    budget = Budget()
+    v = solve_gss_punctured(x, tau, d, budget)
     assert v.status == "no_solution"
-    assert stats == {"patterns_tried": 2 ** len(x), "ball_points": 0}
+    assert (len(tried), budget.charged) == (2 ** len(x), 0)
     assert len(rounds) == 0
     # some patterns pass the top-level test, and their walks visit none
     assert len(walks) > 0
 
 
-def _reference_sweep(xs, tau, d, stats):
+def _reference_sweep(xs, tau, d):
     """The sign-pattern loop spelled out with the public gap machinery:
-    one capped oracle, one target and one gap decision per pattern."""
+    one capped oracle, one target and one gap decision per pattern.
+    Returns the verdict and the number of patterns tried."""
     params = choose_params(xs, d, tau, "gss_worst")
     lat = prepare(embedding_basis(xs, params))
     grid = INTEGER if d % 2 == 1 else HALF_INTEGER
-    oracle = capped_cvp_oracle(Fraction(d - 1, 2), stats=stats)
+    oracle = capped_cvp_oracle(Fraction(d - 1, 2))
+    tried = 0
     for signs in product((-1, 1), repeat=len(xs)):
         target, r = sign_pattern_target(tau, params.alpha, d, signs)
         gv = gap_decide(oracle, lat, target, r, grid)
-        stats["patterns_tried"] = stats.get("patterns_tried", 0) + 1
+        tried += 1
         if gv.accept:
-            return Verdict.solved(gv.vector[1:])
-    return Verdict.no_solution("every sign pattern rejected")
+            return Verdict.solved(gv.vector[1:]), tried
+    return Verdict.no_solution("every sign pattern rejected"), tried
 
 
 def _outcome(solve):
@@ -639,12 +673,14 @@ def test_gss_punctured_matches_the_gap_decision_loop(case):
     pattern, so its one budget overruns exactly when that walk visits
     more points than the budget holds, naming the one walk."""
     xs, tau, d, budget = case
-    got_stats, want_stats = {}, {}
-    want = _reference_sweep(xs, tau, d, want_stats)
-    full = solve_gss_punctured(xs, tau, d, stats=got_stats)
+    want, want_tried = _reference_sweep(xs, tau, d)
+    meter = Budget()
+    with pytest.MonkeyPatch.context() as mp:
+        tried = _count_patterns(mp)
+        full = solve_gss_punctured(xs, tau, d, meter)
     assert full == want
-    assert got_stats["patterns_tried"] == want_stats["patterns_tried"]
-    points = got_stats["ball_points"]
+    assert len(tried) == want_tried
+    points = meter.charged
     assert (points > 0) == (want.status == "solved")
     got = _outcome(lambda: solve_gss_punctured(xs, tau, d, budget))
     assert got == (full if points <= budget else
@@ -696,10 +732,10 @@ def test_shared_cap_ball_matches_each_patterns_ball(case):
 # ---------------------------------------------------------------------------
 
 def test_gss_avg_worked_instance():
-    stats = {}
-    v = solve_gss_avg((7, 9), 2, 2, 16, stats=stats)
+    v = solve_gss_avg((7, 9), 2, 2, 16)
     assert v.witness == (-1, 1)
-    assert stats["alpha"] == 4 and stats["q"] == 67
+    params = choose_params((7, 9), 2, 2, "gss_avg", m_bound=16)
+    assert params.alpha == 4 and params.q == 67
 
 
 def test_gss_avg_guard_and_ball_share_one_budget():
@@ -708,9 +744,9 @@ def test_gss_avg_guard_and_ball_share_one_budget():
     witness, so 2 points in all."""
     rng = trial_stream(20240, 2)
     x = tuple(rng.below(4 ** 8) for _ in range(8))
-    stats = {}
-    v = solve_gss_avg(x, 5, 2, 4 ** 8, budget=2, stats=stats)
-    assert v.status == "solved" and stats["ball_points"] == 2
+    budget = Budget(2)
+    v = solve_gss_avg(x, 5, 2, 4 ** 8, budget=budget)
+    assert v.status == "solved" and budget.charged == 2
     with pytest.raises(BudgetExceeded) as info:
         solve_gss_avg(x, 5, 2, 4 ** 8, budget=1)
     assert str(info.value) == "search lists more than 1 points"
@@ -855,6 +891,92 @@ def test_gap_search_matches_direct_cvp(rows, p, q):
     assert dist == res.dist
     got = max(abs(Fraction(a) - b) for a, b in zip(vec, target))
     assert got == dist
+
+
+# ---------------------------------------------------------------------------
+# one point budget
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_a_budget_is_charged_what_bench_reports(suite):
+    """Every engine that applies to a bench instance charges the Budget
+    passed to solve_instance with the points its walks visit: exactly
+    the enumerated_points bench reports for it, and a limit of that
+    count fits the solve while one point less overruns it.  The
+    baselines and the LLL shortcut visit no point and charge 0."""
+    rows = iter(bench(suite))
+    for idx, run in enumerate(_load_suite(suite)):
+        inst = sample_instance(run["n"], run["m_bound"], run["d"],
+                               run["tau"], run["cset"],
+                               trial_stream(20240, idx))
+        charged = {}
+        for engine in ENGINES:
+            mode = "gss" if engine == "avg" else _mode_for(run["tau"])
+            budget = Budget()
+            try:
+                verdict = solve_instance(inst, mode, engine, budget)
+            except ValueError:  # the engine does not apply
+                continue
+            points = charged[engine] = budget.charged
+            if engine in ("mitm", "brute", "lll"):
+                assert points == 0, engine
+            elif points:
+                assert solve_instance(inst, mode, engine, points) == verdict
+                with pytest.raises(BudgetExceeded):
+                    solve_instance(inst, mode, engine, points - 1)
+        for solver in run["solvers"]:
+            row = next(rows)
+            mode = "gss" if solver == "avg" else _mode_for(run["tau"])
+            engine = (_lattice_engine(mode, run["cset"]) if solver == "lattice"
+                      else solver)
+            assert row[6] == charged[engine], (idx, solver)
+    assert next(rows, None) is None
+
+
+def test_one_budget_spans_two_solves():
+    """A Budget handed to two solves draws on one limit: their points
+    add up, and the second solve overruns a limit that either fits
+    alone, naming the search, as the budget already held points."""
+    def sbp(budget):
+        return solve_sbp(_FLAT_X, 4, budget)
+
+    def gss(budget):
+        return solve_gss_interval(_FLAT_X, 123457, -4, 4, budget)
+
+    counts = []
+    for solve in (sbp, gss):
+        budget = Budget()
+        solve(budget)
+        counts.append(budget.charged)
+    total = sum(counts)
+    assert min(counts) > 0
+    shared = Budget(total)
+    first, second = sbp(shared), gss(shared)
+    assert shared.charged == total
+    assert gss(max(counts)) == second
+    short = Budget(total - 1)
+    assert sbp(short) == first
+    with pytest.raises(BudgetExceeded,
+                       match=f"^search lists more than {total - 1} points$"):
+        gss(short)
+
+
+def test_gap_search_draws_on_one_budget():
+    """The binary search from r_max = 10 accepts at radii 10, 5, 2 and 1,
+    whose walks visit 2 points each: any one of them fits a budget of 2,
+    but the walks of one search share a Budget, so it needs 8 and overruns
+    at 7."""
+    basis = LatticeBasis(((2, 1), (0, 3)), 2)
+    target = (Fraction(17), Fraction(-14))
+    budget = Budget()
+    want = cvp_via_gap_search(basis, target, r_max=10, budget=budget)
+    assert want == ((16, -13), 1) and budget.charged == 8
+    for r in (10, 5, 2, 1):
+        assert cvp_inf(basis, target, cap=r, budget=2).found
+    assert cvp_via_gap_search(basis, target, r_max=10, budget=8) == want
+    with pytest.raises(BudgetExceeded,
+                       match="^search lists more than 7 points$"):
+        cvp_via_gap_search(basis, target, r_max=10, budget=7)
 
 
 # ---------------------------------------------------------------------------

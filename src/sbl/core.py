@@ -74,12 +74,17 @@ class Budget:
 
 def _as_budget(budget) -> Budget:
     """The Budget a search draws on: None is a fresh one at the default
-    limit, an int a fresh one at that limit, a Budget itself."""
+    limit, an int a fresh one at that limit, a Budget itself.  Anything
+    else, a bool or a float included, is a TypeError."""
     if budget is None:
         return Budget()
     if isinstance(budget, Budget):
         return budget
-    return Budget(int(budget))
+    if isinstance(budget, int) and not isinstance(budget, bool):
+        return Budget(budget)
+    raise TypeError(
+        f"budget must be None, an int or a Budget, got {type(budget).__name__}"
+    )
 
 
 class BudgetExceeded(RuntimeError):

@@ -52,8 +52,25 @@ the centers it passes (see solve.solve_gss_punctured).
 svp_gauge walks an ellipsoid c A c^T <= 1 exactly, on the Gram-Schmidt
 data of rows reduced under its integral form F = L A (see svp_gauge).
 
+The searches around the origin, svp_inf and svp_gauge's ellipsoid walk,
+walk half their ball (Fincke and Pohst 1985; Schnorr and Euchner 1994).
+The lattice is centrally symmetric, so _walk's half switch visits 0 once
+and one point of each pair +-v: while every level above has chosen 0, a
+level's range ends at 0, and below a level that chose a negative z every
+level walks its full range.  Each visitor folds a point p to min(p, -p)
+in lexicographic order before it compares (value, point); -p has the norm
+of p, so the least (norm, point) over the half is the one over the whole
+ball, and every value, witness and tie-break stays the same.  The half
+kept is the one the full walk visits first, so a half walk is the full
+walk less the mirror images: leaving a node on the origin's path it holds
+the full walk's best point and limit, and it never visits more points.
+enum_ball lists every point, and the searches around other centers
+(cvp_inf and everything built on it) walk their whole ball.
+
 A search's budget is None or an int limit, for a fresh core.Budget, or a
-Budget, which every walk of the searches it is passed to charges.
+Budget, which every walk of the searches it is passed to charges with the
+points that walk visits: a search around the origin charges one point
+per +-pair and one for 0.
 """
 
 from __future__ import annotations
@@ -63,7 +80,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import isqrt, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Optional, Tuple, Union
 
 from .core import (DEFAULT_POINT_BUDGET, Budget, BudgetExceeded, Box,
@@ -346,7 +363,7 @@ def _top_test(lat: PreparedLattice, den: int, lim: int, perp: int = 0):
 
 
 def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
-          r_sq=None) -> None:
+          r_sq=None, half: bool = False) -> None:
     """Hand every lattice point of a ball around the center t to visit(p),
     in walk order, and charge them to the budget.
 
@@ -360,6 +377,13 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     whole limit as its partial count, before the points charged to the
     budget by it and earlier walks pass the limit; it writes its count back
     once, on a raise too.
+
+    With half set the center must be 0, and the walk visits 0 and one
+    point of each pair +-v of the ball: those whose last nonzero
+    coefficient on the rows is negative.  A node on the origin's path
+    (every level above chose 0, so acc is 0) cuts its 0 child's range to
+    end at 0; the top level's range ends there too.  The visitor must
+    answer for v and -v alike (see the module docstring).
 
     The walk is depth first over the levels from the last row down.  With
     den the center's common denominator, D = gram_det, L = lcm_i D[i]
@@ -419,6 +443,8 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     lo, hi = -((s - e) // ts[top]), (e + s) // ts[top]
     if lo > hi:
         return
+    if half:
+        hi = 0
     count = before = budget.charged
     limit = budget.limit
     w0, t0, row0 = ws[0], ts[0], rows[0]
@@ -469,6 +495,7 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
         # level 1 over [lo, hi], above level 0, whose center E_0 drops by
         # step1 per unit step here; not pruned
         e, e0 = es[1], es[0]
+        origin = half and not any(acc)
         room = rem0 - cost
         for z in range(lo, hi + 1):
             diff = z * t1 - e
@@ -478,6 +505,8 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
             ez = e0 - step1 * z
             s = isqrt(r // w0)
             a, b = -((s - ez) // t0), (ez + s) // t0
+            if origin and not z:
+                b = 0
             if a <= b:
                 emit(list(map(add, acc, map(mul, row1, repeat(z)))), a, b)
                 room = rem0 - cost
@@ -495,6 +524,7 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
         down = descend if k > 1 else pair
         wb = wbs[level] if sup else None
         u, du, wu = None, 0, None
+        origin = half and not any(acc)
         room = rem0 - cost
         for z in range(lo, hi + 1):
             diff = z * t - e
@@ -504,6 +534,8 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
             ek = ek0 - sk * z
             s = isqrt(r // wk)
             a, b = -((s - ek) // tk), (ek + s) // tk
+            if origin and not z:
+                b = 0
             if a > b:
                 continue
             c = rem0 - r
@@ -553,18 +585,24 @@ def _sup_search(t: _Target, lim: int, budget: Budget, nonzero: bool = False):
 
     The visitor keeps the least (g, p) and lowers the walk's limit to g:
     ties at g still come in, so the least witness survives, and the
-    minimum does not depend on the walk's order."""
+    minimum does not depend on the walk's order.  A nonzero search is
+    svp_inf's, around t = 0: it walks one of each +-pair (_walk's half)
+    and folds each p to min(p, -p), the point of the pair that the least
+    (g, p) over the whole ball would keep."""
     den, scaled = t.den, t.scaled
     best = None
 
     def visit(p) -> int:
         nonlocal best, lim
         g = max(map(abs, map(sub, map(mul, p, repeat(den)), scaled)))
-        if (g or not nonzero) and (best is None or (g, p) < best):
-            best, lim = (g, p), g
+        if g or not nonzero:
+            if nonzero:
+                p = min(p, tuple(map(neg, p)))
+            if best is None or (g, p) < best:
+                best, lim = (g, p), g
         return lim
 
-    _walk(t, visit, budget, lim)
+    _walk(t, visit, budget, lim, half=nonzero)
     return best
 
 
@@ -592,9 +630,12 @@ def svp_inf(
     One sup walk around 0 at the limit min(cap, u) (see _walk) keeps the
     least nonzero norm and the lexicographically least vector of that
     norm, lowering its limit to every better norm it finds, so the answer
-    is exact.  The walk at u holds that row, so an uncapped search, or
-    one capped at u or above, always finds; found=False certifies that
-    the minimum exceeds the cap.
+    is exact.  The walk is a half walk: it visits 0 and one of each pair
+    +-v, and folds each v to min(v, -v) before it compares, so it finds
+    the least (norm, vector) over the whole ball and charges the budget
+    for one point per pair and one for 0.  The walk at u holds that row
+    or its negative, so an uncapped search, or one capped at u or above,
+    always finds; found=False certifies that the minimum exceeds the cap.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
@@ -719,10 +760,12 @@ def svp_gauge(
     v F v^T / L, with L the common denominator of A and F = L A integral.
     Reduced under the inner product u F v^T (reduction._reduce's ip), the
     rows' integral Gram-Schmidt data turns the Euclidean walk into a walk
-    of F's balls (Fincke and Pohst 1985).  One walk around 0 at g0, the
-    least F-value of a reduced row, visits exactly the points of F-value
-    <= g0 and keeps the least (F-value, point) among the nonzero ones.  This
-    F-reduced lattice stays here: its frame and sup tables are Euclidean.
+    of F's balls (Fincke and Pohst 1985).  One half walk around 0 at g0,
+    the least F-value of a reduced row, visits 0 and exactly one of each
+    pair +-v of F-value <= g0 (see _walk), folds each v to min(v, -v) and
+    keeps the least (F-value, point) among the nonzero ones: the least over
+    the whole ball.  This F-reduced lattice stays here: its frame and sup
+    tables are Euclidean.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
@@ -747,11 +790,12 @@ def svp_gauge(
         nonlocal best
         if any(p):
             g = ip(p, p)
+            p = min(p, tuple(map(neg, p)))
             if best is None or (g, p) < best:
                 best = (g, p)
 
     _walk(_Target(lat, 1, (0,) * lat.dim, [0] * lat.rank), visit,
-          _as_budget(budget), r_sq=g0)
+          _as_budget(budget), r_sq=g0, half=True)
     if best is None:
         raise InternalError("self-check failed: the walk misses a reduced row")
     return GaugeResult(Fraction(best[0], den), best[1])

@@ -394,12 +394,17 @@ def _load_suite(suite) -> list:
                 "d": _parse_int(entry["d"], "d"),
                 "tau": _parse_int(entry.get("tau", 0), "tau"),
                 "cset": entry.get("cset", "interval"),
-                "solvers": tuple(entry.get("solvers", ("mitm",))),
+                "solvers": entry.get("solvers", ("mitm",)),
             }
         except KeyError as e:
             raise ValueError(f"suite entry {i}: missing field {e.args[0]!r}")
         except (TypeError, ValueError) as e:
             raise ValueError(f"suite entry {i}: {e}")
+        solvers = run["solvers"]
+        if not isinstance(solvers, (list, tuple)) or not solvers:
+            raise ValueError(f"suite entry {i}: solvers: expected a nonempty "
+                             f"list of solver names, got {solvers!r}")
+        run["solvers"] = tuple(solvers)
         for solver in run["solvers"]:
             if solver not in _BENCH_SOLVERS:
                 raise ValueError(f"suite entry {i}: unknown solver {solver!r}")

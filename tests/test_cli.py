@@ -351,6 +351,8 @@ def test_bench_unknown_suite_exit_three(capsys):
     ('[{"n": 3, "d": 1, "solvers": ["mitm", "quantum"]}]',
      "suite entry 0: unknown solver 'quantum'"),
     ('[{"n": null, "d": 1}]', "suite entry 0: "),
+    ('[{"n": 3, "d": 1, "solvers": []}]', "suite entry 0: solvers: "),
+    ('[{"n": 3, "d": 1, "solvers": "mitm"}]', "suite entry 0: solvers: "),
 ])
 def test_bench_malformed_suite_file_exit_three(tmp_path, capsys, suite,
                                                message):

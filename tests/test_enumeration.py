@@ -5,6 +5,7 @@ basis, walk all integer combinations in a crude box and keep those inside
 the ball.  Both listings must agree exactly, order included.
 """
 
+import contextlib
 import random
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sbl.enumeration
 from sbl.core import (
     Box,
     Budget,
@@ -298,12 +300,13 @@ def test_min_sup_to_breaks_ties_toward_the_least_point():
 
 def test_sup_search_skips_zero_and_keeps_ties():
     """Around 0 on Z^2 the eight points of sup norm 1 tie; the search
-    keeps the lexicographically least, and visits the whole sup ball, as
-    ties stay in when the limit drops to the best norm."""
+    keeps the lexicographically least, and visits half the sup ball, 0
+    and one of each +-pair, as ties stay in when the limit drops to the
+    best norm."""
     lat = prepare(_basis((1, 0), (0, 1)))
     t = _Target(lat, 1, (0, 0), [0, 0])
     assert _charged(lambda b: _sup_search(t, 1, b, nonzero=True)) == (
-        (1, (-1, -1)), 9)
+        (1, (-1, -1)), 5)
     assert _sup_search(t, 1, Budget()) == (0, (0, 0))
     assert _charged(lambda b: _sup_search(t, 0, b, nonzero=True)) == (None, 1)
 
@@ -528,12 +531,10 @@ def test_svp_gauge_box_agrees_with_svp_inf(basis, d):
 
 
 @st.composite
-def _gauge_cases(draw):
-    """A small full-rank basis and a rational positive-definite form of its
-    dimension: rank-one terms v v^T / q with mixed denominators q, plus a
-    positive rational diagonal."""
-    basis = draw(small_bases)
-    m = basis.dim
+def _forms(draw, m):
+    """A rational positive-definite form of dimension m: rank-one terms
+    v v^T / q with mixed denominators q, plus a positive rational
+    diagonal."""
     a = [[Fraction(0)] * m for _ in range(m)]
     for _ in range(draw(st.integers(0, 3))):
         v = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
@@ -544,7 +545,14 @@ def _gauge_cases(draw):
     for i in range(m):
         a[i][i] += Fraction(draw(st.integers(1, 9)),
                             draw(st.sampled_from((1, 2, 4, 7, 9))))
-    return basis, Ellipsoid(tuple(tuple(row) for row in a))
+    return Ellipsoid(tuple(tuple(row) for row in a))
+
+
+@st.composite
+def _gauge_cases(draw):
+    """A small full-rank basis and a form of its dimension (_forms)."""
+    basis = draw(small_bases)
+    return basis, draw(_forms(basis.dim))
 
 
 @given(_gauge_cases())
@@ -553,9 +561,9 @@ def test_svp_gauge_ranks_like_the_rational_form(case):
     """svp_gauge's value and witness are the least (quad_form, p), ties
     broken lexicographically, over the reference listing: the eigenvalue
     relaxation of the ellipsoid ball at g0 / L, with g0 the least F-value
-    of a row reduced under F = L A.  Its walk visits exactly the reference
-    points within that ellipsoid ball: it lists the ellipsoid and nothing
-    more."""
+    of a row reduced under F = L A.  Its walk visits one of each +-pair of
+    the reference points within that ellipsoid ball, and 0: it lists half
+    the ellipsoid and nothing more."""
     basis, body = case
     den = lcm(*(a.denominator for row in body.a for a in row))
 
@@ -568,7 +576,8 @@ def test_svp_gauge_ranks_like_the_rational_form(case):
     want = min((body.quad_form(p), p) for p in listing if any(p))
     got, count = _charged(lambda b: svp_gauge(basis, body, budget=b))
     assert (got.value, got.witness) == want
-    assert count == sum(body.quad_form(p) <= bound for p in listing)
+    inside = sum(body.quad_form(p) <= bound for p in listing)
+    assert count == (inside + 1) // 2
 
 
 def test_svp_gauge_rejects_a_body_of_another_dimension():
@@ -598,6 +607,91 @@ def test_a_gauge_search_draws_on_one_budget():
         assert search(count) == res
         assert _outcome(search, count - 1) == (
             f"ball holds more than {count - 1} points", count - 1)
+
+
+# ---------------------------------------------------------------------------
+# half walks around the origin
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _full_walks():
+    """Every walk in the block is a full walk, _walk's half switch off."""
+    walk = sbl.enumeration._walk
+
+    def full(*args, **kwargs):
+        return walk(*args, **{**kwargs, "half": False})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sbl.enumeration, "_walk", full)
+        yield
+
+
+@st.composite
+def _origin_searches(draw):
+    """A basis of rank 1 to 6 with independent rows in dimension rank to
+    rank + 2, entries in [-5, 5], and a form of its dimension (_forms)."""
+    r = draw(st.integers(1, 6))
+    m = draw(st.integers(r, min(r + 2, 7)))
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=m,
+                                  max_size=m), min_size=r, max_size=r))
+    basis = _basis(*rows)
+    try:
+        prepare(basis)
+    except ValueError:
+        assume(False)
+    return basis, draw(_forms(m))
+
+
+@given(_origin_searches())
+@settings(max_examples=80, deadline=None)
+def test_half_walks_answer_like_full_walks(case):
+    """svp_inf and svp_gauge walk one of each +-pair around 0 and fold
+    each point p they visit to min(p, -p): they give the full walk's
+    found, value and witness, uncapped and capped below, at and above the
+    answer, and charge no more points; an ellipsoid walk, whose ball does
+    not shrink, charges one of each pair and 0.  Each search fits a budget
+    of its own count and overruns one less."""
+    basis, body = case
+    with _full_walks():
+        value = svp_inf(basis).value
+    searches = [lambda b, cap=cap: svp_inf(basis, cap=cap, budget=b)
+                for cap in (None, 0, value - 1, value, value + 1)
+                if cap is None or cap >= 0]
+    searches += [lambda b: svp_gauge(basis, Box(2), budget=b),
+                 lambda b: svp_gauge(basis, body, budget=b)]
+    counts = []
+    for search in searches:
+        half, count = _charged(search)
+        with _full_walks():
+            full, full_count = _charged(search)
+        assert half == full
+        assert count <= full_count
+        assert search(count) == half
+        assert _outcome(search, count - 1) == (
+            f"ball holds more than {count - 1} points", count - 1)
+        counts.append((count, full_count))
+    ellipsoid, ellipsoid_full = counts[-1]
+    assert ellipsoid == (ellipsoid_full + 1) // 2
+
+
+def test_half_walk_lists_one_of_each_pair():
+    """Around 0, the half walk lists 0 and one of each +-pair of the
+    ball: the one whose last nonzero coefficient on the reduced rows is
+    negative."""
+    for basis, _, radius_sq in _random_lattices(17, 30):
+        lat = prepare(basis)
+        zero = (0,) * lat.dim
+        seen = []
+        _walk(_Target.of(lat, zero), seen.append, Budget(), r_sq=radius_sq,
+              half=True)
+        full = enum_ball(BallQuery(lat, zero, radius_sq)).points
+        assert len(seen) == len(set(seen)) == (len(full) + 1) // 2
+        assert sorted(seen + [tuple(-a for a in p) for p in seen
+                              if any(p)]) == list(full)
+        gram = [[dot(u, v) for v in lat.rows] for u in lat.rows]
+        for p in seen[:20]:
+            coeffs = mat_solve(gram, [dot(u, p) for u in lat.rows])
+            assert not any(p) or next(c for c in reversed(coeffs) if c) < 0
 
 
 # ---------------------------------------------------------------------------

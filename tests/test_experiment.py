@@ -306,6 +306,10 @@ def test_bench_rejects_unknown_solvers_before_running(monkeypatch):
     ("d", True, "d: expected an integer"),
     ("m_bound", "1e3", "m_bound: not a decimal integer: '1e3'"),
     ("tau", 0.5, "tau: expected an integer, got float"),
+    ("solvers", [],
+     "solvers: expected a nonempty list of solver names, got []"),
+    ("solvers", "mitm",
+     "solvers: expected a nonempty list of solver names, got 'mitm'"),
 ])
 def test_bench_checks_values_before_running(monkeypatch, field, value,
                                             message):

@@ -979,6 +979,17 @@ def test_gap_search_draws_on_one_budget():
         cvp_via_gap_search(basis, target, r_max=10, budget=7)
 
 
+@pytest.mark.parametrize("budget", [True, False, 2.0, 2.5, "100"])
+@pytest.mark.parametrize("engine", ["svp", "mitm", "brute"])
+def test_a_budget_is_none_an_int_or_a_budget(engine, budget):
+    """A bool, a float or a string is no budget: True is not a limit of 1,
+    and a float is not truncated to one."""
+    inst = Instance((3, 5, 8), Interval(-1, 1))
+    with pytest.raises(TypeError, match="^budget must be None, an int or a "
+                                        "Budget, got (bool|float|str)$"):
+        solve_instance(inst, "balancing", engine, budget)
+
+
 # ---------------------------------------------------------------------------
 # self-checks
 # ---------------------------------------------------------------------------

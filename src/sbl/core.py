@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 __all__ = [
@@ -113,7 +114,7 @@ def dot(u: Sequence, v: Sequence):
     """Inner product of two equal-length sequences, exact."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(u), len(v)))
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def l2_sq(v: Sequence):

@@ -758,10 +758,10 @@ def svp_gauge(
     A box [-d, d]^m has the gauge |v|_inf / d, so its answer is svp_inf's,
     value divided by d.  An ellipsoid c A c^T <= 1 has the squared gauge
     v F v^T / L, with L the common denominator of A and F = L A integral.
-    Reduced under the inner product u F v^T (reduction._reduce's ip), the
-    rows' integral Gram-Schmidt data turns the Euclidean walk into a walk
-    of F's balls (Fincke and Pohst 1985).  One half walk around 0 at g0,
-    the least F-value of a reduced row, visits 0 and exactly one of each
+    Reduced under F (passed to reduction._reduce as its form), the rows'
+    integral Gram-Schmidt data under u F v^T turns the Euclidean walk into
+    a walk of F's balls (Fincke and Pohst 1985).  One half walk around 0 at
+    g0, the least F-value of a reduced row, visits 0 and exactly one of each
     pair +-v of F-value <= g0 (see _walk), folds each v to min(v, -v) and
     keeps the least (F-value, point) among the nonzero ones: the least over
     the whole ball.  This F-reduced lattice stays here: its frame and sup
@@ -778,18 +778,18 @@ def svp_gauge(
     form = [[a.numerator * (den // a.denominator) for a in row]
             for row in body.a]
 
-    def ip(u, v) -> int:
-        return sum(map(mul, u, [sum(map(mul, row, v)) for row in form]))
+    def value(v) -> int:
+        return sum(map(mul, v, [sum(map(mul, row, v)) for row in form]))
 
-    rows, gso = _reduce(basis.rows, ip)
+    rows, gso = _reduce(basis.rows, form)
     lat = PreparedLattice(rows, basis.dim, *gso)
-    g0 = min(ip(row, row) for row in lat.rows)
+    g0 = min(map(value, lat.rows))
     best = None
 
     def visit(p) -> None:
         nonlocal best
         if any(p):
-            g = ip(p, p)
+            g = value(p)
             p = min(p, tuple(map(neg, p)))
             if best is None or (g, p) < best:
                 best = (g, p)

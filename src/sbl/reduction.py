@@ -8,42 +8,34 @@ s*(D[k+1]*D[k-1] + lam[k][k-1]^2) >= p*D[k]^2.  No fraction is ever formed
 while reducing, which keeps the n = 64 instances fast.  delta is fixed at
 3/4, the value lll_threshold's 2^((n-2)/4) bound is stated for.
 
+A new row's lambda/D data comes from the integral star vectors
+D[j] * b*_j of the rows before it, kept only on the columns that rows
+still to come touch: the pivot columns of a kernel basis, column 0 of an
+embedding.  So a row with few nonzeros costs dot products over those,
+not Cohen's k^2 / 2 recurrence (see _reduce); once the last row is in,
+the upkeep stops.
+
 The private _reduce is the package's one source of Gram-Schmidt data: at
 exit it holds exactly the lambda/D data of its output rows and returns it
 with them.  enumeration.prepare builds its PreparedLattice from that, and
 lll_reduce keeps the rows only.  The data needs the rows only through
-inner products (Cohen, 2.6): _reduce takes one as ip, which svp_gauge sets
-to an integral form u F v^T.
+inner products (Cohen, 2.6): _reduce takes an integral form F for the
+inner product u F v^T, which svp_gauge passes, and the identity
+otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
-from .core import dot, gcd_vector, l2_sq
+from .core import gcd_vector, l2_sq
 from .lattice import LatticeBasis
 
 __all__ = ["lll_reduce", "lll_threshold"]
 
 _DELTA = Fraction(3, 4)
-
-
-def _gso_row(rows, k: int, D: list, lam: list, ip) -> None:
-    """Set lam[k][j] for j < k and D[k+1] from the data of rows 0..k-1
-    under the inner product ip (Cohen, Alg. 2.6.7, step 2); each division
-    is exact.  Raises ValueError when row k depends on earlier rows."""
-    rk, lk = rows[k], lam[k]
-    for j in range(k + 1):
-        u = ip(rk, rows[j])
-        lj = lam[j]
-        for i in range(j):
-            u = (D[i + 1] * u - lk[i] * lj[i]) // D[i]
-        if j < k:
-            lk[j] = u
-        elif u <= 0:
-            raise ValueError("dependent rows")
-        else:
-            D[k + 1] = u
 
 
 def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
@@ -57,64 +49,196 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     return LatticeBasis(_reduce(basis.rows)[0], basis.dim)
 
 
-def _reduce(basis_rows, ip=dot):
-    """Reduce rows under the inner product ip: the reduced rows as tuples
-    and their integral Gram-Schmidt data under ip, (D, lam).  D[i] is the
-    Gram determinant of the first i rows (D[0] = 1, so
-    |b*_i|^2 = D[i+1] / D[i]) and lam[i][j] = mu_ij * D[j+1] for j < i, a
-    ragged lower triangle of integers; no rows give ((), ((1,), ())).
-    Raises ValueError on dependent rows."""
-    rows = [list(r) for r in basis_rows]
+def _columns(rows, starts):
+    """Where the rows share columns, for _reduce: per row i, the shared
+    columns it opens, the columns it alone touches and whether a shared
+    column closes at it, then per column the last row touching it (-1 for
+    none).  Column c opens at the first row i whose start (row i, or F
+    times it) is nonzero there and closes at the last row j that is
+    nonzero there; it is shared when i < j and row i's own when i == j."""
     nrows = len(rows)
+    joins = [[] for _ in range(nrows)]
+    own = [[] for _ in range(nrows)]
+    drops = [False] * nrows
+    last = []
+    ahead, back = range(nrows), range(nrows - 1, -1, -1)
+    for c, (col, acol) in enumerate(zip(zip(*rows), zip(*starts))):
+        i = next(compress(ahead, acol), nrows)
+        j = next(compress(back, reversed(col)), -1)
+        last.append(j)
+        if i < j:
+            joins[i].append(c)
+            drops[j] = True
+        elif i == j:
+            own[i].append(c)
+    return joins, own, drops, last
+
+
+def _packing_width(rows, starts, form) -> int:
+    """A slot width w, a multiple of 8, in which every entry of the rows
+    reduced from these lies in [-2^(w-1), 2^(w-1)).
+
+    _reduce keeps row b as the integer sum_c b[c] 2^(w c).  The packing is
+    linear, so the packed rows at exit are the packings of the reduced
+    rows however large the entries grow on the way, and they unpack
+    exactly when every entry fits its slot.  A reduced basis of r rows has
+    F-values at most 2^(r-1) times the largest F-value of an input row
+    (Lenstra, Lenstra and Lovasz 1982, (1.12)), and |b|^2 <= tr(F)^(m-1)
+    b F b^T for an integral positive definite F of dimension m, whose
+    least eigenvalue is at least det F / tr(F)^(m-1) >= tr(F)^(1-m)."""
+    big = max((sum(map(mul, r, a)) for r, a in zip(rows, starts)), default=0)
+    if rows and form is not None:
+        big *= sum(f[i] for i, f in enumerate(form)) ** (len(form) - 1)
+    return (len(rows) + big.bit_length() + 16) // 16 * 8
+
+
+def _unpack(packed, width: int, dim: int):
+    """The rows of dim entries in [-2^(width-1), 2^(width-1)) whose
+    packings sum_c row[c] 2^(width c) are the integers in packed."""
+    size = width // 8
+    half = 1 << (width - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * dim, "little")
+    cuts = range(0, size * dim, size)
+    out = []
+    for p in packed:
+        raw = (p + offset).to_bytes(size * dim, "little")
+        out.append(tuple(int.from_bytes(raw[i:i + size], "little") - half
+                         for i in cuts))
+    return tuple(out)
+
+
+def _reduce(basis_rows, form=None):
+    """Reduce rows under the integral form F (the identity when form is
+    None), <u, v> = u F v^T: the reduced rows as tuples and their integral
+    Gram-Schmidt data under F, (D, lam).  D[i] is the Gram determinant of
+    the first i rows (D[0] = 1, so |b*_i|^2 = D[i+1] / D[i]) and
+    lam[i][j] = mu_ij * D[j+1] for j < i, a ragged lower triangle of
+    integers; no rows give ((), ((1,), ())).  Raises ValueError on
+    dependent rows.
+
+    It swaps and size-reduces exactly as Cohen's Alg. 2.6.7 does, and
+    differs in how a new row gets its data.  Beside lam and D the loop
+    keeps, for every row j added so far, the integral star vector
+    B_j = D[j] * b*_j (F B_j under a form), column by column: stars[t][j]
+    is its entry in column cols[t].  A new row k reads lam[k][j] =
+    <b_k, B_j> and D[k+1] = <b_k, B_k> off dot products over the shared
+    columns below, where Cohen pays k + 1 inner products of full length
+    and a k^2 / 2 scalar recurrence.  B_k is D[k] b_k - proj b_k
+    (D[k] F b_k - proj b_k under a form), with proj = D[k] times the
+    orthogonal projection onto the span of rows 0..k-1 (F times the
+    F-orthogonal one, under a form).  proj is integral, since D[k] is the
+    denominator of the inverse Gram matrix, and it depends on that span
+    alone, so swaps and size reduction leave it as it is; a new row moves
+    it to (D[k+1] proj + B_k B_k^T) / D[k], an exact division because the
+    result is the integral proj of k + 1 rows.  A swap moves B_{k-1} and
+    B_k by the two formulas that move the lam columns of the later rows
+    (lam[i][j] is linear in B_j); they give the star vectors of the
+    swapped rows, integral again, so those divisions are exact too.  Size
+    reduction changes no b*_j.
+
+    Only shared columns are kept: those that a row already added touches
+    (in F b_i) and a row still to come touches (in b_i), since a new row
+    reads the star vectors and proj only where it is nonzero.  A column
+    that one row alone touches, such as a kernel basis row's own column,
+    adds D[k] b_k[c] (F b_k)[c] to D[k+1] directly.  A column joins when its
+    first row is added, with a zero entry for the rows before, and leaves
+    once its last row is in.  A kernel basis shares its pivot columns, an
+    embedding its column 0; once the last row is in no column is left, and
+    the upkeep stops.
+
+    The loop reads no row after adding it, so it keeps each row packed
+    into one integer (_packing_width), and size reduction subtracts q
+    times a row in one integer operation.
+    """
+    rows = list(map(tuple, basis_rows))
+    nrows = len(rows)
+    starts = (rows if form is None else
+              [[sum(map(mul, f, r)) for f in form] for r in rows])
+    joins, own, drops, last = _columns(rows, starts)
+    width = _packing_width(rows, starts, form)
+    packed = [sum(v << (width * c) for c, v in enumerate(r) if v)
+              for r in rows]
     p_num, p_den = _DELTA.numerator, _DELTA.denominator
-    D = [0] * (nrows + 1)
-    D[0] = 1
-    lam = [[0] * nrows for _ in range(nrows)]
-    if nrows:
-        _gso_row(rows, 0, D, lam, ip)
-    kmax = 0
-    k = 1
-
-    def redi(kk: int, ll: int) -> None:
-        # size-reduce row kk against row ll < kk
-        if 2 * abs(lam[kk][ll]) > D[ll + 1]:
-            q = (2 * lam[kk][ll] + D[ll + 1]) // (2 * D[ll + 1])
-            rk, rl = rows[kk], rows[ll]
-            rows[kk] = [a - q * b for a, b in zip(rk, rl)]
-            lam[kk][ll] -= q * D[ll + 1]
-            lk, llr = lam[kk], lam[ll]
-            for i in range(ll):
-                lk[i] -= q * llr[i]
-
-    def swapi(kk: int) -> None:
-        rows[kk], rows[kk - 1] = rows[kk - 1], rows[kk]
-        for j in range(kk - 1):
-            lam[kk][j], lam[kk - 1][j] = lam[kk - 1][j], lam[kk][j]
-        lam_v = lam[kk][kk - 1]
-        newd = (D[kk - 1] * D[kk + 1] + lam_v * lam_v) // D[kk]
-        for i in range(kk + 1, kmax + 1):
-            t = lam[i][kk]
-            lam[i][kk] = (D[kk + 1] * lam[i][kk - 1] - lam_v * t) // D[kk]
-            lam[i][kk - 1] = (newd * t + lam_v * lam[i][kk]) // D[kk + 1]
-        D[kk] = newd
-
+    D = [1] * (nrows + 1)
+    lam: list = []
+    cols: list = []
+    stars: list = []
+    proj: list = []
+    k, kmax = 0, -1
     while k < nrows:
         if k > kmax:
             kmax = k
-            _gso_row(rows, k, D, lam, ip)
-        while True:
-            redi(k, k - 1)
-            lam_v = lam[k][k - 1]
-            if p_den * (D[k + 1] * D[k - 1] + lam_v * lam_v) < p_num * D[k] * D[k]:
-                swapi(k)
-                k = max(1, k - 1)
-            else:
-                for ll in range(k - 2, -1, -1):
-                    redi(k, ll)
-                k += 1
-                break
-    return (tuple(tuple(r) for r in rows),
-            (tuple(D), tuple(tuple(lrow[:i]) for i, lrow in enumerate(lam))))
+            for c in joins[k]:
+                cols.append(c)
+                stars.append([0] * k)
+                for qrow in proj:
+                    qrow.append(0)
+                proj.append([0] * len(cols))
+            bk, ak, dk = rows[k], starts[k], D[k]
+            bc = [bk[c] for c in cols]
+            lk = ([sum(map(mul, bc, col)) for col in zip(*stars)] if stars
+                  else [0] * k)
+            u = [dk * ak[c] - sum(map(mul, qrow, bc))
+                 for c, qrow in zip(cols, proj)]
+            dnew = sum(map(mul, bc, u))
+            for c in own[k]:
+                dnew += dk * bk[c] * ak[c]
+            if dnew <= 0:
+                raise ValueError("dependent rows")
+            D[k + 1] = dnew
+            lam.append(lk)
+            for s, x in zip(stars, u):
+                s.append(x)
+            proj = [[(dnew * q + x * y) // dk for q, y in zip(qrow, u)]
+                    for qrow, x in zip(proj, u)]
+            if drops[k]:
+                keep = [t for t, c in enumerate(cols) if last[c] > k]
+                cols = [cols[t] for t in keep]
+                stars = [stars[t] for t in keep]
+                proj = [[proj[t][t2] for t2 in keep] for t in keep]
+            if not k:
+                k = 1
+                continue
+        # size-reduce row k against row k - 1, then the Lovasz test
+        lk = lam[k]
+        dl, lv = D[k], lk[-1]
+        if 2 * abs(lv) > dl:
+            q = (2 * lv + dl) // (2 * dl)
+            packed[k] -= q * packed[k - 1]
+            lv -= q * dl
+            lk[-1] = lv
+            if k > 1:
+                lk[:k - 1] = [a - q * b for a, b in zip(lk, lam[k - 1])]
+        dk1 = D[k + 1]
+        if p_den * (dk1 * D[k - 1] + lv * lv) < p_num * dl * dl:
+            # swap rows k - 1 and k: lam[k][k-1] stays, the rows' earlier
+            # lam swap, and columns k - 1 and k of the later rows' lam and
+            # of the star vectors move by the same two formulas
+            packed[k - 1], packed[k] = packed[k], packed[k - 1]
+            lp = lam[k - 1]
+            lk.pop()
+            lp.append(lv)
+            lam[k - 1], lam[k] = lk, lp
+            newd = (D[k - 1] * dk1 + lv * lv) // dl
+            for li in lam[k + 1:] + stars:
+                t = li[k]
+                li[k] = v = (dk1 * li[k - 1] - lv * t) // dl
+                li[k - 1] = (newd * t + lv * v) // dk1
+            D[k] = newd
+            if k > 1:
+                k -= 1
+        else:
+            for ll in range(k - 2, -1, -1):
+                dl, lv = D[ll + 1], lk[ll]
+                if 2 * abs(lv) > dl:
+                    q = (2 * lv + dl) // (2 * dl)
+                    packed[k] -= q * packed[ll]
+                    lk[ll] = lv - q * dl
+                    if ll:
+                        lk[:ll] = [a - q * b for a, b in zip(lk, lam[ll])]
+            k += 1
+    return (_unpack(packed, width, len(rows[0]) if rows else 0),
+            (tuple(D), tuple(map(tuple, lam))))
 
 
 def lll_threshold(x, d: int) -> bool:

@@ -4,13 +4,15 @@ The solver works on the integral Gram-Schmidt frame and on integer sup
 distances; these functions state the same quantities as exact fractions,
 so tests can hold the integer code against plain rational algebra.
 gram_schmidt (with its GSO) is the rational Gram-Schmidt process, the
-reference for the reducer's lambda/D data, and mat_det, mat_solve and
-mat_inverse are fraction Gaussian elimination, for Gram determinants and
-basis coordinates.  The eigenvalue-shift relaxation of an ellipsoid ball
-(relaxed_ellipsoid_ball), listed by a Fraction walk of a Euclidean ball,
-is the reference listing for the exact gauge walk.  gauge_sq is the
-Fraction gauge of a body, and mitm_reference is meet in the middle with a
-multiply-and-sum per half-candidate, the reference for
+reference for the reducer's lambda/D data, and reduce_reference is the
+all-integer LLL with Cohen's scalar recurrence for each new row's data,
+the reference for the reducer's every swap and output.  mat_det,
+mat_solve and mat_inverse are fraction Gaussian elimination, for Gram
+determinants and basis coordinates.  The eigenvalue-shift relaxation of
+an ellipsoid ball (relaxed_ellipsoid_ball), listed by a Fraction walk of
+a Euclidean ball, is the reference listing for the exact gauge walk.
+gauge_sq is the Fraction gauge of a body, and mitm_reference is meet in
+the middle with a multiply-and-sum per half-candidate, the reference for
 sbl.oracle.mitm_solve's witnesses.  No code in the sbl package calls
 them.
 """
@@ -133,6 +135,82 @@ def gram_schmidt(basis) -> GSO:
         mus.append(tuple(mu_row))
         sqs.append(sq)
     return GSO(tuple(mus), tuple(sqs))
+
+
+def _gso_row(rows, k: int, D: list, lam: list, ip) -> None:
+    """Set lam[k][j] for j < k and D[k+1] from the data of rows 0..k-1
+    under the inner product ip (Cohen, Alg. 2.6.7, step 2); each division
+    is exact.  Raises ValueError when row k depends on earlier rows."""
+    rk, lk = rows[k], lam[k]
+    for j in range(k + 1):
+        u = ip(rk, rows[j])
+        lj = lam[j]
+        for i in range(j):
+            u = (D[i + 1] * u - lk[i] * lj[i]) // D[i]
+        if j < k:
+            lk[j] = u
+        elif u <= 0:
+            raise ValueError("dependent rows")
+        else:
+            D[k + 1] = u
+
+
+def reduce_reference(basis_rows, ip=dot):
+    """All-integer LLL at delta = 3/4 under the inner product ip (Cohen,
+    Alg. 2.6.7): the reduced rows as tuples and their integral
+    Gram-Schmidt data (D, lam), as reduction._reduce returns them.  Each
+    new row's lam and D come from k + 1 inner products and the k^2 / 2
+    scalar recurrence of _gso_row.  Raises ValueError on dependent rows."""
+    rows = [list(r) for r in basis_rows]
+    nrows = len(rows)
+    D = [0] * (nrows + 1)
+    D[0] = 1
+    lam = [[0] * nrows for _ in range(nrows)]
+    if nrows:
+        _gso_row(rows, 0, D, lam, ip)
+    kmax = 0
+    k = 1
+
+    def redi(kk: int, ll: int) -> None:
+        # size-reduce row kk against row ll < kk
+        if 2 * abs(lam[kk][ll]) > D[ll + 1]:
+            q = (2 * lam[kk][ll] + D[ll + 1]) // (2 * D[ll + 1])
+            rk, rl = rows[kk], rows[ll]
+            rows[kk] = [a - q * b for a, b in zip(rk, rl)]
+            lam[kk][ll] -= q * D[ll + 1]
+            lk, llr = lam[kk], lam[ll]
+            for i in range(ll):
+                lk[i] -= q * llr[i]
+
+    def swapi(kk: int) -> None:
+        rows[kk], rows[kk - 1] = rows[kk - 1], rows[kk]
+        for j in range(kk - 1):
+            lam[kk][j], lam[kk - 1][j] = lam[kk - 1][j], lam[kk][j]
+        lam_v = lam[kk][kk - 1]
+        newd = (D[kk - 1] * D[kk + 1] + lam_v * lam_v) // D[kk]
+        for i in range(kk + 1, kmax + 1):
+            t = lam[i][kk]
+            lam[i][kk] = (D[kk + 1] * lam[i][kk - 1] - lam_v * t) // D[kk]
+            lam[i][kk - 1] = (newd * t + lam_v * lam[i][kk]) // D[kk + 1]
+        D[kk] = newd
+
+    while k < nrows:
+        if k > kmax:
+            kmax = k
+            _gso_row(rows, k, D, lam, ip)
+        while True:
+            redi(k, k - 1)
+            lam_v = lam[k][k - 1]
+            if 4 * (D[k + 1] * D[k - 1] + lam_v * lam_v) < 3 * D[k] * D[k]:
+                swapi(k)
+                k = max(1, k - 1)
+            else:
+                for ll in range(k - 2, -1, -1):
+                    redi(k, ll)
+                k += 1
+                break
+    return (tuple(tuple(r) for r in rows),
+            (tuple(D), tuple(tuple(lrow[:i]) for i, lrow in enumerate(lam))))
 
 
 def gs_coords(lat: PreparedLattice, point) -> Tuple[Fraction, ...]:

@@ -566,11 +566,8 @@ def test_svp_gauge_ranks_like_the_rational_form(case):
     the ellipsoid and nothing more."""
     basis, body = case
     den = lcm(*(a.denominator for row in body.a for a in row))
-
-    def ip(u, v) -> int:
-        return int(den * sum(a * dot(row, v) for a, row in zip(u, body.a)))
-
-    rows, _ = _reduce(basis.rows, ip)
+    form = [[int(den * a) for a in row] for row in body.a]
+    rows, _ = _reduce(basis.rows, form)
     bound = min(body.quad_form(row) for row in rows)
     listing = relaxed_ellipsoid_ball(basis, body, bound)
     want = min((body.quad_form(p), p) for p in listing if any(p))

@@ -11,10 +11,12 @@ punctured sign-pattern sweep (n in {5, 6}, d from 2 to 5, weights below
 and a solved case under one it exhausts).  A third set runs balancing
 (--mode sbp) on the diagonal ellipsoids of perfbench's ball-dense cell
 (n = 6, weights below 100, semi-axes 2 and 3) and on a tighter body with
-semi-axes 1 and 2, solved and no_solution.  It also freezes the
-`bench` CSV (wall-clock column dropped) of the built-in suites and the
-`probe` JSON of each solver choice.  A refactor that keeps this test
-passing keeps every verdict byte.
+semi-axes 1 and 2, solved and no_solution.  A fourth set balances 64-bit
+weights at n = 24 and 48 at the least d meeting the LLL threshold, under
+--engine lll and auto, so the reducer's many swaps are frozen too.  It
+also freezes the `bench` CSV (wall-clock column dropped) of the built-in
+suites and the `probe` JSON of each solver choice.  A refactor that keeps
+this test passing keeps every verdict byte.
 
 Regenerate the data only when a change of output is intended:
 
@@ -47,6 +49,8 @@ from sbl.core import (
     Punctured,
     serialize_instance,
 )
+from sbl.experiment import SplitMix64
+from sbl.reduction import lll_threshold
 
 DATA = Path(__file__).parent / "data" / "golden.json"
 
@@ -177,6 +181,40 @@ ELLIPSOIDS = (
      Instance((61, 3, 12, 15, 41, 0), _axes(6, 1, 2))),
 )
 
+
+
+def _least_threshold_d(x) -> int:
+    """The least d at which lll_threshold(x, d) holds."""
+    hi = 1
+    while not lll_threshold(x, hi):
+        hi *= 2
+    lo = hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if lll_threshold(x, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _kernel_instance(seed: int, n: int) -> Instance:
+    """n weights below 2^64 drawn by SplitMix64(seed), balanced over
+    [-d, d] at the least d meeting the LLL threshold: the reducer swaps
+    many times on these, where the lll-threshold record barely swaps."""
+    rng = SplitMix64(seed)
+    x = tuple(rng.below(1 << 64) for _ in range(n))
+    d = _least_threshold_d(x)
+    return Instance(x, Interval(-d, d))
+
+
+# balancing by the reduced kernel basis (--engine lll) and by the dispatch
+# that picks it (--engine auto) at the least threshold d
+KERNELS = (
+    ("kernel-n24", _kernel_instance(2024, 24)),
+    ("kernel-n48", _kernel_instance(2025, 48)),
+)
+
 PROBES = (
     ("probe-both", ["probe", "--n", "5", "--M", "256", "--d", "1",
                     "--trials", "12", "--seed", "5", "--solver", "both"]),
@@ -230,6 +268,11 @@ def cases():
     for name, inst in ELLIPSOIDS:
         out.append((name, ["solve", INSTANCE, "--mode", "sbp"],
                     serialize_instance(inst)))
+    for name, inst in KERNELS:
+        for engine in ("lll", "auto"):
+            out.append((f"{name}-sbp-{engine}",
+                        ["solve", INSTANCE, "--mode", "sbp", "--engine",
+                         engine], serialize_instance(inst)))
     for name, suite, seed in BENCHES:
         out.append((name, ["bench", "--suite", suite, "--seed", str(seed)],
                     None))

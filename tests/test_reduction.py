@@ -7,17 +7,20 @@ the Lovasz condition at delta = 3/4.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sbl.core import dot
+from sbl.core import Box, dot
 from sbl.enumeration import prepare
-from sbl.lattice import LatticeBasis, embedding_basis, choose_params, kernel_basis
+from sbl.lattice import (LatticeBasis, embedding_basis, choose_params,
+                         full_rank_completion, kernel_basis)
 from sbl.reduction import _reduce, lll_reduce, lll_threshold
 
-from reference import gram_schmidt, mat_det, mat_solve
+from reference import gram_schmidt, mat_det, mat_solve, reduce_reference
+from test_enumeration import _forms
 
 
 def _gram(rows):
@@ -187,18 +190,22 @@ def test_prepare_keeps_the_rows_of_a_reduced_basis(basis):
 @st.composite
 def _bases_and_forms(draw):
     """A basis and an integral positive definite form F = M^T M + I of its
-    dimension, as the inner product u F v^T."""
+    dimension, for the inner product u F v^T."""
     basis = draw(_random_bases(max_dim=5, bound=12))
     m = basis.dim
     rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
                          min_size=1, max_size=m))
     form = [[sum(r[i] * r[j] for r in rows) + (i == j) for j in range(m)]
             for i in range(m)]
+    return basis, form
 
+
+def _form_ip(form):
+    """The inner product u F v^T of an integral form F."""
     def ip(u, v):
         return sum(a * dot(row, v) for a, row in zip(u, form))
 
-    return basis, ip
+    return ip
 
 
 def _gram_gso(gram):
@@ -218,12 +225,13 @@ def _gram_gso(gram):
 @given(_bases_and_forms())
 @settings(max_examples=60, deadline=None)
 def test_the_reducer_reduces_under_an_integral_form(case):
-    """With ip = u F v^T the private reducer's lambda/D data is that of F's
-    Gram matrix (D[i] its leading minors, lam[i][j] = mu_ij D[j+1] for its
-    rational Gram-Schmidt data), and the output is size-reduced and
-    Lovasz-reduced under F, stated in those integers."""
-    basis, ip = case
-    rows, (dets, lam) = _reduce(basis.rows, ip)
+    """Under a form F the private reducer's lambda/D data is that of the
+    Gram matrix of u F v^T (D[i] its leading minors, lam[i][j] = mu_ij
+    D[j+1] for its rational Gram-Schmidt data), and the output is
+    size-reduced and Lovasz-reduced under F, stated in those integers."""
+    basis, form = case
+    ip = _form_ip(form)
+    rows, (dets, lam) = _reduce(basis.rows, form)
     assert _same_lattice(basis, LatticeBasis(rows, basis.dim))
     gram = [[Fraction(ip(a, b)) for b in rows] for a in rows]
     mu, sqs = _gram_gso(gram)
@@ -237,6 +245,79 @@ def test_the_reducer_reduces_under_an_integral_form(case):
     for k in range(len(rows) - 1):
         lhs = dets[k + 2] * dets[k] + lam[k + 1][k] ** 2
         assert 4 * lhs >= 3 * dets[k + 1] ** 2
+
+
+@st.composite
+def _weights(draw):
+    """2 to 16 weights, not all zero, drawn from a few values and 0 (so
+    zeros and repeated entries are common) mixed with wide random ones."""
+    pool = draw(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=4))
+    x = draw(st.lists(st.one_of(st.sampled_from(pool + [0]),
+                                st.integers(-2**40, 2**40)),
+                      min_size=2, max_size=16))
+    assume(any(x))
+    return x
+
+
+@st.composite
+def _dense_bases(draw):
+    """Rank 0 to 8 in dimension rank to rank + 2, dependent rows allowed."""
+    r = draw(st.integers(0, 8))
+    m = draw(st.integers(r, r + 2))
+    rows = draw(st.lists(st.lists(st.integers(-30, 30), min_size=m,
+                                  max_size=m), min_size=r, max_size=r))
+    return LatticeBasis(tuple(map(tuple, rows)), m)
+
+
+@st.composite
+def _embeddings(draw):
+    """embedding_basis of _weights under every choose_params mode."""
+    x = draw(_weights())
+    mode = draw(st.sampled_from(("sbp", "gss_worst", "gss_avg")))
+    params = choose_params(x, draw(st.integers(1, 6)),
+                           draw(st.integers(-10**6, 10**6)), mode,
+                           draw(st.integers(1, 2**20)))
+    return embedding_basis(x, params)
+
+
+@st.composite
+def _reducer_inputs(draw):
+    """A basis from one of the reducer's callers and either no form or an
+    integral gauge form L A of its dimension (_forms)."""
+    basis = draw(st.one_of(
+        _dense_bases(),
+        _weights().map(kernel_basis),
+        _embeddings(),
+        st.tuples(_weights(), st.integers(1, 5))
+        .map(lambda a: full_rank_completion(a[0], Box(a[1]))[0])))
+    if basis.dim == 0 or not draw(st.booleans()):
+        return basis.rows, None
+    body = draw(_forms(basis.dim))
+    den = lcm(*(a.denominator for row in body.a for a in row))
+    return basis.rows, [[int(den * a) for a in row] for row in body.a]
+
+
+def _outcome(reduce, *args):
+    try:
+        return reduce(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@given(_reducer_inputs())
+@example((((1, 0), (1000, 1)), [[1, -1000], [-1000, 1000001]]))
+@settings(max_examples=300, deadline=None)
+def test_reducer_matches_the_reference(case):
+    """The reducer swaps, size-reduces and returns exactly as Cohen's
+    all-integer LLL with its k^2 / 2 recurrence per new row
+    (reference.reduce_reference): the same (rows, (D, lam)), or the same
+    ValueError on dependent rows, with and without a form.  The example's
+    rows have F-value 1, and the reduced row (1000, 1) still unpacks: the
+    packing width allows for F's least eigenvalue."""
+    rows, form = case
+    ip = dot if form is None else _form_ip(form)
+    assert (_outcome(_reduce, rows, form)
+            == _outcome(reduce_reference, rows, ip))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sbl
-from sbl import reduction
+from sbl import enumeration
 from sbl.core import (
     Box,
     Budget,
@@ -512,17 +512,16 @@ def _count_calls(monkeypatch, fn):
     ((812874, 895347, 828298, 932437, 281331, 766550), -76),
 ])
 def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
-    # a Gram-Schmidt pass starts at row 0 of the reducer, the one source
-    # of the data prepare keeps
+    # a Gram-Schmidt pass is one call of the reducer, the one source of
+    # the data prepare keeps, made through enumeration
     gso_calls = []
-    gso_row = reduction._gso_row
+    reduce = enumeration._reduce
 
-    def counted_row(rows, k, *data):
-        if k == 0:
-            gso_calls.append(1)
-        return gso_row(rows, k, *data)
+    def counted_reduce(rows, *form):
+        gso_calls.append(1)
+        return reduce(rows, *form)
 
-    monkeypatch.setattr(reduction, "_gso_row", counted_row)
+    monkeypatch.setattr(enumeration, "_reduce", counted_reduce)
     frame_calls = []
     frame = PreparedLattice._frame
 

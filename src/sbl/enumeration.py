@@ -376,7 +376,9 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     and what visit returns is ignored.  It raises BudgetExceeded, with the
     whole limit as its partial count, before the points charged to the
     budget by it and earlier walks pass the limit; it writes its count back
-    once, on a raise too.
+    once, on a raise too.  A visitor may end the walk early by raising:
+    the exception passes through and the count, which holds every point
+    of the level-0 range being handed out, is still written back.
 
     With half set the center must be 0, and the walk visits 0 and one
     point of each pair +-v of the ball: those whose last nonzero

@@ -40,7 +40,7 @@ class LatticeBasis:
     dim: int
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if any(len(r) != self.dim for r in rows):
             raise ValueError("row length does not match dim")
@@ -63,34 +63,45 @@ def kernel_basis(x: Sequence[int]) -> LatticeBasis:
     A unimodular row transform U is accumulated while the working copy of x
     is reduced, by centered division against the smallest nonzero entry,
     down to a single nonzero entry (the gcd up to sign).  The rows of U that
-    map to zeroed entries are the kernel basis.
+    map to zeroed entries are the kernel basis.  Each row of U is its own
+    unit vector plus the rows of the pivots subtracted from it, so it is
+    kept as a map from its few nonzero columns to their entries, and a
+    round updates a row in the pivot row's nonzeros only.
     """
     xs = tuple(int(v) for v in x)
     if not xs or all(v == 0 for v in xs):
         raise ValueError("zero vector")
     n = len(xs)
     y = list(xs)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    while True:
-        nz = [i for i in range(n) if y[i] != 0]
-        if len(nz) == 1:
-            break
+    u = [{i: 1} for i in range(n)]
+    nz = [i for i in range(n) if y[i] != 0]
+    while len(nz) > 1:
         p = min(nz, key=lambda i: (abs(y[i]), i))
         if y[p] < 0:
             y[p] = -y[p]
-            u[p] = [-a for a in u[p]]
+            u[p] = {c: -a for c, a in u[p].items()}
+        yp, up = y[p], u[p].items()
         for j in nz:
             if j == p:
                 continue
-            q = _round_div(y[j], y[p])
+            q = _round_div(y[j], yp)
             if q:
-                y[j] -= q * y[p]
-                u[j] = [a - q * b for a, b in zip(u[j], u[p])]
-    pivot = next(i for i in range(n) if y[i] != 0)
-    rows = tuple(tuple(u[i]) for i in range(n) if i != pivot)
+                y[j] -= q * yp
+                uj = u[j]
+                for c, a in up:
+                    uj[c] = uj.get(c, 0) - q * a
+        nz = [i for i in nz if y[i] != 0]
+    pivot = nz[0]
+    rows = []
+    for i in range(n):
+        if i != pivot:
+            row = [0] * n
+            for c, a in u[i].items():
+                row[c] = a
+            rows.append(tuple(row))
     if any(dot(r, xs) != 0 for r in rows):
         raise InternalError("self-check failed: kernel row not orthogonal to x")
-    return LatticeBasis(rows, n)
+    return LatticeBasis(tuple(rows), n)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ true distance can only be the next grid value up.
 solve_instance is the one place that maps a mode, a coefficient set and
 an engine name to a solver; the command line, probes and benchmarks all
 go through it.  Every walk of a solve draws on its one core.Budget, whose
-charged count a caller that passes it reads.
+charged count a caller that passes it reads; the one exception is the
+punctured sweep's certificate walk, which visits no point when it
+decides and charges a private Budget (see solve_gss_punctured).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_POINT_BUDGET,
+    Budget,
     BudgetExceeded,
     Box,
     Ellipsoid,
@@ -359,6 +362,26 @@ def solve_gss_interval(
     return Verdict.solved(c)
 
 
+class _Occupied(Exception):
+    """Raised by _holds_no_point's visitor at the first point."""
+
+
+def _occupied(_p) -> int:
+    raise _Occupied
+
+
+def _holds_no_point(t: _Target, lim: int, most: int) -> bool:
+    """Whether the sup ball of limit lim around t (see _walk) holds no
+    lattice point: a walk that ends at its first point, charged to a
+    private Budget of most points, at least what the ball holds, so it
+    never raises BudgetExceeded."""
+    try:
+        _walk(t, _occupied, Budget(most), lim)
+    except _Occupied:
+        return False
+    return True
+
+
 def solve_gss_punctured(
     x: Sequence[int],
     tau: int,
@@ -393,6 +416,26 @@ def solve_gss_punctured(
     passes gap_decide's checks on that point, then the sign check and
     verify_solution.  Neither path rounds with Babai, and a rejection
     builds no Fraction.  The walks of one solve draw on its one Budget.
+
+    Before the sweep, one certificate walk may reject every pattern at
+    once.  On the same den, the sup ball of radius d around (alpha tau,
+    0, ..., 0) holds exactly the lattice points (alpha tau, c) with c in
+    [-d, d]^n and c.x = tau (alpha exceeds d, and q every |c.x - tau|),
+    and every pattern's ball lies inside it.  Its frame is head = den
+    alpha tau times column 0 of the stars and its limit is d den, so it
+    shares the lattice's walk plan with the pattern walks.  A walk of it
+    that ends at its first point and visits none proves that every
+    pattern would be rejected, and the solve returns the sweep's
+    no_solution verdict.  Otherwise the sweep runs as it would have, and
+    it is the only source of witnesses.  The walk runs only where the box
+    holds no more coefficient vectors than c.x has values, (2d+1)^n <=
+    2 d sum|x_i| + 1; on a denser box (x below 60 at n = 10 or 12, say)
+    the walk can take seconds where the sweep's top-level tests reject
+    every pattern in milliseconds.  The walk
+    charges a private Budget, never the solve's: a certificate visits no
+    point, and a walk that finds one stops within one level-0 range, so
+    the solve's charged count and every BudgetExceeded it raises are the
+    sweep's.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -417,9 +460,14 @@ def solve_gss_punctured(
     limit = radius.numerator * den // radius.denominator
     _check(lat.rank == lat.dim,
            "a shared top-level test on a rank-deficient lattice")
-    empty = _top_test(lat, den, limit)
     # frame(e_l) is column l of the stars
     stars = lat._stars
+    box = (2 * d + 1) ** n
+    if box <= 2 * d * sum(map(abs, xs)) + 1 and _holds_no_point(
+            _Target(lat, den, (head,) + (0,) * n,
+                    [head * b[0] for b in stars]), d * den, box):
+        return Verdict.no_solution("every sign pattern rejected")
+    empty = _top_test(lat, den, limit)
     units = list(zip(*stars))[1:]
     ups = [[2 * h * u for u in unit] for unit in units]
     downs = [[-v for v in up] for up in ups]
@@ -620,12 +668,18 @@ def solve_instance(
     (c.x = tau) with the named engine from ENGINES.
 
     auto takes the reduction for the coefficient set: a punctured set runs
-    one gap decision per sign pattern in either mode.  Balancing over
-    [-d, d] or a box is one SVP call, or the first LLL vector once d
-    clears lll_threshold; over an ellipsoid it is a gauge SVP, and an
-    asymmetric interval goes to meet-in-the-middle.  gss over an interval
-    or box is one gap decision, over an ellipsoid brute force.  An engine
-    that does not apply raises ValueError.
+    one gap decision per sign pattern in either mode, after one sup walk
+    of the box [-d, d]^n that, when it finds no c with c.x = tau, rejects
+    every pattern at once.  That walk runs only when the box holds no
+    more vectors than c.x has values, (2d+1)^n <= 2 d sum|x_i| + 1, and
+    charges a private Budget, so the budget passed here is charged what
+    the sweep charges and overruns where the sweep does (see
+    solve_gss_punctured).  Balancing over [-d, d] or a box is one SVP
+    call, or the first LLL vector once d clears lll_threshold; over an
+    ellipsoid it is a gauge SVP, and an asymmetric interval goes to
+    meet-in-the-middle.  gss over an interval or box is one gap decision,
+    over an ellipsoid brute force.  An engine that does not apply raises
+    ValueError.
     """
     if mode not in ("balancing", "gss"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -13,7 +13,9 @@ an ellipsoid ball (relaxed_ellipsoid_ball), listed by a Fraction walk of
 a Euclidean ball, is the reference listing for the exact gauge walk.
 gauge_sq is the Fraction gauge of a body, and mitm_reference is meet in
 the middle with a multiply-and-sum per half-candidate, the reference for
-sbl.oracle.mitm_solve's witnesses.  No code in the sbl package calls
+sbl.oracle.mitm_solve's witnesses.  kernel_basis_reference keeps its
+unimodular transform as dense rows, the reference for
+sbl.lattice.kernel_basis's sparse rows.  No code in the sbl package calls
 them.
 """
 
@@ -39,7 +41,7 @@ from sbl.core import (
     verify_solution,
 )
 from sbl.enumeration import PreparedLattice, _scaled
-from sbl.lattice import GaugeBody
+from sbl.lattice import GaugeBody, LatticeBasis, _round_div
 from sbl.oracle import _target
 
 
@@ -393,3 +395,34 @@ def mitm_reference(inst: Instance, mode: str = "balancing", budget=None) -> Verd
                 )
             return Verdict.solved(c)
     return Verdict.no_solution(f"no admissible vector reaches {target}")
+
+
+def kernel_basis_reference(x: Sequence[int]) -> LatticeBasis:
+    """kernel_basis with a dense n x n transform: every touched row of U is
+    rebuilt as a full-length list in every round."""
+    xs = tuple(int(v) for v in x)
+    if not xs or all(v == 0 for v in xs):
+        raise ValueError("zero vector")
+    n = len(xs)
+    y = list(xs)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    while True:
+        nz = [i for i in range(n) if y[i] != 0]
+        if len(nz) == 1:
+            break
+        p = min(nz, key=lambda i: (abs(y[i]), i))
+        if y[p] < 0:
+            y[p] = -y[p]
+            u[p] = [-a for a in u[p]]
+        for j in nz:
+            if j == p:
+                continue
+            q = _round_div(y[j], y[p])
+            if q:
+                y[j] -= q * y[p]
+                u[j] = [a - q * b for a, b in zip(u[j], u[p])]
+    pivot = next(i for i in range(n) if y[i] != 0)
+    rows = tuple(tuple(u[i]) for i in range(n) if i != pivot)
+    if any(dot(r, xs) != 0 for r in rows):
+        raise InternalError("self-check failed: kernel row not orthogonal to x")
+    return LatticeBasis(rows, n)

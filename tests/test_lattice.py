@@ -16,7 +16,7 @@ from sbl.lattice import (
     kernel_basis,
     sign_pattern_target,
 )
-from reference import gauge_sq, mat_det, mat_solve
+from reference import gauge_sq, kernel_basis_reference, mat_det, mat_solve
 
 nonzero_vecs = (
     st.lists(st.integers(-200, 200), min_size=2, max_size=8)
@@ -60,6 +60,28 @@ def test_kernel_rows_are_orthogonal_to_x(x):
 def test_kernel_gram_determinant_formula(x):
     g = gcd_vector(x)
     assert _gram_det(kernel_basis(x)) == Fraction(l2_sq(x), g * g)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """x of length 1 to 12, nonzero, with zeros, negative entries, mixed
+    magnitudes and entries repeated up to sign."""
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.integers(-2**64, 2**64))
+    xs = draw(st.lists(entry, min_size=n, max_size=n))
+    for i in range(n):
+        if i and draw(st.booleans()):
+            xs[i] = draw(st.sampled_from((1, -1))) * xs[draw(
+                st.integers(0, i - 1))]
+    assume(any(xs))
+    return tuple(xs)
+
+
+@given(_kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_matches_the_dense_transform(x):
+    assert kernel_basis(x) == kernel_basis_reference(x)
 
 
 def test_kernel_rejects_zero_vector():

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import sbl
@@ -28,7 +28,7 @@ from sbl.core import (
     dot,
     verify_solution,
 )
-from sbl.oracle import brute_force_solve
+from sbl.oracle import brute_force_solve, mitm_solve
 from sbl.lattice import (
     LatticeBasis,
     choose_params,
@@ -507,9 +507,29 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def _certified(xs, d) -> bool:
+    """Whether a punctured solve runs its certificate walk: the box
+    [-d, d]^n holds no more vectors than c.x has values."""
+    return (2 * d + 1) ** len(xs) <= 2 * d * sum(map(abs, xs)) + 1
+
+
+def _rejected_patterns(xs, tau, d) -> int:
+    """The sign patterns a no-solution punctured solve tries: none when the
+    certificate walk runs and the box [-d, d]^n holds no c with c.x = tau
+    (meet in the middle decides that), else all 2^n."""
+    box = mitm_solve(Instance(xs, Interval(-d, d), tau=tau), "gss")
+    if _certified(xs, d) and box.status == "no_solution":
+        return 0
+    return 2 ** len(xs)
+
+
+# the first two are certified with no pattern tried; the last has even x
+# and an odd tau, and its box is too dense for the certificate walk, so
+# the sweep tries all 32 patterns
 @pytest.mark.parametrize("x, tau", [
     ((499047, 273516, 775852, 994162, 137423), 55),
     ((812874, 895347, 828298, 932437, 281331, 766550), -76),
+    ((2, 4, 6, 8, 10), 7),
 ])
 def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
     # a Gram-Schmidt pass is one call of the reducer, the one source of
@@ -530,10 +550,12 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
         return frame(self, scaled)
 
     monkeypatch.setattr(PreparedLattice, "_frame", counted_frame)
-    tried = _count_patterns(monkeypatch)
+    tried = _rejected_patterns(x, tau, 2)
+    assert tried == (0 if _certified(x, 2) else 2 ** len(x))
+    patterns = _count_patterns(monkeypatch)
     v = solve_gss_punctured(x, tau, 2)
     assert v.status == "no_solution"
-    assert len(tried) == 2 ** len(x)
+    assert len(patterns) == tried
     assert len(gso_calls) <= 1
     # at most one frame for the base target and one per coordinate; the
     # patterns update it by sign flips
@@ -545,7 +567,9 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
 
 
 # two no-solution instances with 64 sign patterns and the points their
-# Euclidean cap balls hold
+# Euclidean cap balls hold.  Both run the certificate walk: the first box
+# holds no c with c.x = tau, so no pattern is tried; the second holds some
+# with c_2 = 0 but no punctured one, so the sweep tries all 64
 _REJECTED_SWEEPS = [
     ((817970, 32519, 863577, 907572, 282520, 495714), 52, 3, 0),
     ((35, 734441, 23, 15, 28, 5), -96, 5, 1155),
@@ -585,17 +609,21 @@ def _counted_rounds(monkeypatch):
 @pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
 def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
                                                          tau, d, points):
-    """The patterns tried and the points visited are those of a sweep that
-    walks every pattern's sup ball at the cap, and fewer targets are
-    rounded with Babai than patterns are tried."""
-    want = (2 ** len(x), _swept_points(x, tau, d, points))
+    """The points charged are those of a sweep that walks every pattern's
+    sup ball at the cap, and fewer targets are rounded with Babai than
+    patterns are tried; a certified solve tries none and rounds none."""
+    tried = _rejected_patterns(x, tau, d)
+    want = (tried, _swept_points(x, tau, d, points))
     rounds = _counted_rounds(monkeypatch)
-    tried = _count_patterns(monkeypatch)
+    patterns = _count_patterns(monkeypatch)
     budget = Budget()
     v = solve_gss_punctured(x, tau, d, budget)
     assert v.status == "no_solution"
-    assert (len(tried), budget.charged) == want
-    assert len(rounds) < len(tried)
+    assert (len(patterns), budget.charged) == want
+    if tried:
+        assert len(rounds) < len(patterns)
+    else:
+        assert len(rounds) == 0
 
 
 @pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
@@ -604,17 +632,24 @@ def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
     """The sweep's walks visit only points within the cap, so a rejected
     pattern costs no point, though the patterns' Euclidean cap balls hold
     points, and no pattern rounds with Babai."""
+    assert _certified(x, d)
+    tried = _rejected_patterns(x, tau, d)
     assert _swept_points(x, tau, d, points) == 0
     rounds = _counted_rounds(monkeypatch)
     walks = _count_calls(monkeypatch, sbl.enumeration._walk)
-    tried = _count_patterns(monkeypatch)
+    patterns = _count_patterns(monkeypatch)
     budget = Budget()
     v = solve_gss_punctured(x, tau, d, budget)
     assert v.status == "no_solution"
-    assert (len(tried), budget.charged) == (2 ** len(x), 0)
+    assert (len(patterns), budget.charged) == (tried, 0)
     assert len(rounds) == 0
-    # some patterns pass the top-level test, and their walks visit none
-    assert len(walks) > 0
+    if tried:
+        # the certificate walk finds a point, some patterns pass the
+        # top-level test, and their walks visit none
+        assert len(walks) > 1
+    else:
+        # the certificate walk alone, visiting nothing
+        assert len(walks) == 1
 
 
 def _reference_sweep(xs, tau, d):
@@ -644,18 +679,29 @@ def _outcome(solve):
 
 @st.composite
 def _punctured_cases(draw):
-    """x with zeros, negative entries and mixed magnitudes, n from 1 to 5,
-    d from 1 to 5; tau zero, small, or planted as c.x for a punctured c;
-    the default budget or a small one."""
-    n = draw(st.integers(1, 5))
-    entry = st.one_of(st.integers(-9, 9), st.integers(-2**20, 2**20))
+    """Cases on both sides of the certificate walk's guard (_certified):
+    x with zeros, negative entries and, on the certified side, mixed
+    magnitudes; n from 1 to 6 and d from 1 to 5; tau zero, small, wide or
+    planted as c.x for a punctured c; the default budget or one from 0 to
+    6."""
+    certified = draw(st.booleans())
+    small = st.one_of(st.just(0), st.integers(-9, 9))
+    if certified:
+        n = draw(st.integers(1, 5))
+        entry = st.one_of(small, st.integers(-2**20, 2**20))
+    else:
+        n = draw(st.integers(3, 6))
+        entry = small
     xs = tuple(draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
     d = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(("zero", "small", "planted")))
+    assume(_certified(xs, d) == certified)
+    kind = draw(st.sampled_from(("zero", "small", "wide", "planted")))
     if kind == "zero":
         tau = 0
     elif kind == "small":
         tau = draw(st.integers(-60, 60))
+    elif kind == "wide":
+        tau = draw(st.integers(-2**22, 2**22))
     else:
         c = draw(st.lists(st.integers(1, d).flatmap(
             lambda a: st.sampled_from((-a, a))), min_size=n, max_size=n))
@@ -665,14 +711,24 @@ def _punctured_cases(draw):
 
 
 @given(_punctured_cases())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_gss_punctured_matches_the_gap_decision_loop(case):
-    """The sweep gives the verdict of the gap-decision loop after trying
-    the same patterns.  Its walks visit points only on the accepting
-    pattern, so its one budget overruns exactly when that walk visits
-    more points than the budget holds, naming the one walk."""
+    """The sweep gives the verdict of the gap-decision loop.  It tries the
+    loop's patterns, or none where the certificate walk runs and the box
+    [-d, d]^n holds no c with c.x = tau.  Its walks visit points only on
+    the accepting pattern, so its one budget overruns exactly when that
+    walk visits more points than the budget holds, naming the one walk.
+    The verdict, the charged count and the overrun are those of the sweep
+    with no certificate."""
     xs, tau, d, budget = case
     want, want_tried = _reference_sweep(xs, tau, d)
+    if not _certified(xs, d):
+        event("no certificate walk")
+    elif want.status == "no_solution" and not _rejected_patterns(xs, tau, d):
+        event("certified")
+        want_tried = 0
+    else:
+        event("the certificate walk finds a point")
     meter = Budget()
     with pytest.MonkeyPatch.context() as mp:
         tried = _count_patterns(mp)
@@ -685,6 +741,46 @@ def test_gss_punctured_matches_the_gap_decision_loop(case):
     assert got == (full if points <= budget else
                    ("budget", f"ball holds more than {budget} points",
                     budget))
+    swept = Budget()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sbl.solve, "_holds_no_point", lambda *args: False)
+        assert solve_gss_punctured(xs, tau, d, swept) == full
+        assert swept.charged == points
+        assert _outcome(
+            lambda: solve_gss_punctured(xs, tau, d, budget)) == got
+
+
+def test_gss_punctured_dense_box_runs_the_sweep(monkeypatch):
+    """n = 12, d = 2, even x below 60 and an odd tau: a parity obstruction
+    with 5^12 vectors in the box for at most 945 values of c.x.  The
+    certificate walk is not run there (on boxes this dense it can take
+    seconds), and the sweep's top-level tests reject all 4096 patterns."""
+    x = (18, 2, 2, 44, 18, 18, 8, 6, 42, 8, 42, 28)
+    assert not _certified(x, 2)
+    walks = _count_calls(monkeypatch, sbl.solve._holds_no_point)
+    patterns = _count_patterns(monkeypatch)
+    budget = Budget()
+    v = solve_gss_punctured(x, 41, 2, budget)
+    assert v == Verdict.no_solution("every sign pattern rejected")
+    assert (len(walks), len(patterns), budget.charged) == (0, 2 ** 12, 0)
+
+
+def test_gss_punctured_certifies_a_sparse_n14_instance(monkeypatch):
+    """x of 14 values below 2^40 and d = 2: the box holds 5^14 vectors,
+    fewer than c.x has values, and none sums to tau, so one certificate
+    walk decides the solve with no pattern tried and no point charged."""
+    s = trial_stream(7, 1)
+    x = tuple(s.below(2**40) for _ in range(14))
+    tau = 12345
+    assert _certified(x, 2)
+    assert mitm_solve(Instance(x, Interval(-2, 2), tau=tau),
+                      "gss").status == "no_solution"
+    walks = _count_calls(monkeypatch, sbl.solve._holds_no_point)
+    patterns = _count_patterns(monkeypatch)
+    budget = Budget()
+    v = solve_gss_punctured(x, tau, 2, budget)
+    assert v == Verdict.no_solution("every sign pattern rejected")
+    assert (len(walks), len(patterns), budget.charged) == (1, 0, 0)
 
 
 @st.composite

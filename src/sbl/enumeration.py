@@ -14,15 +14,16 @@ points and it sorts them, which fixes every downstream tie-break.
 A PreparedLattice holds what a query needs from its lattice: the reduced
 rows and their Gram-Schmidt data in integral form.  Preparing costs one
 reduction, whose own lambda/D data at exit is the output's (see
-reduction._reduce), so no second Gram-Schmidt pass; after that each
-query maps its center into the Gram-Schmidt frame with O(m^2) integer
-work, so callers that ask many questions of one lattice prepare it once
-and pass it to every call.  The frame is linear over integer vectors, so a
-caller whose centers differ by fixed integer steps updates one frame in
-O(m) per step instead.  The walk's scale tables depend only on the
-lattice and the center's denominator; the lattice keeps them for the last
-denominator asked, so a run of queries on one denominator sets them up
-once.
+reduction._reduce), so no second Gram-Schmidt pass.  The integral
+vectors gram_det[i] b*_i are built from that data on first use, and each
+query maps its center into the Gram-Schmidt frame by one integer dot
+product with each of them, O(m^2) work, so callers that ask many
+questions of one lattice prepare it once and pass it to every call.  The
+frame is linear over integer vectors, so a caller whose centers differ by
+fixed integer steps updates one frame in O(m) per step instead.  The
+walk's scale tables depend only on the lattice and the center's
+denominator; the lattice keeps them for the last denominator asked, so a
+run of queries on one denominator sets them up once.
 
 svp_inf and cvp_inf answer sup-norm questions by one sup walk each: the
 walk of the sup ball |v - c|_inf <= lim / den, which lies in the Euclidean
@@ -140,21 +141,11 @@ class PreparedLattice:
         return len(self.rows)
 
     def _frame(self, scaled) -> list:
-        """y[j] = gram_det[j] * <scaled, b*_j> for an integer vector: the
-        forward substitution of the Gram system G t = B scaled through
-        G = mu * diag(|b*|^2) * mu^T, done in integers, O(rank^2).
-
-        Every // here is exact (each partial value is an integer, as
-        gram_det[j] * b*_j is integral), so the frame is linear: the frame
-        of u + k v is frame(u) + k frame(v) for integer vectors u, v."""
-        dets = self.gram_det
-        ys: list = []
-        for row, lrow in zip(self.rows, self.lam):
-            u = sum(map(mul, row, scaled))
-            for i, y in enumerate(ys):
-                u = (dets[i + 1] * u - y * lrow[i]) // dets[i]
-            ys.append(u)
-        return ys
+        """y[j] = gram_det[j] * <scaled, b*_j> = <B_j, scaled> for an
+        integer vector, one dot product with each of the integral vectors
+        B_j (_stars), O(rank m).  The frame is linear: the frame of u + k v
+        is frame(u) + k frame(v) for integer vectors u, v."""
+        return [sum(map(mul, b, scaled)) for b in self._stars]
 
     def _round(self, den: int, frame: list) -> Tuple[int, ...]:
         """Babai rounding of the center whose frame (see _frame) on the
@@ -181,9 +172,11 @@ class PreparedLattice:
     @cached_property
     def _stars(self) -> Tuple[Tuple[int, ...], ...]:
         """B_i = gram_det[i] * b*_i for every row, integral (Cohen, section
-        2.6), built on first use.  _frame(v)[i] = <B_i, v>, so the frame
-        of the unit vector e_l is column l of B; B is _frame's recurrence
-        run on all of those columns at once."""
+        2.6), built on first use: starting from b_i, B_i <- (D_{j+1} B_i -
+        lam_ij B_j) / D_j for j = 0, ..., i - 1, every division exact.
+        They are the frame's vectors (_frame(v)[i] = <B_i, v>, so the frame
+        of the unit vector e_l is column l of B) and the sup walk's Hölder
+        vectors (_sup_plan)."""
         dets = self.gram_det
         out: list = []
         for row, lrow in zip(self.rows, self.lam):
@@ -419,7 +412,9 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
       lies in the sup ball at the limit of its level-1 node;
     - when visit lowers lim, rem0, the Hölder bound and the level-0 range
       follow it for every node not yet entered.
-    Levels 1 and 0 run as one loop (pair) over whole level-0 ranges (emit).
+    One loop (descend) runs every level from the top down to 1.  At level 1
+    it hands each nonempty level-0 range to emit as it is, with no cost or
+    Hölder work, and emit cuts it to the sup ball and visits its points.
     """
     lat = t.lat
     den = t.den
@@ -449,9 +444,7 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
         hi = 0
     count = before = budget.charged
     limit = budget.limit
-    w0, t0, row0 = ws[0], ts[0], rows[0]
-    if rank > 1:
-        w1, t1, row1, (step1,) = ws[1], ts[1], rows[1], steps[1]
+    row0 = rows[0]
 
     def emit(acc, a: int, b: int) -> None:
         # the points acc + z row0 for z in [a, b], level 0's Euclidean
@@ -492,30 +485,9 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
             free = lim * lim * scale
             rem0 = m * free - perp
 
-    def pair(_level: int, cost: int, es, acc, lo: int, hi: int,
-             *_pruned) -> None:
-        # level 1 over [lo, hi], above level 0, whose center E_0 drops by
-        # step1 per unit step here; not pruned
-        e, e0 = es[1], es[0]
-        origin = half and not any(acc)
-        room = rem0 - cost
-        for z in range(lo, hi + 1):
-            diff = z * t1 - e
-            r = room - w1 * diff * diff
-            if r < 0:
-                continue
-            ez = e0 - step1 * z
-            s = isqrt(r // w0)
-            a, b = -((s - ez) // t0), (ez + s) // t0
-            if origin and not z:
-                b = 0
-            if a <= b:
-                emit(list(map(add, acc, map(mul, row1, repeat(z)))), a, b)
-                room = rem0 - cost
-
     def descend(level: int, cost: int, es, acc, lo: int, hi: int,
                 big, diff0, wb0) -> None:
-        # a level >= 2 over [lo, hi]: es[i] = E_i for i <= level given the
+        # a level >= 1 over [lo, hi]: es[i] = E_i for i <= level given the
         # levels above, acc the integer point so far.  In a sup walk, big
         # + diff0 * wb0 is U of the node above (big None: zero; wb0 None:
         # big itself), summed when the first child is entered
@@ -523,7 +495,6 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
         k = level - 1
         tk, wk, sk = ts[k], ws[k], step[k]
         e, ek0 = es[level], es[k]
-        down = descend if k > 1 else pair
         wb = wbs[level] if sup else None
         u, du, wu = None, 0, None
         origin = half and not any(acc)
@@ -539,6 +510,11 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
             if origin and not z:
                 b = 0
             if a > b:
+                continue
+            if not k:
+                # level 1: the level-0 range goes to emit as it is
+                emit(list(map(add, acc, map(mul, row, repeat(z)))), a, b)
+                room = rem0 - cost
                 continue
             c = rem0 - r
             if sup:
@@ -559,24 +535,22 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
                     if c > lim * sum(map(abs, u)):
                         continue
                     du, wu = 0, None
-            down(k, c, list(map(sub, es, map(mul, step, repeat(z)))),
-                 list(map(add, acc, map(mul, row, repeat(z)))), a, b,
-                 u, du, wu)
+            descend(k, c, list(map(sub, es, map(mul, step, repeat(z)))),
+                    list(map(add, acc, map(mul, row, repeat(z)))), a, b,
+                    u, du, wu)
             room = rem0 - cost
 
     zero = [0] * m
     try:
-        if rank > 2:
+        if top:
             descend(top, 0, t.frame, zero, lo, hi, None, 0, None)
-        elif rank == 2:
-            pair(1, 0, t.frame, zero, lo, hi)
         else:
             emit(zero, lo, hi)
     finally:
         budget.charged = count
-        # the walkers refer to each other, cycles that would keep their
-        # frames alive until the next full garbage collection
-        del emit, pair, descend
+        # descend refers to itself and to emit, a cycle that would keep
+        # their frames alive until the next full garbage collection
+        del emit, descend
 
 
 def _sup_search(t: _Target, lim: int, budget: Budget, nonzero: bool = False):

@@ -19,7 +19,6 @@ from .core import (
     Ellipsoid,
     InternalError,
     ceil_root,
-    dot,
 )
 
 GaugeBody = Union[Box, Ellipsoid]
@@ -92,15 +91,15 @@ def kernel_basis(x: Sequence[int]) -> LatticeBasis:
                     uj[c] = uj.get(c, 0) - q * a
         nz = [i for i in nz if y[i] != 0]
     pivot = nz[0]
-    rows = []
-    for i in range(n):
-        if i != pivot:
-            row = [0] * n
-            for c, a in u[i].items():
-                row[c] = a
-            rows.append(tuple(row))
-    if any(dot(r, xs) != 0 for r in rows):
+    kernel = [u[i] for i in range(n) if i != pivot]
+    if any(sum(a * xs[c] for c, a in r.items()) for r in kernel):
         raise InternalError("self-check failed: kernel row not orthogonal to x")
+    rows = []
+    for r in kernel:
+        row = [0] * n
+        for c, a in r.items():
+            row[c] = a
+        rows.append(tuple(row))
     return LatticeBasis(tuple(rows), n)
 
 

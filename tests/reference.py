@@ -15,20 +15,25 @@ gauge_sq is the Fraction gauge of a body, and mitm_reference is meet in
 the middle with a multiply-and-sum per half-candidate, the reference for
 sbl.oracle.mitm_solve's witnesses.  kernel_basis_reference keeps its
 unimodular transform as dense rows, the reference for
-sbl.lattice.kernel_basis's sparse rows.  No code in the sbl package calls
-them.
+sbl.lattice.kernel_basis's sparse rows, and walk_reference is the
+enumeration walk with level 1 in a loop of its own, the reference for
+sbl.enumeration._walk's visit order, limits and budget charges.  No code
+in the sbl package calls them.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
-from typing import Sequence, Tuple
+from itertools import repeat
+from math import floor, isqrt
+from operator import add, mul, sub
+from typing import Optional, Sequence, Tuple
 
 from sbl.core import (
     _as_budget,
     _frac_rows,
     Box,
+    Budget,
     BudgetExceeded,
     Ellipsoid,
     Instance,
@@ -40,7 +45,7 @@ from sbl.core import (
     linf,
     verify_solution,
 )
-from sbl.enumeration import PreparedLattice, _scaled
+from sbl.enumeration import PreparedLattice, _perp, _scaled, _Target
 from sbl.lattice import GaugeBody, LatticeBasis, _round_div
 from sbl.oracle import _target
 
@@ -217,13 +222,12 @@ def reduce_reference(basis_rows, ip=dot):
 
 def gs_coords(lat: PreparedLattice, point) -> Tuple[Fraction, ...]:
     """<point, b*_i> / |b*_i|^2 for every row i: the coordinates of the
-    point's projection onto the row span in the Gram-Schmidt frame."""
-    den, scaled = _scaled(point)
-    dets = lat.gram_det
-    return tuple(
-        Fraction(y, den * dets[j + 1])
-        for j, y in enumerate(lat._frame(scaled))
-    )
+    point's projection onto the row span in the Gram-Schmidt frame, from
+    the rational Gram-Schmidt vectors (star_vectors)."""
+    gso, stars = star_vectors(lat)
+    point = [Fraction(c) for c in point]
+    return tuple(sum(map(mul, b, point)) / sq
+                 for b, sq in zip(stars, gso.b_star_sq))
 
 
 def nearest_plane(lat: PreparedLattice, target) -> Tuple[int, ...]:
@@ -323,6 +327,227 @@ def holder_walk(lat: PreparedLattice, center, bound_sq):
         return level < 2 or l2 * l2 <= bound_sq * l1 * l1
 
     return _fraction_walk(lat, center, lat.dim * bound_sq, keep)
+
+
+def walk_reference(t: _Target, visit, budget: Budget,
+                   lim: Optional[int] = None, r_sq=None,
+                   half: bool = False) -> None:
+    """The walk with level 1 in a loop of its own (pair), the reference
+    for sbl.enumeration._walk, whose one loop runs every level >= 1.
+
+    Hand every lattice point of a ball around the center t to visit(p),
+    in walk order, and charge them to the budget.
+
+    With lim set this is the sup walk: the ball is |den v - scaled|_inf <=
+    lim, the lattice points within sup distance lim / den of the center,
+    and visit returns the limit for the rest of the walk, lim or less.
+    The visitor of a search lowers it to the best distance found (see
+    _sup_search); one that keeps every point returns lim.  With r_sq
+    instead, the ball is |v - center|_2^2 <= r_sq, the walk is not pruned
+    and what visit returns is ignored.  It raises BudgetExceeded, with the
+    whole limit as its partial count, before the points charged to the
+    budget by it and earlier walks pass the limit; it writes its count back
+    once, on a raise too.  A visitor may end the walk early by raising:
+    the exception passes through and the count, which holds every point
+    of the level-0 range being handed out, is still written back.
+
+    With half set the center must be 0, and the walk visits 0 and one
+    point of each pair +-v of the ball: those whose last nonzero
+    coefficient on the rows is negative.  A node on the origin's path
+    (every level above chose 0, so acc is 0) cuts its 0 child's range to
+    end at 0; the top level's range ends there too.  The visitor must
+    answer for v and -v alike (see the module docstring).
+
+    The walk is depth first over the levels from the last row down.  With
+    den the center's common denominator, D = gram_det, L = lcm_i D[i]
+    D[i+1] and w_i = L / (D[i] D[i+1]), level i keeps its center e_i =
+    zc_i - sum_{j>i} mu_ji z_j as the integer E_i = t_i e_i, t_i = den
+    D[i+1].  Coefficient z costs |b*_i|^2 (z - e_i)^2 = (z t_i - E_i)^2 /
+    (den^2 D[i] D[i+1]), so on the scale den^2 L (times r_den for a radius
+    r_num / r_den) it costs w_i (z t_i - E_i)^2, an integer.  A node keeps
+    its cost C, the sum over the levels chosen; with rem0 the ball's
+    integer squared radius less _perp, z is admissible iff |z t_i - E_i|
+    <= isqrt((rem0 - C) // w_i), one exact integer range per level.  A
+    level enters, and tests, only a child whose next level is not empty.
+
+    A sup ball lies in the Euclidean ball of squared radius m lim^2 /
+    den^2, so rem0 = m lim^2 L - perp, and the sup walk prunes it three
+    ways, each exact in integers:
+    - at a level k >= 2, by Hölder's inequality (Schnorr and Euchner 1994;
+      Ritter, max-norm enumeration, 1996): with the levels from k up
+      chosen, u = pi_k(v - c) is fixed and |u|_2^2 = <v - c, u> <= (lim /
+      den) |u|_1 for every v of the sup ball.  With diff_i = z_i t_i -
+      E_i, C = den^2 L |u|_2^2 and U = sum_{i >= k} diff_i w_i B_i is den
+      L u, B_i = gram_det[i] b*_i integral (PreparedLattice._stars), so
+      the test is C <= lim |U|_1.  U is the node above's U plus the plan's
+      w_k B_k times diff_k, summed only when a node needs it, and a node
+      with C <= lim^2 L (|u|_2 <= lim / den) passes without it;
+    - at level 0, a line acc + z b_0, the sup ball is one integer range of
+      z: for each j with b_0j != 0, |den acc_j - scaled_j + z den b_0j| <=
+      lim gives one ceiling and one floor division, and a coordinate with
+      b_0j = 0 is a pass/fail test on acc.  It is intersected with the
+      Euclidean range only when that is not empty, so every point visited
+      lies in the sup ball at the limit of its level-1 node;
+    - when visit lowers lim, rem0, the Hölder bound and the level-0 range
+      follow it for every node not yet entered.
+    Levels 1 and 0 run as one loop (pair) over whole level-0 ranges (emit).
+    """
+    lat = t.lat
+    den = t.den
+    rows = lat.rows
+    m, rank, top = lat.dim, len(rows), len(rows) - 1
+    scale, ws, ts, steps, tables = lat._plan(den)
+    perp = _perp(t) if rank < m else 0
+    sup = lim is not None
+    lines = None
+    if sup:
+        free = lim * lim * scale
+        rem0 = m * free - perp
+        wbs, top_l1, cols, flat = tables or lat._sup_plan(den)
+        scaled = t.scaled
+    else:
+        r_num, r_den = r_sq.numerator, r_sq.denominator
+        if r_den != 1:
+            ws = [r_den * w for w in ws]
+        rem0 = r_num * den * den * scale - r_den * perp
+    if rem0 < 0:
+        return
+    e, s = t.frame[top], isqrt(rem0 // ws[top])
+    lo, hi = -((s - e) // ts[top]), (e + s) // ts[top]
+    if lo > hi:
+        return
+    if half:
+        hi = 0
+    count = before = budget.charged
+    limit = budget.limit
+    w0, t0, row0 = ws[0], ts[0], rows[0]
+    if rank > 1:
+        w1, t1, row1, (step1,) = ws[1], ts[1], rows[1], steps[1]
+
+    def emit(acc, a: int, b: int) -> None:
+        # the points acc + z row0 for z in [a, b], level 0's Euclidean
+        # range, cut to the sup ball
+        nonlocal count, lim, rem0, free, lines
+        if sup:
+            if lines is None:
+                # x = sign (den acc_j - scaled_j) must keep |x + z q| <=
+                # lim, q = |den b_0j|
+                lines = [(j, q, sd, sg * scaled[j])
+                         for j, q, sd, sg in cols]
+            for j in flat:
+                if abs(den * acc[j] - scaled[j]) > lim:
+                    return
+            for j, q, sd, sc in lines:
+                x = sd * acc[j] - sc
+                end = -((lim + x) // q)
+                if end > a:
+                    a = end
+                end = (lim - x) // q
+                if end < b:
+                    b = end
+                if a > b:
+                    return
+        count += b - a + 1
+        if count > limit:
+            what = "search lists" if before else "ball holds"
+            raise BudgetExceeded(
+                f"{what} more than {limit} points", partial=limit
+            )
+        p = tuple(map(add, acc, map(mul, row0, repeat(a))))
+        new = visit(p)
+        for _ in range(b - a):
+            p = tuple(map(add, p, row0))
+            new = visit(p)
+        if sup and new != lim:
+            lim = new
+            free = lim * lim * scale
+            rem0 = m * free - perp
+
+    def pair(_level: int, cost: int, es, acc, lo: int, hi: int,
+             *_pruned) -> None:
+        # level 1 over [lo, hi], above level 0, whose center E_0 drops by
+        # step1 per unit step here; not pruned
+        e, e0 = es[1], es[0]
+        origin = half and not any(acc)
+        room = rem0 - cost
+        for z in range(lo, hi + 1):
+            diff = z * t1 - e
+            r = room - w1 * diff * diff
+            if r < 0:
+                continue
+            ez = e0 - step1 * z
+            s = isqrt(r // w0)
+            a, b = -((s - ez) // t0), (ez + s) // t0
+            if origin and not z:
+                b = 0
+            if a <= b:
+                emit(list(map(add, acc, map(mul, row1, repeat(z)))), a, b)
+                room = rem0 - cost
+
+    def descend(level: int, cost: int, es, acc, lo: int, hi: int,
+                big, diff0, wb0) -> None:
+        # a level >= 2 over [lo, hi]: es[i] = E_i for i <= level given the
+        # levels above, acc the integer point so far.  In a sup walk, big
+        # + diff0 * wb0 is U of the node above (big None: zero; wb0 None:
+        # big itself), summed when the first child is entered
+        t, w, row, step = ts[level], ws[level], rows[level], steps[level]
+        k = level - 1
+        tk, wk, sk = ts[k], ws[k], step[k]
+        e, ek0 = es[level], es[k]
+        down = descend if k > 1 else pair
+        wb = wbs[level] if sup else None
+        u, du, wu = None, 0, None
+        origin = half and not any(acc)
+        room = rem0 - cost
+        for z in range(lo, hi + 1):
+            diff = z * t - e
+            r = room - w * diff * diff
+            if r < 0:
+                continue
+            ek = ek0 - sk * z
+            s = isqrt(r // wk)
+            a, b = -((s - ek) // tk), (ek + s) // tk
+            if origin and not z:
+                b = 0
+            if a > b:
+                continue
+            c = rem0 - r
+            if sup:
+                if wb0 is not None:
+                    big = (list(map(mul, wb0, repeat(diff0))) if big is None
+                           else list(map(add, big,
+                                         map(mul, wb0, repeat(diff0)))))
+                    wb0 = None
+                if c <= free:
+                    u, du, wu = big, diff, wb
+                elif big is None:
+                    # the top level: U = diff * wb, |U|_1 = |diff| top_l1
+                    if c > lim * abs(diff) * top_l1:
+                        continue
+                    u, du, wu = None, diff, wb
+                else:
+                    u = list(map(add, big, map(mul, wb, repeat(diff))))
+                    if c > lim * sum(map(abs, u)):
+                        continue
+                    du, wu = 0, None
+            down(k, c, list(map(sub, es, map(mul, step, repeat(z)))),
+                 list(map(add, acc, map(mul, row, repeat(z)))), a, b,
+                 u, du, wu)
+            room = rem0 - cost
+
+    zero = [0] * m
+    try:
+        if rank > 2:
+            descend(top, 0, t.frame, zero, lo, hi, None, 0, None)
+        elif rank == 2:
+            pair(1, 0, t.frame, zero, lo, hi)
+        else:
+            emit(zero, lo, hi)
+    finally:
+        budget.charged = count
+        # the walkers refer to each other, cycles that would keep their
+        # frames alive until the next full garbage collection
+        del emit, pair, descend
 
 
 def pd_lower_bound(ell: Ellipsoid) -> Fraction:

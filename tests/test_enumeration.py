@@ -30,6 +30,7 @@ from sbl.enumeration import (
     _cvp_core,
     _cvp_target,
     _perp,
+    _scaled,
     _sup_search,
     _Target,
     _top_test,
@@ -65,6 +66,7 @@ from reference import (
     nearest_plane,
     relaxed_ellipsoid_ball,
     star_vectors,
+    walk_reference,
 )
 
 
@@ -367,8 +369,10 @@ def test_prepare_rejects_dependent_rows():
 
 
 def test_gs_coords_match_the_gram_solve():
-    """The O(m^2) map against plain elimination on the Gram system: the
-    projection's basis coordinates t, carried to the Gram-Schmidt frame."""
+    """The rational Gram-Schmidt coordinates, and the integer frame on the
+    center's denominator, against plain elimination on the Gram system:
+    the projection's basis coordinates t, carried to the Gram-Schmidt
+    frame."""
     for basis, center, _ in _random_lattices(7, 40):
         lat = prepare(basis)
         rows = lat.rows
@@ -380,6 +384,9 @@ def test_gs_coords_match_the_gram_solve():
             for i in range(lat.rank)
         )
         assert gs_coords(lat, center) == frame
+        den, scaled = _scaled(center)
+        assert tuple(Fraction(y, den * d) for y, d in
+                     zip(lat._frame(scaled), lat.gram_det[1:])) == frame
 
 
 def test_nearest_plane_matches_rational_rounding():
@@ -844,6 +851,85 @@ def test_pruned_sup_walk_equals_the_reference_walk(query):
         assert walk(count + 1, 1) == count + 1
 
 
+@st.composite
+def _walks(draw):
+    """A walk's whole input: a prepared lattice of rank 1-6 in dimension
+    rank to rank + 2, a center on the denominator 1 or 2 near a lattice
+    point (0 for a half walk), a sup limit or a Euclidean radius, whether
+    the visitor lowers the limit, and a budget's limit and earlier
+    charge."""
+    rank = draw(st.integers(1, 6))
+    m = rank + draw(st.integers(0, 2))
+    small = st.integers(-2, 2)
+    rows = []
+    for i in range(rank):
+        row = draw(st.lists(small, min_size=m, max_size=m))
+        # a nonzero diagonal keeps most draws independent
+        row[i] = draw(st.integers(1, 4)) * draw(st.sampled_from((-1, 1)))
+        rows.append(tuple(row))
+    assume(mat_det([[dot(a, b) for b in rows] for a in rows]) != 0)
+    lat = prepare(LatticeBasis(tuple(rows), m))
+    den = draw(st.integers(1, 2))
+    half = draw(st.booleans())
+    if half:
+        scaled = (0,) * m
+    else:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=rank,
+                               max_size=rank))
+        shift = draw(st.lists(st.integers(-den, den), min_size=m,
+                              max_size=m))
+        scaled = tuple(den * sum(c * row[j] for c, row in zip(coeffs, rows))
+                       + s for j, s in enumerate(shift))
+    t = _Target(lat, den, scaled, lat._frame(scaled))
+    if draw(st.booleans()):
+        lim, r_sq = draw(st.integers(0, 3 * den)), None
+    else:
+        lim, r_sq = None, Fraction(draw(st.integers(0, 40)),
+                                   draw(st.integers(1, 3)))
+    budget = (draw(st.integers(0, 2000)), draw(st.sampled_from((0, 0, 3))))
+    return t, lim, r_sq, half, draw(st.booleans()), budget
+
+
+def _logged_walk(walk, t, lim, r_sq, half, lower, budget):
+    """walk's visits as (point, the limit visit returned), the budget's
+    charge after it, and its BudgetExceeded text and partial count (None
+    when it ends).  A lowering visitor keeps the least (sup distance,
+    point) like _sup_search, folding each point to min(p, -p) in a half
+    walk and skipping 0 there; the other returns the limit it was given."""
+    den, scaled = t.den, t.scaled
+    log, best = [], None
+
+    def visit(p):
+        nonlocal best, lim
+        if lower and lim is not None:
+            g = max(abs(a * den - c) for a, c in zip(p, scaled))
+            if g or not half:
+                q = min(p, tuple(-a for a in p)) if half else p
+                if best is None or (g, q) < best:
+                    best, lim = (g, q), g
+        log.append((p, lim))
+        return lim
+
+    budget = Budget(*budget)
+    try:
+        walk(t, visit, budget, lim, r_sq=r_sq, half=half)
+        raised = None
+    except BudgetExceeded as e:
+        raised = (str(e), e.partial)
+    return log, budget.charged, raised
+
+
+@given(_walks())
+@settings(max_examples=100, deadline=None)
+def test_walk_matches_the_walk_with_a_level_1_loop(case):
+    """The one-loop walk hands the same points, in the same order, to a
+    visitor that lowers the limit and to one that keeps it, on sup and
+    Euclidean balls, half and full, and charges and overruns its budget
+    exactly as the walk with level 1 in a loop of its own."""
+    assert (_logged_walk(_walk, *case)
+            == _logged_walk(walk_reference, *case))
+
+
 @given(_capped_queries())
 @settings(max_examples=150, deadline=None)
 def test_capped_core_rejects_an_empty_cap_ball_before_babai(query):
@@ -952,12 +1038,14 @@ def test_frame_is_additive_over_integer_vectors(case):
 @given(_frame_vectors())
 @settings(max_examples=40, deadline=None)
 def test_stars_are_the_scaled_gram_schmidt_vectors(case):
-    """B_i = gram_det[i] b*_i, and the frame of v is <B_i, v>."""
+    """B_i = gram_det[i] b*_i, and the frame of v is gram_det[i] <v, b*_i>,
+    both against the rational Gram-Schmidt vectors."""
     lat, v, _, _ = case
     _, stars = star_vectors(lat)
     assert lat._stars == tuple(
         tuple(d * c for c in b) for d, b in zip(lat.gram_det, stars))
-    assert lat._frame(v) == [dot(b, v) for b in lat._stars]
+    assert lat._frame(v) == [d * sum(a * c for a, c in zip(v, b))
+                             for d, b in zip(lat.gram_det, stars)]
 
 
 def test_walk_plans_follow_the_center_denominator():

@@ -1126,7 +1126,7 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
          lambda: sbl.enumeration.cvp_inf(lat, (Fraction(1, 3), 0))),
         (sbl.enumeration, "_walk", lambda *a, **k: 0,
          lambda: sbl.enumeration.svp_gauge(lat, ellipse)),
-        (sbl.lattice, "dot", lambda *a: 1,
+        (sbl.lattice, "sum", lambda *a: 1,
          lambda: sbl.lattice.kernel_basis((3, 5, 8))),
         (sbl.lattice, "max", min,
          lambda: sbl.lattice.choose_params((3, 5), 1, 0, "gss_avg", 1)),

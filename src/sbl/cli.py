@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -25,10 +24,10 @@ from .core import (
     GUARD_ABORT,
     InternalError,
     NO_SOLUTION,
-    ParseError,
     SOLVED,
     Verdict,
     _parse_int,
+    _parse_json,
     parse_instance,
     parse_verdict,
     serialize_instance,
@@ -133,10 +132,7 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     inst = parse_instance(_read(args.instance))
     text = _read(args.solution)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}")
+    doc = _parse_json(text)
     if isinstance(doc, list):
         witness = [_parse_int(v, f"c[{i}]") for i, v in enumerate(doc)]
     else:

@@ -523,12 +523,20 @@ def _parse_coeffs(doc, n: int) -> CoefficientSet:
     raise ParseError(f"coeffs.kind: unknown kind {kind!r}")
 
 
-def parse_instance(text) -> Instance:
-    """Parse an instance document; errors name the offending field."""
+def _parse_json(text):
+    """The JSON document in text; ParseError when text is not JSON or
+    nests too deeply for the decoder."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def parse_instance(text) -> Instance:
+    """Parse an instance document; errors name the offending field."""
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level: expected an object")
     raw_x = doc.get("x")
@@ -586,10 +594,7 @@ def serialize_verdict(v: Verdict) -> str:
 
 
 def parse_verdict(text) -> Verdict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level: expected an object")
     status = doc.get("status")

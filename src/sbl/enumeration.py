@@ -8,8 +8,7 @@ an integer and the radius left over is an integer on one scale fixed per
 walk.  A coefficient is admissible iff an integer square is at most an
 integer bound, so one integer square root gives each level's range
 exactly: the listing is provably complete and no point needs a second
-test.  enum_ball asks the Euclidean question: its visitor collects the
-points and it sorts them, which fixes every downstream tie-break.
+test.
 
 A PreparedLattice holds what a query needs from its lattice: the reduced
 rows and their Gram-Schmidt data in integral form.  Preparing costs one
@@ -52,6 +51,8 @@ the centers it passes (see solve.solve_gss_punctured).
 
 svp_gauge walks an ellipsoid c A c^T <= 1 exactly, on the Gram-Schmidt
 data of rows reduced under its integral form F = L A (see svp_gauge).
+Its walk is the only Euclidean ball _walk lists, at an integer squared
+radius.
 
 The searches around the origin, svp_inf and svp_gauge's ellipsoid walk,
 walk half their ball (Fincke and Pohst 1985; Schnorr and Euchner 1994).
@@ -65,8 +66,8 @@ ball, and every value, witness and tie-break stays the same.  The half
 kept is the one the full walk visits first, so a half walk is the full
 walk less the mirror images: leaving a node on the origin's path it holds
 the full walk's best point and limit, and it never visits more points.
-enum_ball lists every point, and the searches around other centers
-(cvp_inf and everything built on it) walk their whole ball.
+The searches around other centers (cvp_inf and everything built on it)
+walk their whole ball.
 
 A search's budget is None or an int limit, for a fresh core.Budget, or a
 Budget, which every walk of the searches it is passed to charges with the
@@ -93,9 +94,6 @@ __all__ = [
     "DEFAULT_POINT_BUDGET",
     "PreparedLattice",
     "prepare",
-    "BallQuery",
-    "EnumerationResult",
-    "enum_ball",
     "SvpResult",
     "svp_inf",
     "CvpResult",
@@ -152,7 +150,7 @@ class PreparedLattice:
         common denominator den is given; the frame is left unchanged.
 
         Level i rounds its center e_i = E_i / t_i with t_i = den *
-        gram_det[i + 1], where E_i is kept as an integer (see enum_ball).
+        gram_det[i + 1], where E_i is kept as an integer (see _walk).
         """
         dets, lam = self.gram_det, self.lam
         es = list(frame)
@@ -191,11 +189,10 @@ class PreparedLattice:
         """The walk's scale tables for centers on the common denominator
         den (see _walk): (L, w, t, steps, sup) with L = lcm_i D[i] D[i+1],
         w_i = L / (D[i] D[i+1]), t_i = den * D[i+1] and steps[i] = den *
-        lam[i].  They do not depend on the radius: a Euclidean ball
-        multiplies w by its radius denominator.  sup holds the sup walk's
-        own tables once one is built (_sup_plan).  Only the last
-        denominator's tables are kept, which covers a search and a sweep
-        of related centers."""
+        lam[i].  They do not depend on the radius.  sup holds the sup
+        walk's own tables once one is built (_sup_plan).  Only the last
+        denominator's tables are kept, which covers a search and a sweep of
+        related centers."""
         plan = self._plans.get(den)
         if plan is None:
             self._plans.clear()
@@ -273,58 +270,6 @@ def prepare(basis: Lattice) -> PreparedLattice:
     return PreparedLattice(rows, basis.dim, *gso)
 
 
-@dataclass(frozen=True)
-class BallQuery:
-    """A lattice, a rational center, and a squared radius."""
-
-    basis: Lattice
-    center: Tuple[Fraction, ...]
-    radius_sq: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "center", tuple(_rational(c) for c in self.center)
-        )
-        object.__setattr__(self, "radius_sq", _rational(self.radius_sq))
-        if len(self.center) != self.basis.dim:
-            raise ValueError("center dimension does not match the basis")
-        if self.radius_sq < 0:
-            raise ValueError("radius_sq must be nonnegative")
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    points: Tuple[Tuple[int, ...], ...]
-    count: int
-
-
-def enum_ball(
-    query: BallQuery,
-    budget=DEFAULT_POINT_BUDGET,
-) -> EnumerationResult:
-    """All lattice points v with |v - center|_2^2 <= radius_sq, sorted
-    lexicographically.
-
-    The basis may have rank below the ambient dimension; the center's
-    component orthogonal to the span is then a fixed cost subtracted from
-    the radius.  A PreparedLattice is used as it is; a plain basis is
-    prepared for this one query.  Raises BudgetExceeded rather than
-    returning a truncated listing.  This is the walk's Euclidean form: it
-    is never pruned, and it collects what the walk visits and sorts it.
-    """
-    basis = query.basis
-    center = query.center
-    if basis.rank == 0:
-        inside = l2_sq(center) <= query.radius_sq
-        pts = (tuple([0] * basis.dim),) if inside else ()
-        return EnumerationResult(pts, len(pts))
-    out: list = []
-    _walk(_Target.of(prepare(basis), center), out.append, _as_budget(budget),
-          r_sq=query.radius_sq)
-    out.sort()
-    return EnumerationResult(tuple(out), len(out))
-
-
 def _perp(t: _Target) -> int:
     """den^2 L times the squared distance from the center t to the row
     span, on the walk's scale (see _walk): L |scaled|^2 less the
@@ -356,7 +301,7 @@ def _top_test(lat: PreparedLattice, den: int, lim: int, perp: int = 0):
 
 
 def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
-          r_sq=None, half: bool = False) -> None:
+          r_sq: Optional[int] = None, half: bool = False) -> None:
     """Hand every lattice point of a ball around the center t to visit(p),
     in walk order, and charge them to the budget.
 
@@ -364,14 +309,15 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     lim, the lattice points within sup distance lim / den of the center,
     and visit returns the limit for the rest of the walk, lim or less.
     The visitor of a search lowers it to the best distance found (see
-    _sup_search); one that keeps every point returns lim.  With r_sq
-    instead, the ball is |v - center|_2^2 <= r_sq, the walk is not pruned
-    and what visit returns is ignored.  It raises BudgetExceeded, with the
-    whole limit as its partial count, before the points charged to the
-    budget by it and earlier walks pass the limit; it writes its count back
-    once, on a raise too.  A visitor may end the walk early by raising:
-    the exception passes through and the count, which holds every point
-    of the level-0 range being handed out, is still written back.
+    _sup_search); one that keeps every point returns lim.  With the
+    integer r_sq instead, the ball is |v - center|_2^2 <= r_sq (svp_gauge's
+    walk), the walk is not pruned and what visit returns is ignored.  It
+    raises BudgetExceeded, with the whole limit as its partial count,
+    before the points charged to the budget by it and earlier walks pass
+    the limit; it writes its count back once, on a raise too.  A visitor
+    may end the walk early by raising: the exception passes through and
+    the count, which holds every point of the level-0 range being handed
+    out, is still written back.
 
     With half set the center must be 0, and the walk visits 0 and one
     point of each pair +-v of the ball: those whose last nonzero
@@ -385,12 +331,12 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     D[i+1] and w_i = L / (D[i] D[i+1]), level i keeps its center e_i =
     zc_i - sum_{j>i} mu_ji z_j as the integer E_i = t_i e_i, t_i = den
     D[i+1].  Coefficient z costs |b*_i|^2 (z - e_i)^2 = (z t_i - E_i)^2 /
-    (den^2 D[i] D[i+1]), so on the scale den^2 L (times r_den for a radius
-    r_num / r_den) it costs w_i (z t_i - E_i)^2, an integer.  A node keeps
-    its cost C, the sum over the levels chosen; with rem0 the ball's
-    integer squared radius less _perp, z is admissible iff |z t_i - E_i|
-    <= isqrt((rem0 - C) // w_i), one exact integer range per level.  A
-    level enters, and tests, only a child whose next level is not empty.
+    (den^2 D[i] D[i+1]), so on the scale den^2 L it costs w_i (z t_i -
+    E_i)^2, an integer.  A node keeps its cost C, the sum over the levels
+    chosen; with rem0 the ball's integer squared radius less _perp, z is
+    admissible iff |z t_i - E_i| <= isqrt((rem0 - C) // w_i), one exact
+    integer range per level.  A level enters, and tests, only a child
+    whose next level is not empty.
 
     A sup ball lies in the Euclidean ball of squared radius m lim^2 /
     den^2, so rem0 = m lim^2 L - perp, and the sup walk prunes it three
@@ -430,10 +376,7 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
         wbs, top_l1, cols, flat = tables or lat._sup_plan(den)
         scaled = t.scaled
     else:
-        r_num, r_den = r_sq.numerator, r_sq.denominator
-        if r_den != 1:
-            ws = [r_den * w for w in ws]
-        rem0 = r_num * den * den * scale - r_den * perp
+        rem0 = r_sq * den * den * scale - perp
     if rem0 < 0:
         return
     e, s = t.frame[top], isqrt(rem0 // ws[top])

@@ -34,6 +34,7 @@ from .core import (
     Interval,
     Punctured,
     _parse_int,
+    _parse_json,
     verify_solution,
 )
 from .solve import solve_instance
@@ -376,9 +377,10 @@ def _load_suite(suite) -> list:
             raise ValueError(f"unknown suite {suite!r}")
         try:
             with open(suite, "r", encoding="utf-8") as fh:
-                runs = json.load(fh)
+                text = fh.read()
         except OSError as e:
             raise ValueError(f"cannot read {suite}: {e.strerror or e}")
+        runs = _parse_json(text)
         if not isinstance(runs, list):
             raise ValueError("suite file must hold a list of runs")
     if not runs:

@@ -8,9 +8,11 @@ reference for the reducer's lambda/D data, and reduce_reference is the
 all-integer LLL with Cohen's scalar recurrence for each new row's data,
 the reference for the reducer's every swap and output.  mat_det,
 mat_solve and mat_inverse are fraction Gaussian elimination, for Gram
-determinants and basis coordinates.  The eigenvalue-shift relaxation of
-an ellipsoid ball (relaxed_ellipsoid_ball), listed by a Fraction walk of
-a Euclidean ball, is the reference listing for the exact gauge walk.
+determinants and basis coordinates.  ball_walk, an unpruned walk in
+Fractions, is the reference listing of a Euclidean ball, and holder_walk
+its Hölder-pruned form, of the sup walk.  The eigenvalue-shift relaxation
+of an ellipsoid ball (relaxed_ellipsoid_ball), listed by ball_walk, is the
+reference listing for the exact gauge walk.
 gauge_sq is the Fraction gauge of a body, and mitm_reference is meet in
 the middle with a multiply-and-sum per half-candidate, the reference for
 sbl.oracle.mitm_solve's witnesses.  kernel_basis_reference keeps its
@@ -267,8 +269,9 @@ def star_vectors(lat: PreparedLattice):
 def _fraction_walk(lat, center, radius_sq, keep):
     """The sorted lattice points v of the Euclidean ball |v - center|_2^2
     <= radius_sq whose every node passes keep(level, u), u = pi_k(v -
-    center) the node's projection, in Fractions.  Levels run from the last
-    row down; lat needs only rows, dim and rank."""
+    center) the node's projection, in Fractions; every point when keep is
+    None.  Levels run from the last row down; lat needs only rows, dim and
+    rank."""
     rows = lat.rows
     m, rank = lat.dim, lat.rank
     center = [Fraction(c) for c in center]
@@ -282,33 +285,41 @@ def _fraction_walk(lat, center, radius_sq, keep):
     out: list = []
     zs = [0] * rank
 
-    def descend(level, rem, u):
+    def descend(level, rem, u, acc):
+        # acc: the integer point of the levels above
         e = coords[level] - sum(gso.mu[j][level] * zs[j]
                                 for j in range(level + 1, rank))
         z0 = floor(e)
+        row = rows[level]
+        # (z - e)^2 sq <= rem iff the integer (z q - p)^2 is at most the
+        # floor of rem q^2 / sq, for e = p / q
+        p, q = e.numerator, e.denominator
+        top = floor(rem * q * q / sq[level])
         for direction, z in ((-1, z0), (1, z0 + 1)):
-            while (z - e) ** 2 * sq[level] <= rem:
-                zs[level] = z
-                left = rem - (z - e) ** 2 * sq[level]
-                w = [a + (z - e) * b for a, b in zip(u, stars[level])]
+            while (z * q - p) ** 2 <= top:
+                point = tuple(a + z * b for a, b in zip(acc, row))
                 if level == 0:
-                    out.append(tuple(sum(c * row[i] for c, row in
-                                         zip(zs, rows)) for i in range(m)))
-                elif keep(level, w):
-                    descend(level - 1, left, w)
+                    out.append(point)
+                else:
+                    zs[level] = z
+                    w = u if keep is None else [
+                        a + (z - e) * b for a, b in zip(u, stars[level])]
+                    if keep is None or keep(level, w):
+                        descend(level - 1, rem - (z - e) ** 2 * sq[level],
+                                w, point)
                 z += direction
         zs[level] = 0
 
     rem = Fraction(radius_sq) - perp
     if rem >= 0:
-        descend(rank - 1, rem, [Fraction(0)] * m)
+        descend(rank - 1, rem, [Fraction(0)] * m, (0,) * m)
     return sorted(out)
 
 
 def ball_walk(lat, center, radius_sq):
     """The sorted lattice points of the Euclidean ball |v - center|_2^2 <=
     radius_sq, by an unpruned walk in Fractions."""
-    return _fraction_walk(lat, center, radius_sq, lambda level, w: True)
+    return _fraction_walk(lat, center, radius_sq, None)
 
 
 def holder_walk(lat: PreparedLattice, center, bound_sq):

@@ -26,7 +26,7 @@ from sbl.core import (
     l2_sq,
     verify_solution,
 )
-from sbl.enumeration import BallQuery, cvp_inf, enum_ball, prepare
+from sbl.enumeration import cvp_inf, prepare
 from sbl.experiment import (
     ProbeConfig,
     SplitMix64,
@@ -58,7 +58,7 @@ from sbl.solve import (
 
 import pytest
 
-from reference import mat_det
+from reference import ball_walk, mat_det
 
 
 def _line(num, ok, detail):
@@ -110,12 +110,9 @@ def test_criterion_02_embedded_ball_set_equality():
         d = rng.span(1, _SET_DMAX[n])
         x = _nonzero(tuple(rng.span(-40, 40) for _ in range(n)))
         params = choose_params(x, d, 0, "sbp")
-        basis = embedding_basis(x, params)
-        center = (Fraction(0),) * (n + 1)
-        ball = enum_ball(BallQuery(basis, center, Fraction(d * d * (n + 1))))
-        via_lattice = {
-            v for v in ball.points if max(abs(c) for c in v) <= d
-        }
+        lat = prepare(embedding_basis(x, params))
+        ball = ball_walk(lat, (0,) * (n + 1), d * d * (n + 1))
+        via_lattice = {v for v in ball if max(abs(c) for c in v) <= d}
         direct = {
             (0,) + c
             for c in product(range(-d, d + 1), repeat=n)

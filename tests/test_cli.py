@@ -1,24 +1,33 @@
 """End-to-end command line tests: exit codes, JSON and CSV output, the
 budget environment variable, and engine agreement on a small corpus."""
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbl.cli import main
 from sbl.core import (
+    Box,
+    Ellipsoid,
     Instance,
     Interval,
+    ParseError,
     Punctured,
     dot,
     parse_instance,
     parse_verdict,
     serialize_instance,
 )
+from sbl.experiment import _load_suite
+from sbl.solve import ENGINES
 
 
 def _write_instance(tmp_path, inst, name="inst.json"):
@@ -404,6 +413,140 @@ def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys):
             fresh.returncode, fresh.stdout, fresh.stderr)
     info = _build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(runs) - 1)
+
+
+# ---------------------------------------------------------------------------
+# bad input never ends in a traceback
+# ---------------------------------------------------------------------------
+
+def test_deeply_nested_json_exit_three(tmp_path):
+    """A document nested past the JSON decoder's recursion limit is bad
+    input to every command that reads one: exit 3, one line on stderr."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    ok = _write_instance(tmp_path, Instance((2, 3), Interval(0, 2), tau=7))
+    for argv in (["solve", str(deep)], ["verify", ok, str(deep)],
+                 ["bench", "--suite", str(deep)]):
+        proc = subprocess.run([sys.executable, "-m", "sbl.cli"] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "sbl: invalid JSON: nested too deeply\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+
+_VALID_DOCS = (
+    {"x": ["2", 3], "coeffs": {"kind": "interval", "lo": 0, "hi": "2"},
+     "tau": "7", "m_bound": 16},
+    {"x": [1, 2], "coeffs": {"kind": "punctured", "d": 2}},
+    {"x": [1, 2], "coeffs": {"kind": "box", "d": "1"}},
+    {"x": [1, 2], "coeffs": {"kind": "ellipsoid",
+                             "a": [["1/2", 0], ["0", 1]]}},
+    {"status": "solved", "c": ["1", -1], "reason": ""},
+    {"status": "no_solution", "c": None},
+    [{"n": 3, "d": 1, "m_bound": 100, "tau": 0, "cset": "interval",
+      "solvers": ["mitm", "avg"]}],
+)
+
+
+def _one_part_wrong(doc):
+    """Copies of doc with one part replaced by a value of each JSON type
+    or, in an object, dropped."""
+    yield from (None, True, 0, -1, 2.5, "", "x", [], [[]], {}, {"": 0})
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield {k: v for k, v in doc.items() if k != key}
+            for wrong in _one_part_wrong(value):
+                yield {**doc, key: wrong}
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            for wrong in _one_part_wrong(value):
+                yield doc[:i] + [wrong] + doc[i + 1:]
+
+
+def _parse_all(text, path):
+    """Run the instance and verdict parsers on text and the suite loader
+    on a file at path holding it; any exception but ParseError, or
+    ValueError from the loader, passes through."""
+    for parse in (parse_instance, parse_verdict):
+        with contextlib.suppress(ParseError):
+            parse(text)
+    path.write_text(text, encoding="utf-8")
+    with contextlib.suppress(ValueError):
+        _load_suite(str(path))
+
+
+@given(_json_values)
+@settings(max_examples=200, deadline=None)
+def test_parsers_raise_only_value_errors(tmp_path_factory, doc):
+    """Any JSON document makes the instance and verdict parsers return or
+    raise ParseError, and the suite loader return or raise ValueError."""
+    _parse_all(json.dumps(doc),
+               tmp_path_factory.getbasetemp() / "fuzzed-suite.json")
+
+
+def test_parsers_take_every_one_part_wrong_document(tmp_path):
+    """Each well-formed document with one part dropped or replaced by a
+    value of each JSON type gives only ParseError or ValueError."""
+    for base in _VALID_DOCS:
+        for doc in _one_part_wrong(base):
+            _parse_all(json.dumps(doc), tmp_path / "suite.json")
+
+
+@st.composite
+def _solve_runs(draw):
+    """A well-formed instance of one to four weights of every coefficient
+    set kind, and a solve command line over every engine and mode with a
+    budget of 1 to 30 points."""
+    n = draw(st.integers(1, 4))
+    x = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("interval", "punctured", "box", "ellipsoid")))
+    small = st.integers(1, 3)
+    if kind == "interval":
+        lo = draw(st.integers(-3, 3))
+        coeffs = Interval(lo, lo + draw(st.integers(0, 4)))
+    elif kind == "punctured":
+        coeffs = Punctured(draw(small))
+    elif kind == "box":
+        coeffs = Box(draw(small))
+    else:
+        # a positive diagonal plus a rank-one term v v^T / q
+        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        q = draw(st.sampled_from((1, 2, 5)))
+        coeffs = Ellipsoid(tuple(
+            tuple(Fraction(v[i] * v[j], q)
+                  + (Fraction(1, draw(st.integers(1, 9))) if i == j else 0)
+                  for j in range(n))
+            for i in range(n)))
+    m_bound = draw(st.one_of(st.none(), st.integers(1, 64)))
+    inst = Instance(tuple(x), coeffs, draw(st.integers(-20, 20)), m_bound)
+    flags = ["--engine", draw(st.sampled_from(ENGINES)),
+             "--mode", draw(st.sampled_from(("sbp", "gss"))),
+             "--budget", str(draw(st.integers(1, 30)))]
+    return inst, flags
+
+
+@given(_solve_runs())
+@settings(max_examples=60, deadline=None)
+def test_solve_exits_zero_to_four_on_well_formed_input(tmp_path_factory, run):
+    """Every engine and mode on a well-formed instance under a small
+    budget ends in a verdict, bad input or an exhausted budget: never an
+    internal error and never a traceback."""
+    inst, flags = run
+    path = tmp_path_factory.getbasetemp() / "fuzzed-instance.json"
+    path.write_text(serialize_instance(inst), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", str(path)] + flags)
+    assert code in (0, 1, 2, 3, 4), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import sbl.enumeration
 from sbl.core import (
+    _as_budget,
     Box,
     Budget,
     BudgetExceeded,
@@ -35,12 +36,10 @@ from sbl.enumeration import (
     _Target,
     _top_test,
     _walk,
-    BallQuery,
     CvpResult,
     PreparedLattice,
     SvpResult,
     cvp_inf,
-    enum_ball,
     prepare,
     svp_gauge,
     svp_inf,
@@ -56,6 +55,7 @@ from sbl.lattice import (
 from sbl.reduction import _reduce, lll_reduce
 
 from reference import (
+    ball_walk,
     gram_schmidt,
     gs_coords,
     holder_walk,
@@ -113,59 +113,53 @@ small_bases = (
 
 
 # ---------------------------------------------------------------------------
-# enum_ball
+# the Euclidean walk
 # ---------------------------------------------------------------------------
 
-def test_enum_ball_z2():
-    res = enum_ball(BallQuery(_basis((1, 0), (0, 1)), (0, 0), 2))
-    assert res.count == 9
-    assert res.points[0] == (-1, -1)
-    assert (0, 0) in res.points
+def _euclidean_walk(basis, center, r_sq, budget=None):
+    """The sorted points that _walk's Euclidean mode, the walk of
+    svp_gauge, visits in the ball |v - center|_2^2 <= r_sq, an integer, on
+    the prepared basis."""
+    out: list = []
+    _walk(_Target.of(prepare(basis), center), out.append, _as_budget(budget),
+          r_sq=r_sq)
+    return sorted(out)
 
 
-def test_enum_ball_translated():
-    res = enum_ball(BallQuery(_basis((1, 0), (0, 1)),
-                              (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2)))
-    assert set(res.points) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+def test_euclidean_walk_z2():
+    pts = _euclidean_walk(_basis((1, 0), (0, 1)), (0, 0), 2)
+    assert len(pts) == 9
+    assert pts[0] == (-1, -1)
+    assert (0, 0) in pts
 
 
-def test_enum_ball_empty():
-    res = enum_ball(BallQuery(_basis((5, 0), (0, 5)),
-                              (Fraction(5, 2), Fraction(5, 2)), 1))
-    assert res.count == 0
+def test_euclidean_walk_translated():
+    pts = _euclidean_walk(_basis((1, 0), (0, 1)),
+                          (Fraction(1, 2), Fraction(1, 2)), 1)
+    assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_enum_ball_lower_rank():
+def test_euclidean_walk_empty():
+    assert _euclidean_walk(_basis((5, 0), (0, 5)),
+                           (Fraction(5, 2), Fraction(5, 2)), 1) == []
+
+
+def test_euclidean_walk_lower_rank():
     # the line through (3, 4); center off the line pays the offset
     basis = LatticeBasis(((3, 4),), 2)
-    res = enum_ball(BallQuery(basis, (3, 4), 0))
-    assert res.points == ((3, 4),)
-    res = enum_ball(BallQuery(basis, (0, 1), 1))
-    assert res.points == ((0, 0),)
-    res = enum_ball(BallQuery(basis, (0, 2), 1))
-    assert res.count == 0
+    assert _euclidean_walk(basis, (3, 4), 0) == [(3, 4)]
+    assert _euclidean_walk(basis, (0, 1), 1) == [(0, 0)]
+    assert _euclidean_walk(basis, (0, 2), 1) == []
 
 
-def test_enum_ball_rank_zero():
-    basis = LatticeBasis((), 2)
-    assert enum_ball(BallQuery(basis, (0, 0), 5)).points == ((0, 0),)
-    assert enum_ball(BallQuery(basis, (3, 0), 5)).count == 0
-
-
-def test_enum_ball_budget():
+def test_euclidean_walk_budget():
     basis = _basis((1, 0), (0, 1))
-    with pytest.raises(BudgetExceeded):
-        enum_ball(BallQuery(basis, (0, 0), 10**4), budget=10)
+    with pytest.raises(BudgetExceeded) as info:
+        _euclidean_walk(basis, (0, 0), 10**4, budget=10)
+    assert info.value.partial == 10
 
 
-def test_enum_ball_rejects_bad_query():
-    with pytest.raises(ValueError):
-        BallQuery(_basis((1, 0), (0, 1)), (0, 0, 0), 1)
-    with pytest.raises(ValueError):
-        BallQuery(_basis((1, 0), (0, 1)), (0, 0), -1)
-
-
-def test_enum_ball_equals_sweep_on_fixed_bases():
+def test_euclidean_walk_equals_sweep_on_fixed_bases():
     """Full two-sided equality where the sweep provably covers the ball."""
     cases = [
         (_basis((1, 0), (0, 1)), (Fraction(1, 3), Fraction(-1, 2)), 9, 5),
@@ -173,8 +167,8 @@ def test_enum_ball_equals_sweep_on_fixed_bases():
         (_basis((3, 1, 0), (0, 2, 1), (1, 0, 4)), (1, 1, 1), 6, 5),
     ]
     for basis, center, radius_sq, span in cases:
-        res = enum_ball(BallQuery(basis, center, radius_sq))
-        assert list(res.points) == _brute_ball(basis, center, radius_sq, span)
+        assert (_euclidean_walk(basis, center, radius_sq)
+                == _brute_ball(basis, center, radius_sq, span))
 
 
 @given(small_bases,
@@ -182,12 +176,10 @@ def test_enum_ball_equals_sweep_on_fixed_bases():
                 min_size=2, max_size=3),
        st.integers(0, 16))
 @settings(max_examples=30, deadline=None)
-def test_enum_ball_sound_and_covers_sweep(basis, center, radius_sq):
+def test_euclidean_walk_sound_and_covers_sweep(basis, center, radius_sq):
     assume(len(center) == basis.dim)
     center = tuple(center)
-    res = enum_ball(BallQuery(basis, center, radius_sq))
-    pts = list(res.points)
-    assert pts == sorted(pts)
+    pts = _euclidean_walk(basis, center, radius_sq)
     for p in pts:
         assert sum((Fraction(a) - b) ** 2 for a, b in zip(p, center)) <= radius_sq
     # completeness against the small-coefficient part of the lattice
@@ -227,8 +219,9 @@ def _box_scan(basis, center, radius_sq):
 @st.composite
 def _ball_queries(draw):
     """Full-rank embedding and rank-deficient kernel bases (reduced, so the
-    scan's box stays small), centers with mixed denominators, and radii
-    that are 0, free, or exactly some lattice point's distance."""
+    scan's box stays small), centers with mixed denominators, and integer
+    squared radii that are 0, free, or exactly some lattice point's
+    distance."""
     if draw(st.booleans()):
         x = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
         params = choose_params(x, draw(st.integers(1, 2)),
@@ -244,16 +237,18 @@ def _ball_queries(draw):
     )
     kind = draw(st.sampled_from(("zero", "free", "boundary")))
     if kind == "zero":
-        radius_sq = Fraction(0)
+        radius_sq = 0
     elif kind == "free":
-        radius_sq = Fraction(draw(st.integers(0, 30)), draw(st.integers(1, 4)))
+        radius_sq = draw(st.integers(0, 30))
     else:
-        # move the center next to a lattice point v and put v on the sphere
+        # move the center an integer step from a lattice point v and put v
+        # on the sphere
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=basis.rank,
                                max_size=basis.rank))
         v = [sum(c * row[i] for c, row in zip(coeffs, basis.rows))
              for i in range(basis.dim)]
-        offset = [c / 4 for c in center]
+        offset = draw(st.lists(st.integers(-2, 2), min_size=basis.dim,
+                               max_size=basis.dim))
         center = tuple(a + b for a, b in zip(v, offset))
         radius_sq = sum(b * b for b in offset)
     return basis, center, radius_sq
@@ -261,30 +256,25 @@ def _ball_queries(draw):
 
 @given(_ball_queries(), st.one_of(st.none(), st.integers(0, 12)))
 @settings(max_examples=80, deadline=None)
-def test_enum_ball_equals_the_box_scan(query, budget):
+def test_euclidean_walk_equals_the_box_scan(query, budget):
     basis, center, radius_sq = query
     want = _box_scan(basis, center, radius_sq)
-    q = BallQuery(basis, center, radius_sq)
     if budget is not None and len(want) > budget:
         with pytest.raises(BudgetExceeded) as info:
-            enum_ball(q, budget)
+            _euclidean_walk(basis, center, radius_sq, budget)
         assert info.value.partial == budget
         return
-    res = enum_ball(q) if budget is None else enum_ball(q, budget)
-    assert list(res.points) == want
-    assert res.count == len(want)
+    assert _euclidean_walk(basis, center, radius_sq, budget) == want
 
 
-def test_enum_ball_includes_the_boundary():
+def test_euclidean_walk_includes_the_boundary():
     basis = _basis((2, 1), (1, 3))
-    center = (Fraction(1, 3), Fraction(-1, 2))
-    v = (3, 4)  # row sum
-    r_sq = sum((a - b) ** 2 for a, b in zip(v, center))
-    assert v in enum_ball(BallQuery(basis, center, r_sq)).points
-    below = enum_ball(BallQuery(basis, center, r_sq - Fraction(1, 10**9)))
-    assert v not in below.points
-    assert enum_ball(BallQuery(basis, v, 0)).points == (v,)
-    assert enum_ball(BallQuery(basis, center, 0)).count == 0
+    center = (Fraction(3, 5), Fraction(4, 5))
+    # 0 and the row (2, 1) lie at squared distances 1 and 2
+    assert _euclidean_walk(basis, center, 2) == [(0, 0), (2, 1)]
+    assert _euclidean_walk(basis, center, 1) == [(0, 0)]
+    assert _euclidean_walk(basis, center, 0) == []
+    assert _euclidean_walk(basis, (3, 4), 0) == [(3, 4)]
 
 
 def test_min_sup_to_breaks_ties_toward_the_least_point():
@@ -337,14 +327,6 @@ def _random_lattices(seed, count):
         yield basis, center, Fraction(rng.randint(0, 300), rng.choice((1, 2)))
 
 
-def _listing(query, budget):
-    try:
-        res = enum_ball(query, budget)
-    except BudgetExceeded as e:
-        return "budget", e.partial
-    return res.points, res.count
-
-
 def test_prepare_is_a_noop_on_a_prepared_lattice():
     lat = prepare(_basis((2, 1), (1, 2)))
     assert isinstance(lat, PreparedLattice)
@@ -360,6 +342,8 @@ def test_prepare_on_rank_zero_and_one():
     line = prepare(LatticeBasis(((3, 4, 0),), 3))
     assert (line.rows, line.gram_det, line.lam) == (((3, 4, 0),), (1, 25),
                                                      ((),))
+    with pytest.raises(ValueError, match="target dimension"):
+        cvp_inf(line, (0, 0))
 
 
 def test_prepare_rejects_dependent_rows():
@@ -405,17 +389,22 @@ def test_nearest_plane_matches_rational_rounding():
 
 
 def test_prepared_enumeration_matches_plain_basis():
-    """Same points, same count, and the same partial count on a budget
-    overrun, whether the lattice is prepared once or per query."""
+    """The same answer, and the same partial count on a budget overrun,
+    from svp_inf and cvp_inf whether the lattice is prepared once or per
+    query."""
     overruns = 0
-    for k, (basis, center, radius_sq) in enumerate(_random_lattices(11, 80)):
+    for k, (basis, center, _) in enumerate(_random_lattices(11, 80)):
         red = lll_reduce(basis)
-        lat = prepare(red)
         budget = (3, 40, 10**6)[k % 3]
-        plain = _listing(BallQuery(red, center, radius_sq), budget)
-        assert _listing(BallQuery(lat, center, radius_sq), budget) == plain
-        assert _listing(BallQuery(basis, center, radius_sq), budget) == plain
-        overruns += plain[0] == "budget"
+
+        def outcomes(b):
+            return (_outcome(lambda n: svp_inf(b, budget=n), budget),
+                    _outcome(lambda n: cvp_inf(b, center, budget=n), budget))
+
+        plain = outcomes(red)
+        assert outcomes(prepare(red)) == plain
+        assert outcomes(basis) == plain
+        overruns += sum(isinstance(o, tuple) for o in plain)
     assert overruns >= 5
 
 
@@ -686,12 +675,14 @@ def test_half_walk_lists_one_of_each_pair():
         lat = prepare(basis)
         zero = (0,) * lat.dim
         seen = []
-        _walk(_Target.of(lat, zero), seen.append, Budget(), r_sq=radius_sq,
-              half=True)
-        full = enum_ball(BallQuery(lat, zero, radius_sq)).points
+        # the squared norms are integers, so the ball of the radius's
+        # floor holds the same points
+        _walk(_Target.of(lat, zero), seen.append, Budget(),
+              r_sq=int(radius_sq), half=True)
+        full = ball_walk(lat, zero, radius_sq)
         assert len(seen) == len(set(seen)) == (len(full) + 1) // 2
         assert sorted(seen + [tuple(-a for a in p) for p in seen
-                              if any(p)]) == list(full)
+                              if any(p)]) == full
         gram = [[dot(u, v) for v in lat.rows] for u in lat.rows]
         for p in seen[:20]:
             coeffs = mat_solve(gram, [dot(u, p) for u in lat.rows])
@@ -706,18 +697,11 @@ def _sup_to(p, target):
     return max(abs(Fraction(a) - t) for a, t in zip(p, target))
 
 
-def _one_ball_svp(lat, cap):
-    """The capped sup-norm minimum as one ball at the cap and an exact
-    filter in Fractions: (found, value, witness)."""
-    zero = (0,) * lat.dim
-    pts = enum_ball(BallQuery(lat, zero, cap * cap * lat.dim)).points
-    best = min(((linf(p), p) for p in pts if any(p) and linf(p) <= cap),
-               default=None)
-    return (False, None, None) if best is None else (True,) + best
-
-
 def _one_ball_cvp(lat, target, cap):
-    pts = enum_ball(BallQuery(lat, target, cap * cap * lat.dim)).points
+    """The capped sup-norm closest vector as one ball at the cap, listed
+    by the Fraction reference walk, and an exact filter in Fractions:
+    (found, dist, witness)."""
+    pts = ball_walk(lat, target, cap * cap * lat.dim)
     best = min(((_sup_to(p, target), p) for p in pts
                 if _sup_to(p, target) <= cap), default=None)
     return (False, None, None) if best is None else (True,) + best
@@ -836,7 +820,7 @@ def test_pruned_sup_walk_equals_the_reference_walk(query):
     _, count = _charged(lambda b: _walk(t, keep, b, lim))
     assert count == len(seen) == len(set(seen))
     assert sorted(seen) == _sup_ball(lat, target, bound)
-    full = enum_ball(BallQuery(lat, target, bound * bound * lat.dim)).points
+    full = ball_walk(lat, target, bound * bound * lat.dim)
     assert sorted(seen) == [v for v in full if _sup_to(v, target) <= bound]
     if count:
         def walk(limit, charged=0):
@@ -855,9 +839,9 @@ def test_pruned_sup_walk_equals_the_reference_walk(query):
 def _walks(draw):
     """A walk's whole input: a prepared lattice of rank 1-6 in dimension
     rank to rank + 2, a center on the denominator 1 or 2 near a lattice
-    point (0 for a half walk), a sup limit or a Euclidean radius, whether
-    the visitor lowers the limit, and a budget's limit and earlier
-    charge."""
+    point (0 for a half walk), a sup limit or an integer squared Euclidean
+    radius, whether the visitor lowers the limit, and a budget's limit and
+    earlier charge."""
     rank = draw(st.integers(1, 6))
     m = rank + draw(st.integers(0, 2))
     small = st.integers(-2, 2)
@@ -884,8 +868,7 @@ def _walks(draw):
     if draw(st.booleans()):
         lim, r_sq = draw(st.integers(0, 3 * den)), None
     else:
-        lim, r_sq = None, Fraction(draw(st.integers(0, 40)),
-                                   draw(st.integers(1, 3)))
+        lim, r_sq = None, draw(st.integers(0, 40))
     budget = (draw(st.integers(0, 2000)), draw(st.sampled_from((0, 0, 3))))
     return t, lim, r_sq, half, draw(st.booleans()), budget
 
@@ -966,8 +949,7 @@ def test_capped_searches_visit_only_their_sup_ball():
     zero = (0,) * lat.dim
     u = min(linf(row) for row in lat.rows)
     assert 1 <= count <= len(_sup_ball(lat, zero, min(4, u)))
-    one_ball = enum_ball(BallQuery(lat, zero, 4 * 4 * lat.dim))
-    assert count * 5 < one_ball.count
+    assert count * 5 < len(ball_walk(lat, zero, 4 * 4 * lat.dim))
 
 
 def test_a_search_draws_on_its_budget():

@@ -40,9 +40,7 @@ from sbl.enumeration import (
     _cvp_target,
     _perp,
     _top_test,
-    BallQuery,
     PreparedLattice,
-    enum_ball,
     prepare,
     cvp_inf,
 )
@@ -76,7 +74,7 @@ from sbl.solve import (
     solve_sbp_lll,
 )
 
-from reference import gs_coords, holder_walk
+from reference import ball_walk, gs_coords, holder_walk
 
 
 def _z2():
@@ -229,12 +227,10 @@ def _embedded_coeff_sets(x, tau, d):
     """Coefficient vectors read off lattice points near the shifted target
     versus the admissible vectors found by direct iteration."""
     params = choose_params(x, d, tau, "gss_worst")
-    basis = embedding_basis(x, params)
+    lat = prepare(embedding_basis(x, params))
     n = len(x)
-    center = tuple(Fraction(t) for t in params.target)
-    ball = enum_ball(BallQuery(basis, center, Fraction(d * d * (n + 1))))
     via_lattice = set()
-    for v in ball.points:
+    for v in ball_walk(lat, params.target, d * d * (n + 1)):
         if any(abs(a - t) > d for a, t in zip(v, params.target)):
             continue
         assert v[0] == params.alpha * tau
@@ -562,7 +558,7 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
     assert len(frame_calls) <= len(x) + 1
     # the counter does see a query that prepares its own lattice
     before = len(gso_calls)
-    enum_ball(BallQuery(_z2(), (0, 0), 1))
+    cvp_inf(_z2(), (0, 0))
     assert len(gso_calls) >= before + 1
 
 
@@ -586,7 +582,7 @@ def _swept_points(x, tau, d, points):
     held = visited = 0
     for signs in product((-1, 1), repeat=len(x)):
         target, _ = sign_pattern_target(tau, params.alpha, d, signs)
-        held += enum_ball(BallQuery(lat, target, cap * cap * lat.dim)).count
+        held += len(ball_walk(lat, target, cap * cap * lat.dim))
         visited += sum(
             1 for p in holder_walk(lat, target, cap * cap)
             if max(abs(a - c) for a, c in zip(p, target)) <= cap)
@@ -912,8 +908,8 @@ def test_gss_avg_witness_is_the_least_decodable_point(x, tau, d, cset):
     assume(v.status != "guard_abort")
     params = choose_params(xs, d, tau, "gss_avg", m_bound=4 ** n)
     lat = prepare(embedding_basis(xs, params))
-    listing = enum_ball(BallQuery(lat, params.target, (n + 1) * d * d))
-    want = next((p[1:] for p in listing.points
+    listing = ball_walk(lat, params.target, (n + 1) * d * d)
+    want = next((p[1:] for p in listing
                  if max(abs(a - b) for a, b in zip(p, params.target)) <= d
                  and (cset == "interval" or all(p[1:]))), None)
     assert v.witness == want

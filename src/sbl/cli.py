@@ -28,8 +28,8 @@ from .core import (
     Verdict,
     _parse_int,
     _parse_json,
+    _verdict_from_doc,
     parse_instance,
-    parse_verdict,
     serialize_instance,
     serialize_verdict,
     verify_solution,
@@ -113,8 +113,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    if not 0 <= args.seed < (1 << 64):
-        raise ValueError("seed must fit in 64 bits")
     rng = trial_stream(args.seed, 0)
     inst = sample_instance(args.n, args.M, args.d, args.tau, args.cset, rng)
     text = serialize_instance(inst) + "\n"
@@ -131,12 +129,11 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = parse_instance(_read(args.instance))
-    text = _read(args.solution)
-    doc = _parse_json(text)
+    doc = _parse_json(_read(args.solution))
     if isinstance(doc, list):
         witness = [_parse_int(v, f"c[{i}]") for i, v in enumerate(doc)]
     else:
-        verdict = parse_verdict(text)
+        verdict = _verdict_from_doc(doc)
         if verdict.witness is None:
             print(serialize_verdict(Verdict.no_solution("no witness to verify")))
             return EXIT_NO_SOLUTION

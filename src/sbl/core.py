@@ -425,10 +425,6 @@ class Verdict:
     def guard_abort(cls, reason: str = "") -> "Verdict":
         return cls(GUARD_ABORT, None, reason)
 
-    @property
-    def is_solved(self) -> bool:
-        return self.status == SOLVED
-
 
 def verify_solution(inst: Instance, c: Sequence[int], mode: str = "balancing") -> bool:
     """Exact check that c solves the instance under the given mode.
@@ -594,7 +590,12 @@ def serialize_verdict(v: Verdict) -> str:
 
 
 def parse_verdict(text) -> Verdict:
-    doc = _parse_json(text)
+    return _verdict_from_doc(_parse_json(text))
+
+
+def _verdict_from_doc(doc) -> Verdict:
+    """The verdict a decoded JSON document holds; ParseError names the
+    offending field."""
     if not isinstance(doc, dict):
         raise ParseError("top-level: expected an object")
     status = doc.get("status")

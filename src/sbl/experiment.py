@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -31,6 +31,7 @@ from .core import (
     SOLVED,
     Budget,
     Instance,
+    InternalError,
     Interval,
     Punctured,
     _parse_int,
@@ -103,7 +104,10 @@ class SplitMix64:
 def trial_stream(seed: int, index: int) -> SplitMix64:
     """The per-trial generator: seeded by the (index+1)-th output of the
     outer stream, so trials never share state.  The outer state after k
-    steps is seed + k * gamma mod 2^64, so that output costs O(1)."""
+    steps is seed + k * gamma mod 2^64, so that output costs O(1).  The
+    seed must lie in [0, 2^64), so no two seeds share a stream."""
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must fit in 64 bits")
     if index < 0:
         raise ValueError("index must be nonnegative")
     return SplitMix64(_mix((seed + (index + 1) * _GAMMA) & _MASK))
@@ -188,21 +192,52 @@ def _percentile(samples, q: float) -> float:
     return ordered[idx]
 
 
-def _trial_tau(cfg: ProbeConfig, rng: SplitMix64) -> int:
-    if cfg.tau is not None:
-        return cfg.tau
-    return rng.span(-TAU_PROBE_RANGE, TAU_PROBE_RANGE)
+def _route(solver: str, tau: int, cset: str) -> Tuple[str, str]:
+    """solve_instance's (mode, engine) for a probe or bench solver name.
+
+    tau 0 asks for a nonzero balancing witness, not the trivial c = 0;
+    avg decides gss only, at tau 0 too; and lattice keeps interval
+    balancing on the plain SVP route, since auto would switch to LLL above
+    the threshold and change the reported enumeration counts."""
+    if solver == "avg":
+        return "gss", "avg"
+    mode = "balancing" if tau == 0 else "gss"
+    if solver != "lattice":
+        return mode, solver
+    return mode, "svp" if mode == "balancing" and cset == "interval" else "auto"
 
 
-def _mode_for(tau: int) -> str:
-    # tau 0 asks for a nonzero balancing witness, not the trivial c = 0
-    return "balancing" if tau == 0 else "gss"
+def _run_trials(cfg: ProbeConfig, judge) -> Tuple[ProbeReport, Fraction]:
+    """Draw cfg.trials instances and judge each one.
 
-
-def _lattice_engine(mode: str, cset: str) -> str:
-    # interval balancing stays on the plain SVP route: auto would switch to
-    # LLL above the threshold and change the reported enumeration counts
-    return "svp" if mode == "balancing" and cset == "interval" else "auto"
+    Trial i takes its stream, then its tau when cfg.tau is None, then its
+    instance; judge(i, inst, tau) returns (status, wall, ok).  Returns the
+    report without frequencies and the fraction of trials judged ok."""
+    statuses = []
+    taus = []
+    walls = []
+    oks = 0
+    for i in range(cfg.trials):
+        rng = trial_stream(cfg.seed, i)
+        tau = cfg.tau
+        if tau is None:
+            tau = rng.span(-TAU_PROBE_RANGE, TAU_PROBE_RANGE)
+        inst = sample_instance(cfg.n, cfg.m_bound, cfg.d, tau, cfg.cset, rng)
+        status, wall, ok = judge(i, inst, tau)
+        statuses.append(status)
+        taus.append(tau)
+        walls.append(wall)
+        oks += ok
+    report = ProbeReport(
+        config=cfg,
+        statuses=tuple(statuses),
+        taus=tuple(taus),
+        outside_guarantee_regime=cfg.m_bound < 4 ** cfg.n,
+        mean_wall=sum(walls) / len(walls),
+        p50_wall=_percentile(walls, 0.5),
+        p90_wall=_percentile(walls, 0.9),
+    )
+    return report, Fraction(oks, cfg.trials)
 
 
 def probe_existence(
@@ -214,42 +249,21 @@ def probe_existence(
     the reduction-based solvers, and "both" runs the two and insists they
     agree on every trial.
     """
-    statuses = []
-    taus = []
-    walls = []
-    hits = 0
-    for i in range(cfg.trials):
-        rng = trial_stream(cfg.seed, i)
-        tau = _trial_tau(cfg, rng)
-        inst = sample_instance(cfg.n, cfg.m_bound, cfg.d, tau, cfg.cset, rng)
-        mode = _mode_for(tau)
-        lattice = _lattice_engine(mode, cfg.cset)
+    first = "lattice" if cfg.solver == "lattice" else "mitm"
+
+    def judge(i, inst, tau):
         t0 = time.perf_counter()
-        if cfg.solver in ("mitm", "both"):
-            v = solve_instance(inst, mode, "mitm", budget)
-        else:
-            v = solve_instance(inst, mode, lattice, budget)
+        v = solve_instance(inst, *_route(first, tau, cfg.cset), budget)
         if cfg.solver == "both":
-            w = solve_instance(inst, mode, lattice, budget)
+            w = solve_instance(inst, *_route("lattice", tau, cfg.cset), budget)
             if w.status != v.status:
-                raise RuntimeError(
+                raise InternalError(
                     f"oracle disagreement on trial {i}: {v.status} vs {w.status}"
                 )
-        walls.append(time.perf_counter() - t0)
-        statuses.append(v.status)
-        taus.append(tau)
-        if v.status == SOLVED:
-            hits += 1
-    return ProbeReport(
-        config=cfg,
-        statuses=tuple(statuses),
-        taus=tuple(taus),
-        existence_freq=Fraction(hits, cfg.trials),
-        outside_guarantee_regime=cfg.m_bound < 4 ** cfg.n,
-        mean_wall=sum(walls) / len(walls),
-        p50_wall=_percentile(walls, 0.5),
-        p90_wall=_percentile(walls, 0.9),
-    )
+        return v.status, time.perf_counter() - t0, v.status == SOLVED
+
+    report, hits = _run_trials(cfg, judge)
+    return replace(report, existence_freq=hits)
 
 
 def probe_avg_solver(
@@ -264,39 +278,19 @@ def probe_avg_solver(
     as outside the regime where the enumeration radius provably covers
     every witness.
     """
-    statuses = []
-    taus = []
-    walls = []
-    agree = 0
-    aborts = 0
-    for i in range(cfg.trials):
-        rng = trial_stream(cfg.seed, i)
-        tau = _trial_tau(cfg, rng)
-        inst = sample_instance(cfg.n, cfg.m_bound, cfg.d, tau, cfg.cset, rng)
+    def judge(i, inst, tau):
         t0 = time.perf_counter()
-        got = solve_instance(inst, "gss", "avg", budget)
-        walls.append(time.perf_counter() - t0)
-        reference = solve_instance(inst, _mode_for(tau), "mitm", budget)
-        statuses.append(got.status)
-        taus.append(tau)
-        if got.status == GUARD_ABORT:
-            aborts += 1
+        got = solve_instance(inst, *_route("avg", tau, cfg.cset), budget)
+        wall = time.perf_counter() - t0
+        reference = solve_instance(inst, *_route("mitm", tau, cfg.cset), budget)
         ok = got.status == reference.status
         if got.status == SOLVED:
             ok = verify_solution(inst, got.witness, "gss")
-        if ok:
-            agree += 1
-    return ProbeReport(
-        config=cfg,
-        statuses=tuple(statuses),
-        taus=tuple(taus),
-        solver_success_freq=Fraction(agree, cfg.trials),
-        guard_abort_freq=Fraction(aborts, cfg.trials),
-        outside_guarantee_regime=cfg.m_bound < 4 ** cfg.n,
-        mean_wall=sum(walls) / len(walls),
-        p50_wall=_percentile(walls, 0.5),
-        p90_wall=_percentile(walls, 0.9),
-    )
+        return got.status, wall, ok
+
+    report, agree = _run_trials(cfg, judge)
+    aborts = Fraction(report.statuses.count(GUARD_ABORT), cfg.trials)
+    return replace(report, solver_success_freq=agree, guard_abort_freq=aborts)
 
 
 def report_json(report: ProbeReport, include_timing: bool = False) -> str:
@@ -430,18 +424,10 @@ def bench(suite, seed: int = 20240, budget: int = DEFAULT_POINT_BUDGET) -> list:
     runs = _load_suite(suite)
     rows = []
     for idx, run in enumerate(runs):
-        rng = trial_stream(seed, idx)
-        tau = run["tau"]
-        inst = sample_instance(
-            run["n"], run["m_bound"], run["d"], tau, run["cset"], rng
-        )
+        inst = sample_instance(run["n"], run["m_bound"], run["d"], run["tau"],
+                               run["cset"], trial_stream(seed, idx))
         for solver in run["solvers"]:
-            # avg only decides gss, at tau 0 too
-            mode = "gss" if solver == "avg" else _mode_for(tau)
-            if solver == "lattice":
-                engine = _lattice_engine(mode, run["cset"])
-            else:
-                engine = solver
+            mode, engine = _route(solver, run["tau"], run["cset"])
             meter = Budget(budget)
             t0 = time.perf_counter()
             verdict = solve_instance(inst, mode, engine, meter)

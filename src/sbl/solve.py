@@ -223,7 +223,6 @@ class GapVerdict:
 
     accept: bool
     reported_dist: Fraction
-    threshold_r: Fraction
     vector: Optional[Tuple[int, ...]] = None
 
 
@@ -306,7 +305,7 @@ def gap_decide(
     vector, reported = oracle.solver(basis, target)
     reported = Fraction(reported)
     if reported >= r + 1:
-        return GapVerdict(False, reported, r)
+        return GapVerdict(False, reported)
     _check(vector is not None, "oracle accepted without a vector")
     tgt = tuple(Fraction(t) for t in target)
     exact = max(
@@ -316,7 +315,7 @@ def gap_decide(
     _check(exact <= reported, "oracle understated its vector's distance")
     _check(_on_grid(exact, grid) and exact <= r,
            "accepted distance is off the grid or beyond the radius")
-    return GapVerdict(True, reported, r, tuple(int(v) for v in vector))
+    return GapVerdict(True, reported, tuple(int(v) for v in vector))
 
 
 # ---------------------------------------------------------------------------

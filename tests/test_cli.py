@@ -334,6 +334,24 @@ def test_probe_bad_trials_exit_three(capsys):
                  "--trials", "0", "--seed", "0"]) == 3
 
 
+def test_probe_oracle_disagreement_exit_five(capsys, monkeypatch):
+    """Two oracles that disagree under --solver both are a defect in sbl,
+    not bad input: exit 5 with one line on stderr and no traceback."""
+    from sbl.core import Verdict
+
+    def planted(inst, mode, engine="auto", budget=None):
+        if engine == "mitm":
+            return Verdict.no_solution("planted")
+        return Verdict.solved((0,) * inst.n)
+
+    monkeypatch.setattr("sbl.experiment.solve_instance", planted)
+    assert main(["probe", "--n", "3", "--M", "64", "--d", "1",
+                 "--trials", "2", "--seed", "3", "--solver", "both"]) == 5
+    assert _one_error_line(capsys) == (
+        "sbl: internal error: oracle disagreement on trial 0: "
+        "no_solution vs solved\n")
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -352,6 +370,13 @@ def test_bench_csv_parses(capsys):
 
 def test_bench_unknown_suite_exit_three(capsys):
     assert main(["bench", "--suite", "nope"]) == 3
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_bench_seed_outside_64_bits_exit_three(capsys, seed):
+    # -1 used to wrap to seed 2^64 - 1 and print its rows
+    assert main(["bench", "--suite", "sbp-small", "--seed", seed]) == 3
+    assert _one_error_line(capsys) == "sbl: seed must fit in 64 bits\n"
 
 
 @pytest.mark.parametrize("suite,message", [

@@ -86,6 +86,9 @@ def test_trial_streams_are_independent():
     assert trial_stream(123, 3).next_u64() == a[3]
     with pytest.raises(ValueError):
         trial_stream(123, -1)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            trial_stream(seed, 0)
 
 
 @pytest.mark.parametrize("seed", [123, (1 << 64) - 5])

@@ -46,9 +46,8 @@ from sbl.enumeration import (
 )
 from sbl.experiment import (
     SUITE_NAMES,
-    _lattice_engine,
     _load_suite,
-    _mode_for,
+    _route,
     bench,
     sample_instance,
     trial_stream,
@@ -1002,7 +1001,7 @@ def test_a_budget_is_charged_what_bench_reports(suite):
                                trial_stream(20240, idx))
         charged = {}
         for engine in ENGINES:
-            mode = "gss" if engine == "avg" else _mode_for(run["tau"])
+            mode, _ = _route(engine, run["tau"], run["cset"])
             budget = Budget()
             try:
                 verdict = solve_instance(inst, mode, engine, budget)
@@ -1017,11 +1016,79 @@ def test_a_budget_is_charged_what_bench_reports(suite):
                     solve_instance(inst, mode, engine, points - 1)
         for solver in run["solvers"]:
             row = next(rows)
-            mode = "gss" if solver == "avg" else _mode_for(run["tau"])
-            engine = (_lattice_engine(mode, run["cset"]) if solver == "lattice"
-                      else solver)
+            mode, engine = _route(solver, run["tau"], run["cset"])
             assert row[6] == charged[engine], (idx, solver)
     assert next(rows, None) is None
+
+
+@st.composite
+def _dispatch_cases(draw):
+    """One to five weights with zeros and negatives; a symmetric or
+    asymmetric interval, a punctured set or a box of bound up to 6, or a
+    small ellipsoid; and a target up to 10^6 in size, drawn outright or
+    planted as c.x for a c in the set's range.  m_bound is set, so avg
+    applies wherever its coefficient set does."""
+    n = draw(st.integers(1, 5))
+    weight = st.one_of(st.just(0), st.integers(-20, 20),
+                       st.integers(-3 * 10**4, 3 * 10**4))
+    x = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    d = draw(st.integers(1, 6))
+    lo, hi = -d, d
+    kind = draw(st.sampled_from(
+        ("symmetric", "interval", "punctured", "box", "ellipsoid")))
+    if kind == "symmetric":
+        coeffs = Interval(-d, d)
+    elif kind == "interval":
+        lo = draw(st.integers(-d, d))
+        hi = draw(st.integers(lo, d))
+        coeffs = Interval(lo, hi)
+    elif kind == "punctured":
+        coeffs = Punctured(d)
+    elif kind == "box":
+        coeffs = Box(d)
+    else:
+        # a positive diagonal plus a rank-one term v v^T / q
+        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        q = draw(st.sampled_from((1, 2, 5)))
+        coeffs = Ellipsoid(tuple(
+            tuple(Fraction(v[i] * v[j], q)
+                  + (Fraction(1, draw(st.integers(1, 9))) if i == j else 0)
+                  for j in range(n))
+            for i in range(n)))
+    if draw(st.booleans()):
+        tau = draw(st.integers(-10**6, 10**6))
+    else:
+        tau = dot(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)),
+                  x)
+    return Instance(x, coeffs, tau, max(abs(v) for v in x) + 1)
+
+
+@given(_dispatch_cases())
+@settings(max_examples=150, deadline=None)
+def test_every_engine_agrees_with_brute_force(inst):
+    """In both modes, every engine of solve_instance either raises
+    ValueError, as it does where it does not apply, or returns brute
+    force's status with a witness that verifies; none answers where brute
+    force raises.  avg may also give no_solution or guard_abort where a
+    solution exists, but a witness of its must verify too."""
+    for mode in ("balancing", "gss"):
+        try:
+            want = brute_force_solve(inst, mode).status
+        except ValueError:
+            want = None
+        for engine in ENGINES:
+            try:
+                got = solve_instance(inst, mode, engine)
+            except ValueError:
+                continue
+            event(f"{mode} {engine} {got.status}")
+            assert want is not None, (mode, engine)
+            if got.status == "solved":
+                assert verify_solution(inst, got.witness, mode), (mode, engine)
+            if engine == "avg":
+                assert got.status in (want, "no_solution", "guard_abort")
+            else:
+                assert got.status == want, (mode, engine)
 
 
 def test_one_budget_spans_two_solves():

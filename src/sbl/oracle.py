@@ -1,13 +1,15 @@
 """Exhaustive and meet-in-the-middle baseline solvers.
 
-These are the ground truth the lattice pipeline is measured against: slow,
-obviously correct, deterministic.  Both always agree on status; witnesses
-may differ between the two but every returned witness verifies.
+These are the ground truth the lattice pipeline is measured against:
+obviously correct and deterministic.  Brute force walks all of C^n.
+Meet in the middle filters the second half's sums through a set of the
+first half's in one C-level pass and decodes the witness from the least
+indices of the first hit, so its work and memory go as |C|^ceil(n/2).
+Both always agree on status; witnesses may differ between the two but
+every returned witness verifies.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .core import (
     BudgetExceeded,
@@ -87,30 +89,46 @@ def brute_force_solve(inst: Instance, mode: str = "balancing", budget=None) -> V
     return Verdict.no_solution(f"no admissible vector reaches {target}")
 
 
-def _half_sums(vals, coeffs) -> list:
-    """c·coeffs for every c of itertools.product(vals, repeat=len(coeffs)),
-    in that order, one coordinate at a time: one integer add per entry and
-    layer, no product per candidate."""
-    sums = [0]
+def _half_sums(vals, coeffs, start: int = 0) -> list:
+    """start + c·coeffs for every c of itertools.product(vals,
+    repeat=len(coeffs)), in that order, one coordinate at a time: one
+    integer add per entry and layer, no product per candidate."""
+    sums = [start]
     for a in coeffs:
         steps = [v * a for v in vals]
         sums = [s + t for s in sums for t in steps]
     return sums
 
 
-def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
-    """Meet in the middle: tabulate first-half partial sums, scan the rest.
+def _decode(index: int, vals, length: int) -> tuple:
+    """The index-th vector of itertools.product(vals, repeat=length): the
+    digits of index in base len(vals), most significant first."""
+    k = len(vals)
+    c = [0] * length
+    for pos in range(length - 1, -1, -1):
+        index, digit = divmod(index, k)
+        c[pos] = vals[digit]
+    return tuple(c)
 
-    Work is about |C|^ceil(n/2) integer additions per half: each half's
-    sums are built coordinate by coordinate from the previous layer's, not
-    by a multiply-and-sum per candidate.  Memory is the first-half table
-    plus one list of sums per half; second-half vectors are generated as
-    the scan reaches them.  The first half is tabulated in lexicographic
-    order (ties in a sum bucket keep insertion order) and the second half
-    is scanned lexicographically, so the returned witness is deterministic,
-    though not necessarily the same one brute force finds.  Refuses to
-    start when |C|^ceil(n/2) exceeds the budget's limit, and charges
-    nothing to it.
+
+def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
+    """Meet in the middle: a set of first-half sums, one scan of the rest.
+
+    Each half's sums are listed over itertools.product(vals, repeat=k) in
+    that order, built coordinate by coordinate from the previous layer's
+    (about |C|^ceil(n/2) integer additions per half), the second half's
+    as target - c2·x2.  One C-level pass filters those through the set of
+    first-half sums, so no Python code runs per candidate.  list.index
+    turns a hit s back into indices: j, the first place of s in the second
+    list after the previous hit, and i, the least first-half index with
+    sum s.  Only that pair is decoded into c1 and c2, in base |C|.  In
+    balancing the hit may be the zero vector, c1 = c2 = 0; then the next
+    first-half index with sum s wins, or else the scan goes on.  So the
+    witness has the least second half that completes to a solution, and
+    the least first half for it: deterministic, though not necessarily
+    the vector brute force finds.  Memory is two lists of |C|^ceil(n/2)
+    ints and the set.  Refuses to start when |C|^ceil(n/2) exceeds the
+    budget's limit, and charges nothing to it.
     """
     budget = _as_budget(budget)
     target = _target(inst, mode)
@@ -125,20 +143,24 @@ def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
             f"{len(vals)}^{h} half-candidates exceed the budget of "
             f"{budget.limit}"
         )
-    head, tail = x[:h], x[h:]
-    table: dict = {}
-    for c1, s in zip(itertools.product(vals, repeat=h), _half_sums(vals, head)):
-        table.setdefault(s, []).append(c1)
+    sums1 = _half_sums(vals, x[:h])
+    rest = _half_sums(vals, [-a for a in x[h:]], target)
     nonzero_needed = mode == "balancing"
-    second = zip(itertools.product(vals, repeat=n - h), _half_sums(vals, tail))
-    for c2, s2 in second:
-        for c1 in table.get(target - s2, ()):
-            c = c1 + c2
-            if nonzero_needed and all(v == 0 for v in c):
+    j = -1
+    for s in filter(set(sums1).__contains__, rest):
+        j = rest.index(s, j + 1)
+        i = sums1.index(s)
+        c2 = _decode(j, vals, n - h)
+        c = _decode(i, vals, h) + c2
+        if nonzero_needed and not any(c):
+            try:
+                i = sums1.index(s, i + 1)
+            except ValueError:
                 continue
-            if not verify_solution(inst, c, mode):
-                raise InternalError(
-                    "self-check failed: meet-in-the-middle witness"
-                )
-            return Verdict.solved(c)
+            c = _decode(i, vals, h) + c2
+        if not verify_solution(inst, c, mode):
+            raise InternalError(
+                "self-check failed: meet-in-the-middle witness"
+            )
+        return Verdict.solved(c)
     return Verdict.no_solution(f"no admissible vector reaches {target}")

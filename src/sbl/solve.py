@@ -43,6 +43,7 @@ from .core import (
     Interval,
     Punctured,
     Verdict,
+    coefficient_alphabet,
     dot,
     gcd_vector,
     iroot,
@@ -657,6 +658,14 @@ def _symmetric_bound(coeffs) -> Optional[int]:
     return None
 
 
+def _zero_weights(inst: Instance) -> Verdict:
+    """gss on an all-zero x, where c.x = 0 for every c in C^n: brute
+    force's verdict without a lattice, its least vector when tau = 0."""
+    if inst.tau == 0:
+        return Verdict.solved((coefficient_alphabet(inst.coeffs)[0],) * inst.n)
+    return Verdict.no_solution(f"no admissible vector reaches {inst.tau}")
+
+
 def solve_instance(
     inst: Instance,
     mode: str,
@@ -677,8 +686,9 @@ def solve_instance(
     call, or the first LLL vector once d clears lll_threshold; over an
     ellipsoid it is a gauge SVP, and an asymmetric interval goes to
     meet-in-the-middle.  gss over an interval or box is one gap decision,
-    over an ellipsoid brute force.  An engine that does not apply raises
-    ValueError.
+    over an ellipsoid brute force.  gss on an all-zero x, under auto or
+    avg, gets brute force's verdict without a lattice; balancing on one
+    raises.  An engine that does not apply raises ValueError.
     """
     if mode not in ("balancing", "gss"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -686,6 +696,8 @@ def solve_instance(
     tau = inst.tau if mode == "gss" else 0
     d = _symmetric_bound(coeffs)
     if engine == "auto":
+        if mode == "gss" and not any(x) and not isinstance(coeffs, Ellipsoid):
+            return _zero_weights(inst)
         if isinstance(coeffs, Punctured):
             return solve_gss_punctured(x, tau, coeffs.d, budget=budget)
         if mode == "gss":
@@ -712,14 +724,16 @@ def solve_instance(
         if inst.m_bound is None:
             raise ValueError("avg engine: m_bound required on the instance")
         if isinstance(coeffs, Punctured):
-            return solve_gss_avg(x, tau, coeffs.d, inst.m_bound, "punctured",
-                                 budget=budget)
-        if d is None:
+            d, cset = coeffs.d, "punctured"
+        elif d is None:
             raise ValueError(
                 "avg engine needs a symmetric [-d,d] or punctured coefficient set"
             )
-        return solve_gss_avg(x, tau, d, inst.m_bound, "interval",
-                             budget=budget)
+        else:
+            cset = "interval"
+        if not any(x):
+            return _zero_weights(inst)
+        return solve_gss_avg(x, tau, d, inst.m_bound, cset, budget=budget)
     if engine in ("svp", "lll"):
         if d is None:
             raise ValueError(

@@ -14,13 +14,14 @@ its Hölder-pruned form, of the sup walk.  The eigenvalue-shift relaxation
 of an ellipsoid ball (relaxed_ellipsoid_ball), listed by ball_walk, is the
 reference listing for the exact gauge walk.
 gauge_sq is the Fraction gauge of a body, and mitm_reference is meet in
-the middle with a multiply-and-sum per half-candidate, the reference for
-sbl.oracle.mitm_solve's witnesses.  kernel_basis_reference keeps its
-unimodular transform as dense rows, the reference for
-sbl.lattice.kernel_basis's sparse rows, and walk_reference is the
-enumeration walk with level 1 in a loop of its own, the reference for
-sbl.enumeration._walk's visit order, limits and budget charges.  No code
-in the sbl package calls them.
+the middle on tuples, with a multiply-and-sum per half-candidate and a
+bucket of first halves per sum scanned in order, the reference for the
+witnesses sbl.oracle.mitm_solve decodes from the indices of its hit.
+kernel_basis_reference keeps its unimodular transform as dense rows,
+the reference for sbl.lattice.kernel_basis's sparse rows, and
+walk_reference is the enumeration walk with level 1 in a loop of its
+own, the reference for sbl.enumeration._walk's visit order, limits and
+budget charges.  No code in the sbl package calls them.
 """
 
 import itertools
@@ -598,8 +599,11 @@ def gauge_sq(body: GaugeBody, v: Sequence) -> Fraction:
 
 def mitm_reference(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
     """Meet in the middle with every half-candidate's sum taken from scratch
-    by a multiply-and-sum: the same table, scan order and witness rule as
-    sbl.oracle.mitm_solve, without its layered half sums."""
+    by a multiply-and-sum, and a list of first-half tuples per sum: for
+    each second half in lexicographic order, the first nonzero vector its
+    bucket completes.  The same witness rule as sbl.oracle.mitm_solve,
+    without its layered half sums, its set filter or its decoding of
+    indices."""
     budget = _as_budget(budget)
     target = _target(inst, mode)
     vals = coefficient_alphabet(inst.coeffs)

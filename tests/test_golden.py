@@ -3,9 +3,10 @@ command line over a small fixed corpus, frozen in tests/data/golden.json.
 
 The corpus runs `sbl solve` on every coefficient set kind (symmetric and
 asymmetric intervals, punctured intervals, boxes, ellipsoids), with tau
-zero and nonzero, with and without m_bound, at n = 1, with a zero weight
-and at a bound meeting the LLL threshold, under every --mode and every
---engine, plus --nonzero and an exhausted --budget.  A second set runs the
+zero and nonzero, with and without m_bound, at n = 1, with a zero weight,
+on meet in the middle's zero rule and at a bound meeting the LLL
+threshold, under every --mode and every --engine, plus --nonzero and an
+exhausted --budget.  A second set runs the
 punctured sign-pattern sweep (n in {5, 6}, d from 2 to 5, weights below
 2^20, rejections and solved cases, a rejection under budgets it fits
 and a solved case under one it exhausts).  A third set runs balancing
@@ -74,6 +75,9 @@ CORPUS = (
     ("interval-sym-no-solution", Instance((2, 4), Interval(-3, 3), tau=1)),
     ("interval-asym-tau", Instance((2, 3), Interval(0, 2), tau=7)),
     ("interval-asym-tau0", Instance((4, 6, 9), Interval(-1, 3))),
+    # meet in the middle's first hit pairs c2 = 0 with the zero vector,
+    # so the next entry of that sum's bucket, (1, 1), wins
+    ("interval-asym-zero-rule", Instance((1, -1, 5), Interval(0, 2))),
     ("interval-asym-tau-mbound",
      Instance((4, 6, 9), Interval(-1, 3), tau=5, m_bound=64)),
     ("punctured-tau-mbound",

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sbl.oracle
 from sbl.core import (
     Box,
     Budget,
     BudgetExceeded,
     Ellipsoid,
     Instance,
+    InternalError,
     Interval,
     Punctured,
     verify_solution,
@@ -115,6 +117,54 @@ def test_mitm_budget_boundary():
     with pytest.raises(BudgetExceeded) as info:
         mitm_solve(inst, "gss", budget=Budget(5 ** 4 - 1))
     assert str(info.value) == "5^4 half-candidates exceed the budget of 624"
+
+
+@pytest.mark.parametrize("inst,mode,witness", [
+    # the first hit is c2 = (0,), whose sum-0 bucket starts with c1 = (0, 0):
+    # that bucket's next entry, (1, 1), wins
+    (Instance((1, -1, 5), Interval(0, 2)), "balancing", (1, 1, 0)),
+    # c2 = (0,) hits a bucket holding only c1 = (0, 0), so the scan goes on
+    # to c2 = (1,); c2 = (-1,) missed before it
+    (Instance((3, 5, -16), Interval(-1, 2)), "balancing", (2, 2, 1)),
+    # the same, and then the sum 0 comes back at c2 = (1, 1): the scan
+    # looks it up past the zero pair's c2 = (0, 0), not at it
+    (Instance((3, 5, 2, -2), Interval(0, 2)), "balancing", (0, 0, 1, 1)),
+    # n = 1: the second half is empty, its one sum is 0
+    (Instance((5,), Interval(-2, 2), tau=10), "gss", (2,)),
+    (Instance((5,), Interval(-2, 2)), "balancing", None),
+    (Instance((5,), Interval(0, 2)), "gss", (0,)),
+    # |C| = 13: indices decode in base 13
+    (Instance((7, -11, 13, 17, 19), Interval(-6, 6), tau=-250), "gss",
+     (-6, 4, 4, -6, -6)),
+    (Instance((7, -11, 13, 17, 19), Interval(-6, 6)), "balancing",
+     (4, -6, 5, -6, -3)),
+    # no 0 in C, so the zero rule never applies
+    (Instance((3, 5, 8), Punctured(2)), "balancing", (2, 2, -2)),
+    (Instance((3, 5, 8), Punctured(1), tau=1), "gss", None),
+    # zeros in x, one in each half
+    (Instance((0, 4, 0, 6), Interval(-1, 1)), "balancing", (-1, 0, -1, 0)),
+    (Instance((0, 4, 0, 6), Box(2), tau=2), "gss", (-2, 2, -2, -1)),
+])
+def test_mitm_decodes_the_least_hit(inst, mode, witness):
+    # the witness is the least second half that completes, with the least
+    # first half for it that is not the zero vector; reasons are unchanged
+    v = mitm_solve(inst, mode)
+    assert v == mitm_reference(inst, mode)
+    if witness is None:
+        target = inst.tau if mode == "gss" else 0
+        assert v.status == "no_solution"
+        assert v.reason == f"no admissible vector reaches {target}"
+    else:
+        assert v.status == "solved" and v.witness == witness
+
+
+def test_mitm_self_check_rejects_a_bad_witness(monkeypatch):
+    # the decoded witness goes through oracle.verify_solution before it is
+    # returned, so a broken decoder cannot answer
+    monkeypatch.setattr(sbl.oracle, "verify_solution", lambda *a: False)
+    with pytest.raises(InternalError,
+                       match="^self-check failed: meet-in-the-middle witness$"):
+        mitm_solve(Instance((1, -1, 5), Interval(0, 2)))
 
 
 def _outcome(solver, inst, mode):

@@ -60,6 +60,7 @@ from sbl.solve import (
     INTEGER,
     SIGN_PATTERN_CAP,
     ThresholdUnmet,
+    _symmetric_bound,
     capped_cvp_oracle,
     check_minkowski,
     cvp_via_gap_search,
@@ -1023,15 +1024,18 @@ def test_a_budget_is_charged_what_bench_reports(suite):
 
 @st.composite
 def _dispatch_cases(draw):
-    """One to five weights with zeros and negatives; a symmetric or
-    asymmetric interval, a punctured set or a box of bound up to 6, or a
-    small ellipsoid; and a target up to 10^6 in size, drawn outright or
-    planted as c.x for a c in the set's range.  m_bound is set, so avg
-    applies wherever its coefficient set does."""
+    """One to five weights with zeros and negatives, all zero in about one
+    case of six; a symmetric or asymmetric interval, a punctured set or a
+    box of bound up to 6, or a small ellipsoid; and a target up to 10^6 in
+    size, drawn outright or planted as c.x for a c in the set's range.
+    m_bound is set, so avg applies wherever its coefficient set does."""
     n = draw(st.integers(1, 5))
     weight = st.one_of(st.just(0), st.integers(-20, 20),
                        st.integers(-3 * 10**4, 3 * 10**4))
-    x = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    if draw(st.integers(0, 5)) == 0:
+        x = (0,) * n
+    else:
+        x = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
     d = draw(st.integers(1, 6))
     lo, hi = -d, d
     kind = draw(st.sampled_from(
@@ -1070,8 +1074,18 @@ def test_every_engine_agrees_with_brute_force(inst):
     ValueError, as it does where it does not apply, or returns brute
     force's status with a witness that verifies; none answers where brute
     force raises.  avg may also give no_solution or guard_abort where a
-    solution exists, but a witness of its must verify too."""
+    solution exists, but a witness of its must verify too.  gss on an
+    all-zero x is the exception: auto, and avg where it applies, must
+    answer, and with brute force's status."""
+    cs = inst.coeffs
+    zero_gss = ()
+    if not any(inst.x):
+        zero_gss = ("auto",)
+        if inst.m_bound is not None and (
+                isinstance(cs, Punctured) or _symmetric_bound(cs) is not None):
+            zero_gss += ("avg",)
     for mode in ("balancing", "gss"):
+        strict = zero_gss if mode == "gss" else ()
         try:
             want = brute_force_solve(inst, mode).status
         except ValueError:
@@ -1080,12 +1094,13 @@ def test_every_engine_agrees_with_brute_force(inst):
             try:
                 got = solve_instance(inst, mode, engine)
             except ValueError:
+                assert engine not in strict, (mode, engine)
                 continue
             event(f"{mode} {engine} {got.status}")
             assert want is not None, (mode, engine)
             if got.status == "solved":
                 assert verify_solution(inst, got.witness, mode), (mode, engine)
-            if engine == "avg":
+            if engine == "avg" and engine not in strict:
                 assert got.status in (want, "no_solution", "guard_abort")
             else:
                 assert got.status == want, (mode, engine)

@@ -18,10 +18,11 @@ the upkeep stops.
 The private _reduce is the package's one source of Gram-Schmidt data: at
 exit it holds exactly the lambda/D data of its output rows and returns it
 with them.  enumeration.prepare builds its PreparedLattice from that, and
-lll_reduce keeps the rows only.  The data needs the rows only through
-inner products (Cohen, 2.6): _reduce takes an integral form F for the
-inner product u F v^T, which svp_gauge passes, and the identity
-otherwise.
+lll_reduce keeps the rows only.  solve_sbp_lll passes it a stop on row 0
+instead, and takes row 0 the first time it fits the box (see _reduce).
+The data needs the rows only through inner products (Cohen, 2.6):
+_reduce takes an integral form F for the inner product u F v^T, which
+svp_gauge passes, and the identity otherwise.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _unpack(packed, width: int, dim: int):
     return tuple(out)
 
 
-def _reduce(basis_rows, form=None):
+def _reduce(basis_rows, form=None, stop=None):
     """Reduce rows under the integral form F (the identity when form is
     None), <u, v> = u F v^T: the reduced rows as tuples and their integral
     Gram-Schmidt data under F, (D, lam).  D[i] is the Gram determinant of
@@ -115,6 +116,16 @@ def _reduce(basis_rows, form=None):
     lam[i][j] = mu_ij * D[j+1] for j < i, a ragged lower triangle of
     integers; no rows give ((), ((1,), ())).  Raises ValueError on
     dependent rows.
+
+    Given a predicate stop on a row, it returns instead row 0 alone, at
+    the first moment stop holds on it: the input's row 0 (before the rows
+    are checked for dependence), row 0 after a swap at k = 1, the only
+    step that changes it, or else the output's row 0.  Row 0 is read
+    mid-run by unpacking its own integer, which is exact: b_0 = b*_0 and
+    no step raises the largest |b*_j|, so row 0's F-value never exceeds
+    the largest input row's, from which the slot width is sized.  Later
+    rows may overflow their slots mid-run, so none is read before exit.
+    Needs at least one row.
 
     It swaps and size-reduces exactly as Cohen's Alg. 2.6.7 does, and
     differs in how a new row gets its data.  Beside lam and D the loop
@@ -146,18 +157,20 @@ def _reduce(basis_rows, form=None):
     embedding its column 0; once the last row is in no column is left, and
     the upkeep stops.
 
-    The loop reads no row after adding it, so it keeps each row packed
-    into one integer (_packing_width), and size reduction subtracts q
-    times a row in one integer operation.
+    The loop reads no row after adding it, so it packs each row into one
+    integer as it adds it (_packing_width), and size reduction subtracts
+    q times a row in one integer operation.
     """
     rows = list(map(tuple, basis_rows))
+    if stop is not None and stop(rows[0]):
+        return rows[0]
     nrows = len(rows)
     starts = (rows if form is None else
               [[sum(map(mul, f, r)) for f in form] for r in rows])
     joins, own, drops, last = _columns(rows, starts)
     width = _packing_width(rows, starts, form)
-    packed = [sum(v << (width * c) for c, v in enumerate(r) if v)
-              for r in rows]
+    dim = len(rows[0]) if rows else 0
+    packed: list = []
     p_num, p_den = _DELTA.numerator, _DELTA.denominator
     D = [1] * (nrows + 1)
     lam: list = []
@@ -175,6 +188,7 @@ def _reduce(basis_rows, form=None):
                     qrow.append(0)
                 proj.append([0] * len(cols))
             bk, ak, dk = rows[k], starts[k], D[k]
+            packed.append(sum(v << (width * c) for c, v in enumerate(bk) if v))
             bc = [bk[c] for c in cols]
             lk = ([sum(map(mul, bc, col)) for col in zip(*stars)] if stars
                   else [0] * k)
@@ -227,6 +241,10 @@ def _reduce(basis_rows, form=None):
             D[k] = newd
             if k > 1:
                 k -= 1
+            elif stop is not None:
+                first = _unpack(packed[:1], width, dim)[0]
+                if stop(first):
+                    return first
         else:
             for ll in range(k - 2, -1, -1):
                 dl, lv = D[ll + 1], lk[ll]
@@ -237,8 +255,9 @@ def _reduce(basis_rows, form=None):
                     if ll:
                         lk[:ll] = [a - q * b for a, b in zip(lk, lam[ll])]
             k += 1
-    return (_unpack(packed, width, len(rows[0]) if rows else 0),
-            (tuple(D), tuple(map(tuple, lam))))
+    if stop is not None:
+        return _unpack(packed[:1], width, dim)[0]
+    return (_unpack(packed, width, dim), (tuple(D), tuple(map(tuple, lam))))
 
 
 def lll_threshold(x, d: int) -> bool:

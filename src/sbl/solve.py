@@ -26,6 +26,7 @@ decides and charges a private Budget (see solve_gss_punctured).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -76,7 +77,7 @@ from .lattice import (
     sign_pattern_target,
 )
 from .oracle import brute_force_solve, mitm_solve
-from .reduction import lll_reduce, lll_threshold
+from .reduction import _reduce, lll_threshold
 
 __all__ = [
     "SIGN_PATTERN_CAP",
@@ -174,7 +175,15 @@ def solve_sbp(
 
 def solve_sbp_lll(x: Sequence[int], d: int) -> Verdict:
     """Polynomial-time balancing when the bound clears the reduction
-    threshold: the first reduced kernel vector already fits."""
+    threshold; raises ThresholdUnmet below it.
+
+    The witness is the first row of the LLL reducer run on kernel_basis(x)
+    at the first moment it lies in [-d, d]^n: the input's first row, or
+    the first row after a swap, the only step that changes it.  The
+    reduction stops there.  Above the threshold the fully reduced first
+    row fits, so the stop always comes, at the latest where lll_reduce
+    ends.  The witness is short, not least: svp's solve_sbp gives the
+    least sup norm."""
     if d < 1:
         raise ValueError("coefficient bound must be positive")
     xs = tuple(int(v) for v in x)
@@ -183,8 +192,7 @@ def solve_sbp_lll(x: Sequence[int], d: int) -> Verdict:
         raise ThresholdUnmet(
             "bound below the reduction guarantee; use solve_sbp"
         )
-    red = lll_reduce(kernel_basis(xs))
-    c = red.rows[0]
+    c = _reduce(kernel_basis(xs).rows, stop=lambda row: linf(row) <= d)
     _check(linf(c) <= d and dot(c, xs) == 0,
            "first reduced vector is not a balanced c")
     _check(verify_solution(Instance(xs, Box(d)), c, "balancing"),
@@ -683,7 +691,8 @@ def solve_instance(
     charges a private Budget, so the budget passed here is charged what
     the sweep charges and overruns where the sweep does (see
     solve_gss_punctured).  Balancing over [-d, d] or a box is one SVP
-    call, or the first LLL vector once d clears lll_threshold; over an
+    call, or solve_sbp_lll's first reduced row once d clears
+    lll_threshold, which solve_sbp_lll alone evaluates; over an
     ellipsoid it is a gauge SVP, and an asymmetric interval goes to
     meet-in-the-middle.  gss over an interval or box is one gap decision,
     over an ellipsoid brute force.  gss on an all-zero x, under auto or
@@ -709,7 +718,11 @@ def solve_instance(
         if isinstance(coeffs, Ellipsoid):
             engine = "body"
         elif d is not None:
-            engine = "lll" if len(x) >= 2 and lll_threshold(x, d) else "svp"
+            # solve_sbp_lll decides the threshold; below it, one SVP call
+            if len(x) >= 2:
+                with suppress(ThresholdUnmet):
+                    return solve_sbp_lll(x, d)
+            engine = "svp"
         else:
             engine = "mitm"
     if engine == "mitm":

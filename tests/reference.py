@@ -6,7 +6,9 @@ so tests can hold the integer code against plain rational algebra.
 gram_schmidt (with its GSO) is the rational Gram-Schmidt process, the
 reference for the reducer's lambda/D data, and reduce_reference is the
 all-integer LLL with Cohen's scalar recurrence for each new row's data,
-the reference for the reducer's every swap and output.  mat_det,
+the reference for the reducer's every swap and output; first_fit_reference
+reads off its run the first row 0 that fits a box, the reference for the
+reducer's stop.  mat_det,
 mat_solve and mat_inverse are fraction Gaussian elimination, for Gram
 determinants and basis coordinates.  ball_walk, an unpruned walk in
 Fractions, is the reference listing of a Euclidean ball, and holder_walk
@@ -165,14 +167,18 @@ def _gso_row(rows, k: int, D: list, lam: list, ip) -> None:
             D[k + 1] = u
 
 
-def reduce_reference(basis_rows, ip=dot):
+def reduce_reference(basis_rows, ip=dot, firsts=None):
     """All-integer LLL at delta = 3/4 under the inner product ip (Cohen,
     Alg. 2.6.7): the reduced rows as tuples and their integral
     Gram-Schmidt data (D, lam), as reduction._reduce returns them.  Each
     new row's lam and D come from k + 1 inner products and the k^2 / 2
-    scalar recurrence of _gso_row.  Raises ValueError on dependent rows."""
+    scalar recurrence of _gso_row.  Raises ValueError on dependent rows.
+    A list passed as firsts gets row 0 as a tuple on entry and after
+    every swap of rows 0 and 1, so its last entry is the output's row 0."""
     rows = [list(r) for r in basis_rows]
     nrows = len(rows)
+    if firsts is not None and rows:
+        firsts.append(tuple(rows[0]))
     D = [0] * (nrows + 1)
     D[0] = 1
     lam = [[0] * nrows for _ in range(nrows)]
@@ -213,6 +219,8 @@ def reduce_reference(basis_rows, ip=dot):
             lam_v = lam[k][k - 1]
             if 4 * (D[k + 1] * D[k - 1] + lam_v * lam_v) < 3 * D[k] * D[k]:
                 swapi(k)
+                if k == 1 and firsts is not None:
+                    firsts.append(tuple(rows[0]))
                 k = max(1, k - 1)
             else:
                 for ll in range(k - 2, -1, -1):
@@ -221,6 +229,16 @@ def reduce_reference(basis_rows, ip=dot):
                 break
     return (tuple(tuple(r) for r in rows),
             (tuple(D), tuple(tuple(lrow[:i]) for i, lrow in enumerate(lam))))
+
+
+def first_fit_reference(rows, bound: int):
+    """Row 0 of reduce_reference's run on rows at the first of its states
+    that lies in [-bound, bound]^n: the input's row 0 or row 0 after a
+    swap of rows 0 and 1.  None when no state fits.  The whole reduction
+    runs, so the stop is read off the states, not taken mid-run."""
+    firsts: list = []
+    reduce_reference(rows, firsts=firsts)
+    return next((r for r in firsts if linf(r) <= bound), None)
 
 
 def gs_coords(lat: PreparedLattice, point) -> Tuple[Fraction, ...]:

@@ -14,8 +14,10 @@ and a solved case under one it exhausts).  A third set runs balancing
 (n = 6, weights below 100, semi-axes 2 and 3) and on a tighter body with
 semi-axes 1 and 2, solved and no_solution.  A fourth set balances 64-bit
 weights at n = 24 and 48 at the least d meeting the LLL threshold, under
---engine lll and auto, so the reducer's many swaps are frozen too.  It
-also freezes the `bench` CSV (wall-clock column dropped) of the built-in
+--engine lll and auto, so the lll engine's stop is frozen too: row 0 at
+the first moment it fits the box, after some of the reducer's swaps (the
+full reduction of these two bases is held to the reference in
+test_reduction.py).  It also freezes the `bench` CSV (wall-clock column dropped) of the built-in
 suites and the `probe` JSON of each solver choice.  A refactor that keeps
 this test passing keeps every verdict byte.
 
@@ -205,7 +207,8 @@ def _least_threshold_d(x) -> int:
 def _kernel_instance(seed: int, n: int) -> Instance:
     """n weights below 2^64 drawn by SplitMix64(seed), balanced over
     [-d, d] at the least d meeting the LLL threshold: the reducer swaps
-    many times on these, where the lll-threshold record barely swaps."""
+    rows 0 and 1 17 to 22 times before row 0 fits, where the lll-threshold
+    record barely swaps."""
     rng = SplitMix64(seed)
     x = tuple(rng.below(1 << 64) for _ in range(n))
     d = _least_threshold_d(x)

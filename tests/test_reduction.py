@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sbl.core import Box, dot
+from sbl.core import Box, dot, linf
 from sbl.enumeration import prepare
 from sbl.lattice import (LatticeBasis, embedding_basis, choose_params,
                          full_rank_completion, kernel_basis)
@@ -21,6 +21,7 @@ from sbl.reduction import _reduce, lll_reduce, lll_threshold
 
 from reference import gram_schmidt, mat_det, mat_solve, reduce_reference
 from test_enumeration import _forms
+from test_golden import KERNELS
 
 
 def _gram(rows):
@@ -318,6 +319,39 @@ def test_reducer_matches_the_reference(case):
     ip = dot if form is None else _form_ip(form)
     assert (_outcome(_reduce, rows, form)
             == _outcome(reduce_reference, rows, ip))
+
+
+@given(_reducer_inputs(), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_stopped_reduction_returns_the_first_row_0_that_fits(case, pick,
+                                                               tight):
+    """With a stop, the reducer returns row 0 at the first of the reference
+    run's states on which the stop holds (the input's row 0, or row 0
+    after a swap of rows 0 and 1), else the output's row 0, with and
+    without a form.  The box's bound is a state's sup norm, or one less,
+    so the stop falls on the input, on a swap or on no state."""
+    rows, form = case
+    assume(rows)
+    ip = dot if form is None else _form_ip(form)
+    firsts: list = []
+    try:
+        reduce_reference(rows, ip, firsts)
+    except ValueError:
+        assume(False)
+    bound = linf(firsts[pick % len(firsts)]) - tight
+    want = next((r for r in firsts if linf(r) <= bound), firsts[-1])
+    assert _reduce(rows, form, lambda r: linf(r) <= bound) == want
+
+
+@pytest.mark.parametrize("case_id, inst", KERNELS)
+def test_the_full_reducer_on_the_golden_kernels(case_id, inst):
+    """The golden kernel records freeze the lll engine's stop, so the full
+    reduction of those two kernel bases is held to the reference here:
+    the same rows and the same (D, lam)."""
+    basis = kernel_basis(inst.x)
+    want = reduce_reference(basis.rows)
+    assert _reduce(basis.rows) == want
+    assert lll_reduce(basis).rows == want[0]
 
 
 # ---------------------------------------------------------------------------

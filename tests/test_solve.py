@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import sbl
@@ -26,6 +26,7 @@ from sbl.core import (
     Punctured,
     Verdict,
     dot,
+    linf,
     verify_solution,
 )
 from sbl.oracle import brute_force_solve, mitm_solve
@@ -34,6 +35,7 @@ from sbl.lattice import (
     choose_params,
     embedding_basis,
     interval_shift_target,
+    kernel_basis,
     sign_pattern_target,
 )
 from sbl.enumeration import (
@@ -74,7 +76,9 @@ from sbl.solve import (
     solve_sbp_lll,
 )
 
-from reference import ball_walk, gs_coords, holder_walk
+from reference import (ball_walk, first_fit_reference, gs_coords,
+                       holder_walk, reduce_reference)
+from test_golden import _least_threshold_d
 
 
 def _z2():
@@ -194,6 +198,79 @@ def test_sbp_lll_fast_path():
 def test_sbp_lll_threshold_unmet():
     with pytest.raises(ThresholdUnmet):
         solve_sbp_lll((1, 2), 1)
+
+
+@pytest.mark.parametrize("x, d, engine", [
+    ((1, 2), 1, "svp"), ((1, 2), 2, "lll"), ((5,), 3, "svp")])
+def test_auto_decides_the_lll_threshold_once(monkeypatch, x, d, engine):
+    """auto balancing over [-d, d] evaluates lll_threshold once, inside
+    solve_sbp_lll, none at n = 1, and answers as the engine it picks; an
+    all-zero x still raises ValueError."""
+    calls = []
+    real = sbl.solve.lll_threshold
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sbl.solve, "lll_threshold", counted)
+    inst = Instance(x, Interval(-d, d))
+    got = solve_instance(inst, "balancing")
+    assert len(calls) == (len(x) >= 2)
+    assert got == solve_instance(inst, "balancing", engine)
+    with pytest.raises(ValueError, match="^zero vector$"):
+        solve_instance(Instance((0,) * len(x), Interval(-d, d)), "balancing")
+
+
+@st.composite
+def _threshold_cases(draw):
+    """2 to 12 weights with negatives, zeros and a common factor up to 6,
+    and a d from the least one meeting the LLL threshold up to 4 times
+    it."""
+    g = draw(st.integers(1, 6))
+    x = draw(st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)),
+                      min_size=2, max_size=12))
+    assume(any(x))
+    x = tuple(g * v for v in x)
+    least = _least_threshold_d(x)
+    return x, draw(st.integers(least, 4 * least))
+
+
+# (x, d, the index of the first fitting state among row 0's states)
+_STOPS = (
+    ((21, -36, -66, -12, 23), 5, 0),  # the input's row 0 fits
+    ((24, 29, 9), 7, 1),  # the first swap's row 0 fits, a later swap moves it
+    ((20, 99, 42, 11, 82), 5, 2),  # only the output's row 0 fits
+)
+
+
+@given(_threshold_cases())
+@example(_STOPS[0][:2])
+@example(_STOPS[1][:2])
+@example(_STOPS[2][:2])
+@settings(max_examples=150, deadline=None)
+def test_sbp_lll_witness_is_the_first_row_0_that_fits(case):
+    """solve_sbp_lll's witness is row 0 of Cohen's LLL on kernel_basis(x)
+    at its first state in [-d, d]^n (reference.first_fit_reference),
+    which exists above the threshold; auto answers the same."""
+    x, d = case
+    want = first_fit_reference(kernel_basis(x).rows, d)
+    assert want is not None
+    assert solve_sbp_lll(x, d).witness == want
+    inst = Instance(x, Interval(-d, d))
+    assert solve_instance(inst, "balancing").witness == want
+
+
+@pytest.mark.parametrize("x, d, at", _STOPS)
+def test_sbp_lll_stops(x, d, at):
+    """Each pinned case stops where its comment says: of the three states
+    of row 0 (the input's and those after two swaps), the one at index at
+    is the first in [-d, d]^n, at the least threshold d."""
+    firsts: list = []
+    reduce_reference(kernel_basis(x).rows, firsts=firsts)
+    assert len(firsts) == 3 and d == _least_threshold_d(x)
+    assert [linf(r) <= d for r in firsts].index(True) == at
+    assert solve_sbp_lll(x, d).witness == firsts[at]
 
 
 def test_sbp_body_box_matches_plain():
@@ -1173,6 +1250,7 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
     import sbl.enumeration
     import sbl.lattice
     import sbl.oracle
+    import sbl.reduction
     import sbl.solve
     from sbl.core import Ellipsoid, Instance, InternalError, Interval
     from sbl.lattice import LatticeBasis
@@ -1183,6 +1261,17 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
     def reject(*args, **kwargs):
         return False
 
+    unpack = sbl.reduction._unpack
+
+    def corrupt(*args):
+        # the unpacked rows, each with its first entry moved by one
+        return tuple((r[0] + 1,) + r[1:] for r in unpack(*args))
+
+    # at its least threshold d, 15720, the lll engine's stop fires on row 0
+    # after the 15th of 18 swaps of rows 0 and 1
+    x64 = (15462672028412579011, 2860057215721066269, 5093864130114332198,
+           13949615191934156634, 16814580501698033916, 12239598833768735179)
+
     lat = LatticeBasis(((5, 0), (2, 3)), 2)
     ellipse = Ellipsoid(((Fraction(1, 4), 0), (0, 1)))
     inst = Instance((2, 3), Interval(0, 2), tau=7)
@@ -1192,6 +1281,8 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
          lambda: sbl.solve.solve_sbp((3, 5, 8), 1)),
         (sbl.solve, "verify_solution", reject,
          lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5)),
+        (sbl.reduction, "_unpack", corrupt,
+         lambda: sbl.solve.solve_sbp_lll(x64, 15720)),
         (sbl.solve, "verify_solution", reject,
          lambda: sbl.solve.solve_gss_interval((2, 3), 7, 0, 2)),
         (sbl.solve, "verify_solution", reject,
@@ -1236,7 +1327,7 @@ def test_self_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["internal-error"] * 12
+    assert proc.stdout.split() == ["internal-error"] * 13
 
 
 def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path,

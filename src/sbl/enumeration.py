@@ -87,7 +87,7 @@ from typing import Optional, Tuple, Union
 
 from .core import (DEFAULT_POINT_BUDGET, Budget, BudgetExceeded, Box,
                    InternalError, _as_budget, l2_sq, linf)
-from .lattice import GaugeBody, LatticeBasis
+from .lattice import GaugeBody, LatticeBasis, _sparse
 from .reduction import _reduce
 
 __all__ = [
@@ -266,7 +266,7 @@ def prepare(basis: Lattice) -> PreparedLattice:
     as it is.  Raises ValueError on dependent rows."""
     if isinstance(basis, PreparedLattice):
         return basis
-    rows, gso = _reduce(basis.rows)
+    rows, gso = _reduce(_sparse(basis.rows), basis.dim)
     return PreparedLattice(rows, basis.dim, *gso)
 
 
@@ -700,7 +700,7 @@ def svp_gauge(
     def value(v) -> int:
         return sum(map(mul, v, [sum(map(mul, row, v)) for row in form]))
 
-    rows, gso = _reduce(basis.rows, form)
+    rows, gso = _reduce(_sparse(basis.rows), basis.dim, form)
     lat = PreparedLattice(rows, basis.dim, *gso)
     g0 = min(map(value, lat.rows))
     best = None

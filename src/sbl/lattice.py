@@ -1,7 +1,9 @@
 """Lattice constructions behind the solvers.
 
 kernel_basis extracts an integer basis of the rank n-1 lattice of integer
-vectors orthogonal to x.  embedding_basis builds the scaled
+vectors orthogonal to x; _kernel_rows builds it as sparse rows, column to
+nonzero entry, which the lll engine hands to the reducer as they are and
+kernel_basis densifies.  embedding_basis builds the scaled
 (n+1)-dimensional lattice whose short or close vectors encode solutions,
 with parameters chosen so that membership in a small box forces the first
 coordinate to vanish.  Shifted targets for the closest-vector reductions
@@ -51,23 +53,42 @@ class LatticeBasis:
         return len(self.rows)
 
 
-def _round_div(a: int, b: int) -> int:
-    """Nearest integer to a/b for b > 0 (ties toward +inf)."""
-    return (2 * a + b) // (2 * b)
+def _sparse(rows) -> list:
+    """Dense rows in the sparse format that _kernel_rows builds and
+    reduction._reduce reads: per row, a dict from each column where it is
+    nonzero to its entry."""
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _dense(row, dim: int) -> Tuple[int, ...]:
+    """The dim entries of a row in the sparse format."""
+    out = [0] * dim
+    for c, v in row.items():
+        out[c] = v
+    return tuple(out)
 
 
 def kernel_basis(x: Sequence[int]) -> LatticeBasis:
-    """Basis of the integer vectors orthogonal to x, rank n-1.
+    """Basis of the integer vectors orthogonal to x, rank n-1: the rows of
+    _kernel_rows(x), densified."""
+    xs = tuple(int(v) for v in x)
+    n = len(xs)
+    return LatticeBasis(tuple(_dense(r, n) for r in _kernel_rows(xs)), n)
+
+
+def _kernel_rows(xs: Tuple[int, ...]) -> list:
+    """kernel_basis's rows in the reducer's sparse format: per row, a dict
+    from each column where it is nonzero to its entry.
 
     A unimodular row transform U is accumulated while the working copy of x
-    is reduced, by centered division against the smallest nonzero entry,
-    down to a single nonzero entry (the gcd up to sign).  The rows of U that
-    map to zeroed entries are the kernel basis.  Each row of U is its own
-    unit vector plus the rows of the pivots subtracted from it, so it is
-    kept as a map from its few nonzero columns to their entries, and a
-    round updates a row in the pivot row's nonzeros only.
+    is reduced, by centered division against the smallest nonzero entry
+    (the least index among ties), down to a single nonzero entry (the gcd
+    up to sign).  The rows of U that map to zeroed entries are the kernel
+    basis.  Each row of U is its own unit vector plus the rows of the
+    pivots subtracted from it, so it is kept as such a dict from the start,
+    and a round updates a row in the pivot row's nonzeros only.  A zero
+    x_i leaves row i as its unit vector.
     """
-    xs = tuple(int(v) for v in x)
     if not xs or all(v == 0 for v in xs):
         raise ValueError("zero vector")
     n = len(xs)
@@ -75,15 +96,18 @@ def kernel_basis(x: Sequence[int]) -> LatticeBasis:
     u = [{i: 1} for i in range(n)]
     nz = [i for i in range(n) if y[i] != 0]
     while len(nz) > 1:
-        p = min(nz, key=lambda i: (abs(y[i]), i))
+        # nz ascends, so index() finds the least i of least |y_i|
+        mags = [abs(y[i]) for i in nz]
+        p = nz[mags.index(min(mags))]
         if y[p] < 0:
             y[p] = -y[p]
             u[p] = {c: -a for c, a in u[p].items()}
         yp, up = y[p], u[p].items()
+        yp2 = 2 * yp
         for j in nz:
             if j == p:
                 continue
-            q = _round_div(y[j], yp)
+            q = (2 * y[j] + yp) // yp2  # y_j / y_p rounded, ties up
             if q:
                 y[j] -= q * yp
                 uj = u[j]
@@ -91,16 +115,11 @@ def kernel_basis(x: Sequence[int]) -> LatticeBasis:
                     uj[c] = uj.get(c, 0) - q * a
         nz = [i for i in nz if y[i] != 0]
     pivot = nz[0]
-    kernel = [u[i] for i in range(n) if i != pivot]
+    kernel = [{c: a for c, a in u[i].items() if a}
+              for i in range(n) if i != pivot]
     if any(sum(a * xs[c] for c, a in r.items()) for r in kernel):
         raise InternalError("self-check failed: kernel row not orthogonal to x")
-    rows = []
-    for r in kernel:
-        row = [0] * n
-        for c, a in r.items():
-            row[c] = a
-        rows.append(tuple(row))
-    return LatticeBasis(tuple(rows), n)
+    return kernel
 
 
 @dataclass(frozen=True)

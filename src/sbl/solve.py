@@ -69,11 +69,11 @@ from .enumeration import (
 )
 from .lattice import (
     GaugeBody,
+    _kernel_rows,
     choose_params,
     embedding_basis,
     full_rank_completion,
     interval_shift_target,
-    kernel_basis,
     sign_pattern_target,
 )
 from .oracle import brute_force_solve, mitm_solve
@@ -182,8 +182,9 @@ def solve_sbp_lll(x: Sequence[int], d: int) -> Verdict:
     the first row after a swap, the only step that changes it.  The
     reduction stops there.  Above the threshold the fully reduced first
     row fits, so the stop always comes, at the latest where lll_reduce
-    ends.  The witness is short, not least: svp's solve_sbp gives the
-    least sup norm."""
+    ends.  The kernel rows go to the reducer sparse, as
+    lattice._kernel_rows builds them.  The witness is short, not least:
+    svp's solve_sbp gives the least sup norm."""
     if d < 1:
         raise ValueError("coefficient bound must be positive")
     xs = tuple(int(v) for v in x)
@@ -192,7 +193,7 @@ def solve_sbp_lll(x: Sequence[int], d: int) -> Verdict:
         raise ThresholdUnmet(
             "bound below the reduction guarantee; use solve_sbp"
         )
-    c = _reduce(kernel_basis(xs).rows, stop=lambda row: linf(row) <= d)
+    c = _reduce(_kernel_rows(xs), len(xs), box=d)
     _check(linf(c) <= d and dot(c, xs) == 0,
            "first reduced vector is not a balanced c")
     _check(verify_solution(Instance(xs, Box(d)), c, "balancing"),

@@ -51,7 +51,7 @@ from sbl.core import (
     verify_solution,
 )
 from sbl.enumeration import PreparedLattice, _perp, _scaled, _Target
-from sbl.lattice import GaugeBody, LatticeBasis, _round_div
+from sbl.lattice import GaugeBody, LatticeBasis
 from sbl.oracle import _target
 
 
@@ -653,6 +653,11 @@ def mitm_reference(inst: Instance, mode: str = "balancing", budget=None) -> Verd
                 )
             return Verdict.solved(c)
     return Verdict.no_solution(f"no admissible vector reaches {target}")
+
+
+def _round_div(a: int, b: int) -> int:
+    """Nearest integer to a/b for b > 0 (ties toward +inf)."""
+    return (2 * a + b) // (2 * b)
 
 
 def kernel_basis_reference(x: Sequence[int]) -> LatticeBasis:

@@ -46,6 +46,7 @@ from sbl.enumeration import (
 )
 from sbl.lattice import (
     LatticeBasis,
+    _sparse,
     choose_params,
     embedding_basis,
     full_rank_completion,
@@ -563,7 +564,7 @@ def test_svp_gauge_ranks_like_the_rational_form(case):
     basis, body = case
     den = lcm(*(a.denominator for row in body.a for a in row))
     form = [[int(den * a) for a in row] for row in body.a]
-    rows, _ = _reduce(basis.rows, form)
+    rows, _ = _reduce(_sparse(basis.rows), basis.dim, form)
     bound = min(body.quad_form(row) for row in rows)
     listing = relaxed_ellipsoid_ball(basis, body, bound)
     want = min((body.quad_form(p), p) for p in listing if any(p))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbl.core import Instance, Interval, Punctured
+from sbl.core import BudgetExceeded, Instance, Interval, Punctured
 from sbl.experiment import (
     BENCH_HEADER,
     ProbeConfig,
@@ -203,6 +203,23 @@ def test_probe_avg_solver_reproducible():
     assert r1.solver_success_freq == r2.solver_success_freq
     assert r1.guard_abort_freq == r2.guard_abort_freq
     assert set(r1.statuses) <= {"solved", "no_solution", "guard_abort"}
+
+
+def test_probe_avg_solver_runs_the_reference_only_when_unsolved():
+    """Every trial of this config solves within 7 points, while
+    meet-in-the-middle needs 7^3 half-candidates at n = 6, d = 3.  So a
+    budget of 10 passes, since no solved trial runs the reference; at
+    n = 4, d = 2 a trial without a solution still runs it and overruns
+    a budget of 10 (5^2 = 25 half-candidates)."""
+    cfg = ProbeConfig(n=6, m_bound=1 << 12, d=3, trials=6, seed=13, tau=7)
+    report = probe_avg_solver(cfg, budget=10)
+    assert report.statuses == ("solved",) * 6
+    assert report.solver_success_freq == 1
+    unsolved = ProbeConfig(n=4, m_bound=4 ** 4, d=2, trials=1, seed=13,
+                           tau=5)
+    assert probe_avg_solver(unsolved).statuses == ("no_solution",)
+    with pytest.raises(BudgetExceeded, match="^5\\^2 half-candidates"):
+        probe_avg_solver(unsolved, budget=10)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,19 @@ from hypothesis import strategies as st
 
 from sbl.core import Box, dot, linf
 from sbl.enumeration import prepare
-from sbl.lattice import (LatticeBasis, embedding_basis, choose_params,
-                         full_rank_completion, kernel_basis)
+from sbl.lattice import (LatticeBasis, _sparse, embedding_basis,
+                         choose_params, full_rank_completion, kernel_basis)
 from sbl.reduction import _reduce, lll_reduce, lll_threshold
 
 from reference import gram_schmidt, mat_det, mat_solve, reduce_reference
 from test_enumeration import _forms
 from test_golden import KERNELS
+
+
+def _reduce_dense(basis, form=None, box=None):
+    """_reduce on a LatticeBasis, its dense rows passed as _reduce reads
+    them (_sparse)."""
+    return _reduce(_sparse(basis.rows), basis.dim, form, box)
 
 
 def _gram(rows):
@@ -155,7 +161,7 @@ def test_integral_gso_matches_the_rational_one(basis):
     """The reducer's lambda/D data at exit is the integral form of the
     rational Gram-Schmidt data of its output rows:
     D[i+1] / D[i] = |b*_i|^2 and lam[i][j] = mu_ij D[j+1]."""
-    rows, (dets, lam) = _reduce(basis.rows)
+    rows, (dets, lam) = _reduce_dense(basis)
     gso = gram_schmidt(LatticeBasis(rows, basis.dim))
     assert dets[0] == 1 and len(dets) == len(rows) + 1
     for i, b2 in enumerate(gso.b_star_sq):
@@ -170,7 +176,7 @@ def test_reduced_basis_carries_its_integral_gso(basis):
     output rows, so preparing needs no second pass; lll_reduce returns rows
     only, with nothing beside them in the basis's value."""
     red = lll_reduce(basis)
-    rows, gso = _reduce(basis.rows)
+    rows, gso = _reduce_dense(basis)
     assert rows == red.rows
     assert (prepare(basis).gram_det, prepare(basis).lam) == gso
     assert red == LatticeBasis(red.rows, red.dim)
@@ -232,7 +238,7 @@ def test_the_reducer_reduces_under_an_integral_form(case):
     size-reduced and Lovasz-reduced under F, stated in those integers."""
     basis, form = case
     ip = _form_ip(form)
-    rows, (dets, lam) = _reduce(basis.rows, form)
+    rows, (dets, lam) = _reduce_dense(basis, form)
     assert _same_lattice(basis, LatticeBasis(rows, basis.dim))
     gram = [[Fraction(ip(a, b)) for b in rows] for a in rows]
     mu, sqs = _gram_gso(gram)
@@ -271,6 +277,26 @@ def _dense_bases(draw):
 
 
 @st.composite
+def _weights_with_zeros(draw):
+    """_weights with at least one entry set to 0 and one left nonzero, so
+    the kernel basis has a row whose only nonzero is its own column."""
+    x = draw(_weights())
+    keep = draw(st.sampled_from([i for i, v in enumerate(x) if v]))
+    zeros = draw(st.sets(st.sampled_from([i for i in range(len(x))
+                                          if i != keep]), min_size=1))
+    return [0 if i in zeros else v for i, v in enumerate(x)]
+
+
+@st.composite
+def _zero_column_bases(draw):
+    """_dense_bases of dimension 1 or more with one column all zeros."""
+    basis = draw(_dense_bases().filter(lambda b: b.dim))
+    c = draw(st.integers(0, basis.dim - 1))
+    rows = tuple(r[:c] + (0,) + r[c + 1:] for r in basis.rows)
+    return LatticeBasis(rows, basis.dim)
+
+
+@st.composite
 def _embeddings(draw):
     """embedding_basis of _weights under every choose_params mode."""
     x = draw(_weights())
@@ -283,19 +309,22 @@ def _embeddings(draw):
 
 @st.composite
 def _reducer_inputs(draw):
-    """A basis from one of the reducer's callers and either no form or an
-    integral gauge form L A of its dimension (_forms)."""
+    """A basis from one of the reducer's callers, or with an all-zero
+    column, and either no form or an integral gauge form L A of its
+    dimension (_forms)."""
     basis = draw(st.one_of(
         _dense_bases(),
+        _zero_column_bases(),
         _weights().map(kernel_basis),
+        _weights_with_zeros().map(kernel_basis),
         _embeddings(),
         st.tuples(_weights(), st.integers(1, 5))
         .map(lambda a: full_rank_completion(a[0], Box(a[1]))[0])))
     if basis.dim == 0 or not draw(st.booleans()):
-        return basis.rows, None
+        return basis, None
     body = draw(_forms(basis.dim))
     den = lcm(*(a.denominator for row in body.a for a in row))
-    return basis.rows, [[int(den * a) for a in row] for row in body.a]
+    return basis, [[int(den * a) for a in row] for row in body.a]
 
 
 def _outcome(reduce, *args):
@@ -306,7 +335,12 @@ def _outcome(reduce, *args):
 
 
 @given(_reducer_inputs())
-@example((((1, 0), (1000, 1)), [[1, -1000], [-1000, 1000001]]))
+@example((LatticeBasis(((1, 0), (1000, 1)), 2),
+          [[1, -1000], [-1000, 1000001]]))
+@example((LatticeBasis(((0, 2, 0), (0, 3, 5)), 3), None))
+@example((LatticeBasis(((0, 2, 0), (0, 3, 5)), 3),
+          [[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+@example((kernel_basis((0, 4, 0, -6)), None))
 @settings(max_examples=300, deadline=None)
 def test_reducer_matches_the_reference(case):
     """The reducer swaps, size-reduces and returns exactly as Cohen's
@@ -314,23 +348,27 @@ def test_reducer_matches_the_reference(case):
     (reference.reduce_reference): the same (rows, (D, lam)), or the same
     ValueError on dependent rows, with and without a form.  The example's
     rows have F-value 1, and the reduced row (1000, 1) still unpacks: the
-    packing width allows for F's least eigenvalue."""
-    rows, form = case
+    packing width allows for F's least eigenvalue.  The other examples
+    have an all-zero column, which F moves into the rows' starts, and a
+    kernel basis of x with zeros, whose rows for them are unit vectors."""
+    basis, form = case
     ip = dot if form is None else _form_ip(form)
-    assert (_outcome(_reduce, rows, form)
-            == _outcome(reduce_reference, rows, ip))
+    assert (_outcome(_reduce_dense, basis, form)
+            == _outcome(reduce_reference, basis.rows, ip))
 
 
 @given(_reducer_inputs(), st.integers(0, 10**6), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_a_stopped_reduction_returns_the_first_row_0_that_fits(case, pick,
                                                                tight):
-    """With a stop, the reducer returns row 0 at the first of the reference
-    run's states on which the stop holds (the input's row 0, or row 0
-    after a swap of rows 0 and 1), else the output's row 0, with and
-    without a form.  The box's bound is a state's sup norm, or one less,
-    so the stop falls on the input, on a swap or on no state."""
-    rows, form = case
+    """Given a box bound, the reducer returns row 0 at the first of the
+    reference run's states that lies in the box (the input's row 0, or row
+    0 after a swap of rows 0 and 1), else the output's row 0, with and
+    without a form.  The bound is a state's sup norm, or one less, so the
+    stop falls on the input, on a swap or on no state; the D[1] pre-test
+    must pass every state that fits."""
+    basis, form = case
+    rows = basis.rows
     assume(rows)
     ip = dot if form is None else _form_ip(form)
     firsts: list = []
@@ -340,7 +378,7 @@ def test_a_stopped_reduction_returns_the_first_row_0_that_fits(case, pick,
         assume(False)
     bound = linf(firsts[pick % len(firsts)]) - tight
     want = next((r for r in firsts if linf(r) <= bound), firsts[-1])
-    assert _reduce(rows, form, lambda r: linf(r) <= bound) == want
+    assert _reduce_dense(basis, form, bound) == want
 
 
 @pytest.mark.parametrize("case_id, inst", KERNELS)
@@ -350,7 +388,7 @@ def test_the_full_reducer_on_the_golden_kernels(case_id, inst):
     the same rows and the same (D, lam)."""
     basis = kernel_basis(inst.x)
     want = reduce_reference(basis.rows)
-    assert _reduce(basis.rows) == want
+    assert _reduce_dense(basis) == want
     assert lll_reduce(basis).rows == want[0]
 
 

@@ -32,6 +32,8 @@ from sbl.core import (
 from sbl.oracle import brute_force_solve, mitm_solve
 from sbl.lattice import (
     LatticeBasis,
+    _dense,
+    _kernel_rows,
     choose_params,
     embedding_basis,
     interval_shift_target,
@@ -77,7 +79,7 @@ from sbl.solve import (
 )
 
 from reference import (ball_walk, first_fit_reference, gs_coords,
-                       holder_walk, reduce_reference)
+                       holder_walk, kernel_basis_reference, reduce_reference)
 from test_golden import _least_threshold_d
 
 
@@ -259,6 +261,26 @@ def test_sbp_lll_witness_is_the_first_row_0_that_fits(case):
     assert solve_sbp_lll(x, d).witness == want
     inst = Instance(x, Interval(-d, d))
     assert solve_instance(inst, "balancing").witness == want
+
+
+@given(_threshold_cases())
+@example(((0, 7), _least_threshold_d((0, 7))))
+@example(((-4, 6), 4 * _least_threshold_d((-4, 6))))
+@example(((0, 9, 0, -15, 6), _least_threshold_d((0, 9, 0, -15, 6))))
+@settings(max_examples=150, deadline=None)
+def test_sbp_lll_matches_the_dense_kernel_reference(case):
+    """The lll engine's sparse kernel rows (lattice._kernel_rows) densify
+    to exactly the rows of the package-independent dense-transform
+    kernel (reference.kernel_basis_reference), and its witness is row 0 of
+    Cohen's LLL on those rows at its first state in [-d, d]^n.  The
+    examples have n = 2, zeros (their kernel rows are unit vectors) and a
+    common factor."""
+    x, d = case
+    want = kernel_basis_reference(x).rows
+    rows = _kernel_rows(x)
+    assert all(all(r.values()) for r in rows)
+    assert tuple(_dense(r, len(x)) for r in rows) == want
+    assert solve_sbp_lll(x, d).witness == first_fit_reference(want, d)
 
 
 @pytest.mark.parametrize("x, d, at", _STOPS)

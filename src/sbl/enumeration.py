@@ -624,11 +624,10 @@ def _cvp_target(basis: Lattice, target) -> _Target:
     lattice: its common denominator, scaled point and frame."""
     if basis.rank == 0:
         raise ValueError("empty lattice")
-    lat = prepare(basis)
-    den, scaled = _scaled(target)
-    if len(scaled) != lat.dim:
+    t = _Target.of(prepare(basis), target)
+    if len(t.scaled) != t.lat.dim:
         raise ValueError("target dimension does not match the basis")
-    return _Target(lat, den, scaled, lat._frame(scaled))
+    return t
 
 
 def _cvp_core(t: _Target, cap, budget: Budget) -> CvpResult:

@@ -19,9 +19,7 @@ true distance can only be the next grid value up.
 solve_instance is the one place that maps a mode, a coefficient set and
 an engine name to a solver; the command line, probes and benchmarks all
 go through it.  Every walk of a solve draws on its one core.Budget, whose
-charged count a caller that passes it reads; the one exception is the
-punctured sweep's certificate walk, which visits no point when it
-decides and charges a private Budget (see solve_gss_punctured).
+charged count a caller that passes it reads.
 """
 
 from __future__ import annotations
@@ -371,24 +369,46 @@ def solve_gss_interval(
     return Verdict.solved(c)
 
 
-class _Occupied(Exception):
-    """Raised by _holds_no_point's visitor at the first point."""
+def _first_pattern(lat, head: int, den: int, h: int, limit: int,
+                   budget: Budget):
+    """The sign sweep of solve_gss_punctured: (signs, g, p) for the first
+    pattern, -1 before +1, whose sup ball of limit limit around (head,
+    h s_1, ..., h s_n) on the denominator den holds a lattice point, with
+    the least (g, p) there, g its scaled sup distance; None when no ball
+    holds one.
 
-
-def _occupied(_p) -> int:
-    raise _Occupied
-
-
-def _holds_no_point(t: _Target, lim: int, most: int) -> bool:
-    """Whether the sup ball of limit lim around t (see _walk) holds no
-    lattice point: a walk that ends at its first point, charged to a
-    private Budget of most points, at least what the ball holds, so it
-    never raises BudgetExceeded."""
-    try:
-        _walk(t, _occupied, Budget(most), lim)
-    except _Occupied:
-        return False
-    return True
+    The frame is linear, so a sign flip adds +-2h frame(e_i), about two
+    flips per pattern in this order, and frame(e_l) is column l of the
+    lattice's vectors gram_det[i] b*_i (PreparedLattice._stars), which the
+    sup walk needs anyway.  The embedding lattice has full rank, so the
+    walk's top-level range test at the limit is set up once
+    (enumeration._top_test), and a pattern it rejects costs two floor
+    divisions.  Any other pattern runs the sup walk at that limit.  No
+    pattern rounds with Babai, and a rejection builds no Fraction."""
+    _check(lat.rank == lat.dim,
+           "a shared top-level test on a rank-deficient lattice")
+    n = lat.dim - 1
+    stars = lat._stars
+    empty = _top_test(lat, den, limit)
+    units = list(zip(*stars))[1:]
+    ups = [[2 * h * u for u in unit] for unit in units]
+    downs = [[-v for v in up] for up in ups]
+    # frame = frame(base + h * last), starting at the all -1 pattern
+    frame = [head * b[0] - h * sum(b[1:]) for b in stars]
+    last = (-1,) * n
+    for signs in product((-1, 1), repeat=n):
+        for i in range(n):
+            if signs[i] != last[i]:
+                frame = list(map(add, frame,
+                                 ups[i] if signs[i] > 0 else downs[i]))
+        last = signs
+        if not empty(frame):
+            scaled = (head,) + tuple(h * s for s in signs)
+            best = _sup_search(_Target(lat, den, scaled, frame), limit,
+                               budget)
+            if best is not None:
+                return (signs,) + best
+    return None
 
 
 def solve_gss_punctured(
@@ -397,54 +417,36 @@ def solve_gss_punctured(
     d: int,
     budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
-    """c.x = tau with 1 <= |c_i| <= d, via one gap decision per sign
-    pattern.
+    """c.x = tau with 1 <= |c_i| <= d, the paper's reduction: one gap
+    decision per sign pattern.
 
     Pattern s centers coordinate i on s_i (d+1)/2 with radius (d-1)/2, so
     a hit is exactly a coefficient vector of signs s.  Patterns run in
-    lexicographic order with -1 before +1; the first acceptance wins.
-    Realized accepted distances land on the integers for odd d and on
-    integers plus one half for even d, which is what makes the radius
-    decision exact.
+    lexicographic order with -1 before +1; the first acceptance wins, with
+    the capped search's witness, the least (sup distance, point) in its
+    ball.  Realized accepted distances land on the integers for odd d and
+    on integers plus one half for even d, which is what makes the radius
+    decision exact.  On their common denominator den (1 for odd d, 2 for
+    even d) the targets are base + h * sum s_i e_i with h = den (d+1) / 2.
 
-    Every pattern is the gap decision of capped_cvp_oracle(radius), run on
-    integer data set up once per solve.  On their common denominator den
-    (1 for odd d, 2 for even d) the targets are base + h * sum s_i e_i
-    with h = den (d+1) / 2, and the Gram-Schmidt frame is linear, so a
-    sign flip adds +-2h frame(e_i), about two flips per pattern in this
-    order.  The frame of a unit vector e_l is column l of the lattice's
-    vectors gram_det[i] b*_i (PreparedLattice._stars), which the sup walk
-    needs anyway, so the base frame and every frame(e_i) are read off
-    them.  The embedding lattice has full rank, so the walk's top-level
-    range test at the limit floor(radius * den) is set up once
-    (enumeration._top_test), and a pattern it rejects costs two floor
-    divisions.  Any other pattern runs the sup walk at that limit, which
-    visits only points within the radius and keeps the nearest one, the
-    capped search's witness: a pattern whose walk visits nothing is
-    rejected, and one whose walk finds a point builds its target and
-    passes gap_decide's checks on that point, then the sign check and
-    verify_solution.  Neither path rounds with Babai, and a rejection
-    builds no Fraction.  The walks of one solve draw on its one Budget.
+    Where the box holds no more coefficient vectors than c.x has values,
+    (2d+1)^n <= 2 d sum|x_i| + 1, one sup walk gives the sweep's verdict.
+    The sup ball of radius d around (alpha tau, 0, ..., 0) holds exactly
+    the lattice points (alpha tau, c) with c in [-d, d]^n and c.x = tau
+    (alpha exceeds d, and q every |c.x - tau|), and pattern s's ball holds
+    exactly those of them with no zero coordinate and signs s, at scaled
+    sup distance max_i |den |c_i| - h|.  So the sweep's witness is the
+    least zero-free point of that ball by (signs, that distance, point),
+    which the walk's visitor keeps, and a walk that keeps none gives the
+    sweep's no_solution.  The walk charges the solve's Budget with every
+    point of the ball, those with a zero coordinate too.
 
-    Before the sweep, one certificate walk may reject every pattern at
-    once.  On the same den, the sup ball of radius d around (alpha tau,
-    0, ..., 0) holds exactly the lattice points (alpha tau, c) with c in
-    [-d, d]^n and c.x = tau (alpha exceeds d, and q every |c.x - tau|),
-    and every pattern's ball lies inside it.  Its frame is head = den
-    alpha tau times column 0 of the stars and its limit is d den, so it
-    shares the lattice's walk plan with the pattern walks.  A walk of it
-    that ends at its first point and visits none proves that every
-    pattern would be rejected, and the solve returns the sweep's
-    no_solution verdict.  Otherwise the sweep runs as it would have, and
-    it is the only source of witnesses.  The walk runs only where the box
-    holds no more coefficient vectors than c.x has values, (2d+1)^n <=
-    2 d sum|x_i| + 1; on a denser box (x below 60 at n = 10 or 12, say)
-    the walk can take seconds where the sweep's top-level tests reject
-    every pattern in milliseconds.  The walk
-    charges a private Budget, never the solve's: a certificate visits no
-    point, and a walk that finds one stops within one level-0 range, so
-    the solve's charged count and every BudgetExceeded it raises are the
-    sweep's.
+    On a denser box (x below 60 at n = 10 or 12, say) that walk can take
+    seconds where the sign sweep (_first_pattern) takes milliseconds, so
+    the sweep runs there, its walks drawing on the solve's Budget too.
+    Either way a witness builds its pattern's target and passes
+    gap_decide's checks on its point, then the sign check and
+    verify_solution.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -465,44 +467,30 @@ def solve_gss_punctured(
     radius = Fraction(d - 1, 2)
     den = 1 if d % 2 == 1 else 2
     h = den * (d + 1) // 2
-    head = den * params.alpha * tau
-    limit = radius.numerator * den // radius.denominator
-    _check(lat.rank == lat.dim,
-           "a shared top-level test on a rank-deficient lattice")
-    # frame(e_l) is column l of the stars
-    stars = lat._stars
-    box = (2 * d + 1) ** n
-    if box <= 2 * d * sum(map(abs, xs)) + 1 and _holds_no_point(
-            _Target(lat, den, (head,) + (0,) * n,
-                    [head * b[0] for b in stars]), d * den, box):
-        return Verdict.no_solution("every sign pattern rejected")
-    empty = _top_test(lat, den, limit)
-    units = list(zip(*stars))[1:]
-    ups = [[2 * h * u for u in unit] for unit in units]
-    downs = [[-v for v in up] for up in ups]
-    # frame = frame(base + h * last), starting at the all -1 pattern
-    frame = [head * b[0] - h * sum(b[1:]) for b in stars]
-    last = (-1,) * n
-    best = None
-    for signs in product((-1, 1), repeat=n):
-        for i in range(n):
-            if signs[i] != last[i]:
-                frame = list(map(add, frame,
-                                 ups[i] if signs[i] > 0 else downs[i]))
-        last = signs
-        if not empty(frame):
-            scaled = (head,) + tuple(h * s for s in signs)
-            best = _sup_search(_Target(lat, den, scaled, frame), limit,
-                               budget)
-            if best is not None:
-                break
+    if (2 * d + 1) ** n <= 2 * d * sum(map(abs, xs)) + 1:
+        best = None
+
+        def keep(v) -> int:
+            nonlocal best
+            c = v[1:]
+            if all(c):
+                key = (tuple(1 if a > 0 else -1 for a in c),
+                       max(abs(den * abs(a) - h) for a in c), v)
+                if best is None or key < best:
+                    best = key
+            return d
+
+        _walk(_Target.of(lat, params.target), keep, budget, d)
+    else:
+        best = _first_pattern(lat, den * params.alpha * tau, den, h,
+                              (d - 1) * den // 2, budget)
     if best is None:
         return Verdict.no_solution("every sign pattern rejected")
-    # gap_decide's checks, on the point the walk found
+    signs, g, p = best
+    # gap_decide's checks, on the point found
     target, r = sign_pattern_target(tau, params.alpha, d, signs)
     _check(r == radius, "sign pattern radius")
-    found = ApproxCvpOracle(Fraction(1),
-                            lambda _b, _t: (best[1], Fraction(best[0], den)))
+    found = ApproxCvpOracle(Fraction(1), lambda _b, _t: (p, Fraction(g, den)))
     gv = gap_decide(found, lat, target, r, grid)
     _check(gv.accept, "the gap decision rejects a vector within r")
     c = gv.vector[1:]
@@ -684,14 +672,11 @@ def solve_instance(
     """Solve inst in mode "balancing" (nonzero c with c.x = 0) or "gss"
     (c.x = tau) with the named engine from ENGINES.
 
-    auto takes the reduction for the coefficient set: a punctured set runs
-    one gap decision per sign pattern in either mode, after one sup walk
-    of the box [-d, d]^n that, when it finds no c with c.x = tau, rejects
-    every pattern at once.  That walk runs only when the box holds no
-    more vectors than c.x has values, (2d+1)^n <= 2 d sum|x_i| + 1, and
-    charges a private Budget, so the budget passed here is charged what
-    the sweep charges and overruns where the sweep does (see
-    solve_gss_punctured).  Balancing over [-d, d] or a box is one SVP
+    auto takes the reduction for the coefficient set: a punctured set, in
+    either mode, gets the verdict of one gap decision per sign pattern,
+    from one sup walk of the box [-d, d]^n where the box holds no more
+    vectors than c.x has values, (2d+1)^n <= 2 d sum|x_i| + 1, and from
+    the sign sweep elsewhere (see solve_gss_punctured).  Balancing over [-d, d] or a box is one SVP
     call, or solve_sbp_lll's first reduced row once d clears
     lll_threshold, which solve_sbp_lll alone evaluates; over an
     ellipsoid it is a gauge SVP, and an asymmetric interval goes to

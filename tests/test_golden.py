@@ -6,10 +6,12 @@ asymmetric intervals, punctured intervals, boxes, ellipsoids), with tau
 zero and nonzero, with and without m_bound, at n = 1, with a zero weight,
 on meet in the middle's zero rule and at a bound meeting the LLL
 threshold, under every --mode and every --engine, plus --nonzero and an
-exhausted --budget.  A second set runs the
-punctured sign-pattern sweep (n in {5, 6}, d from 2 to 5, weights below
-2^20, rejections and solved cases, a rejection under budgets it fits
-and a solved case under one it exhausts).  A third set runs balancing
+exhausted --budget.  A second set runs punctured gss (n in {5, 6}, d
+from 2 to 5, weights below 2^20, rejections and solved cases, each
+decided by one walk of the box ball, then mixed small and large weights,
+some dense enough for the sign-pattern sweep), with budgets the walk
+exhausts, a solved sweep under one it exhausts and rejections under
+budgets of 10 and 1 that they fit.  A third set runs balancing
 (--mode sbp) on the diagonal ellipsoids of perfbench's ball-dense cell
 (n = 6, weights below 100, semi-axes 2 and 3) and on a tighter body with
 semi-axes 1 and 2, solved and no_solution.  A fourth set balances 64-bit
@@ -21,7 +23,9 @@ test_reduction.py).  It also freezes the `bench` CSV (wall-clock column dropped)
 suites and the `probe` JSON of each solver choice.  A refactor that keeps
 this test passing keeps every verdict byte.
 
-Regenerate the data only when a change of output is intended:
+Regenerate the data only when a change of output is intended, by running
+the file with no arguments (any argument but `--diff OLD_JSON` prints a
+usage line and exits 1, leaving the data alone):
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -97,9 +101,11 @@ CORPUS = (
     ("lll-threshold", Instance((18, 18, 27), Interval(-2, 2))),
 )
 
-# punctured gss sweeps: random weights below 2^20 with a random tau
-# (rejected) or the sum of a planted coefficient vector (solved), then
-# mixed small and large weights, whose sign-pattern balls hold points
+# punctured gss: random weights below 2^20 with a random tau (rejected) or
+# the sum of a planted coefficient vector (solved), each decided by one
+# walk of its box ball, then mixed small and large weights, whose
+# sign-pattern balls hold points; the last of these is walked too, and the
+# boxes of the other three are dense enough for the sweep
 SWEEPS = (
     ("sweep-n5-d2-reject",
      Instance((421301, 690939, 133735, 959095, 242387), Punctured(2),
@@ -158,6 +164,11 @@ SWEEPS = (
     ("sweep-mixed-n6-d5-reject",
      Instance((35, 734441, 23, 15, 28, 5), Punctured(5), tau=-96)),
 )
+
+# a box too dense for the box ball's walk, (2d+1)^n > 2 d sum|x_i| + 1, so
+# the sign sweep runs: even weights and an odd tau, rejected
+DENSE_REJECT = Instance((18, 2, 2, 44, 18, 18, 8, 6, 42, 8, 42, 28),
+                        Punctured(2), tau=41)
 
 
 def _axes(n: int, a: int, b: int) -> Ellipsoid:
@@ -262,9 +273,12 @@ def cases():
         out.append((name, ["solve", INSTANCE], serialize_instance(inst)))
     last = serialize_instance(SWEEPS[-1][1])
     out.append(("sweep-mode-sbp", ["solve", INSTANCE, "--mode", "sbp"], last))
-    # a rejected sweep visits no point, so these two records answer; the
-    # third, a solved sweep whose accepting walk visits 17 points, keeps
-    # the exit-4 path covered
+    # the last sweep is decided by one walk of its box ball, which holds
+    # 311 points, each with a zero coordinate, so its first two records
+    # exhaust their budgets; the third is a dense box whose sign sweep
+    # solves, its accepting pattern's walk visiting 17 points.  The last two
+    # answer under tiny budgets: a dense box whose sweep visits no point
+    # and a box ball that holds none
     out.append(("sweep-budget-exhausted",
                 ["solve", INSTANCE, "--budget", "30"], last))
     out.append(("sweep-budget-exhausted-10",
@@ -272,6 +286,12 @@ def cases():
     out.append(("sweep-solved-budget-exhausted-10",
                 ["solve", INSTANCE, "--budget", "10"],
                 serialize_instance(SWEEPS[-2][1])))
+    out.append(("sweep-dense-reject-budget-10",
+                ["solve", INSTANCE, "--budget", "10"],
+                serialize_instance(DENSE_REJECT)))
+    out.append(("sweep-n5-d2-reject-budget-1",
+                ["solve", INSTANCE, "--budget", "1"],
+                serialize_instance(SWEEPS[0][1])))
     for name, inst in ELLIPSOIDS:
         out.append((name, ["solve", INSTANCE, "--mode", "sbp"],
                     serialize_instance(inst)))
@@ -369,7 +389,10 @@ def diff(old_path) -> None:
 if __name__ == "__main__":
     import sys
 
-    if sys.argv[1:2] == ["--diff"]:
-        diff(sys.argv[2])
-    else:
+    args = sys.argv[1:]
+    if not args:
         regenerate()
+    elif len(args) == 2 and args[0] == "--diff":
+        diff(args[1])
+    else:
+        sys.exit("usage: python tests/test_golden.py [--diff OLD_JSON]")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -564,11 +565,17 @@ def _count_patterns(monkeypatch):
 
 
 def test_gss_punctured_stats(monkeypatch):
+    """x = (2, 3), d = 1: the box holds 9 vectors, no more than c.x has
+    values, so one walk of its ball decides, with no sign pattern tried,
+    and charges its one point c = (-1, 1)."""
+    assert _walks_the_box((2, 3), 1)
+    walks = _count_calls(monkeypatch, sbl.enumeration._walk)
     tried = _count_patterns(monkeypatch)
     budget = Budget()
-    solve_gss_punctured((2, 3), 1, 1, budget)
-    assert len(tried) >= 1
-    assert budget.charged >= 0
+    v = solve_gss_punctured((2, 3), 1, 1, budget)
+    assert v == Verdict.solved((-1, 1))
+    assert (len(walks), len(tried), budget.charged) == (
+        1, 0, _box_points((2, 3), 1, 1))
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
@@ -602,25 +609,34 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
-def _certified(xs, d) -> bool:
-    """Whether a punctured solve runs its certificate walk: the box
-    [-d, d]^n holds no more vectors than c.x has values."""
+def _walks_the_box(xs, d) -> bool:
+    """Whether a punctured solve decides by one walk of the box ball: the
+    box [-d, d]^n holds no more vectors than c.x has values."""
     return (2 * d + 1) ** len(xs) <= 2 * d * sum(map(abs, xs)) + 1
 
 
-def _rejected_patterns(xs, tau, d) -> int:
-    """The sign patterns a no-solution punctured solve tries: none when the
-    certificate walk runs and the box [-d, d]^n holds no c with c.x = tau
-    (meet in the middle decides that), else all 2^n."""
-    box = mitm_solve(Instance(xs, Interval(-d, d), tau=tau), "gss")
-    if _certified(xs, d) and box.status == "no_solution":
-        return 0
-    return 2 ** len(xs)
+def _rejected_patterns(xs, d) -> int:
+    """The sign patterns a no-solution punctured solve tries: none when one
+    walk of the box ball decides, else all 2^n."""
+    return 0 if _walks_the_box(xs, d) else 2 ** len(xs)
 
 
-# the first two are certified with no pattern tried; the last has even x
-# and an odd tau, and its box is too dense for the certificate walk, so
-# the sweep tries all 32 patterns
+def _box_points(xs, tau, d) -> int:
+    """#{c in [-d, d]^n : c.x = tau}, counted by listing every c of each
+    half of the coordinates and pairing the two halves' sums."""
+    k = len(xs) // 2
+
+    def sums(part):
+        return Counter(dot(c, part)
+                       for c in product(range(-d, d + 1), repeat=len(part)))
+
+    right = sums(xs[k:])
+    return sum(m * right[tau - s] for s, m in sums(xs[:k]).items())
+
+
+# the first two are decided by one walk with no pattern tried; the last has
+# even x and an odd tau, and its box is too dense for that walk, so the
+# sweep tries all 32 patterns
 @pytest.mark.parametrize("x, tau", [
     ((499047, 273516, 775852, 994162, 137423), 55),
     ((812874, 895347, 828298, 932437, 281331, 766550), -76),
@@ -645,8 +661,7 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
         return frame(self, scaled)
 
     monkeypatch.setattr(PreparedLattice, "_frame", counted_frame)
-    tried = _rejected_patterns(x, tau, 2)
-    assert tried == (0 if _certified(x, 2) else 2 ** len(x))
+    tried = _rejected_patterns(x, 2)
     patterns = _count_patterns(monkeypatch)
     v = solve_gss_punctured(x, tau, 2)
     assert v.status == "no_solution"
@@ -661,13 +676,16 @@ def test_gss_punctured_prepares_the_lattice_once(monkeypatch, x, tau):
     assert len(gso_calls) >= before + 1
 
 
-# two no-solution instances with 64 sign patterns and the points their
-# Euclidean cap balls hold.  Both run the certificate walk: the first box
-# holds no c with c.x = tau, so no pattern is tried; the second holds some
-# with c_2 = 0 but no punctured one, so the sweep tries all 64
+# three no-solution instances and the points their sign patterns'
+# Euclidean cap balls hold.  One walk of the box ball decides the first
+# two with no pattern tried: the first box holds no c with c.x = tau, the
+# second some with c_2 = 0 but no punctured one.  The box of the third is
+# too dense for that walk (c_5 would need to be a multiple of 6), so the
+# sweep tries all 32 patterns
 _REJECTED_SWEEPS = [
     ((817970, 32519, 863577, 907572, 282520, 495714), 52, 3, 0),
     ((35, 734441, 23, 15, 28, 5), -96, 5, 1155),
+    ((12, 6, -24, -12, 1), -36, 3, 32),
 ]
 
 
@@ -704,11 +722,13 @@ def _counted_rounds(monkeypatch):
 @pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
 def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
                                                          tau, d, points):
-    """The points charged are those of a sweep that walks every pattern's
-    sup ball at the cap, and fewer targets are rounded with Babai than
-    patterns are tried; a certified solve tries none and rounds none."""
-    tried = _rejected_patterns(x, tau, d)
-    want = (tried, _swept_points(x, tau, d, points))
+    """The points charged are those of the box ball where one walk of it
+    decides, with no pattern tried and no target rounded with Babai;
+    elsewhere they are those of a sweep that walks every pattern's sup ball
+    at the cap, and fewer targets are rounded than patterns are tried."""
+    tried = _rejected_patterns(x, d)
+    swept = _swept_points(x, tau, d, points)
+    want = (tried, _box_points(x, tau, d) if _walks_the_box(x, d) else swept)
     rounds = _counted_rounds(monkeypatch)
     patterns = _count_patterns(monkeypatch)
     budget = Budget()
@@ -724,11 +744,12 @@ def test_gss_punctured_rounds_fewer_targets_than_it_tries(monkeypatch, x,
 @pytest.mark.parametrize("x, tau, d, points", _REJECTED_SWEEPS)
 def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
                                                 points):
-    """The sweep's walks visit only points within the cap, so a rejected
-    pattern costs no point, though the patterns' Euclidean cap balls hold
-    points, and no pattern rounds with Babai."""
-    assert _certified(x, d)
-    tried = _rejected_patterns(x, tau, d)
+    """No target is rounded with Babai.  One walk of the box ball decides
+    where it runs, charged the box ball's points, those with a zero
+    coordinate too.  Elsewhere the sweep's walks visit only points within
+    the cap, so a rejected pattern costs no point, though the patterns'
+    Euclidean cap balls hold points."""
+    tried = _rejected_patterns(x, d)
     assert _swept_points(x, tau, d, points) == 0
     rounds = _counted_rounds(monkeypatch)
     walks = _count_calls(monkeypatch, sbl.enumeration._walk)
@@ -736,15 +757,14 @@ def test_gss_punctured_rejects_without_rounding(monkeypatch, x, tau, d,
     budget = Budget()
     v = solve_gss_punctured(x, tau, d, budget)
     assert v.status == "no_solution"
-    assert (len(patterns), budget.charged) == (tried, 0)
     assert len(rounds) == 0
     if tried:
-        # the certificate walk finds a point, some patterns pass the
-        # top-level test, and their walks visit none
-        assert len(walks) > 1
+        # some patterns pass the top-level test, and their walks visit none
+        assert (len(patterns), budget.charged) == (tried, 0)
+        assert len(walks) >= 1
     else:
-        # the certificate walk alone, visiting nothing
-        assert len(walks) == 1
+        assert (len(walks), len(patterns), budget.charged) == (
+            1, 0, _box_points(x, tau, d))
 
 
 def _reference_sweep(xs, tau, d):
@@ -774,14 +794,14 @@ def _outcome(solve):
 
 @st.composite
 def _punctured_cases(draw):
-    """Cases on both sides of the certificate walk's guard (_certified):
-    x with zeros, negative entries and, on the certified side, mixed
-    magnitudes; n from 1 to 6 and d from 1 to 5; tau zero, small, wide or
-    planted as c.x for a punctured c; the default budget or one from 0 to
-    6."""
-    certified = draw(st.booleans())
+    """Cases on both sides of the guard of the box ball's walk
+    (_walks_the_box): x with zeros, negative entries and, on the walked
+    side, mixed magnitudes; n from 1 to 6 and d from 1 to 5; tau zero,
+    small, wide or planted as c.x for a punctured c; the default budget or
+    one from 0 to 6."""
+    walked = draw(st.booleans())
     small = st.one_of(st.just(0), st.integers(-9, 9))
-    if certified:
+    if walked:
         n = draw(st.integers(1, 5))
         entry = st.one_of(small, st.integers(-2**20, 2**20))
     else:
@@ -789,7 +809,7 @@ def _punctured_cases(draw):
         entry = small
     xs = tuple(draw(st.lists(entry, min_size=n, max_size=n).filter(any)))
     d = draw(st.integers(1, 5))
-    assume(_certified(xs, d) == certified)
+    assume(_walks_the_box(xs, d) == walked)
     kind = draw(st.sampled_from(("zero", "small", "wide", "planted")))
     if kind == "zero":
         tau = 0
@@ -808,74 +828,88 @@ def _punctured_cases(draw):
 @given(_punctured_cases())
 @settings(max_examples=200, deadline=None)
 def test_gss_punctured_matches_the_gap_decision_loop(case):
-    """The sweep gives the verdict of the gap-decision loop.  It tries the
-    loop's patterns, or none where the certificate walk runs and the box
-    [-d, d]^n holds no c with c.x = tau.  Its walks visit points only on
-    the accepting pattern, so its one budget overruns exactly when that
-    walk visits more points than the budget holds, naming the one walk.
-    The verdict, the charged count and the overrun are those of the sweep
-    with no certificate."""
+    """The solve gives the verdict of the gap-decision loop on both sides
+    of the guard.  Where one walk of the box ball decides, it tries no
+    pattern and charges #{c in [-d, d]^n : c.x = tau}.  Elsewhere it tries
+    the loop's patterns, and its walks visit points only on the accepting
+    pattern.  Either way its one budget overruns, naming the ball, exactly
+    when the points charged exceed the budget."""
     xs, tau, d, budget = case
     want, want_tried = _reference_sweep(xs, tau, d)
-    if not _certified(xs, d):
-        event("no certificate walk")
-    elif want.status == "no_solution" and not _rejected_patterns(xs, tau, d):
-        event("certified")
-        want_tried = 0
-    else:
-        event("the certificate walk finds a point")
     meter = Budget()
     with pytest.MonkeyPatch.context() as mp:
         tried = _count_patterns(mp)
         full = solve_gss_punctured(xs, tau, d, meter)
     assert full == want
-    assert len(tried) == want_tried
     points = meter.charged
-    assert (points > 0) == (want.status == "solved")
+    if _walks_the_box(xs, d):
+        event(f"one walk, {want.status}, box ball "
+              f"{'empty' if not points else 'holds points'}")
+        assert (len(tried), points) == (0, _box_points(xs, tau, d))
+    else:
+        event("sweep")
+        assert len(tried) == want_tried
+        assert (points > 0) == (want.status == "solved")
     got = _outcome(lambda: solve_gss_punctured(xs, tau, d, budget))
     assert got == (full if points <= budget else
                    ("budget", f"ball holds more than {budget} points",
                     budget))
-    swept = Budget()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sbl.solve, "_holds_no_point", lambda *args: False)
-        assert solve_gss_punctured(xs, tau, d, swept) == full
-        assert swept.charged == points
-        assert _outcome(
-            lambda: solve_gss_punctured(xs, tau, d, budget)) == got
 
 
 def test_gss_punctured_dense_box_runs_the_sweep(monkeypatch):
     """n = 12, d = 2, even x below 60 and an odd tau: a parity obstruction
-    with 5^12 vectors in the box for at most 945 values of c.x.  The
-    certificate walk is not run there (on boxes this dense it can take
-    seconds), and the sweep's top-level tests reject all 4096 patterns."""
+    with 5^12 vectors in the box for at most 945 values of c.x.  The box
+    ball is not walked there (on boxes this dense that can take seconds).
+    The sweep tries all 4096 patterns; 2974 pass its top-level test, and
+    their walks visit no point."""
     x = (18, 2, 2, 44, 18, 18, 8, 6, 42, 8, 42, 28)
-    assert not _certified(x, 2)
-    walks = _count_calls(monkeypatch, sbl.solve._holds_no_point)
+    assert not _walks_the_box(x, 2)
+    walks = _count_calls(monkeypatch, sbl.enumeration._walk)
     patterns = _count_patterns(monkeypatch)
     budget = Budget()
     v = solve_gss_punctured(x, 41, 2, budget)
     assert v == Verdict.no_solution("every sign pattern rejected")
-    assert (len(walks), len(patterns), budget.charged) == (0, 2 ** 12, 0)
+    assert (len(walks), len(patterns), budget.charged) == (2974, 2 ** 12,
+                                                         0)
 
 
 def test_gss_punctured_certifies_a_sparse_n14_instance(monkeypatch):
     """x of 14 values below 2^40 and d = 2: the box holds 5^14 vectors,
-    fewer than c.x has values, and none sums to tau, so one certificate
-    walk decides the solve with no pattern tried and no point charged."""
+    fewer than c.x has values, and none sums to tau, so one walk of the
+    box ball decides the solve with no pattern tried and no point
+    charged."""
     s = trial_stream(7, 1)
     x = tuple(s.below(2**40) for _ in range(14))
     tau = 12345
-    assert _certified(x, 2)
+    assert _walks_the_box(x, 2)
     assert mitm_solve(Instance(x, Interval(-2, 2), tau=tau),
                       "gss").status == "no_solution"
-    walks = _count_calls(monkeypatch, sbl.solve._holds_no_point)
+    walks = _count_calls(monkeypatch, sbl.enumeration._walk)
     patterns = _count_patterns(monkeypatch)
     budget = Budget()
     v = solve_gss_punctured(x, tau, 2, budget)
     assert v == Verdict.no_solution("every sign pattern rejected")
     assert (len(walks), len(patterns), budget.charged) == (1, 0, 0)
+
+
+def test_gss_punctured_solves_a_planted_n16_instance_in_one_walk(
+        monkeypatch):
+    """x of 16 values below 2^40, d = 2 and tau = c.x for a planted
+    punctured c: the box holds 5^16 vectors, fewer than c.x has values, so
+    one walk of the box ball decides the solve and no sign pattern is
+    tried.  The walk charges every point of the ball; one point means the
+    planted c is the only c of the box with c.x = tau, so it is the
+    witness."""
+    s = trial_stream(7, 2)
+    x = tuple(s.below(2**40) for _ in range(16))
+    c = tuple((1 + s.below(2)) * (2 * s.below(2) - 1) for _ in range(16))
+    assert _walks_the_box(x, 2)
+    walks = _count_calls(monkeypatch, sbl.enumeration._walk)
+    patterns = _count_patterns(monkeypatch)
+    budget = Budget()
+    v = solve_gss_punctured(x, dot(c, x), 2, budget)
+    assert v == Verdict.solved(c)
+    assert (len(walks), len(patterns), budget.charged) == (1, 0, 1)
 
 
 @st.composite

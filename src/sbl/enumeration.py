@@ -37,17 +37,15 @@ first limit is free: the least sup norm of a reduced row, or the distance
 of Babai's vector, or the cap when it is lower, and found=False certifies
 that the answer exceeds the cap.
 
-cvp_inf checks its rational target and maps it to integers once: the
-common denominator, the scaled point and its frame.  An integer core then
-makes the walk's top-level range test at the cap, O(m) integer work
-against Babai's O(m^2), and rejects at once when that level is empty;
-otherwise it runs Babai rounding and the walk, and builds a Fraction only
-for a distance it returns.  Callers that ask several capped questions of
-one target, or that step through related targets, run the core on their
-own prepared center.  On a full-rank lattice no center pays a distance to
-the span, so one top-level test (_top_test) serves every center on one
-denominator: a sweep of capped questions sets it up once and walks only
-the centers it passes (see solve.solve_gss_punctured).
+cvp_inf checks its rational target and maps it to integers once
+(_Target.of): the common denominator, the scaled point and its frame.  It
+rounds that frame with Babai and walks, compares distances with the cap
+in integers, and builds a Fraction only for a distance it returns.  A
+caller that steps through related centers of one full-rank lattice, as
+the sign sweep of solve.solve_gss_punctured does, updates one frame and
+walks its own _Target: on such a lattice no center pays a distance to the
+span, so one top-level range test (_top_test) serves every center on one
+denominator, and the sweep walks only the centers it passes.
 
 svp_gauge walks an ellipsoid c A c^T <= 1 exactly, on the Gram-Schmidt
 data of rows reduced under its integral form F = L A (see svp_gauge).
@@ -232,31 +230,34 @@ Lattice = Union[LatticeBasis, PreparedLattice]
 class _Target:
     """A query center on a prepared lattice, in integers: the common
     denominator den, the point scaled by it, and its frame (see
-    PreparedLattice._frame), which is never changed.  Babai's vector and
-    its sup distance times den are computed on first use and kept, so
-    every search around one center rounds it once."""
+    PreparedLattice._frame), which is never changed."""
 
-    __slots__ = ("lat", "den", "scaled", "frame", "_babai")
+    __slots__ = ("lat", "den", "scaled", "frame")
 
     def __init__(self, lat: PreparedLattice, den: int, scaled, frame):
         self.lat = lat
         self.den = den
         self.scaled = scaled
         self.frame = frame
-        self._babai = None
 
     @classmethod
     def of(cls, lat: PreparedLattice, point) -> "_Target":
+        """The checked center of a query around the rational point.
+        Raises ValueError on an empty lattice or a point of another
+        dimension."""
+        if lat.rank == 0:
+            raise ValueError("empty lattice")
         den, scaled = _scaled(point)
+        if len(scaled) != lat.dim:
+            raise ValueError("target dimension does not match the basis")
         return cls(lat, den, scaled, lat._frame(scaled))
 
     def babai(self) -> Tuple[Tuple[int, ...], int]:
-        if self._babai is None:
-            den = self.den
-            v0 = self.lat._round(den, self.frame)
-            gap = max(abs(a * den - c) for a, c in zip(v0, self.scaled))
-            self._babai = (v0, gap)
-        return self._babai
+        """Babai's vector for this center and its sup distance times
+        den."""
+        den = self.den
+        v0 = self.lat._round(den, self.frame)
+        return v0, max(abs(a * den - c) for a, c in zip(v0, self.scaled))
 
 
 def prepare(basis: Lattice) -> PreparedLattice:
@@ -280,18 +281,17 @@ def _perp(t: _Target) -> int:
                                          for w, y in zip(ws, t.frame))
 
 
-def _top_test(lat: PreparedLattice, den: int, lim: int, perp: int = 0):
+def _top_test(lat: PreparedLattice, den: int, lim: int):
     """empty(frame): the sup walk's range test at its top level (see
     _walk) for the limit lim around a center on the denominator den with
-    that frame and the cost perp (_perp); true exactly when that level
-    admits no coefficient, so the walk would visit nothing.  On a
-    full-rank lattice perp is 0, so one test set up here serves every
-    center on den."""
+    that frame, on a full-rank lattice; true exactly when that level
+    admits no coefficient, so the walk would visit nothing.  No center of
+    a full-rank lattice pays a distance to the row span (_perp), so one
+    test set up here serves every center on den: a sweep of capped
+    questions sets it up once and walks only the centers it passes (see
+    solve._first_pattern)."""
     scale, ws, ts = lat._plan(den)[:3]
-    rem0 = lat.dim * lim * lim * scale - perp
-    if rem0 < 0:
-        return lambda frame: True
-    s, t = isqrt(rem0 // ws[-1]), ts[-1]
+    s, t = isqrt(lat.dim * lim * lim * scale // ws[-1]), ts[-1]
 
     def empty(frame) -> bool:
         e = frame[-1]
@@ -595,52 +595,29 @@ def cvp_inf(
 ) -> CvpResult:
     """Exact sup-norm closest vector to a rational target.
 
-    Babai rounding gives a lattice vector at sup distance g0 / den, an
-    upper bound on the answer, for the price of the target's Gram-Schmidt
-    frame, which the walk then shares.  One sup walk around the target at
+    The target is checked and mapped to integers once: its common
+    denominator den, the scaled point and its Gram-Schmidt frame.  Babai
+    rounding of that frame gives a lattice vector at sup distance g0 /
+    den, an upper bound on the answer.  One sup walk around the target at
     the limit min(floor(cap * den), g0) (see _walk) keeps the least
     distance and the lexicographically least vector at that distance,
     lowering its limit to every better distance it finds, so the answer
     is exact.  The walk at g0 holds Babai's vector, so an uncapped search
     always finds, and a target on the lattice (g0 = 0) is its own answer
     and visits no point; found=False certifies that the distance exceeds
-    the cap.  A capped search first makes the walk's top-level range test
-    at the cap, before Babai rounding, and rejects when that level is
-    empty: the answer is the same, as the walk would then hold nothing.
-
-    This wrapper checks the query and maps the target to integers once
-    (_cvp_target); the search itself is the integer core _cvp_core.
+    the cap.  A scaled distance is within the cap iff it is at most
+    floor(cap * den), so the cap is compared in integers, and a search
+    that finds nothing builds no Fraction.
     """
-    t = _cvp_target(basis, target)
+    t = _Target.of(prepare(basis), target)
+    den = t.den
+    lim = None
     if cap is not None:
         cap = _rational(cap)
         if cap < 0:
             raise ValueError("cap must be nonnegative")
-    return _cvp_core(t, cap, _as_budget(budget))
-
-
-def _cvp_target(basis: Lattice, target) -> _Target:
-    """The checked center of a closest-vector query on the prepared
-    lattice: its common denominator, scaled point and frame."""
-    if basis.rank == 0:
-        raise ValueError("empty lattice")
-    t = _Target.of(prepare(basis), target)
-    if len(t.scaled) != t.lat.dim:
-        raise ValueError("target dimension does not match the basis")
-    return t
-
-
-def _cvp_core(t: _Target, cap, budget: Budget) -> CvpResult:
-    """cvp_inf around the center t, with cap None or a nonnegative int or
-    Fraction.  A scaled sup distance g is within the cap iff g <=
-    floor(cap * den), the walk's integer limit; a search that finds
-    nothing builds no Fraction."""
-    den = t.den
-    lim = None
-    if cap is not None:
         lim = cap.numerator * den // cap.denominator
-        if _top_test(t.lat, den, lim, _perp(t))(t.frame):
-            return CvpResult(False, None, None)
+    budget = _as_budget(budget)
     v0, g0 = t.babai()
     if g0 == 0:
         return CvpResult(True, Fraction(0), v0)

@@ -52,10 +52,7 @@ from .core import (
     verify_solution,
 )
 from .enumeration import (
-    CvpResult,
     Lattice,
-    _cvp_core,
-    _cvp_target,
     _sup_search,
     _Target,
     _top_test,
@@ -254,8 +251,9 @@ class ApproxCvpOracle:
 
 def capped_cvp_oracle(r, budget=DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
     """A gamma = 1 oracle answering only up to radius r, by cvp_inf capped
-    at r.  Each answer draws on the budget: a Budget is shared by all of
-    them, and an int or None gives each its own.
+    at r; cvp_via_gap_search's default.  Each answer draws on the budget:
+    a Budget is shared by all of them, and an int or None gives each its
+    own.
 
     When nothing lies within r it reports r + 1 with no vector, which is a
     valid distance lower bound exactly when attainable distances skip the
@@ -266,17 +264,12 @@ def capped_cvp_oracle(r, budget=DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
         raise ValueError("radius must be nonnegative")
 
     def solver(basis: Lattice, target):
-        return _capped_answer(cvp_inf(basis, target, cap=r, budget=budget), r)
+        res = cvp_inf(basis, target, cap=r, budget=budget)
+        if res.found:
+            return res.witness, res.dist
+        return None, r + 1
 
     return ApproxCvpOracle(Fraction(1), solver)
-
-
-def _capped_answer(res: CvpResult, r: Fraction):
-    """The capped oracle's (vector, reported) for a search capped at r:
-    the vector found, or none and r + 1."""
-    if res.found:
-        return res.witness, res.dist
-    return None, r + 1
 
 
 def _on_grid(value: Fraction, grid: str) -> bool:
@@ -294,30 +287,51 @@ def gap_decide(
 ) -> GapVerdict:
     """Accept iff the oracle reports a distance below r + 1.
 
-    Requires gamma < (r+1)/r for r > 0 and attainable distances on the
-    declared grid.  Acceptance then guarantees the oracle's vector lies
-    within r (its true distance is below r + 1 and on the grid), and
-    rejection guarantees the true distance exceeds r (it is at least
-    reported / gamma >= (r+1)/gamma > r).
+    Requires gamma < (r+1)/r for r > 0, r on the declared grid and
+    attainable distances on it.  Acceptance then guarantees the oracle's
+    vector lies within r (its true distance is below r + 1 and on the
+    grid), and rejection guarantees the true distance exceeds r (it is at
+    least reported / gamma >= (r+1)/gamma > r).  The basis is prepared
+    once, and the oracle is asked on the prepared lattice, whose rows are
+    reduced (see enumeration.prepare).
     """
     if grid not in _GRIDS:
         raise ValueError(f"unknown grid {grid!r}")
     r = Fraction(r)
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    if not _on_grid(r, grid):
+        raise ValueError(f"radius {r} is off the {grid} grid")
     if r > 0 and oracle.gamma * r >= r + 1:
         raise GapConfigError(
             f"gamma {oracle.gamma} breaks the gap at radius {r}; "
             f"need gamma < {Fraction(r + 1, 1) / r}"
         )
-    vector, reported = oracle.solver(basis, target)
+    lat = prepare(basis)
+    if len(target) != lat.dim:
+        raise ValueError("target dimension does not match the basis")
+    return _gap_verdict(lat, target, r, grid, *oracle.solver(lat, target))
+
+
+def _gap_verdict(lat, target, r: Fraction, grid: str, vector,
+                 reported) -> GapVerdict:
+    """gap_decide's verdict on an answer (vector, reported) for the target
+    on the prepared lattice at the radius r: reject when reported is r + 1
+    or more; otherwise accept the vector once it is checked to be a
+    lattice vector of the target's dimension (Babai rounding on the
+    lattice returns a lattice vector unchanged) whose exact distance is at
+    most reported, on the grid and at most r."""
     reported = Fraction(reported)
     if reported >= r + 1:
         return GapVerdict(False, reported)
     _check(vector is not None, "oracle accepted without a vector")
-    tgt = tuple(Fraction(t) for t in target)
+    vector = tuple(vector)
+    _check(len(vector) == len(target)
+           and lat._round(1, lat._frame(vector)) == vector,
+           "accepted vector is not a lattice vector of the target's "
+           "dimension")
     exact = max(
-        (abs(Fraction(a) - b) for a, b in zip(vector, tgt)),
+        (abs(Fraction(a) - Fraction(b)) for a, b in zip(vector, target)),
         default=Fraction(0),
     )
     _check(exact <= reported, "oracle understated its vector's distance")
@@ -444,9 +458,9 @@ def solve_gss_punctured(
     On a denser box (x below 60 at n = 10 or 12, say) that walk can take
     seconds where the sign sweep (_first_pattern) takes milliseconds, so
     the sweep runs there, its walks drawing on the solve's Budget too.
-    Either way a witness builds its pattern's target and passes
-    gap_decide's checks on its point, then the sign check and
-    verify_solution.
+    Either way a witness builds its pattern's target and gets
+    gap_decide's verdict and checks on its point (_gap_verdict), with no
+    oracle, then the sign check and verify_solution.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -487,11 +501,10 @@ def solve_gss_punctured(
     if best is None:
         return Verdict.no_solution("every sign pattern rejected")
     signs, g, p = best
-    # gap_decide's checks, on the point found
+    # gap_decide's verdict, on the point found
     target, r = sign_pattern_target(tau, params.alpha, d, signs)
     _check(r == radius, "sign pattern radius")
-    found = ApproxCvpOracle(Fraction(1), lambda _b, _t: (p, Fraction(g, den)))
-    gv = gap_decide(found, lat, target, r, grid)
+    gv = _gap_verdict(lat, target, r, grid, p, Fraction(g, den))
     _check(gv.accept, "the gap decision rejects a vector within r")
     c = gv.vector[1:]
     _check(all(v * s > 0 for v, s in zip(c, signs)),
@@ -587,26 +600,24 @@ def cvp_via_gap_search(
     over grid radii.
 
     oracle_factory(r) supplies the oracle probed at radius r; the default
-    is the exact capped oracle, making the result an exact closest vector
-    on grid-structured targets.  The search needs an accepting radius to
+    is capped_cvp_oracle(r), cvp_inf capped at r, making the result an
+    exact closest vector on grid-structured targets, and the walks of all
+    its radii draw on one Budget.  The search needs an accepting radius to
     start from; r_max defaults to the rounding bound of a nearest-plane
-    walk, which always accepts.  The default oracle maps the target to
-    its frame and rounds it with Babai once for the whole search, and the
-    walks of all its radii draw on one Budget.
+    walk, which always accepts.  The lattice is prepared once for the
+    whole search.
     """
     if grid not in _GRIDS:
         raise ValueError(f"unknown grid {grid!r}")
     lat = prepare(basis)
     tgt = tuple(Fraction(t) for t in target)
-    center = _cvp_target(lat, tgt)
     budget = _as_budget(budget)
     if oracle_factory is None:
         def oracle_factory(rr):
-            # gap_decide passes back this search's lattice and target
-            return ApproxCvpOracle(Fraction(1), lambda _b, _t: _capped_answer(
-                _cvp_core(center, rr, budget), rr))
+            return capped_cvp_oracle(rr, budget=budget)
     base = Fraction(0) if grid == INTEGER else Fraction(1, 2)
     if r_max is None:
+        center = _Target.of(lat, tgt)
         d0 = Fraction(center.babai()[1], center.den)
         if d0 > base:
             f = d0 - base

@@ -28,9 +28,6 @@ from sbl.core import (
     linf,
 )
 from sbl.enumeration import (
-    _cvp_core,
-    _cvp_target,
-    _perp,
     _scaled,
     _sup_search,
     _Target,
@@ -810,7 +807,7 @@ def test_pruned_sup_walk_equals_the_reference_walk(query):
     the whole budget as its partial count, names the search when earlier
     work was charged to the budget, and adds its points to that charge."""
     lat, target, lim = query
-    t = _cvp_target(lat, target)
+    t = _Target.of(lat, target)
     bound = Fraction(lim, t.den)
     seen = []
 
@@ -914,22 +911,37 @@ def test_walk_matches_the_walk_with_a_level_1_loop(case):
             == _logged_walk(walk_reference, *case))
 
 
+def _top_level_empty(lat, target, bound) -> bool:
+    """Whether the top level of the Euclidean ball of squared radius m
+    bound^2 around the target, which holds the sup ball of radius bound,
+    admits no coefficient, in Fractions: the target's squared distance to
+    the row span is paid first, and the top coefficient z costs (z -
+    e)^2 |b*_top|^2 with e the target's top Gram-Schmidt coordinate."""
+    gso, _ = star_vectors(lat)
+    coords = gs_coords(lat, target)
+    room = (lat.dim * bound * bound - sum(Fraction(c) ** 2 for c in target)
+            + sum(e * e * sq for e, sq in zip(coords, gso.b_star_sq)))
+    e = coords[-1]
+    return room < 0 or (round(e) - e) ** 2 * gso.b_star_sq[-1] > room
+
+
 @given(_capped_queries())
 @settings(max_examples=150, deadline=None)
-def test_capped_core_rejects_an_empty_cap_ball_before_babai(query):
-    """The core makes the walk's top-level range test at the cap before
-    it rounds: when that level is empty it rejects with no point visited
-    and no Babai rounding, and the sup ball at the cap is indeed empty."""
+def test_capped_search_rejects_an_empty_cap_ball_with_no_point(query):
+    """When the top level of the walk's ball at the cap admits no
+    coefficient, a capped search rejects with no point charged, and the
+    sup ball at the cap is indeed empty.  On a full-rank lattice the
+    shared top-level test _top_test tells the same."""
     lat, target, cap = query
-    t = _cvp_target(lat, target)
+    t = _Target.of(lat, target)
     lim = cap.numerator * t.den // cap.denominator
-    res, count = _charged(lambda b: _cvp_core(t, cap, b))
-    if _top_test(lat, t.den, lim, _perp(t))(t.frame):
+    empty = _top_level_empty(lat, target, Fraction(lim, t.den))
+    res, count = _charged(lambda b: cvp_inf(lat, target, cap, b))
+    if empty:
         assert (res, count) == (CvpResult(False, None, None), 0)
-        assert t._babai is None
         assert _sup_ball(lat, target, cap) == []
-    else:
-        assert t._babai is not None
+    if lat.rank == lat.dim:
+        assert _top_test(lat, t.den, lim)(t.frame) == empty
 
 
 def _grown_instance():
@@ -1067,24 +1079,26 @@ def _fraction_builds(fn):
     return out, len(builds)
 
 
-def test_capped_core_builds_a_fraction_only_for_its_answer():
+def test_capped_search_builds_a_fraction_only_for_its_answer():
     """The sign-pattern targets of a punctured gss instance at d = 5,
     capped at the decision radius 2: a search that finds nothing builds
-    no Fraction, Babai rounding and the walk included, and visits no
-    point."""
+    no Fraction, from its target's check through Babai rounding and the
+    walk, and visits no point."""
     x, tau, d = (35, 734441, 23, 15, 28, 5), -96, 5
     params = choose_params(x, d, tau, "gss_worst")
     lat = prepare(embedding_basis(x, params))
     cap = Fraction(d - 1, 2)
+    empty = _top_test(lat, 1, (d - 1) // 2)
     walked = 0
     for signs in product((-1, 1), repeat=len(x)):
         target, _ = sign_pattern_target(tau, params.alpha, d, signs)
-        t = _cvp_target(lat, target)
         budget = Budget()
-        res, builds = _fraction_builds(lambda: _cvp_core(t, cap, budget))
-        assert res == cvp_inf(lat, target, cap=cap)
+        res, builds = _fraction_builds(
+            lambda: cvp_inf(lat, target, cap, budget))
+        assert (res.found, res.dist, res.witness) == _one_ball_cvp(
+            lat, target, cap)
         if not res.found:
             assert builds == 0 and budget.charged == 0
-            # past the top-level test, so rounded and walked
-            walked += t._babai is not None
+            # past the top-level test, so walked
+            walked += not empty(_Target.of(lat, target).frame)
     assert walked > 0

@@ -42,8 +42,8 @@ from sbl.lattice import (
     sign_pattern_target,
 )
 from sbl.enumeration import (
-    _cvp_target,
     _perp,
+    _Target,
     _top_test,
     PreparedLattice,
     prepare,
@@ -80,7 +80,8 @@ from sbl.solve import (
 )
 
 from reference import (ball_walk, first_fit_reference, gs_coords,
-                       holder_walk, kernel_basis_reference, reduce_reference)
+                       holder_walk, kernel_basis_reference, mat_det,
+                       reduce_reference)
 from test_golden import _least_threshold_d
 
 
@@ -422,6 +423,76 @@ def test_gap_rejects_negative_radius():
     with pytest.raises(ValueError):
         gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), Fraction(-1),
                    INTEGER)
+
+
+def test_gap_rejects_a_radius_off_the_grid():
+    """A radius off the declared grid is a bad argument, not a failed
+    self-check: on 2Z^2 the capped oracle at r = 1 finds (0, 0) at
+    distance 1 from (0, 1), which no half-integer grid holds."""
+    basis = LatticeBasis(((2, 0), (0, 2)), 2)
+    with pytest.raises(ValueError, match="off the half_integer grid"):
+        gap_decide(capped_cvp_oracle(1), basis, (0, 1), 1, HALF_INTEGER)
+    with pytest.raises(ValueError, match="off the integer grid"):
+        gap_decide(capped_cvp_oracle(Fraction(1, 2)), basis, (0, 1),
+                   Fraction(1, 2), INTEGER)
+
+
+def _fixed_oracle(vector):
+    """A gamma = 1 oracle that answers every question with the vector, at
+    its sup distance over the coordinates the two share."""
+    def solver(basis, target):
+        return vector, max(abs(Fraction(a) - Fraction(b))
+                           for a, b in zip(vector, target))
+
+    return ApproxCvpOracle(Fraction(1), solver)
+
+
+@pytest.mark.parametrize("vector", [(1, 5), (0,), (0, 4, 0)])
+def test_gap_refuses_an_answer_off_the_lattice(vector):
+    """On 2Z^2 around (0, 5) at radius 1, an answer that is not a lattice
+    vector of the target's dimension fails a self-check instead of being
+    accepted, in a gap decision and in the gap search over it: (1, 5) is
+    off the lattice, and (0,) and (0, 4, 0) have the wrong length."""
+    basis = LatticeBasis(((2, 0), (0, 2)), 2)
+    target = (Fraction(0), Fraction(5))
+    oracle = _fixed_oracle(vector)
+    with pytest.raises(InternalError, match="not a lattice vector"):
+        gap_decide(oracle, basis, target, 1, INTEGER)
+    with pytest.raises(InternalError, match="not a lattice vector"):
+        cvp_via_gap_search(basis, target, r_max=1,
+                           oracle_factory=lambda r: oracle)
+
+
+def test_gap_rejects_a_target_of_another_dimension():
+    """A target whose dimension is not the lattice's is a bad argument,
+    whatever the oracle answers."""
+    with pytest.raises(ValueError, match="target dimension"):
+        gap_decide(_fixed_oracle((0, 4, 0)), LatticeBasis(((2, 0), (0, 2)), 2),
+                   (0, 5, 0), 1, INTEGER)
+
+
+def test_gap_asks_its_oracle_on_the_prepared_lattice(monkeypatch):
+    """gap_decide reduces the basis once and hands the oracle the prepared
+    lattice, so the capped oracle's cvp_inf reduces nothing again."""
+    reduce = enumeration._reduce
+    calls, seen = [], []
+
+    def counted_reduce(rows, *args, **kwargs):
+        calls.append(1)
+        return reduce(rows, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_reduce", counted_reduce)
+    capped = capped_cvp_oracle(1)
+
+    def solver(basis, target):
+        seen.append(basis)
+        return capped.solver(basis, target)
+
+    basis = LatticeBasis(((2, 1), (0, 3)), 2)
+    gv = gap_decide(ApproxCvpOracle(Fraction(1), solver), basis,
+                    (Fraction(4), Fraction(2)), 1, INTEGER)
+    assert gv.accept and len(calls) == 1
+    assert [type(b) for b in seen] == [PreparedLattice]
 
 
 def _inflating_oracle(gamma):
@@ -942,7 +1013,7 @@ def test_shared_cap_ball_matches_each_patterns_ball(case):
     top_sq = Fraction(dets[-1], dets[-2])
     for signs in product((-1, 1), repeat=n):
         target, _ = sign_pattern_target(tau, params.alpha, d, signs)
-        t = _cvp_target(lat, target)
+        t = _Target.of(lat, target)
         assert t.den == den and _perp(t) == 0
         e = gs_coords(lat, target)[-1]
         fits = (round(e) - e) ** 2 * top_sq <= lat.dim * cap * cap
@@ -1052,23 +1123,6 @@ def test_gss_avg_witness_is_the_least_decodable_point(x, tau, d, cset):
 # distance recovery from gap decisions
 # ---------------------------------------------------------------------------
 
-def test_gap_search_rounds_the_target_once(monkeypatch):
-    calls = []
-    round_ = PreparedLattice._round
-
-    def counted(self, den, frame):
-        calls.append(1)
-        return round_(self, den, frame)
-
-    monkeypatch.setattr(PreparedLattice, "_round", counted)
-    basis = LatticeBasis(((7, 1, 0), (0, 9, 2), (3, 0, 11)), 3)
-    target = (Fraction(40), Fraction(17), Fraction(-23))
-    vec, dist = cvp_via_gap_search(basis, target)
-    assert len(calls) == 1
-    res = cvp_inf(basis, target)
-    assert (vec, dist) == (res.witness, res.dist)
-
-
 def test_gap_search_exact_hit():
     vec, dist = cvp_via_gap_search(_z2(), (Fraction(3), Fraction(-4)))
     assert vec == (3, -4) and dist == 0
@@ -1103,18 +1157,45 @@ def test_gap_search_fails_when_r_max_too_small():
     assert dist == 1 and vec == (0, 0)
 
 
-@given(st.sampled_from([((2, 1), (0, 3)), ((3, 0), (1, 4)), ((2, 0), (0, 2))]),
-       st.integers(-6, 6), st.integers(-6, 6))
-@settings(max_examples=40, deadline=None)
-def test_gap_search_matches_direct_cvp(rows, p, q):
-    basis = LatticeBasis(rows, 2)
-    target = (Fraction(p), Fraction(q))
+@st.composite
+def _gap_searches(draw):
+    """A full-rank basis of dimension 2-4 with small entries and a target
+    whose entries are all integers or all halves of odd integers, so that
+    every sup distance to the lattice lies on one grid."""
+    m = draw(st.integers(2, 4))
+    rows = []
+    for i in range(m):
+        row = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        # a nonzero diagonal keeps most draws independent
+        row[i] = draw(st.integers(1, 4)) * draw(st.sampled_from((-1, 1)))
+        rows.append(tuple(row))
+    assume(mat_det([[dot(a, b) for b in rows] for a in rows]) != 0)
+    half = draw(st.booleans())
+    target = tuple(Fraction(2 * a + 1, 2) if half else Fraction(a)
+                   for a in draw(st.lists(st.integers(-9, 9), min_size=m,
+                                          max_size=m)))
+    return LatticeBasis(tuple(rows), m), target, half
+
+
+@given(_gap_searches())
+@example((LatticeBasis(((2, 1), (0, 3)), 2), (Fraction(5), Fraction(-3)),
+          False))
+@example((LatticeBasis(((3, 0), (1, 4)), 2), (Fraction(-6), Fraction(2)),
+          False))
+@example((LatticeBasis(((2, 0), (0, 2)), 2), (Fraction(1), Fraction(3)),
+          False))
+@settings(max_examples=120, deadline=None)
+def test_gap_search_matches_direct_cvp(case):
+    """Binary search over gap decisions on the declared grid finds the
+    uncapped cvp_inf's witness and distance, on full-rank bases of
+    dimension 2-4 with integer or half-integer targets."""
+    basis, target, half = case
     res = cvp_inf(basis, target)
-    grid = INTEGER if res.dist.denominator == 1 else HALF_INTEGER
+    grid = HALF_INTEGER if half else INTEGER
+    assert res.dist.denominator == (2 if half else 1)
     vec, dist = cvp_via_gap_search(basis, target, grid=grid)
-    assert dist == res.dist
-    got = max(abs(Fraction(a) - b) for a, b in zip(vec, target))
-    assert got == dist
+    assert (vec, dist) == (res.witness, res.dist)
+    assert max(abs(Fraction(a) - b) for a, b in zip(vec, target)) == dist
 
 
 # ---------------------------------------------------------------------------

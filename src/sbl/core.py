@@ -278,9 +278,6 @@ class Box:
     def contains(self, c: Sequence[int]) -> bool:
         return linf(c) <= self.d
 
-    def bounding_box_radius(self) -> int:
-        return self.d
-
 
 @dataclass(frozen=True)
 class Ellipsoid:

@@ -7,7 +7,9 @@ kernel_basis densifies.  embedding_basis builds the scaled
 (n+1)-dimensional lattice whose short or close vectors encode solutions,
 with parameters chosen so that membership in a small box forces the first
 coordinate to vanish.  Shifted targets for the closest-vector reductions
-and gauge norms for convex coefficient bodies live here too.
+live here too.  GaugeBody names the coefficient bodies whose gauge
+enumeration.svp_gauge minimizes: balancing over such a body searches
+kernel_basis(x) itself, of rank n-1, with no completion to full rank.
 """
 
 from __future__ import annotations
@@ -223,26 +225,4 @@ def interval_shift_target(
     mid = Fraction(a + b, 2)
     target = (Fraction(alpha * tau),) + (mid,) * n
     return target, Fraction(b - a, 2)
-
-
-def full_rank_completion(x: Sequence[int], body: GaugeBody):
-    """Extend the orthogonal lattice of x to full rank.
-
-    Adds the row q*e_i0 (i0 the first index with x_i0 != 0) with
-    q = d*sum|x_i| + 1 for the minimal box radius d enclosing the body.
-    Inside the body the added direction cannot participate, so the
-    full-rank lattice and the orthogonal lattice meet the body in the same
-    set.  Returns (basis, q).
-    """
-    xs = tuple(int(v) for v in x)
-    if not xs or all(v == 0 for v in xs):
-        raise ValueError("zero vector")
-    d = body.bounding_box_radius()
-    q = d * sum(abs(v) for v in xs) + 1
-    i0 = next(i for i in range(len(xs)) if xs[i] != 0)
-    completion = [0] * len(xs)
-    completion[i0] = q
-    kb = kernel_basis(xs)
-    rows = kb.rows + (tuple(completion),)
-    return LatticeBasis(rows, len(xs)), q
 

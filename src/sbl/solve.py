@@ -67,8 +67,8 @@ from .lattice import (
     _kernel_rows,
     choose_params,
     embedding_basis,
-    full_rank_completion,
     interval_shift_target,
+    kernel_basis,
     sign_pattern_target,
 )
 from .oracle import brute_force_solve, mitm_solve
@@ -203,19 +203,21 @@ def solve_sbp_body(
 ) -> Verdict:
     """Balancing over an arbitrary box or ellipsoid coefficient body.
 
-    Completes the orthogonal lattice of x to full rank in a way that
-    cannot add points inside the body, then takes one gauge-shortest
-    vector call; gauge <= 1 is exactly membership.
+    One gauge-shortest vector search on kernel_basis(x), the lattice of
+    integer c with c.x = 0; gauge <= 1 is exactly membership.  The search
+    is exact on a lattice of any rank, so the kernel needs no completion
+    to full rank.  For n = 1 the kernel is {0} and no search runs.
     """
     xs = tuple(int(v) for v in x)
-    basis, _q = full_rank_completion(xs, body)
-    res = svp_gauge(basis, body, budget=budget)
-    c = res.witness
-    if res.value > 1:
-        return Verdict.no_solution("shortest gauge vector lies outside the body")
-    _check(dot(c, xs) == 0, "gauge witness is not orthogonal to x")
-    _check(body.contains(c), "gauge witness lies outside the body")
-    return Verdict.solved(c)
+    basis = kernel_basis(xs)
+    inst = Instance(xs, body)
+    if basis.rank:
+        res = svp_gauge(basis, body, budget=budget)
+        if res.value <= 1:
+            _check(verify_solution(inst, res.witness, "balancing"),
+                   "balancing witness")
+            return Verdict.solved(res.witness)
+    return Verdict.no_solution("shortest gauge vector lies outside the body")
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +527,18 @@ def solve_gss_avg(
     cset: str = "interval",
     budget=DEFAULT_POINT_BUDGET,
 ) -> Verdict:
-    """Density-regime solver: wrapper bound, short-vector guard, then one
-    sup walk around the target.
+    """Density-regime solver: a short-vector guard, then one sup walk
+    around the target.
 
-    For m_bound above |C|^(2n) a solution is overwhelmingly unlikely and
-    NoSolution is returned outright.  The guard aborts when the lattice
-    has a sup-short nonzero vector (length at most M^(1/n)/4, tested as
-    the integer inequality (4 lambda)^n <= M), since then the walk may
-    visit too many points.  Otherwise every lattice point within sup
-    distance d of the target decodes to a witness (a punctured one when
-    no coefficient is 0): the sup walk at the fixed limit d visits exactly
-    those points, and its visitor keeps the lexicographically least that
-    decodes, the witness.  The guard search and the walk draw on one
-    Budget.
+    The guard aborts when the lattice has a sup-short nonzero vector
+    (length at most M^(1/n)/4, tested as the integer inequality
+    (4 lambda)^n <= M), since then the walk may visit too many points.
+    Otherwise every lattice point within sup distance d of the target
+    decodes to a witness (a punctured one when no coefficient is 0), for
+    every m_bound, as alpha > d and q exceeds every |c.x - tau|: the sup
+    walk at the fixed limit d visits exactly those points, and its
+    visitor keeps the lexicographically least that decodes, the witness.
+    The guard search and the walk draw on one Budget.
     """
     if d < 1:
         raise ValueError("coefficient bound must be positive")
@@ -549,9 +550,6 @@ def solve_gss_avg(
     gcd_vector(xs)
     tau = int(tau)
     n = len(xs)
-    size = 2 * d + 1 if cset == "interval" else 2 * d
-    if m_bound > size ** (2 * n):
-        return Verdict.no_solution("modulus bound above squared coefficient count")
     coeffs = Interval(-d, d) if cset == "interval" else Punctured(d)
     inst = Instance(xs, coeffs, tau=tau, m_bound=m_bound)
     params = choose_params(xs, d, tau, "gss_avg", m_bound=m_bound)

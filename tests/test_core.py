@@ -140,7 +140,6 @@ def test_punctured_contains():
 def test_box_contains():
     assert Box(2).contains((2, -2, 0))
     assert not Box(2).contains((3,))
-    assert Box(3).bounding_box_radius() == 3
 
 
 def test_ellipsoid_contains_and_extents():

@@ -46,7 +46,6 @@ from sbl.lattice import (
     _sparse,
     choose_params,
     embedding_basis,
-    full_rank_completion,
     kernel_basis,
     sign_pattern_target,
 )
@@ -584,11 +583,12 @@ def test_a_gauge_search_draws_on_one_budget():
     """An ellipsoid or box gauge search walks once: it fits a budget of the
     points it visits exactly, and one point less overruns with the whole
     budget as its partial count.  The body is ball-dense's ellipsoid cell
-    (n = 6, semi-axes 2 and 3)."""
+    (n = 6, semi-axes 2 and 3), and the lattice is the kernel that
+    solve_sbp_body searches."""
     diag = (Fraction(1, 4),) * 3 + (Fraction(1, 9),) * 3
     body = Ellipsoid(tuple(tuple(diag[i] if i == j else 0 for j in range(6))
                            for i in range(6)))
-    basis, _ = full_rank_completion((10, 36, 43, 51, 9, 76), body)
+    basis = kernel_basis((10, 36, 43, 51, 9, 76))
     for b in (body, Box(2)):
         def search(budget, b=b):
             return svp_gauge(basis, b, budget=budget)

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sbl.core import Box, dot, linf
+from sbl.core import dot, linf
 from sbl.enumeration import prepare
 from sbl.lattice import (LatticeBasis, _sparse, embedding_basis,
-                         choose_params, full_rank_completion, kernel_basis)
+                         choose_params, kernel_basis)
 from sbl.reduction import _reduce, lll_reduce, lll_threshold
 
 from reference import gram_schmidt, mat_det, mat_solve, reduce_reference
@@ -317,9 +317,7 @@ def _reducer_inputs(draw):
         _zero_column_bases(),
         _weights().map(kernel_basis),
         _weights_with_zeros().map(kernel_basis),
-        _embeddings(),
-        st.tuples(_weights(), st.integers(1, 5))
-        .map(lambda a: full_rank_completion(a[0], Box(a[1]))[0])))
+        _embeddings()))
     if basis.dim == 0 or not draw(st.booleans()):
         return basis, None
     body = draw(_forms(basis.dim))

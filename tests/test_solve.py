@@ -79,9 +79,10 @@ from sbl.solve import (
     solve_sbp_lll,
 )
 
-from reference import (ball_walk, first_fit_reference, gs_coords,
+from reference import (ball_walk, first_fit_reference, gauge_sq, gs_coords,
                        holder_walk, kernel_basis_reference, mat_det,
                        reduce_reference)
+from test_enumeration import _forms
 from test_golden import _least_threshold_d
 
 
@@ -318,6 +319,64 @@ def test_sbp_body_ellipsoid_no_solution():
     # kernel of (2, 3) is generated by (-3, 2); a tight ball excludes it
     ell = Ellipsoid(((1, 0), (0, 1)))
     assert solve_sbp_body((2, 3), ell).status == "no_solution"
+
+
+def test_sbp_body_rejects_bad_input():
+    """A body of another dimension and an all-zero x are bad input, n = 1
+    included."""
+    with pytest.raises(ValueError, match="dimension"):
+        solve_sbp_body((7,), Ellipsoid(((1, 0), (0, 1))))
+    with pytest.raises(ValueError, match="dimension"):
+        solve_sbp_body((2, 3), Ellipsoid(((1,),)))
+    for x in ((0,), (0, 0)):
+        with pytest.raises(ValueError, match="^zero vector$"):
+            solve_sbp_body(x, Box(1))
+
+
+@st.composite
+def _body_cases(draw):
+    """x of length 1 to 5, zeros among its entries but not all zero, and a
+    box [-d, d]^n or an ellipsoid of dimension n (_forms)."""
+    n = draw(st.integers(1, 5))
+    x = draw(st.lists(st.one_of(st.just(0), st.integers(-40, 40)),
+                      min_size=n, max_size=n).filter(any))
+    if draw(st.booleans()):
+        return tuple(x), Box(draw(st.integers(1, 3 if n < 5 else 2)))
+    return tuple(x), draw(_forms(n))
+
+
+def _least_balanced(x, body):
+    """The least (squared gauge, min(c, -c)) over the nonzero balanced c in
+    the body, by a scan of its enclosing box; None if there is none."""
+    r = body.d if isinstance(body, Box) else body.bounding_box_radius()
+    best = None
+    for c in product(range(-r, r + 1), repeat=len(x)):
+        if any(c) and dot(c, x) == 0 and body.contains(c):
+            key = (gauge_sq(body, c), min(c, tuple(-v for v in c)))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+@given(_body_cases())
+@example(((0, 5, 0), Box(1)))
+@example(((4,), Box(3)))
+@example(((-3,), Ellipsoid(((1,),))))
+@example(((2, 3), Ellipsoid(((Fraction(1, 13), 0), (0, Fraction(1, 13))))))
+@settings(max_examples=150, deadline=None)
+def test_sbp_body_witness_is_the_least_balanced_point(case):
+    """solve_sbp_body's verdict, witness and reason against a scan of the
+    body's enclosing box: solved with the least (gauge, min(c, -c)) over
+    the nonzero balanced c in the body, else no_solution."""
+    x, body = case
+    want = _least_balanced(x, body)
+    event("solved" if want else "no_solution")
+    got = solve_sbp_body(x, body)
+    if want is None:
+        assert got == Verdict.no_solution(
+            "shortest gauge vector lies outside the body")
+    else:
+        assert got == Verdict.solved(want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1056,12 +1115,19 @@ def test_gss_avg_guard_abort():
     assert v.status == "guard_abort"
 
 
-def test_gss_avg_large_bound_short_circuit():
-    # interval alphabet has 3 values at d = 1; 3^4 = 81 < 100
-    v = solve_gss_avg((3, 5), 1, 1, 100)
-    assert v.status == "no_solution"
-    v = solve_gss_avg((3, 5), 1, 1, 20, cset="punctured")
-    assert v.status == "no_solution"  # 2^4 = 16 < 20
+def test_gss_avg_large_bound_no_solution():
+    # m_bound above |C|^(2n): 3^4 = 81 < 100 and 2^4 = 16 < 20.  No c in
+    # the alphabet sums to 1, and the walk finds no point that decodes
+    no = Verdict.no_solution("no lattice point near the target decodes")
+    assert solve_gss_avg((3, 5), 1, 1, 100) == no
+    assert solve_gss_avg((3, 5), 1, 1, 20, cset="punctured") == no
+
+
+@pytest.mark.parametrize("cset", ["interval", "punctured"])
+def test_gss_avg_large_bound_solves(cset):
+    """m_bound = 100 is above |C|^(2n) (3^4 = 81, 2^4 = 16), but c = (1, 1)
+    sums (3, 7) to 10: a no_solution verdict must not rest on the bound."""
+    assert solve_gss_avg((3, 7), 10, 1, 100, cset) == Verdict.solved((1, 1))
 
 
 def test_gss_avg_punctured_filters_zero_coords():
@@ -1287,8 +1353,8 @@ def test_every_engine_agrees_with_brute_force(inst):
     """In both modes, every engine of solve_instance either raises
     ValueError, as it does where it does not apply, or returns brute
     force's status with a witness that verifies; none answers where brute
-    force raises.  avg may also give no_solution or guard_abort where a
-    solution exists, but a witness of its must verify too.  gss on an
+    force raises.  avg may also give guard_abort where a solution
+    exists, but a witness of its must verify too.  gss on an
     all-zero x is the exception: auto, and avg where it applies, must
     answer, and with brute force's status."""
     cs = inst.coeffs
@@ -1315,7 +1381,7 @@ def test_every_engine_agrees_with_brute_force(inst):
             if got.status == "solved":
                 assert verify_solution(inst, got.witness, mode), (mode, engine)
             if engine == "avg" and engine not in strict:
-                assert got.status in (want, "no_solution", "guard_abort")
+                assert got.status in (want, "guard_abort")
             else:
                 assert got.status == want, (mode, engine)
 
@@ -1389,7 +1455,7 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
     import sbl.oracle
     import sbl.reduction
     import sbl.solve
-    from sbl.core import Ellipsoid, Instance, InternalError, Interval
+    from sbl.core import Box, Ellipsoid, Instance, InternalError, Interval
     from sbl.lattice import LatticeBasis
 
     if __debug__:
@@ -1420,6 +1486,8 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
          lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5)),
         (sbl.reduction, "_unpack", corrupt,
          lambda: sbl.solve.solve_sbp_lll(x64, 15720)),
+        (sbl.solve, "verify_solution", reject,
+         lambda: sbl.solve.solve_sbp_body((3, 5, 8), Box(1))),
         (sbl.solve, "verify_solution", reject,
          lambda: sbl.solve.solve_gss_interval((2, 3), 7, 0, 2)),
         (sbl.solve, "verify_solution", reject,
@@ -1464,7 +1532,7 @@ def test_self_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["internal-error"] * 13
+    assert proc.stdout.split() == ["internal-error"] * 14
 
 
 def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path,

@@ -40,6 +40,7 @@ __all__ = [
     "Ellipsoid",
     "CoefficientSet",
     "coefficient_alphabet",
+    "alphabet_size",
     "Instance",
     "Verdict",
     "SOLVED",
@@ -349,6 +350,20 @@ def coefficient_alphabet(cs: CoefficientSet) -> Optional[tuple]:
         return tuple(range(-cs.d, 0)) + tuple(range(1, cs.d + 1))
     if isinstance(cs, Box):
         return tuple(range(-cs.d, cs.d + 1))
+    if isinstance(cs, Ellipsoid):
+        return None
+    raise TypeError(f"unknown coefficient set {cs!r}")
+
+
+def alphabet_size(cs: CoefficientSet) -> Optional[int]:
+    """len(coefficient_alphabet(cs)) without listing the alphabet, or None
+    for an ellipsoid."""
+    if isinstance(cs, Interval):
+        return cs.hi - cs.lo + 1
+    if isinstance(cs, Punctured):
+        return 2 * cs.d
+    if isinstance(cs, Box):
+        return 2 * cs.d + 1
     if isinstance(cs, Ellipsoid):
         return None
     raise TypeError(f"unknown coefficient set {cs!r}")

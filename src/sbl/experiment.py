@@ -278,8 +278,11 @@ def probe_avg_solver(
     so a solved trial never overruns the budget in the reference.  Guard
     aborts are reported separately, and m_bound below 4^n flags the report
     as outside the regime where the enumeration radius provably covers
-    every witness.
+    every witness.  cfg.solver must name that reference, "mitm".
     """
+    if cfg.solver != "mitm":
+        raise ValueError(f"avg probe's reference is mitm, not {cfg.solver!r}")
+
     def judge(i, inst, tau):
         t0 = time.perf_counter()
         got = solve_instance(inst, *_route("avg", tau, cfg.cset), budget)

@@ -137,13 +137,13 @@ def choose_params(
     x: Sequence[int],
     d: int,
     tau: int = 0,
-    mode: str = "sbp",
+    mode: str = "gss_worst",
     m_bound=None,
 ) -> EmbeddingParams:
     """Embedding parameters for the given solving mode.
 
-    sbp:        alpha = d+1, q = d*sum|x_i| + 1, zero target.
-    gss_worst:  alpha = d+1, q = d*sum|x_i| + |tau| + 1, target alpha*tau.
+    gss_worst:  alpha = d+1, q = d*sum|x_i| + |tau| + 1, target alpha*tau;
+                at tau = 0 these are balancing's parameters.
     gss_avg:    alpha = max(d+1, ceil(m_bound**(1/n))),
                 q = alpha*sum|x_i| + |tau| + 1, target alpha*tau.
 
@@ -158,11 +158,7 @@ def choose_params(
         raise ValueError("coefficient bound must be positive")
     sum_abs = sum(abs(v) for v in xs)
     tau = int(tau)
-    if mode == "sbp":
-        tau = 0
-        alpha = d + 1
-        q = d * sum_abs + 1
-    elif mode == "gss_worst":
+    if mode == "gss_worst":
         alpha = d + 1
         q = d * sum_abs + abs(tau) + 1
     elif mode == "gss_avg":

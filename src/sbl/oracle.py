@@ -18,6 +18,7 @@ from .core import (
     InternalError,
     Verdict,
     _as_budget,
+    alphabet_size,
     coefficient_alphabet,
     verify_solution,
 )
@@ -39,27 +40,26 @@ def brute_force_solve(inst: Instance, mode: str = "balancing", budget=None) -> V
     The witness, when one exists, is the lexicographically smallest
     admissible vector.  An ellipsoid set is scanned through its bounding box
     with an exact membership filter.  Refuses to start when |C|^n exceeds
-    the budget's limit, and charges nothing to it.
+    the budget's limit, before listing C, and charges nothing to it.
     """
     budget = _as_budget(budget)
     target = _target(inst, mode)
     x = inst.x
     n = inst.n
     cs = inst.coeffs
-    joint = None
-    vals = coefficient_alphabet(cs)
-    if vals is None:
-        if not isinstance(cs, Ellipsoid):
-            raise InternalError(
-                "self-check failed: no alphabet for a per-coordinate set"
-            )
+    if isinstance(cs, Ellipsoid):
         r = cs.bounding_box_radius()
-        vals = tuple(range(-r, r + 1))
-        joint = cs.contains
-    k = len(vals)
+        k, joint = 2 * r + 1, cs.contains
+    else:
+        k, joint = alphabet_size(cs), None
     if k ** n > budget.limit:
         raise BudgetExceeded(
             f"{k}^{n} candidates exceed the budget of {budget.limit}"
+        )
+    vals = range(-r, r + 1) if joint else coefficient_alphabet(cs)
+    if vals is None:
+        raise InternalError(
+            "self-check failed: no alphabet for a per-coordinate set"
         )
     nonzero_needed = mode == "balancing"
 
@@ -128,21 +128,21 @@ def mitm_solve(inst: Instance, mode: str = "balancing", budget=None) -> Verdict:
     the least first half for it: deterministic, though not necessarily
     the vector brute force finds.  Memory is two lists of |C|^ceil(n/2)
     ints and the set.  Refuses to start when |C|^ceil(n/2) exceeds the
-    budget's limit, and charges nothing to it.
+    budget's limit, before listing C, and charges nothing to it.
     """
     budget = _as_budget(budget)
     target = _target(inst, mode)
-    vals = coefficient_alphabet(inst.coeffs)
-    if vals is None:
+    k = alphabet_size(inst.coeffs)
+    if k is None:
         raise ValueError("meet-in-the-middle needs a per-coordinate coefficient set")
     x = inst.x
     n = inst.n
     h = (n + 1) // 2
-    if len(vals) ** h > budget.limit:
+    if k ** h > budget.limit:
         raise BudgetExceeded(
-            f"{len(vals)}^{h} half-candidates exceed the budget of "
-            f"{budget.limit}"
+            f"{k}^{h} half-candidates exceed the budget of {budget.limit}"
         )
+    vals = coefficient_alphabet(inst.coeffs)
     sums1 = _half_sums(vals, x[:h])
     rest = _half_sums(vals, [-a for a in x[h:]], target)
     nonzero_needed = mode == "balancing"

@@ -7,14 +7,14 @@ determinants, and guards are exact integers or rationals throughout, so a
 Solved verdict is always accompanied by a checked witness and a NoSolution
 verdict is a certificate, not a timeout.
 
-The gap machinery: a decision at radius r accepts iff an oracle reports a
-distance below r + 1.  Attainable sup distances on the shifted targets
-fall on a fixed grid (integers, or integers plus one half) with nothing in
-the open interval (r, r + 1), so acceptance pins the distance down to at
-most r even when the oracle overstates it by a factor gamma < (r+1)/r.
-The capped oracle realizes this with an exact capped search up to radius
-r; rejection reports r + 1, which is sound on grid lattices since the
-true distance can only be the next grid value up.
+The gap machinery: a gap question (oracle, lattice, target, r) accepts
+iff the oracle, asked at r, reports a distance below r + 1.  Attainable
+sup distances on the shifted targets fall on r's grid (the integers, or
+the integers plus one half) with nothing in the open interval (r, r + 1),
+so acceptance pins the distance down to at most r even when the oracle
+overstates it by a factor gamma < (r+1)/r.  The capped oracle asked at r
+runs an exact search capped at r; rejection reports r + 1, which is sound
+on grid lattices since the true distance can only be the next grid value.
 
 solve_instance is the one place that maps a mode, a coefficient set and
 an engine name to a solver; the command line, probes and benchmarks all
@@ -42,7 +42,6 @@ from .core import (
     Interval,
     Punctured,
     Verdict,
-    coefficient_alphabet,
     dot,
     gcd_vector,
     iroot,
@@ -155,7 +154,7 @@ def solve_sbp(
     NoSolution.
     """
     xs = tuple(int(v) for v in x)
-    params = choose_params(xs, d, 0, "sbp")
+    params = choose_params(xs, d)
     basis = embedding_basis(xs, params)
     res = svp_inf(basis, cap=d, budget=budget)
     if not res.found:
@@ -237,9 +236,9 @@ class GapVerdict:
 class ApproxCvpOracle:
     """A closest-vector oracle with a stated overestimation factor.
 
-    solver(basis, target) returns (vector, reported) with
-    |vector - target|_inf <= reported <= gamma * dist(target, L); the
-    vector may be None when reported certifies a rejection on its own.
+    solver(basis, target, r) answers at radius r with (vector, reported),
+    |vector - target|_inf <= reported <= gamma * dist(target, L); the vector
+    may be None when reported >= r + 1 certifies a rejection on its own.
     """
 
     gamma: Fraction
@@ -251,21 +250,17 @@ class ApproxCvpOracle:
             raise ValueError("gamma must be at least 1")
 
 
-def capped_cvp_oracle(r, budget=DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
-    """A gamma = 1 oracle answering only up to radius r, by cvp_inf capped
-    at r; cvp_via_gap_search's default.  Each answer draws on the budget:
-    a Budget is shared by all of them, and an int or None gives each its
+def capped_cvp_oracle(budget=DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
+    """A gamma = 1 oracle that answers at radius r by cvp_inf capped at r;
+    cvp_via_gap_search's default.  Each answer draws on the budget: a
+    Budget is shared by all of them, and an int or None gives each its
     own.
 
     When nothing lies within r it reports r + 1 with no vector, which is a
     valid distance lower bound exactly when attainable distances skip the
     open interval (r, r + 1); use it only on grid-structured targets.
     """
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-
-    def solver(basis: Lattice, target):
+    def solver(basis: Lattice, target, r):
         res = cvp_inf(basis, target, cap=r, budget=budget)
         if res.found:
             return res.witness, res.dist
@@ -274,36 +269,28 @@ def capped_cvp_oracle(r, budget=DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
     return ApproxCvpOracle(Fraction(1), solver)
 
 
-def _on_grid(value: Fraction, grid: str) -> bool:
-    if grid == INTEGER:
-        return value.denominator == 1
-    return value.denominator == 2
-
-
 def gap_decide(
     oracle: ApproxCvpOracle,
     basis: Lattice,
     target,
     r,
-    grid: str,
 ) -> GapVerdict:
-    """Accept iff the oracle reports a distance below r + 1.
+    """The gap question (oracle, basis, target, r): accept iff the oracle,
+    asked at r, reports a distance below r + 1.
 
-    Requires gamma < (r+1)/r for r > 0, r on the declared grid and
-    attainable distances on it.  Acceptance then guarantees the oracle's
-    vector lies within r (its true distance is below r + 1 and on the
-    grid), and rejection guarantees the true distance exceeds r (it is at
-    least reported / gamma >= (r+1)/gamma > r).  The basis is prepared
-    once, and the oracle is asked on the prepared lattice, whose rows are
-    reduced (see enumeration.prepare).
+    Requires r in Z or Z + 1/2, attainable distances on r's grid and gamma
+    < (r+1)/r for r > 0.  Acceptance then guarantees the oracle's vector
+    lies within r (its true distance is below r + 1 and on the grid), and
+    rejection guarantees the true distance exceeds r (it is at least
+    reported / gamma >= (r+1)/gamma > r).  The basis is prepared once, and
+    the oracle is asked on the prepared lattice, whose rows are reduced
+    (see enumeration.prepare).
     """
-    if grid not in _GRIDS:
-        raise ValueError(f"unknown grid {grid!r}")
     r = Fraction(r)
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if not _on_grid(r, grid):
-        raise ValueError(f"radius {r} is off the {grid} grid")
+    if r.denominator > 2:
+        raise ValueError(f"radius {r} is not a multiple of 1/2")
     if r > 0 and oracle.gamma * r >= r + 1:
         raise GapConfigError(
             f"gamma {oracle.gamma} breaks the gap at radius {r}; "
@@ -312,17 +299,16 @@ def gap_decide(
     lat = prepare(basis)
     if len(target) != lat.dim:
         raise ValueError("target dimension does not match the basis")
-    return _gap_verdict(lat, target, r, grid, *oracle.solver(lat, target))
+    return _gap_verdict(lat, target, r, *oracle.solver(lat, target, r))
 
 
-def _gap_verdict(lat, target, r: Fraction, grid: str, vector,
-                 reported) -> GapVerdict:
+def _gap_verdict(lat, target, r: Fraction, vector, reported) -> GapVerdict:
     """gap_decide's verdict on an answer (vector, reported) for the target
     on the prepared lattice at the radius r: reject when reported is r + 1
     or more; otherwise accept the vector once it is checked to be a
     lattice vector of the target's dimension (Babai rounding on the
     lattice returns a lattice vector unchanged) whose exact distance is at
-    most reported, on the grid and at most r."""
+    most reported, on r's grid and at most r."""
     reported = Fraction(reported)
     if reported >= r + 1:
         return GapVerdict(False, reported)
@@ -337,8 +323,8 @@ def _gap_verdict(lat, target, r: Fraction, grid: str, vector,
         default=Fraction(0),
     )
     _check(exact <= reported, "oracle understated its vector's distance")
-    _check(_on_grid(exact, grid) and exact <= r,
-           "accepted distance is off the grid or beyond the radius")
+    _check((r - exact).denominator == 1 and exact <= r,
+           "accepted distance is off the radius's grid or beyond it")
     return GapVerdict(True, reported, tuple(int(v) for v in vector))
 
 
@@ -375,9 +361,7 @@ def solve_gss_interval(
     params = choose_params(xs, d, tau, "gss_worst")
     basis = embedding_basis(xs, params)
     target, r = interval_shift_target(tau, params.alpha, a, b, n)
-    grid = INTEGER if (b - a) % 2 == 0 else HALF_INTEGER
-    oracle = capped_cvp_oracle(r, budget=budget)
-    gv = gap_decide(oracle, basis, target, r, grid)
+    gv = gap_decide(capped_cvp_oracle(budget), basis, target, r)
     if not gv.accept:
         return Verdict.no_solution("gap decision rejected")
     c = gv.vector[1:]
@@ -479,8 +463,6 @@ def solve_gss_punctured(
     budget = _as_budget(budget)
     params = choose_params(xs, d, tau, "gss_worst")
     lat = prepare(embedding_basis(xs, params))
-    grid = INTEGER if d % 2 == 1 else HALF_INTEGER
-    radius = Fraction(d - 1, 2)
     den = 1 if d % 2 == 1 else 2
     h = den * (d + 1) // 2
     if (2 * d + 1) ** n <= 2 * d * sum(map(abs, xs)) + 1:
@@ -505,8 +487,7 @@ def solve_gss_punctured(
     signs, g, p = best
     # gap_decide's verdict, on the point found
     target, r = sign_pattern_target(tau, params.alpha, d, signs)
-    _check(r == radius, "sign pattern radius")
-    gv = _gap_verdict(lat, target, r, grid, p, Fraction(g, den))
+    gv = _gap_verdict(lat, target, r, p, Fraction(g, den))
     _check(gv.accept, "the gap decision rejects a vector within r")
     c = gv.vector[1:]
     _check(all(v * s > 0 for v, s in zip(c, signs)),
@@ -591,28 +572,26 @@ def cvp_via_gap_search(
     target,
     grid: str = INTEGER,
     r_max=None,
-    oracle_factory: Optional[Callable] = None,
+    oracle: Optional[ApproxCvpOracle] = None,
     budget=DEFAULT_POINT_BUDGET,
 ) -> Tuple[Tuple[int, ...], Fraction]:
-    """Recover a closest vector from gap decisions alone by binary search
-    over grid radii.
+    """Recover a closest vector from gap questions (oracle, basis, target,
+    r) alone by binary search over the radii r of the grid.
 
-    oracle_factory(r) supplies the oracle probed at radius r; the default
-    is capped_cvp_oracle(r), cvp_inf capped at r, making the result an
-    exact closest vector on grid-structured targets, and the walks of all
-    its radii draw on one Budget.  The search needs an accepting radius to
-    start from; r_max defaults to the rounding bound of a nearest-plane
-    walk, which always accepts.  The lattice is prepared once for the
-    whole search.
+    The one oracle is asked at every radius; the default is
+    capped_cvp_oracle, cvp_inf capped at the radius asked, making the
+    result an exact closest vector on grid-structured targets, and the
+    walks of all its radii draw on one Budget.  The search needs an
+    accepting radius to start from; r_max defaults to the rounding bound
+    of a nearest-plane walk, which always accepts.  The lattice is
+    prepared once for the whole search.
     """
     if grid not in _GRIDS:
         raise ValueError(f"unknown grid {grid!r}")
     lat = prepare(basis)
     tgt = tuple(Fraction(t) for t in target)
-    budget = _as_budget(budget)
-    if oracle_factory is None:
-        def oracle_factory(rr):
-            return capped_cvp_oracle(rr, budget=budget)
+    if oracle is None:
+        oracle = capped_cvp_oracle(_as_budget(budget))
     base = Fraction(0) if grid == INTEGER else Fraction(1, 2)
     if r_max is None:
         center = _Target.of(lat, tgt)
@@ -627,7 +606,7 @@ def cvp_via_gap_search(
     if r_max < base or (r_max - base).denominator != 1:
         raise ValueError("r_max must lie on the declared grid")
     hi = int(r_max - base)
-    gv = gap_decide(oracle_factory(r_max), lat, tgt, r_max, grid)
+    gv = gap_decide(oracle, lat, tgt, r_max)
     if not gv.accept:
         raise ValueError("no lattice vector within r_max of the target")
     best = gv.vector
@@ -635,7 +614,7 @@ def cvp_via_gap_search(
     while lo < hi:
         mid = (lo + hi) // 2
         r = base + mid
-        gv = gap_decide(oracle_factory(r), lat, tgt, r, grid)
+        gv = gap_decide(oracle, lat, tgt, r)
         if gv.accept:
             hi = mid
             best = gv.vector
@@ -668,7 +647,9 @@ def _zero_weights(inst: Instance) -> Verdict:
     """gss on an all-zero x, where c.x = 0 for every c in C^n: brute
     force's verdict without a lattice, its least vector when tau = 0."""
     if inst.tau == 0:
-        return Verdict.solved((coefficient_alphabet(inst.coeffs)[0],) * inst.n)
+        cs = inst.coeffs
+        least = cs.lo if isinstance(cs, Interval) else -cs.d
+        return Verdict.solved((least,) * inst.n)
     return Verdict.no_solution(f"no admissible vector reaches {inst.tau}")
 
 

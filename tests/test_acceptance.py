@@ -44,8 +44,6 @@ from sbl.oracle import brute_force_solve, mitm_solve
 from sbl.reduction import lll_threshold
 from sbl.solve import (
     ApproxCvpOracle,
-    HALF_INTEGER,
-    INTEGER,
     capped_cvp_oracle,
     check_minkowski,
     gap_decide,
@@ -109,7 +107,7 @@ def test_criterion_02_embedded_ball_set_equality():
         n = rng.span(2, 6)
         d = rng.span(1, _SET_DMAX[n])
         x = _nonzero(tuple(rng.span(-40, 40) for _ in range(n)))
-        params = choose_params(x, d, 0, "sbp")
+        params = choose_params(x, d)
         lat = prepare(embedding_basis(x, params))
         ball = ball_walk(lat, (0,) * (n + 1), d * d * (n + 1))
         via_lattice = {v for v in ball if max(abs(c) for c in v) <= d}
@@ -252,12 +250,10 @@ def test_criterion_07_distance_grid(gss_corpus):
     for x, tau, d in gss_corpus:
         params = choose_params(x, d, tau, "gss_worst")
         basis = prepare(embedding_basis(x, params))
-        grid = INTEGER if d % 2 == 1 else HALF_INTEGER
-        r = Fraction(d - 1, 2)
-        oracle = capped_cvp_oracle(r)
+        oracle = capped_cvp_oracle()
         for signs in product((-1, 1), repeat=len(x)):
-            target, rr = sign_pattern_target(tau, params.alpha, d, signs)
-            gv = gap_decide(oracle, basis, target, rr, grid)
+            target, r = sign_pattern_target(tau, params.alpha, d, signs)
+            gv = gap_decide(oracle, basis, target, r)
             if not gv.accept:
                 continue
             exact = max(abs(Fraction(a) - b)
@@ -275,7 +271,7 @@ def test_criterion_07_distance_grid(gss_corpus):
 # ---------------------------------------------------------------------------
 
 def _inflated_oracle(gamma, factor):
-    def solver(basis, target):
+    def solver(basis, target, r):
         res = cvp_inf(basis, target)
         return res.witness, factor * res.dist
 
@@ -295,8 +291,7 @@ def test_criterion_08_gap_soundness_under_inflation():
         params = choose_params(x, d, tau, "gss_worst")
         basis = embedding_basis(x, params)
         target, r = interval_shift_target(tau, params.alpha, -d, d, n)
-        gv = gap_decide(_inflated_oracle(gamma, factor), basis, target, r,
-                        INTEGER)
+        gv = gap_decide(_inflated_oracle(gamma, factor), basis, target, r)
         truth = cvp_inf(basis, target).dist <= r
         assert gv.accept == truth, (x, tau, d, factor)
         if gv.accept:

@@ -110,6 +110,40 @@ def test_solve_budget_exhaustion_exit_four(tmp_path, capsys):
     assert main(["solve", path, "--budget", "1", "--nonzero"]) == 4
 
 
+_HUGE = 10 ** 13
+_TINY = Fraction(1, _HUGE ** 2)
+
+
+@pytest.mark.parametrize("inst,flags", [
+    (Instance((3, 5), Interval(1 - _HUGE, _HUGE)), ["--mode", "sbp"]),
+    (Instance((3, 5), Box(_HUGE), tau=1), ["--engine", "mitm"]),
+    (Instance((3, 5), Punctured(_HUGE), tau=1), ["--engine", "mitm"]),
+    (Instance((3, 5), Ellipsoid(((_TINY, 0), (0, _TINY))), tau=1), []),
+], ids=["interval-auto-mitm", "box-mitm", "punctured-mitm",
+        "ellipsoid-auto-brute"])
+def test_solve_huge_range_is_refused_unlisted(tmp_path, capsys, inst, flags):
+    """Baselines over 2 * 10^13 coefficient values refuse by the count
+    alone, exit 4, without listing the values first."""
+    path = _write_instance(tmp_path, inst)
+    assert main(["solve", path, *flags]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and "exceed the budget" in out.err
+
+
+@pytest.mark.parametrize("coeffs,least", [
+    (Interval(-7, 2 * _HUGE), -7),
+    (Box(_HUGE), -_HUGE),
+    (Punctured(_HUGE), -_HUGE),
+])
+def test_solve_zero_weights_over_a_huge_range(tmp_path, capsys, coeffs,
+                                              least):
+    """gss on x = 0 at tau = 0 answers the least vector of C^n without
+    listing C."""
+    path = _write_instance(tmp_path, Instance((0, 0), coeffs))
+    assert main(["solve", path]) == 0
+    assert parse_verdict(capsys.readouterr().out).witness == (least, least)
+
+
 def test_solve_nonzero_changes_the_question(tmp_path, capsys):
     # tau 0 over [-1, 1]: c = 0 answers gss, balancing wants more
     inst = Instance((1, 10), Interval(-1, 1), tau=0)
@@ -314,6 +348,17 @@ def test_probe_avg_kind(capsys):
     assert doc["solver_success_freq"] is not None
     assert doc["guard_abort_freq"] is not None
     assert doc["outside_guarantee_regime"] is False
+
+
+@pytest.mark.parametrize("solver", ["lattice", "both"])
+def test_probe_avg_runs_only_against_mitm(capsys, solver):
+    """The avg probe's reference is meet-in-the-middle: another --solver
+    is bad input, not a report naming a solver that never ran."""
+    assert main(["probe", "--kind", "avg", "--n", "4", "--M", "256",
+                 "--d", "2", "--tau", "5", "--trials", "5", "--seed", "11",
+                 "--solver", solver]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "reference is mitm" in out.err
 
 
 def test_probe_timing_flag(capsys):

@@ -948,7 +948,7 @@ def _grown_instance():
     """The embedding lattice of eight values below 2^16, whose sup minimum
     3 lies well below the cap 4 of its balancing search."""
     x = (52805, 51454, 4763, 7741, 51238, 37318, 20430, 61840)
-    lat = prepare(embedding_basis(x, choose_params(x, 4, 0, "sbp")))
+    lat = prepare(embedding_basis(x, choose_params(x, 4)))
     return lat, x
 
 

@@ -222,6 +222,14 @@ def test_probe_avg_solver_runs_the_reference_only_when_unsolved():
         probe_avg_solver(unsolved, budget=10)
 
 
+@pytest.mark.parametrize("solver", ["lattice", "both"])
+def test_probe_avg_solver_refuses_a_solver_it_does_not_run(solver):
+    cfg = ProbeConfig(n=4, m_bound=4 ** 4, d=2, trials=1, seed=13, tau=5,
+                      solver=solver)
+    with pytest.raises(ValueError, match="reference is mitm"):
+        probe_avg_solver(cfg)
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------

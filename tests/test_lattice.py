@@ -93,8 +93,11 @@ def test_kernel_rejects_zero_vector():
 # ---------------------------------------------------------------------------
 
 def test_choose_params_sbp():
-    p = choose_params((1, 2), 1, 0, "sbp")
+    """Balancing takes the default mode at tau = 0; "sbp" is no mode."""
+    p = choose_params((1, 2), 1)
     assert (p.alpha, p.q, p.target) == (2, 4, (0, 0, 0))
+    with pytest.raises(ValueError, match="unknown mode"):
+        choose_params((1, 2), 1, 0, "sbp")
 
 
 def test_choose_params_gss_worst():

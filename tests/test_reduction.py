@@ -298,11 +298,12 @@ def _zero_column_bases(draw):
 
 @st.composite
 def _embeddings(draw):
-    """embedding_basis of _weights under every choose_params mode."""
+    """embedding_basis of _weights under every choose_params mode, at
+    tau = 0 (balancing's parameters) as well as away from it."""
     x = draw(_weights())
-    mode = draw(st.sampled_from(("sbp", "gss_worst", "gss_avg")))
-    params = choose_params(x, draw(st.integers(1, 6)),
-                           draw(st.integers(-10**6, 10**6)), mode,
+    mode = draw(st.sampled_from(("gss_worst", "gss_avg")))
+    tau = draw(st.one_of(st.just(0), st.integers(-10**6, 10**6)))
+    params = choose_params(x, draw(st.integers(1, 6)), tau, mode,
                            draw(st.integers(1, 2**20)))
     return embedding_basis(x, params)
 

@@ -430,76 +430,63 @@ def test_embedding_decode_property(x, tau, d):
 # ---------------------------------------------------------------------------
 
 def test_gap_accepts_within_radius():
-    gv = gap_decide(capped_cvp_oracle(Fraction(1, 2)), _z2(),
-                    (Fraction(3, 2), Fraction(0)), Fraction(1, 2), HALF_INTEGER)
+    gv = gap_decide(capped_cvp_oracle(), _z2(),
+                    (Fraction(3, 2), Fraction(0)), Fraction(1, 2))
     assert gv.accept
     assert gv.reported_dist == Fraction(1, 2)
     assert gv.vector in ((1, 0), (2, 0))
 
 
 def test_gap_rejects_beyond_radius():
-    gv = gap_decide(capped_cvp_oracle(Fraction(0)), _z2(),
-                    (Fraction(1, 2), Fraction(1, 2)), Fraction(0), INTEGER)
+    gv = gap_decide(capped_cvp_oracle(), _z2(),
+                    (Fraction(1, 2), Fraction(1, 2)), Fraction(0))
     assert not gv.accept
     assert gv.vector is None
     assert gv.reported_dist == Fraction(1)
 
 
 def test_gap_radius_zero_exact_hit():
-    gv = gap_decide(capped_cvp_oracle(Fraction(0)), _z2(),
-                    (Fraction(2), Fraction(-3)), Fraction(0), INTEGER)
+    gv = gap_decide(capped_cvp_oracle(), _z2(),
+                    (Fraction(2), Fraction(-3)), Fraction(0))
     assert gv.accept and gv.vector == (2, -3)
     assert gv.reported_dist == 0
 
 
 def test_gap_config_error_when_gamma_breaks_the_gap():
-    fat = ApproxCvpOracle(Fraction(2), lambda basis, target: (None, 99))
+    fat = ApproxCvpOracle(Fraction(2), lambda basis, target, r: (None, 99))
     with pytest.raises(GapConfigError):
-        gap_decide(fat, _z2(), (Fraction(0), Fraction(0)), Fraction(3),
-                   INTEGER)
+        gap_decide(fat, _z2(), (Fraction(0), Fraction(0)), Fraction(3))
 
 
 def test_gap_wide_gamma_legal_at_radius_zero():
-    fat = ApproxCvpOracle(Fraction(2), lambda basis, target: (None, 99))
-    gv = gap_decide(fat, _z2(), (Fraction(1, 3), Fraction(0)), Fraction(0),
-                    INTEGER)
+    fat = ApproxCvpOracle(Fraction(2), lambda basis, target, r: (None, 99))
+    gv = gap_decide(fat, _z2(), (Fraction(1, 3), Fraction(0)), Fraction(0))
     assert not gv.accept
-
-
-def test_gap_rejects_unknown_grid():
-    with pytest.raises(ValueError):
-        gap_decide(capped_cvp_oracle(Fraction(1)), _z2(),
-                   (Fraction(0), Fraction(0)), Fraction(1), "thirds")
 
 
 def test_capped_oracle_rejects_an_empty_lattice():
     with pytest.raises(ValueError, match="empty lattice"):
-        capped_cvp_oracle(Fraction(1)).solver(LatticeBasis((), 2), (0, 0))
-
-
-def test_gap_rejects_negative_radius():
-    oracle = capped_cvp_oracle(Fraction(0))  # the oracle itself refuses -1
-    with pytest.raises(ValueError):
-        gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), Fraction(-1),
-                   INTEGER)
+        capped_cvp_oracle().solver(LatticeBasis((), 2), (0, 0), 1)
 
 
 def test_gap_rejects_a_radius_off_the_grid():
-    """A radius off the declared grid is a bad argument, not a failed
-    self-check: on 2Z^2 the capped oracle at r = 1 finds (0, 0) at
-    distance 1 from (0, 1), which no half-integer grid holds."""
-    basis = LatticeBasis(((2, 0), (0, 2)), 2)
-    with pytest.raises(ValueError, match="off the half_integer grid"):
-        gap_decide(capped_cvp_oracle(1), basis, (0, 1), 1, HALF_INTEGER)
-    with pytest.raises(ValueError, match="off the integer grid"):
-        gap_decide(capped_cvp_oracle(Fraction(1, 2)), basis, (0, 1),
-                   Fraction(1, 2), INTEGER)
+    """r names its grid, so a radius on neither grid, negative or not a
+    multiple of 1/2, is a bad argument, refused before the oracle is
+    asked."""
+    def never(basis, target, r):
+        raise AssertionError("the oracle was asked")
+
+    oracle = ApproxCvpOracle(Fraction(1), never)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), -1)
+    with pytest.raises(ValueError, match="not a multiple of 1/2"):
+        gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), Fraction(1, 3))
 
 
 def _fixed_oracle(vector):
     """A gamma = 1 oracle that answers every question with the vector, at
     its sup distance over the coordinates the two share."""
-    def solver(basis, target):
+    def solver(basis, target, r):
         return vector, max(abs(Fraction(a) - Fraction(b))
                            for a, b in zip(vector, target))
 
@@ -516,10 +503,9 @@ def test_gap_refuses_an_answer_off_the_lattice(vector):
     target = (Fraction(0), Fraction(5))
     oracle = _fixed_oracle(vector)
     with pytest.raises(InternalError, match="not a lattice vector"):
-        gap_decide(oracle, basis, target, 1, INTEGER)
+        gap_decide(oracle, basis, target, 1)
     with pytest.raises(InternalError, match="not a lattice vector"):
-        cvp_via_gap_search(basis, target, r_max=1,
-                           oracle_factory=lambda r: oracle)
+        cvp_via_gap_search(basis, target, r_max=1, oracle=oracle)
 
 
 def test_gap_rejects_a_target_of_another_dimension():
@@ -527,7 +513,7 @@ def test_gap_rejects_a_target_of_another_dimension():
     whatever the oracle answers."""
     with pytest.raises(ValueError, match="target dimension"):
         gap_decide(_fixed_oracle((0, 4, 0)), LatticeBasis(((2, 0), (0, 2)), 2),
-                   (0, 5, 0), 1, INTEGER)
+                   (0, 5, 0), 1)
 
 
 def test_gap_asks_its_oracle_on_the_prepared_lattice(monkeypatch):
@@ -541,15 +527,15 @@ def test_gap_asks_its_oracle_on_the_prepared_lattice(monkeypatch):
         return reduce(rows, *args, **kwargs)
 
     monkeypatch.setattr(enumeration, "_reduce", counted_reduce)
-    capped = capped_cvp_oracle(1)
+    capped = capped_cvp_oracle()
 
-    def solver(basis, target):
+    def solver(basis, target, r):
         seen.append(basis)
-        return capped.solver(basis, target)
+        return capped.solver(basis, target, r)
 
     basis = LatticeBasis(((2, 1), (0, 3)), 2)
     gv = gap_decide(ApproxCvpOracle(Fraction(1), solver), basis,
-                    (Fraction(4), Fraction(2)), 1, INTEGER)
+                    (Fraction(4), Fraction(2)), 1)
     assert gv.accept and len(calls) == 1
     assert [type(b) for b in seen] == [PreparedLattice]
 
@@ -558,7 +544,7 @@ def _inflating_oracle(gamma):
     """Exact witness, inflated report: the worst case the contract allows."""
     gamma = Fraction(gamma)
 
-    def solver(basis, target):
+    def solver(basis, target, r):
         res = cvp_inf(basis, target)
         return res.witness, gamma * res.dist
 
@@ -566,28 +552,30 @@ def _inflating_oracle(gamma):
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=3),
-       st.integers(-10, 10), st.integers(1, 3))
+       st.integers(-10, 10), st.integers(1, 3), st.integers(0, 1))
+@example([3, 5], -8, 1, 1)
 @settings(max_examples=50, deadline=None)
-def test_gap_decision_survives_inflation(x, tau, d):
+def test_gap_decision_survives_inflation(x, tau, d, odd):
     """An oracle that inflates its reports as far as the gap tolerates
-    must still decide interval feasibility exactly."""
+    must still decide interval feasibility exactly, on [-d, d] at an
+    integer radius d and on [-d, d - 1], of odd width, at the half-integer
+    radius d - 1/2."""
     assume(any(x))
     xs = tuple(x)
     n = len(xs)
+    a, b = -d, d - odd
     params = choose_params(xs, d, tau, "gss_worst")
     basis = embedding_basis(xs, params)
-    target, r = interval_shift_target(tau, params.alpha, -d, d, n)
-    grid = INTEGER  # b - a = 2d is even
+    target, r = interval_shift_target(tau, params.alpha, a, b, n)
+    assert r.denominator == 1 + odd
     gamma = 1 + Fraction(1, 2 * r) if r > 0 else Fraction(1)
-    gv = gap_decide(_inflating_oracle(gamma), basis, target, r, grid)
-    want = brute_force_solve(
-        Instance(xs, Interval(-d, d), tau=tau), "gss"
-    )
+    gv = gap_decide(_inflating_oracle(gamma), basis, target, r)
+    want = brute_force_solve(Instance(xs, Interval(a, b), tau=tau), "gss")
     assert gv.accept == (want.status == "solved")
     if gv.accept:
         c = gv.vector[1:]
         assert dot(c, xs) == tau
-        assert all(abs(v) <= d for v in c)
+        assert all(a <= v <= b for v in c)
 
 
 # ---------------------------------------------------------------------------
@@ -903,12 +891,11 @@ def _reference_sweep(xs, tau, d):
     Returns the verdict and the number of patterns tried."""
     params = choose_params(xs, d, tau, "gss_worst")
     lat = prepare(embedding_basis(xs, params))
-    grid = INTEGER if d % 2 == 1 else HALF_INTEGER
-    oracle = capped_cvp_oracle(Fraction(d - 1, 2))
+    oracle = capped_cvp_oracle()
     tried = 0
     for signs in product((-1, 1), repeat=len(xs)):
         target, r = sign_pattern_target(tau, params.alpha, d, signs)
-        gv = gap_decide(oracle, lat, target, r, grid)
+        gv = gap_decide(oracle, lat, target, r)
         tried += 1
         if gv.accept:
             return Verdict.solved(gv.vector[1:]), tried

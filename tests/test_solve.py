@@ -469,16 +469,27 @@ def test_capped_oracle_rejects_an_empty_lattice():
         capped_cvp_oracle().solver(LatticeBasis((), 2), (0, 0), 1)
 
 
-def test_gap_rejects_a_radius_off_the_grid():
-    """r names its grid, so a radius on neither grid, negative or not a
-    multiple of 1/2, is a bad argument, refused before the oracle is
-    asked."""
+def _never_asked():
+    """An oracle that fails the test if gap_decide asks it anything."""
     def never(basis, target, r):
         raise AssertionError("the oracle was asked")
 
-    oracle = ApproxCvpOracle(Fraction(1), never)
+    return ApproxCvpOracle(Fraction(1), never)
+
+
+def test_gap_rejects_negative_radius():
+    """A negative radius is a bad argument, refused before the oracle is
+    asked."""
     with pytest.raises(ValueError, match="nonnegative"):
-        gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), -1)
+        gap_decide(_never_asked(), _z2(), (Fraction(0), Fraction(0)),
+                   Fraction(-1))
+
+
+def test_gap_rejects_a_radius_off_the_grid():
+    """r names its grid, so a radius that is not a multiple of 1/2 lies on
+    neither grid and is a bad argument, refused before the oracle is
+    asked."""
+    oracle = _never_asked()
     with pytest.raises(ValueError, match="not a multiple of 1/2"):
         gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), Fraction(1, 3))
 

@@ -2,8 +2,11 @@
 
 kernel_basis extracts an integer basis of the rank n-1 lattice of integer
 vectors orthogonal to x; _kernel_rows builds it as sparse rows, column to
-nonzero entry, which the lll engine hands to the reducer as they are and
-kernel_basis densifies.  embedding_basis builds the scaled
+nonzero entry, which kernel_basis densifies.  _kernel_rows builds only
+the rows it is asked for, the first count of them, by replaying a
+reduction of x recorded once, so the lll engine, whose reducer stops
+within the first few rows, hands the reducer a prefix of the basis and
+builds no row it does not read.  embedding_basis builds the scaled
 (n+1)-dimensional lattice whose short or close vectors encode solutions,
 with parameters chosen so that membership in a small box forces the first
 coordinate to vanish.  Shifted targets for the closest-vector reductions
@@ -78,47 +81,63 @@ def kernel_basis(x: Sequence[int]) -> LatticeBasis:
     return LatticeBasis(tuple(_dense(r, n) for r in _kernel_rows(xs)), n)
 
 
-def _kernel_rows(xs: Tuple[int, ...]) -> list:
-    """kernel_basis's rows in the reducer's sparse format: per row, a dict
-    from each column where it is nonzero to its entry.
+def _kernel_rows(xs: Tuple[int, ...], count=None) -> list:
+    """The first count rows of kernel_basis (all n - 1 when count is
+    None) in the reducer's sparse format: per row, a dict from each column
+    where it is nonzero to its entry.
 
-    A unimodular row transform U is accumulated while the working copy of x
-    is reduced, by centered division against the smallest nonzero entry
-    (the least index among ties), down to a single nonzero entry (the gcd
-    up to sign).  The rows of U that map to zeroed entries are the kernel
-    basis.  Each row of U is its own unit vector plus the rows of the
-    pivots subtracted from it, so it is kept as such a dict from the start,
-    and a round updates a row in the pivot row's nonzeros only.  A zero
-    x_i leaves row i as its unit vector.
+    The working copy y of x is reduced, by centered division against the
+    smallest nonzero entry (the least index among ties), down to a single
+    nonzero entry (the gcd up to sign).  A unimodular row transform U
+    follows it, and the rows of U that map to zeroed entries are the
+    kernel basis.  The reduction runs on y alone and records each round's
+    y and its pivot p, from which the round's quotients follow: q_i =
+    y_i / |y_p| rounded, ties up, which is (y_i + h) // |y_p| for
+    h = |y_p| // 2, and 0 once y_i is 0.  A row of U is built only when
+    it is asked for, by replaying the rounds on its unit vector: the row's
+    sign flips in a round where it is the pivot and y_p < 0, and q_i times
+    that round's pivot row comes off it in a round where q_i is nonzero.
+    The pivot rows, a handful per x, are replayed first, round by round,
+    to give each round's pivot row.  A zero x_i leaves row i as its unit
+    vector.  Every row built is checked orthogonal to x.
     """
     if not xs or all(v == 0 for v in xs):
         raise ValueError("zero vector")
     n = len(xs)
+    rounds: list = []  # per round: y before it, its pivot p, |y_p| and h
     y = list(xs)
-    u = [{i: 1} for i in range(n)]
-    nz = [i for i in range(n) if y[i] != 0]
-    while len(nz) > 1:
-        # nz ascends, so index() finds the least i of least |y_i|
-        mags = [abs(y[i]) for i in nz]
-        p = nz[mags.index(min(mags))]
+    while n - y.count(0) > 1:
+        mags = list(map(abs, y))
+        yp = min(filter(None, mags))
+        p = mags.index(yp)  # the least index of least nonzero |y_i|
+        h = yp >> 1
+        rounds.append((y, p, yp, h))
+        y = [(v + h) % yp - h for v in y]  # y_i - q_i y_p; 0 stays 0
+        y[p] = yp
+    pivot = y.index(max(y, key=abs))  # y's one nonzero entry
+    pivots = {p: {p: 1} for _, p, _, _ in rounds}
+    steps = []  # per round: y before it, |y_p|, h and its pivot row's items
+    for y, p, yp, h in rounds:
         if y[p] < 0:
-            y[p] = -y[p]
-            u[p] = {c: -a for c, a in u[p].items()}
-        yp, up = y[p], u[p].items()
-        yp2 = 2 * yp
-        for j in nz:
-            if j == p:
-                continue
-            q = (2 * y[j] + yp) // yp2  # y_j / y_p rounded, ties up
-            if q:
-                y[j] -= q * yp
-                uj = u[j]
+            pivots[p] = {c: -a for c, a in pivots[p].items()}
+        up = tuple(pivots[p].items())
+        steps.append((y, yp, h, up))
+        for j, uj in pivots.items():
+            q = (y[j] + h) // yp
+            if q and j != p:
                 for c, a in up:
                     uj[c] = uj.get(c, 0) - q * a
-        nz = [i for i in nz if y[i] != 0]
-    pivot = nz[0]
-    kernel = [{c: a for c, a in u[i].items() if a}
-              for i in range(n) if i != pivot]
+    kernel = []
+    for i in [i for i in range(n) if i != pivot][:count]:
+        ui = pivots.get(i)
+        if ui is None:
+            ui = {i: 1}
+            for y, yp, h, up in steps:
+                q = (y[i] + h) // yp
+                if q:
+                    for c, a in up:
+                        ui[c] = ui.get(c, 0) - q * a
+        kernel.append({c: a for c, a in ui.items() if a})
     if any(sum(a * xs[c] for c, a in r.items()) for r in kernel):
         raise InternalError("self-check failed: kernel row not orthogonal to x")
     return kernel

@@ -25,7 +25,11 @@ lll_reduce keeps the rows only; all three pass dense rows through
 lattice._sparse.  solve_sbp_lll passes the sparse rows of lattice._kernel_rows
 and a box bound d instead, and takes row 0 the first time it lies in
 [-d, d]^n; after a swap of rows 0 and 1 the integer test D[1] <= n d^2
-(|b_0|^2 = D[1]) comes before row 0 is unpacked (see _reduce).
+(|b_0|^2 = D[1]) comes before row 0 is unpacked (see _reduce).  The loop
+reads row m only when k first reaches m, and row 0 is tested each time
+it changes, so a run on the first m rows that stops has stopped where
+the run on all of them does: solve_sbp_lll passes 8 rows, then 16, 32,
+..., and most runs stop on the first 8.
 The data needs the rows only through inner products (Cohen, 2.6):
 _reduce takes an integral form F for the inner product u F v^T, which
 svp_gauge passes, and the identity otherwise.

@@ -176,18 +176,35 @@ def solve_sbp_lll(x: Sequence[int], d: int) -> Verdict:
     the first row after a swap, the only step that changes it.  The
     reduction stops there.  Above the threshold the fully reduced first
     row fits, so the stop always comes, at the latest where lll_reduce
-    ends.  The kernel rows go to the reducer sparse, as
-    lattice._kernel_rows builds them.  The witness is short, not least:
-    svp's solve_sbp gives the least sup norm."""
+    ends.  The witness is short, not least: svp's solve_sbp gives the
+    least sup norm.
+
+    The stop comes early, so the reducer runs on a prefix of the basis
+    first: the first m sparse rows that lattice._kernel_rows builds, for
+    m = 8, 16, 32, ..., until a run stops in the box or m reaches all
+    n - 1 rows, which is the full run.  A prefix run's stop is the full
+    run's.  The reducer reads row m only when k first reaches m, so up to
+    then the prefix run and the full run take the same steps; its setup
+    reads every row it is given, but only to choose the columns it keeps
+    and the width it packs to, which change no value it computes.  Row 0
+    changes only at a swap at k = 1 and is tested each time it does, so
+    a prefix run that stops has stopped where the full run does, and one
+    that ends without a stop has passed none."""
     if d < 1:
         raise ValueError("coefficient bound must be positive")
     xs = tuple(int(v) for v in x)
     gcd_vector(xs)
-    if len(xs) < 2 or not lll_threshold(xs, d):
+    n = len(xs)
+    if n < 2 or not lll_threshold(xs, d):
         raise ThresholdUnmet(
             "bound below the reduction guarantee; use solve_sbp"
         )
-    c = _reduce(_kernel_rows(xs), len(xs), box=d)
+    m = 8
+    while True:
+        c = _reduce(_kernel_rows(xs, m), n, box=d)
+        if linf(c) <= d or m >= n - 1:
+            break
+        m *= 2
     _check(linf(c) <= d and dot(c, xs) == 0,
            "first reduced vector is not a balanced c")
     _check(verify_solution(Instance(xs, Box(d)), c, "balancing"),

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sbl.core import Box, Ellipsoid, dot, gcd_vector, l2_sq
 from sbl.lattice import (
     LatticeBasis,
+    _dense,
+    _kernel_rows,
     choose_params,
     embedding_basis,
     interval_shift_target,
@@ -81,6 +83,19 @@ def _kernel_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_kernel_basis_matches_the_dense_transform(x):
     assert kernel_basis(x) == kernel_basis_reference(x)
+
+
+@given(_kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_kernel_rows_build_every_prefix_of_the_dense_transform(x):
+    """For every count from 0 to n - 1, _kernel_rows(x, count) densifies
+    to the first count rows of the dense-transform kernel, with no zero
+    entry kept."""
+    want = kernel_basis_reference(x).rows
+    for count in range(len(x)):
+        rows = _kernel_rows(x, count)
+        assert all(all(r.values()) for r in rows)
+        assert tuple(_dense(r, len(x)) for r in rows) == want[:count]
 
 
 def test_kernel_rejects_zero_vector():

@@ -31,6 +31,7 @@ from sbl.core import (
     verify_solution,
 )
 from sbl.oracle import brute_force_solve, mitm_solve
+from sbl.reduction import _reduce
 from sbl.lattice import (
     LatticeBasis,
     _dense,
@@ -272,18 +273,92 @@ def test_sbp_lll_witness_is_the_first_row_0_that_fits(case):
 @example(((0, 9, 0, -15, 6), _least_threshold_d((0, 9, 0, -15, 6))))
 @settings(max_examples=150, deadline=None)
 def test_sbp_lll_matches_the_dense_kernel_reference(case):
-    """The lll engine's sparse kernel rows (lattice._kernel_rows) densify
-    to exactly the rows of the package-independent dense-transform
-    kernel (reference.kernel_basis_reference), and its witness is row 0 of
+    """The lll engine's sparse kernel rows (lattice._kernel_rows, all of
+    them when no count is given) densify to exactly the rows of the
+    package-independent dense-transform kernel
+    (reference.kernel_basis_reference), and its witness is row 0 of
     Cohen's LLL on those rows at its first state in [-d, d]^n.  The
     examples have n = 2, zeros (their kernel rows are unit vectors) and a
     common factor."""
     x, d = case
     want = kernel_basis_reference(x).rows
-    rows = _kernel_rows(x)
-    assert all(all(r.values()) for r in rows)
-    assert tuple(_dense(r, len(x)) for r in rows) == want
+    for rows in (_kernel_rows(x), _kernel_rows(x, len(x) - 1)):
+        assert all(all(r.values()) for r in rows)
+        assert tuple(_dense(r, len(x)) for r in rows) == want
     assert solve_sbp_lll(x, d).witness == first_fit_reference(want, d)
+
+
+@st.composite
+def _long_threshold_cases(draw):
+    """10 to 20 weights, up to 2^64 in magnitude, with negatives and
+    zeros, and a d from the least one meeting the LLL threshold up to
+    twice it: the kernel basis has 9 to 19 rows, so the reducer's first
+    prefix of 8 rows is a strict one."""
+    entry = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                      st.integers(-2**64, 2**64))
+    x = tuple(draw(st.lists(entry, min_size=10, max_size=20)))
+    assume(any(x))
+    least = _least_threshold_d(x)
+    return x, draw(st.integers(least, 2 * least))
+
+
+# (x, d, the sup norm of row 0 where the reducer ends on the first 8
+# kernel rows, the row counts of solve_sbp_lll's reducer runs): weights
+# below 2^64 at their least threshold d, where the first prefix ends
+# outside [-d, d]^n.  The first case then runs the whole basis; the second
+# stops on 16 of its 18 rows.
+_PAST_THE_FIRST_PREFIX = (
+    ((1143922606339989187, 2148312479196550885, 2581023562712029215,
+      2808482223106352395, 5253142616133393849, 5603893659948468841,
+      6359004946677564552, 7363354391972925222, 8465265779878958901,
+      9285837169997331756, 11476618381809597915, 13147880358434831776,
+      13546993480202312971, 13737221159693834837, 14638150858115399796,
+      15364696594922550732), 228, 244, [8, 15]),
+    ((6765776289262385644, 1824337443294511248, 3284805356547350803,
+      10362763655021207005, 4447092362931196344, 5834942168461636513,
+      412629672469900439, 10049602115011768741, 5418973787950750901,
+      5406688554778656878, 196141330336033157, 15034006809119636025,
+      13475885524302094711, 8037257484922922905, 10432829220720766090,
+      17031741246947200687, 11270064095555010083, 17458348282437642357,
+      12142057821984013178), 234, 240, [8, 16]),
+)
+
+
+@given(_long_threshold_cases())
+@settings(max_examples=60, deadline=None)
+def test_sbp_lll_prefix_runs_stop_where_the_full_run_does(case):
+    """On kernels longer than the reducer's first prefix, solve_sbp_lll's
+    witness is still row 0 of Cohen's LLL on the whole of kernel_basis(x)
+    at its first state in [-d, d]^n, and auto answers the same."""
+    x, d = case
+    want = first_fit_reference(kernel_basis(x).rows, d)
+    assert want is not None
+    assert solve_sbp_lll(x, d).witness == want
+    inst = Instance(x, Interval(-d, d))
+    assert solve_instance(inst, "balancing").witness == want
+
+
+@pytest.mark.parametrize("x, d, end, sizes", _PAST_THE_FIRST_PREFIX,
+                         ids=("n16-all-rows", "n19-16-rows"))
+def test_sbp_lll_runs_past_the_first_prefix(monkeypatch, x, d, end, sizes):
+    """Each pinned case needs a second prefix: the reducer on the first 8
+    kernel rows ends with row 0 at sup norm end > d, so solve_sbp_lll
+    reduces the row counts in sizes.  The witness is still the full
+    run's stop, and auto answers the same."""
+    assert d == _least_threshold_d(x)
+    assert linf(_reduce(_kernel_rows(x, 8), len(x), box=d)) == end > d
+    runs: list = []
+
+    def sized_reduce(rows, *args, **kwargs):
+        runs.append(len(rows))
+        return _reduce(rows, *args, **kwargs)
+
+    monkeypatch.setattr(sbl.solve, "_reduce", sized_reduce)
+    want = first_fit_reference(kernel_basis(x).rows, d)
+    assert solve_sbp_lll(x, d).witness == want
+    assert runs == sizes
+    inst = Instance(x, Interval(-d, d))
+    assert solve_instance(inst, "balancing").witness == want
 
 
 @pytest.mark.parametrize("x, d, at", _STOPS)
@@ -1500,6 +1575,8 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
          lambda: sbl.enumeration.svp_gauge(lat, ellipse)),
         (sbl.lattice, "sum", lambda *a: 1,
          lambda: sbl.lattice.kernel_basis((3, 5, 8))),
+        (sbl.lattice, "sum", lambda *a: 1,
+         lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5)),
         (sbl.lattice, "max", min,
          lambda: sbl.lattice.choose_params((3, 5), 1, 0, "gss_avg", 1)),
         (sbl.oracle, "verify_solution", reject,
@@ -1530,7 +1607,7 @@ def test_self_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["internal-error"] * 14
+    assert proc.stdout.split() == ["internal-error"] * 15
 
 
 def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path,

@@ -20,9 +20,9 @@ product with each of them, O(m^2) work, so callers that ask many
 questions of one lattice prepare it once and pass it to every call.  The
 frame is linear over integer vectors, so a caller whose centers differ by
 fixed integer steps updates one frame in O(m) per step instead.  The
-walk's scale tables depend only on the lattice and the center's
-denominator; the lattice keeps them for the last denominator asked, so a
-run of queries on one denominator sets them up once.
+walk's weights and the sup walk's Hölder vectors depend on the lattice
+alone, so the lattice builds them on first use; each walk scales by its
+center's denominator itself, O(m) per walk.
 
 svp_inf and cvp_inf answer sup-norm questions by one sup walk each: the
 walk of the sup ball |v - c|_inf <= lim / den, which lies in the Euclidean
@@ -75,7 +75,7 @@ per +-pair and one for 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -129,8 +129,6 @@ class PreparedLattice:
     dim: int
     gram_det: Tuple[int, ...]
     lam: Tuple[Tuple[int, ...], ...]
-    _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @property
     def rank(self) -> int:
@@ -171,8 +169,8 @@ class PreparedLattice:
         2.6), built on first use: starting from b_i, B_i <- (D_{j+1} B_i -
         lam_ij B_j) / D_j for j = 0, ..., i - 1, every division exact.
         They are the frame's vectors (_frame(v)[i] = <B_i, v>, so the frame
-        of the unit vector e_l is column l of B) and the sup walk's Hölder
-        vectors (_sup_plan)."""
+        of the unit vector e_l is column l of B) and, weighted, the sup
+        walk's Hölder vectors (_holder)."""
         dets = self.gram_det
         out: list = []
         for row, lrow in zip(self.rows, self.lam):
@@ -183,45 +181,22 @@ class PreparedLattice:
             out.append(tuple(v))
         return tuple(out)
 
-    def _plan(self, den: int):
-        """The walk's scale tables for centers on the common denominator
-        den (see _walk): (L, w, t, steps, sup) with L = lcm_i D[i] D[i+1],
-        w_i = L / (D[i] D[i+1]), t_i = den * D[i+1] and steps[i] = den *
-        lam[i].  They do not depend on the radius.  sup holds the sup
-        walk's own tables once one is built (_sup_plan).  Only the last
-        denominator's tables are kept, which covers a search and a sweep of
-        related centers."""
-        plan = self._plans.get(den)
-        if plan is None:
-            self._plans.clear()
-            dets = self.gram_det
-            pair = [dets[i] * dets[i + 1] for i in range(self.rank)]
-            scale = lcm(*pair)
-            plan = self._plans[den] = (
-                scale,
-                [scale // p for p in pair],
-                [den * dets[i + 1] for i in range(self.rank)],
-                [[den * l for l in lrow] for lrow in self.lam],
-                [],
-            )
-        return plan
+    @cached_property
+    def _weights(self) -> Tuple[int, list]:
+        """(L, w): the walk's scale L = lcm_i D[i] D[i+1] and its weights
+        w_i = L / (D[i] D[i+1]), D = gram_det (see _walk)."""
+        dets = self.gram_det
+        pair = [dets[i] * dets[i + 1] for i in range(self.rank)]
+        scale = lcm(*pair)
+        return scale, [scale // p for p in pair]
 
-    def _sup_plan(self, den: int):
-        """The sup walk's tables for den (see _walk), built on its first
-        walk and kept with _plan(den): (wbs, top_l1, cols, flat) with wbs
-        the Hölder prune's vectors w_i B_i, top_l1 = |wbs[-1]|_1, cols the
-        (j, |den b_0j|, sign den, sign) of level 0's coordinates with b_0j
-        != 0, sign that of b_0j, and flat the j with b_0j = 0."""
-        plan = self._plan(den)
-        sup = plan[4]
-        if not sup:
-            wbs = [[w * c for c in b] for w, b in zip(plan[1], self._stars)]
-            row0 = self.rows[0]
-            cols = [(j, abs(b) * den, den if b > 0 else -den,
-                     1 if b > 0 else -1) for j, b in enumerate(row0) if b]
-            flat = [j for j, b in enumerate(row0) if not b]
-            sup.extend((wbs, sum(map(abs, wbs[-1])), cols, flat))
-        return sup
+    @cached_property
+    def _holder(self) -> Tuple[list, int]:
+        """(wbs, top_l1): the sup walk's Hölder vectors wbs[i] = w_i B_i
+        (see _walk) and top_l1 = |wbs[-1]|_1."""
+        wbs = [[w * c for c in b] for w, b in zip(self._weights[1],
+                                                  self._stars)]
+        return wbs, sum(map(abs, wbs[-1]))
 
 
 Lattice = Union[LatticeBasis, PreparedLattice]
@@ -276,7 +251,7 @@ def _perp(t: _Target) -> int:
     span, on the walk's scale (see _walk): L |scaled|^2 less the
     projection's part, sum_i w_i y_i^2 over the frame y.  The center pays
     it before the top level; 0 on a full-rank lattice."""
-    scale, ws = t.lat._plan(t.den)[:2]
+    scale, ws = t.lat._weights
     return scale * l2_sq(t.scaled) - sum(w * y * y
                                          for w, y in zip(ws, t.frame))
 
@@ -290,8 +265,9 @@ def _top_test(lat: PreparedLattice, den: int, lim: int):
     test set up here serves every center on den: a sweep of capped
     questions sets it up once and walks only the centers it passes (see
     solve._first_pattern)."""
-    scale, ws, ts = lat._plan(den)[:3]
-    s, t = isqrt(lat.dim * lim * lim * scale // ws[-1]), ts[-1]
+    scale, ws = lat._weights
+    s = isqrt(lat.dim * lim * lim * scale // ws[-1])
+    t = den * lat.gram_det[-1]
 
     def empty(frame) -> bool:
         e = frame[-1]
@@ -330,7 +306,8 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     den the center's common denominator, D = gram_det, L = lcm_i D[i]
     D[i+1] and w_i = L / (D[i] D[i+1]), level i keeps its center e_i =
     zc_i - sum_{j>i} mu_ji z_j as the integer E_i = t_i e_i, t_i = den
-    D[i+1].  Coefficient z costs |b*_i|^2 (z - e_i)^2 = (z t_i - E_i)^2 /
+    D[i+1] (built per walk; L and w are PreparedLattice._weights).
+    Coefficient z costs |b*_i|^2 (z - e_i)^2 = (z t_i - E_i)^2 /
     (den^2 D[i] D[i+1]), so on the scale den^2 L it costs w_i (z t_i -
     E_i)^2, an integer.  A node keeps its cost C, the sum over the levels
     chosen; with rem0 the ball's integer squared radius less _perp, z is
@@ -347,9 +324,10 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
       den) |u|_1 for every v of the sup ball.  With diff_i = z_i t_i -
       E_i, C = den^2 L |u|_2^2 and U = sum_{i >= k} diff_i w_i B_i is den
       L u, B_i = gram_det[i] b*_i integral (PreparedLattice._stars), so
-      the test is C <= lim |U|_1.  U is the node above's U plus the plan's
-      w_k B_k times diff_k, summed only when a node needs it, and a node
-      with C <= lim^2 L (|u|_2 <= lim / den) passes without it;
+      the test is C <= lim |U|_1.  U is the node above's U plus w_k B_k
+      (PreparedLattice._holder) times diff_k, summed only when a node
+      needs it, and a node with C <= lim^2 L (|u|_2 <= lim / den) passes
+      without it;
     - at level 0, a line acc + z b_0, the sup ball is one integer range of
       z: for each j with b_0j != 0, |den acc_j - scaled_j + z den b_0j| <=
       lim gives one ceiling and one floor division, and a coordinate with
@@ -364,16 +342,17 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     """
     lat = t.lat
     den = t.den
-    rows = lat.rows
+    rows, lam = lat.rows, lat.lam
     m, rank, top = lat.dim, len(rows), len(rows) - 1
-    scale, ws, ts, steps, tables = lat._plan(den)
+    scale, ws = lat._weights
+    ts = [den * d for d in lat.gram_det[1:]]
     perp = _perp(t) if rank < m else 0
     sup = lim is not None
-    lines = None
+    lines = flat = None
     if sup:
         free = lim * lim * scale
         rem0 = m * free - perp
-        wbs, top_l1, cols, flat = tables or lat._sup_plan(den)
+        wbs, top_l1 = lat._holder
         scaled = t.scaled
     else:
         rem0 = r_sq * den * den * scale - perp
@@ -392,13 +371,15 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
     def emit(acc, a: int, b: int) -> None:
         # the points acc + z row0 for z in [a, b], level 0's Euclidean
         # range, cut to the sup ball
-        nonlocal count, lim, rem0, free, lines
+        nonlocal count, lim, rem0, free, lines, flat
         if sup:
             if lines is None:
                 # x = sign (den acc_j - scaled_j) must keep |x + z q| <=
-                # lim, q = |den b_0j|
-                lines = [(j, q, sd, sg * scaled[j])
-                         for j, q, sd, sg in cols]
+                # lim, q = |den b_0j|; flat holds the j with b_0j = 0
+                lines = [(j, b * den, den, scaled[j]) if b > 0 else
+                         (j, -b * den, -den, -scaled[j])
+                         for j, b in enumerate(row0) if b]
+                flat = [j for j, b in enumerate(row0) if not b]
             for j in flat:
                 if abs(den * acc[j] - scaled[j]) > lim:
                     return
@@ -434,9 +415,9 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
         # levels above, acc the integer point so far.  In a sup walk, big
         # + diff0 * wb0 is U of the node above (big None: zero; wb0 None:
         # big itself), summed when the first child is entered
-        t, w, row, step = ts[level], ws[level], rows[level], steps[level]
+        t, w, row, lrow = ts[level], ws[level], rows[level], lam[level]
         k = level - 1
-        tk, wk, sk = ts[k], ws[k], step[k]
+        tk, wk, lk = ts[k], ws[k], lrow[k]
         e, ek0 = es[level], es[k]
         wb = wbs[level] if sup else None
         u, du, wu = None, 0, None
@@ -447,7 +428,8 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
             r = room - w * diff * diff
             if r < 0:
                 continue
-            ek = ek0 - sk * z
+            dz = den * z
+            ek = ek0 - lk * dz
             s = isqrt(r // wk)
             a, b = -((s - ek) // tk), (ek + s) // tk
             if origin and not z:
@@ -478,7 +460,7 @@ def _walk(t: _Target, visit, budget: Budget, lim: Optional[int] = None,
                     if c > lim * sum(map(abs, u)):
                         continue
                     du, wu = 0, None
-            descend(k, c, list(map(sub, es, map(mul, step, repeat(z)))),
+            descend(k, c, list(map(sub, es, map(mul, lrow, repeat(dz)))),
                     list(map(add, acc, map(mul, row, repeat(z)))), a, b,
                     u, du, wu)
             room = rem0 - cost
@@ -546,23 +528,27 @@ def svp_inf(
     """Exact sup-norm shortest vector.
 
     The least sup norm u of a reduced row bounds the minimum from above.
-    One sup walk around 0 at the limit min(cap, u) (see _walk) keeps the
-    least nonzero norm and the lexicographically least vector of that
-    norm, lowering its limit to every better norm it finds, so the answer
-    is exact.  The walk is a half walk: it visits 0 and one of each pair
-    +-v, and folds each v to min(v, -v) before it compares, so it finds
-    the least (norm, vector) over the whole ball and charges the budget
-    for one point per pair and one for 0.  The walk at u holds that row
-    or its negative, so an uncapped search, or one capped at u or above,
-    always finds; found=False certifies that the minimum exceeds the cap.
+    One sup walk around 0 at the limit min(floor(cap), u) (see _walk)
+    keeps the least nonzero norm and the lexicographically least vector
+    of that norm, lowering its limit to every better norm it finds, so
+    the answer is exact.  The walk is a half walk: it visits 0 and one of
+    each pair +-v, and folds each v to min(v, -v) before it compares, so
+    it finds the least (norm, vector) over the whole ball and charges the
+    budget for one point per pair and one for 0.  The walk at u holds
+    that row or its negative, so an uncapped search, or one capped at u
+    or above, always finds; found=False certifies that the minimum
+    exceeds the cap.  Sup norms are integers, so a rational cap (an int,
+    a Fraction or a float, read exactly) is walked at its floor.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")
-    if cap is not None and cap < 0:
-        raise ValueError("cap must be nonnegative")
+    if cap is not None:
+        cap = _rational(cap)
+        if cap < 0:
+            raise ValueError("cap must be nonnegative")
     lat = prepare(basis)
     u = min(linf(row) for row in lat.rows)
-    lim = u if cap is None else min(cap, u)
+    lim = u if cap is None else min(cap.numerator // cap.denominator, u)
     best = _sup_search(_Target(lat, 1, (0,) * lat.dim, [0] * lat.rank),
                        lim, _as_budget(budget), nonzero=True)
     if best is None:
@@ -659,8 +645,8 @@ def svp_gauge(
     g0, the least F-value of a reduced row, visits 0 and exactly one of each
     pair +-v of F-value <= g0 (see _walk), folds each v to min(v, -v) and
     keeps the least (F-value, point) among the nonzero ones: the least over
-    the whole ball.  This F-reduced lattice stays here: its frame and sup
-    tables are Euclidean.
+    the whole ball.  This F-reduced lattice stays here: its frame and
+    Hölder vectors are Euclidean.
     """
     if basis.rank == 0:
         raise ValueError("empty lattice")

@@ -386,6 +386,14 @@ def solve_gss_interval(
     return Verdict.solved(c)
 
 
+def _box_center(lat, head: int) -> _Target:
+    """_Target.of(lat, (head, 0, ..., 0)) in O(m): the center alpha tau
+    e_0 of the box walks, whose frame is head times column 0 of
+    lat._stars."""
+    return _Target(lat, 1, (head,) + (0,) * (lat.dim - 1),
+                   [head * b[0] for b in lat._stars])
+
+
 def _first_pattern(lat, head: int, den: int, h: int, limit: int,
                    budget: Budget):
     """The sign sweep of solve_gss_punctured: (signs, g, p) for the first
@@ -495,7 +503,7 @@ def solve_gss_punctured(
                     best = key
             return d
 
-        _walk(_Target.of(lat, params.target), keep, budget, d)
+        _walk(_box_center(lat, params.alpha * tau), keep, budget, d)
     else:
         best = _first_pattern(lat, den * params.alpha * tau, den, h,
                               (d - 1) * den // 2, budget)
@@ -570,7 +578,7 @@ def solve_gss_avg(
             best = v
         return d
 
-    _walk(_Target.of(lat, params.target), keep, budget, d)
+    _walk(_box_center(lat, params.alpha * tau), keep, budget, d)
     if best is None:
         return Verdict.no_solution("no lattice point near the target decodes")
     _check(best[0] == params.alpha * tau,

@@ -22,15 +22,16 @@ witnesses sbl.oracle.mitm_solve decodes from the indices of its hit.
 kernel_basis_reference keeps its unimodular transform as dense rows,
 the reference for sbl.lattice.kernel_basis's sparse rows, and
 walk_reference is the enumeration walk with level 1 in a loop of its
-own, the reference for sbl.enumeration._walk's visit order, limits and
-budget charges.  No code in the sbl package calls them.
+own, on scale tables it builds itself (_plan, _sup_plan), the reference
+for sbl.enumeration._walk's visit order, limits and budget charges.  No
+code in the sbl package calls them.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import floor, isqrt
+from math import floor, isqrt, lcm
 from operator import add, mul, sub
 from typing import Optional, Sequence, Tuple
 
@@ -359,6 +360,34 @@ def holder_walk(lat: PreparedLattice, center, bound_sq):
     return _fraction_walk(lat, center, lat.dim * bound_sq, keep)
 
 
+def _plan(lat: PreparedLattice, den: int):
+    """walk_reference's scale tables for centers on the common denominator
+    den, built here from the lattice's gram_det and lam: (L, w, t, steps,
+    sup) with L = lcm_i D[i] D[i+1], w_i = L / (D[i] D[i+1]), t_i = den *
+    D[i+1], steps[i] = den * lam[i] and sup an empty list (_sup_plan)."""
+    dets = lat.gram_det
+    pair = [dets[i] * dets[i + 1] for i in range(lat.rank)]
+    scale = lcm(*pair)
+    return (scale, [scale // p for p in pair],
+            [den * dets[i + 1] for i in range(lat.rank)],
+            [[den * l for l in lrow] for lrow in lat.lam], [])
+
+
+def _sup_plan(lat: PreparedLattice, den: int):
+    """walk_reference's sup tables for den: (wbs, top_l1, cols, flat) with
+    wbs the Hölder prune's vectors w_i B_i over the lattice's _stars,
+    top_l1 = |wbs[-1]|_1, cols the (j, |den b_0j|, sign den, sign) of
+    level 0's coordinates with b_0j != 0, sign that of b_0j, and flat the
+    j with b_0j = 0."""
+    ws = _plan(lat, den)[1]
+    wbs = [[w * c for c in b] for w, b in zip(ws, lat._stars)]
+    row0 = lat.rows[0]
+    cols = [(j, abs(b) * den, den if b > 0 else -den, 1 if b > 0 else -1)
+            for j, b in enumerate(row0) if b]
+    flat = [j for j, b in enumerate(row0) if not b]
+    return wbs, sum(map(abs, wbs[-1])), cols, flat
+
+
 def walk_reference(t: _Target, visit, budget: Budget,
                    lim: Optional[int] = None, r_sq=None,
                    half: bool = False) -> None:
@@ -426,14 +455,14 @@ def walk_reference(t: _Target, visit, budget: Budget,
     den = t.den
     rows = lat.rows
     m, rank, top = lat.dim, len(rows), len(rows) - 1
-    scale, ws, ts, steps, tables = lat._plan(den)
+    scale, ws, ts, steps, tables = _plan(lat, den)
     perp = _perp(t) if rank < m else 0
     sup = lim is not None
     lines = None
     if sup:
         free = lim * lim * scale
         rem0 = m * free - perp
-        wbs, top_l1, cols, flat = tables or lat._sup_plan(den)
+        wbs, top_l1, cols, flat = tables or _sup_plan(lat, den)
         scaled = t.scaled
     else:
         r_num, r_den = r_sq.numerator, r_sq.denominator

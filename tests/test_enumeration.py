@@ -440,6 +440,28 @@ def test_svp_inf_cap():
     assert hit.found and hit.value == 3
 
 
+def test_svp_inf_walks_a_rational_cap_at_its_floor(monkeypatch):
+    """Sup norms are integers: an int cap, a Fraction and a float between
+    it and the next integer give one result and one charge, each walked
+    at an int limit."""
+    lat, _ = _grown_instance()
+    search, limits = sbl.enumeration._sup_search, []
+
+    def logged(t, lim, *args, **kwargs):
+        limits.append(lim)
+        return search(t, lim, *args, **kwargs)
+
+    monkeypatch.setattr(sbl.enumeration, "_sup_search", logged)
+    for caps in ((2, Fraction(5, 2), 2.5), (3, Fraction(7, 2), 3.5)):
+        runs = [_charged(lambda b: svp_inf(lat, cap=cap, budget=b))
+                for cap in caps]
+        assert runs[1:] == runs[:1] * 2
+    assert [type(lim) for lim in limits] == [int] * 6
+    assert runs[0][0] == SvpResult(True, 3, runs[0][0].witness)
+    with pytest.raises(ValueError):
+        svp_inf(lat, cap=-0.5)
+
+
 def test_svp_inf_rejects_empty():
     with pytest.raises(ValueError):
         svp_inf(LatticeBasis((), 2))
@@ -1043,22 +1065,31 @@ def test_stars_are_the_scaled_gram_schmidt_vectors(case):
                              for d, b in zip(lat.gram_det, stars)]
 
 
-def test_walk_plans_follow_the_center_denominator():
-    """A search sets up the walk's scale tables once for its center's
-    denominator: a search with a cap of another denominator reuses them,
-    and a new center denominator replaces them."""
+def test_queries_on_mixed_denominators_match_a_fresh_lattice():
+    """Each walk scales by its own center's denominator: on one prepared
+    lattice, searches around centers on the denominators 6, 2 and 1
+    (svp_inf), interleaved, answer and charge exactly what each does on a
+    freshly prepared copy of the lattice."""
     lat, _ = _grown_instance()
     m = lat.dim
-    target = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
-    res, count = _charged(lambda b: cvp_inf(lat, target, budget=b))
-    assert res.found and count > 1
-    plan = lat._plans[6]
-    assert list(lat._plans) == [6]
-    cvp_inf(lat, target, cap=Fraction(5, 7))
-    assert list(lat._plans) == [6] and lat._plans[6] is plan
-    svp_inf(lat)
-    assert list(lat._plans) == [1]
-    assert cvp_inf(lat, target) == res
+    six = (Fraction(7, 2),) + (Fraction(1, 3),) * (m - 1)
+    two = ((Fraction(-3, 2),) + (Fraction(1, 2), Fraction(4)) * m)[:m]
+    queries = (
+        lambda lat, b: cvp_inf(lat, six, budget=b),
+        lambda lat, b: cvp_inf(lat, two, budget=b),
+        lambda lat, b: svp_inf(lat, budget=b),
+        lambda lat, b: cvp_inf(lat, six, cap=Fraction(5, 7), budget=b),
+        lambda lat, b: svp_inf(lat, cap=3, budget=b),
+        lambda lat, b: cvp_inf(lat, two, cap=Fraction(3, 2), budget=b),
+        lambda lat, b: cvp_inf(lat, six, budget=b),
+    )
+    counts = []
+    for query in queries:
+        fresh, _ = _grown_instance()
+        res, count = _charged(lambda b: query(lat, b))
+        assert (res, count) == _charged(lambda b: query(fresh, b))
+        counts.append(count)
+    assert min(counts[:3]) > 1
 
 
 def _fraction_builds(fn):

@@ -27,12 +27,15 @@ Regenerate the data only when a change of output is intended, by running
 the file with no arguments (any argument but `--diff OLD_JSON` prints a
 usage line and exits 1, leaving the data alone):
 
-    PYTHONPATH=src python tests/test_golden.py
+    python tests/test_golden.py
 
 and list the records whose bytes moved against an earlier copy of the
 data (say, `git show HEAD:tests/data/golden.json > old.json`) with
 
     python tests/test_golden.py --diff old.json
+
+Run as a script, the file imports the sbl of the checkout it sits in,
+so neither command needs an install or PYTHONPATH.
 """
 
 import contextlib
@@ -46,6 +49,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":
+    # run as a script from a checkout: import this checkout's sbl
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sbl.cli import main
 from sbl.core import (
@@ -387,8 +396,6 @@ def diff(old_path) -> None:
 
 
 if __name__ == "__main__":
-    import sys
-
     args = sys.argv[1:]
     if not args:
         regenerate()

@@ -66,6 +66,7 @@ from sbl.solve import (
     INTEGER,
     SIGN_PATTERN_CAP,
     ThresholdUnmet,
+    _box_center,
     _symmetric_bound,
     capped_cvp_oracle,
     check_minkowski,
@@ -1180,6 +1181,20 @@ def test_gss_avg_guard_and_ball_share_one_budget():
     assert info.value.partial == 1
     with pytest.raises(BudgetExceeded, match="^ball holds more than 0 "):
         solve_gss_avg(x, 5, 2, 4 ** 8, budget=0)
+
+
+@pytest.mark.parametrize("tau", [-7, 0, 5])
+def test_box_center_is_the_checked_target(tau):
+    """The box walks' center (alpha tau, 0, ..., 0), built in O(m) off
+    column 0 of the lattice's vectors gram_det[i] b*_i, has the
+    denominator, scaled point and frame that _Target.of gives it."""
+    x = (11, 23, 37, 41)
+    params = choose_params(x, 2, tau, "gss_avg", m_bound=256)
+    lat = enumeration.prepare(embedding_basis(x, params))
+    got = _box_center(lat, params.alpha * tau)
+    want = _Target.of(lat, params.target)
+    assert (got.lat, got.den, got.scaled, got.frame) == (
+        want.lat, want.den, want.scaled, want.frame)
 
 
 def test_gss_avg_guard_abort():

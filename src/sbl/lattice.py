@@ -156,17 +156,17 @@ def choose_params(
     x: Sequence[int],
     d: int,
     tau: int = 0,
-    mode: str = "gss_worst",
     m_bound=None,
 ) -> EmbeddingParams:
-    """Embedding parameters for the given solving mode.
+    """Embedding parameters: the worst case, or the average case when
+    m_bound is given.
 
-    gss_worst:  alpha = d+1, q = d*sum|x_i| + |tau| + 1, target alpha*tau;
-                at tau = 0 these are balancing's parameters.
-    gss_avg:    alpha = max(d+1, ceil(m_bound**(1/n))),
-                q = alpha*sum|x_i| + |tau| + 1, target alpha*tau.
+    worst case:    alpha = d+1, q = d*sum|x_i| + |tau| + 1, target
+                   alpha*tau; at tau = 0 these are balancing's parameters.
+    average case:  alpha = max(d+1, ceil(m_bound**(1/n))),
+                   q = alpha*sum|x_i| + |tau| + 1, target alpha*tau.
 
-    In every mode alpha exceeds d and q exceeds the largest |sum c_i x_i -
+    Either way alpha exceeds d and q exceeds the largest |sum c_i x_i -
     tau| reachable with |c_i| <= d, which is what makes small vectors of the
     embedding decode to solutions.
     """
@@ -177,19 +177,15 @@ def choose_params(
         raise ValueError("coefficient bound must be positive")
     sum_abs = sum(abs(v) for v in xs)
     tau = int(tau)
-    if mode == "gss_worst":
+    if m_bound is None:
         alpha = d + 1
         q = d * sum_abs + abs(tau) + 1
-    elif mode == "gss_avg":
-        if m_bound is None:
-            raise ValueError("m_bound required for gss_avg")
+    else:
         m_bound = int(m_bound)
         if m_bound < 1:
             raise ValueError("m_bound must be positive")
         alpha = max(d + 1, ceil_root(m_bound, len(xs)))
         q = alpha * sum_abs + abs(tau) + 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if not (alpha > d and q > d * sum_abs + abs(tau)):
         raise InternalError(
             "self-check failed: embedding scale or modulus too small"

@@ -75,8 +75,6 @@ from .reduction import _reduce, lll_threshold
 
 __all__ = [
     "SIGN_PATTERN_CAP",
-    "INTEGER",
-    "HALF_INTEGER",
     "ThresholdUnmet",
     "GapConfigError",
     "GapVerdict",
@@ -97,10 +95,6 @@ __all__ = [
 
 # 2^n sign patterns; beyond this the loop alone is hopeless
 SIGN_PATTERN_CAP = 24
-
-INTEGER = "integer"
-HALF_INTEGER = "half_integer"
-_GRIDS = (INTEGER, HALF_INTEGER)
 
 
 class ThresholdUnmet(ValueError):
@@ -299,9 +293,10 @@ def gap_decide(
     < (r+1)/r for r > 0.  Acceptance then guarantees the oracle's vector
     lies within r (its true distance is below r + 1 and on the grid), and
     rejection guarantees the true distance exceeds r (it is at least
-    reported / gamma >= (r+1)/gamma > r).  The basis is prepared once, and
-    the oracle is asked on the prepared lattice, whose rows are reduced
-    (see enumeration.prepare).
+    reported / gamma >= (r+1)/gamma > r).  ValueError on bad input: an r
+    that is negative or not a multiple of 1/2, or an accepted distance off
+    r's grid.  The basis is prepared once, and the oracle is asked on the
+    prepared lattice, whose rows are reduced (see enumeration.prepare).
     """
     r = Fraction(r)
     if r < 0:
@@ -319,13 +314,21 @@ def gap_decide(
     return _gap_verdict(lat, target, r, *oracle.solver(lat, target, r))
 
 
+def _sup_dist(vector, target) -> Fraction:
+    """The exact sup distance from a vector to a rational target."""
+    return max((abs(Fraction(a) - Fraction(b))
+                for a, b in zip(vector, target)), default=Fraction(0))
+
+
 def _gap_verdict(lat, target, r: Fraction, vector, reported) -> GapVerdict:
     """gap_decide's verdict on an answer (vector, reported) for the target
     on the prepared lattice at the radius r: reject when reported is r + 1
     or more; otherwise accept the vector once it is checked to be a
     lattice vector of the target's dimension (Babai rounding on the
-    lattice returns a lattice vector unchanged) whose exact distance is at
-    most reported, on r's grid and at most r."""
+    lattice returns a lattice vector unchanged) whose exact distance is on
+    r's grid and at most reported, hence at most r.  That distance is
+    attainable, so one off the grid means the inputs break the grid
+    premise: ValueError."""
     reported = Fraction(reported)
     if reported >= r + 1:
         return GapVerdict(False, reported)
@@ -335,13 +338,13 @@ def _gap_verdict(lat, target, r: Fraction, vector, reported) -> GapVerdict:
            and lat._round(1, lat._frame(vector)) == vector,
            "accepted vector is not a lattice vector of the target's "
            "dimension")
-    exact = max(
-        (abs(Fraction(a) - Fraction(b)) for a, b in zip(vector, target)),
-        default=Fraction(0),
-    )
+    exact = _sup_dist(vector, target)
+    if (r - exact).denominator != 1:
+        raise ValueError(
+            f"accepted distance {exact} is off the grid of the radius {r}; "
+            "attainable distances must lie on it"
+        )
     _check(exact <= reported, "oracle understated its vector's distance")
-    _check((r - exact).denominator == 1 and exact <= r,
-           "accepted distance is off the radius's grid or beyond it")
     return GapVerdict(True, reported, tuple(int(v) for v in vector))
 
 
@@ -375,7 +378,7 @@ def solve_gss_interval(
             return Verdict.solved(c)
         return Verdict.no_solution("constant interval misses the target sum")
     d = max(abs(a), abs(b))
-    params = choose_params(xs, d, tau, "gss_worst")
+    params = choose_params(xs, d, tau)
     basis = embedding_basis(xs, params)
     target, r = interval_shift_target(tau, params.alpha, a, b, n)
     gv = gap_decide(capped_cvp_oracle(budget), basis, target, r)
@@ -486,7 +489,7 @@ def solve_gss_punctured(
         )
     inst = Instance(xs, Punctured(d), tau=tau)
     budget = _as_budget(budget)
-    params = choose_params(xs, d, tau, "gss_worst")
+    params = choose_params(xs, d, tau)
     lat = prepare(embedding_basis(xs, params))
     den = 1 if d % 2 == 1 else 2
     h = den * (d + 1) // 2
@@ -512,7 +515,10 @@ def solve_gss_punctured(
     signs, g, p = best
     # gap_decide's verdict, on the point found
     target, r = sign_pattern_target(tau, params.alpha, d, signs)
-    gv = _gap_verdict(lat, target, r, p, Fraction(g, den))
+    try:
+        gv = _gap_verdict(lat, target, r, p, Fraction(g, den))
+    except ValueError as e:  # on r's grid by construction: a defect
+        raise InternalError(f"self-check failed: {e}") from e
     _check(gv.accept, "the gap decision rejects a vector within r")
     c = gv.vector[1:]
     _check(all(v * s > 0 for v, s in zip(c, signs)),
@@ -558,7 +564,7 @@ def solve_gss_avg(
     n = len(xs)
     coeffs = Interval(-d, d) if cset == "interval" else Punctured(d)
     inst = Instance(xs, coeffs, tau=tau, m_bound=m_bound)
-    params = choose_params(xs, d, tau, "gss_avg", m_bound=m_bound)
+    params = choose_params(xs, d, tau, m_bound)
     lat = prepare(embedding_basis(xs, params))
     budget = _as_budget(budget)
     guard_cap = iroot(m_bound, n) // 4
@@ -595,61 +601,46 @@ def solve_gss_avg(
 def cvp_via_gap_search(
     basis: Lattice,
     target,
-    grid: str = INTEGER,
     r_max=None,
     oracle: Optional[ApproxCvpOracle] = None,
     budget=DEFAULT_POINT_BUDGET,
 ) -> Tuple[Tuple[int, ...], Fraction]:
     """Recover a closest vector from gap questions (oracle, basis, target,
-    r) alone by binary search over the radii r of the grid.
+    r) alone by binary search over the radii r_max - k of r_max's grid,
+    k = 0, ..., floor(r_max).
 
     The one oracle is asked at every radius; the default is
     capped_cvp_oracle, cvp_inf capped at the radius asked, making the
     result an exact closest vector on grid-structured targets, and the
     walks of all its radii draw on one Budget.  The search needs an
-    accepting radius to start from; r_max defaults to the rounding bound
-    of a nearest-plane walk, which always accepts.  The lattice is
-    prepared once for the whole search.
+    accepting radius to start from; r_max defaults to the sup distance of
+    Babai's nearest-plane vector, which is attainable, so on the grid when
+    the premise holds, and accepts there.  Bad input raises ValueError
+    (see gap_decide).  The lattice is prepared once for the whole search.
     """
-    if grid not in _GRIDS:
-        raise ValueError(f"unknown grid {grid!r}")
     lat = prepare(basis)
     tgt = tuple(Fraction(t) for t in target)
     if oracle is None:
         oracle = capped_cvp_oracle(_as_budget(budget))
-    base = Fraction(0) if grid == INTEGER else Fraction(1, 2)
     if r_max is None:
         center = _Target.of(lat, tgt)
-        d0 = Fraction(center.babai()[1], center.den)
-        if d0 > base:
-            f = d0 - base
-            steps = -((-f.numerator) // f.denominator)
-        else:
-            steps = 0
-        r_max = base + steps
+        r_max = Fraction(center.babai()[1], center.den)
     r_max = Fraction(r_max)
-    if r_max < base or (r_max - base).denominator != 1:
-        raise ValueError("r_max must lie on the declared grid")
-    hi = int(r_max - base)
     gv = gap_decide(oracle, lat, tgt, r_max)
     if not gv.accept:
         raise ValueError("no lattice vector within r_max of the target")
     best = gv.vector
+    hi, base = divmod(r_max, 1)
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        r = base + mid
-        gv = gap_decide(oracle, lat, tgt, r)
+        gv = gap_decide(oracle, lat, tgt, base + mid)
         if gv.accept:
             hi = mid
             best = gv.vector
         else:
             lo = mid + 1
-    dist = max(
-        (abs(Fraction(a) - b) for a, b in zip(best, tgt)),
-        default=Fraction(0),
-    )
-    return tuple(best), dist
+    return best, _sup_dist(best, tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_criterion_06_gss_oracle_equivalence(gss_corpus):
 def test_criterion_07_distance_grid(gss_corpus):
     realized = 0
     for x, tau, d in gss_corpus:
-        params = choose_params(x, d, tau, "gss_worst")
+        params = choose_params(x, d, tau)
         basis = prepare(embedding_basis(x, params))
         oracle = capped_cvp_oracle()
         for signs in product((-1, 1), repeat=len(x)):
@@ -288,7 +288,7 @@ def test_criterion_08_gap_soundness_under_inflation():
         gamma = 1 + Fraction(1, 2 * d)
         # worst legal factor first, then interior points of [1, gamma]
         factor = (gamma, (1 + gamma) / 2, Fraction(1))[i % 3]
-        params = choose_params(x, d, tau, "gss_worst")
+        params = choose_params(x, d, tau)
         basis = embedding_basis(x, params)
         target, r = interval_shift_target(tau, params.alpha, -d, d, n)
         gv = gap_decide(_inflated_oracle(gamma, factor), basis, target, r)

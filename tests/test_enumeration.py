@@ -222,7 +222,7 @@ def _ball_queries(draw):
     if draw(st.booleans()):
         x = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
         params = choose_params(x, draw(st.integers(1, 2)),
-                               draw(st.integers(-20, 20)), "gss_worst")
+                               draw(st.integers(-20, 20)))
         basis = lll_reduce(embedding_basis(x, params))
     else:
         x = [draw(st.integers(1, 30))] + draw(
@@ -312,7 +312,7 @@ def _random_lattices(seed, count):
         n = rng.randint(2, 5)
         if k % 2 == 0:
             x = tuple(rng.randint(1, 400) for _ in range(n))
-            params = choose_params(x, 2, rng.randint(-30, 30), "gss_worst")
+            params = choose_params(x, 2, rng.randint(-30, 30))
             basis = embedding_basis(x, params)
         else:
             x = tuple(rng.randint(-40, 40) or 1 for _ in range(n + 1))
@@ -735,7 +735,7 @@ def _capped_queries(draw):
     if draw(st.booleans()):
         x = draw(st.lists(st.integers(1, 200), min_size=1, max_size=4))
         params = choose_params(x, draw(st.integers(1, 3)),
-                               draw(st.integers(-40, 40)), "gss_worst")
+                               draw(st.integers(-40, 40)))
         basis = embedding_basis(x, params)
     else:
         x = [draw(st.integers(1, 60))] + draw(
@@ -1026,7 +1026,7 @@ def _frame_vectors(draw):
         x = draw(st.lists(st.integers(-2**20, 2**20), min_size=1,
                           max_size=5).filter(any))
         params = choose_params(x, draw(st.integers(1, 5)),
-                               draw(st.integers(-100, 100)), "gss_worst")
+                               draw(st.integers(-100, 100)))
         lat = prepare(embedding_basis(x, params))
     else:
         x = [draw(st.integers(1, 500))] + draw(
@@ -1116,7 +1116,7 @@ def test_capped_search_builds_a_fraction_only_for_its_answer():
     no Fraction, from its target's check through Babai rounding and the
     walk, and visits no point."""
     x, tau, d = (35, 734441, 23, 15, 28, 5), -96, 5
-    params = choose_params(x, d, tau, "gss_worst")
+    params = choose_params(x, d, tau)
     lat = prepare(embedding_basis(x, params))
     cap = Fraction(d - 1, 2)
     empty = _top_test(lat, 1, (d - 1) // 2)

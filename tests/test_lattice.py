@@ -108,32 +108,38 @@ def test_kernel_rejects_zero_vector():
 # ---------------------------------------------------------------------------
 
 def test_choose_params_sbp():
-    """Balancing takes the default mode at tau = 0; "sbp" is no mode."""
+    """Balancing takes the worst-case parameters at tau = 0."""
     p = choose_params((1, 2), 1)
     assert (p.alpha, p.q, p.target) == (2, 4, (0, 0, 0))
-    with pytest.raises(ValueError, match="unknown mode"):
-        choose_params((1, 2), 1, 0, "sbp")
 
 
 def test_choose_params_gss_worst():
-    p = choose_params((2, 3), 2, 7, "gss_worst")
+    p = choose_params((2, 3), 2, 7)
     assert (p.alpha, p.q, p.target) == (3, 18, (21, 0, 0))
 
 
 def test_choose_params_gss_avg():
-    p = choose_params((7, 9), 2, 2, "gss_avg", m_bound=16)
+    p = choose_params((7, 9), 2, 2, 16)
     assert (p.alpha, p.q, p.target) == (4, 67, (8, 0, 0))
 
 
-def test_choose_params_avg_needs_m_bound():
-    with pytest.raises(ValueError):
-        choose_params((7, 9), 2, 2, "gss_avg")
-
-
-@given(nonzero_vecs, st.integers(1, 5), st.integers(-30, 30))
+@given(nonzero_vecs, st.integers(1, 5), st.integers(-30, 30),
+       st.one_of(st.none(), st.integers(1, 2**20)))
 @settings(max_examples=100, deadline=None)
-def test_embedding_determinant(x, d, tau):
-    p = choose_params(x, d, tau, "gss_worst")
+def test_embedding_determinant(x, d, tau, m_bound):
+    """Without m_bound, the worst case: alpha = d + 1 and q = d sum|x_i| +
+    |tau| + 1.  With it, the average case: alpha = max(d + 1,
+    ceil(m_bound^(1/n))) and q = alpha sum|x_i| + |tau| + 1.  Either way
+    the target is alpha tau e_0 and the Gram determinant is (alpha q)^2."""
+    p = choose_params(x, d, tau, m_bound)
+    n, sum_abs = len(x), sum(map(abs, x))
+    if m_bound is None:
+        assert (p.alpha, p.q) == (d + 1, d * sum_abs + abs(tau) + 1)
+    else:
+        assert p.alpha >= d + 1 and p.alpha ** n >= m_bound
+        assert p.alpha == d + 1 or (p.alpha - 1) ** n < m_bound
+        assert p.q == p.alpha * sum_abs + abs(tau) + 1
+    assert p.target == (p.alpha * tau,) + (0,) * n
     basis = embedding_basis(x, p)
     assert basis.rank == basis.dim == len(x) + 1
     assert _gram_det(basis) == (p.alpha * p.q) ** 2

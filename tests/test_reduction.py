@@ -151,8 +151,7 @@ _kernel_embedding_and_random_bases = st.one_of(
     .filter(any).map(kernel_basis),
     st.tuples(st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=6)
               .filter(any), st.integers(1, 5), st.integers(-100, 100))
-    .map(lambda a: embedding_basis(a[0], choose_params(a[0], a[1], a[2],
-                                                       "gss_worst"))))
+    .map(lambda a: embedding_basis(a[0], choose_params(a[0], a[1], a[2]))))
 
 
 @given(_random_bases())
@@ -298,13 +297,13 @@ def _zero_column_bases(draw):
 
 @st.composite
 def _embeddings(draw):
-    """embedding_basis of _weights under every choose_params mode, at
-    tau = 0 (balancing's parameters) as well as away from it."""
+    """embedding_basis of _weights with worst- and average-case
+    choose_params, at tau = 0 (balancing's parameters) as well as away
+    from it."""
     x = draw(_weights())
-    mode = draw(st.sampled_from(("gss_worst", "gss_avg")))
     tau = draw(st.one_of(st.just(0), st.integers(-10**6, 10**6)))
-    params = choose_params(x, draw(st.integers(1, 6)), tau, mode,
-                           draw(st.integers(1, 2**20)))
+    params = choose_params(x, draw(st.integers(1, 6)), tau,
+                           draw(st.one_of(st.none(), st.integers(1, 2**20))))
     return embedding_basis(x, params)
 
 

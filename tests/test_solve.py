@@ -62,8 +62,6 @@ from sbl.solve import (
     ENGINES,
     ApproxCvpOracle,
     GapConfigError,
-    HALF_INTEGER,
-    INTEGER,
     SIGN_PATTERN_CAP,
     ThresholdUnmet,
     _box_center,
@@ -462,7 +460,7 @@ def test_sbp_body_witness_is_the_least_balanced_point(case):
 def _embedded_coeff_sets(x, tau, d):
     """Coefficient vectors read off lattice points near the shifted target
     versus the admissible vectors found by direct iteration."""
-    params = choose_params(x, d, tau, "gss_worst")
+    params = choose_params(x, d, tau)
     lat = prepare(embedding_basis(x, params))
     n = len(x)
     via_lattice = set()
@@ -651,7 +649,7 @@ def test_gap_decision_survives_inflation(x, tau, d, odd):
     xs = tuple(x)
     n = len(xs)
     a, b = -d, d - odd
-    params = choose_params(xs, d, tau, "gss_worst")
+    params = choose_params(xs, d, tau)
     basis = embedding_basis(xs, params)
     target, r = interval_shift_target(tau, params.alpha, a, b, n)
     assert r.denominator == 1 + odd
@@ -898,7 +896,7 @@ def _swept_points(x, tau, d, points):
     """The points the sweep visits: per sign pattern, the reference walk of
     the sup ball at the cap filtered to that ball, after checking that the
     patterns' Euclidean cap balls hold the given points in all."""
-    params = choose_params(x, d, tau, "gss_worst")
+    params = choose_params(x, d, tau)
     lat = prepare(embedding_basis(x, params))
     cap = Fraction(d - 1, 2)
     held = visited = 0
@@ -976,7 +974,7 @@ def _reference_sweep(xs, tau, d):
     """The sign-pattern loop spelled out with the public gap machinery:
     one capped oracle, one target and one gap decision per pattern.
     Returns the verdict and the number of patterns tried."""
-    params = choose_params(xs, d, tau, "gss_worst")
+    params = choose_params(xs, d, tau)
     lat = prepare(embedding_basis(xs, params))
     oracle = capped_cvp_oracle()
     tried = 0
@@ -1136,7 +1134,7 @@ def test_shared_cap_ball_matches_each_patterns_ball(case):
     cap."""
     xs, tau, d = case
     n = len(xs)
-    params = choose_params(xs, d, tau, "gss_worst")
+    params = choose_params(xs, d, tau)
     lat = prepare(embedding_basis(xs, params))
     cap = Fraction(d - 1, 2)
     den = 1 if d % 2 else 2
@@ -1162,7 +1160,7 @@ def test_shared_cap_ball_matches_each_patterns_ball(case):
 def test_gss_avg_worked_instance():
     v = solve_gss_avg((7, 9), 2, 2, 16)
     assert v.witness == (-1, 1)
-    params = choose_params((7, 9), 2, 2, "gss_avg", m_bound=16)
+    params = choose_params((7, 9), 2, 2, 16)
     assert params.alpha == 4 and params.q == 67
 
 
@@ -1189,7 +1187,7 @@ def test_box_center_is_the_checked_target(tau):
     column 0 of the lattice's vectors gram_det[i] b*_i, has the
     denominator, scaled point and frame that _Target.of gives it."""
     x = (11, 23, 37, 41)
-    params = choose_params(x, 2, tau, "gss_avg", m_bound=256)
+    params = choose_params(x, 2, tau, 256)
     lat = enumeration.prepare(embedding_basis(x, params))
     got = _box_center(lat, params.alpha * tau)
     want = _Target.of(lat, params.target)
@@ -1264,7 +1262,7 @@ def test_gss_avg_witness_is_the_least_decodable_point(x, tau, d, cset):
     n = len(xs)
     v = solve_gss_avg(xs, tau, d, 4 ** n, cset)
     assume(v.status != "guard_abort")
-    params = choose_params(xs, d, tau, "gss_avg", m_bound=4 ** n)
+    params = choose_params(xs, d, tau, 4 ** n)
     lat = prepare(embedding_basis(xs, params))
     listing = ball_walk(lat, params.target, (n + 1) * d * d)
     want = next((p[1:] for p in listing
@@ -1283,22 +1281,40 @@ def test_gap_search_exact_hit():
 
 
 def test_gap_search_half_grid():
-    vec, dist = cvp_via_gap_search(
-        _z2(), (Fraction(1, 2), Fraction(0)), grid=HALF_INTEGER
-    )
+    """The default r_max, Babai's distance 1/2, puts the search on the
+    half-integer grid."""
+    vec, dist = cvp_via_gap_search(_z2(), (Fraction(1, 2), Fraction(0)))
     assert dist == Fraction(1, 2)
     assert vec in ((0, 0), (1, 0))
 
 
 def test_gap_search_needs_grid_aligned_r_max():
-    with pytest.raises(ValueError):
+    """r_max = 3/2 on an integer target: the distance 0 accepted there is
+    off r_max's grid, which is bad input."""
+    with pytest.raises(ValueError, match="^accepted distance 0 is off the "
+                                         "grid of the radius 3/2"):
         cvp_via_gap_search(_z2(), (Fraction(0), Fraction(0)),
                            r_max=Fraction(3, 2))
 
 
-def test_gap_search_rejects_unknown_grid():
-    with pytest.raises(ValueError):
-        cvp_via_gap_search(_z2(), (Fraction(0), Fraction(0)), grid="thirds")
+@pytest.mark.parametrize("r_max", [None, 2])
+def test_gap_search_refuses_a_target_off_every_grid(r_max):
+    """Distances to (1/3, 1/3, 1/3) lie on Z/3, so the gap premise fails:
+    Babai's distance 1/3 is no radius, and the distance 1/3 accepted at
+    r_max = 2 is off its grid."""
+    basis = kernel_basis((3, 5, 7))
+    assert cvp_inf(basis, (Fraction(1, 3),) * 3).dist == Fraction(1, 3)
+    with pytest.raises(ValueError, match="1/3"):
+        cvp_via_gap_search(basis, (Fraction(1, 3),) * 3, r_max=r_max)
+
+
+def test_gap_decide_refuses_a_distance_off_the_grid():
+    """Asked at r = 1/2 on an integer target, the capped oracle accepts
+    the distance 0, which is off r's grid: bad input, not a defect."""
+    with pytest.raises(ValueError, match="^accepted distance 0 is off the "
+                                         "grid of the radius 1/2"):
+        gap_decide(capped_cvp_oracle(), kernel_basis((3, 5, 7)), (0, 0, 0),
+                   Fraction(1, 2))
 
 
 def test_gap_search_fails_when_r_max_too_small():
@@ -1338,16 +1354,17 @@ def _gap_searches(draw):
           False))
 @example((LatticeBasis(((2, 0), (0, 2)), 2), (Fraction(1), Fraction(3)),
           False))
+@example((kernel_basis((3, 5, 7)), (Fraction(1, 2),) * 3, True))
 @settings(max_examples=120, deadline=None)
 def test_gap_search_matches_direct_cvp(case):
-    """Binary search over gap decisions on the declared grid finds the
-    uncapped cvp_inf's witness and distance, on full-rank bases of
-    dimension 2-4 with integer or half-integer targets."""
+    """Binary search over gap decisions from the default r_max, on the
+    grid that r_max gives, finds the uncapped cvp_inf's witness and
+    distance, on full-rank bases of dimension 2-4 and a rank 2 kernel
+    lattice with integer or half-integer targets."""
     basis, target, half = case
     res = cvp_inf(basis, target)
-    grid = HALF_INTEGER if half else INTEGER
     assert res.dist.denominator == (2 if half else 1)
-    vec, dist = cvp_via_gap_search(basis, target, grid=grid)
+    vec, dist = cvp_via_gap_search(basis, target)
     assert (vec, dist) == (res.witness, res.dist)
     assert max(abs(Fraction(a) - b) for a, b in zip(vec, target)) == dist
 
@@ -1553,6 +1570,13 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
         return False
 
     unpack = sbl.reduction._unpack
+    pattern = sbl.solve.sign_pattern_target
+
+    def off_grid(*args):
+        # the pattern's target, its center moved by 1/2 off r's grid
+        target, r = pattern(*args)
+        return (target[0],) + tuple(t + Fraction(1, 2)
+                                    for t in target[1:]), r
 
     def corrupt(*args):
         # the unpacked rows, each with its first entry moved by one
@@ -1593,7 +1617,9 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
         (sbl.lattice, "sum", lambda *a: 1,
          lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5)),
         (sbl.lattice, "max", min,
-         lambda: sbl.lattice.choose_params((3, 5), 1, 0, "gss_avg", 1)),
+         lambda: sbl.lattice.choose_params((3, 5), 1, 0, 1)),
+        (sbl.solve, "sign_pattern_target", off_grid,
+         lambda: sbl.solve.solve_gss_punctured((2, 3), 1, 1)),
         (sbl.oracle, "verify_solution", reject,
          lambda: sbl.oracle.mitm_solve(inst, "gss")),
         (sbl.oracle, "coefficient_alphabet", lambda cs: None,
@@ -1622,7 +1648,7 @@ def test_self_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["internal-error"] * 15
+    assert proc.stdout.split() == ["internal-error"] * 16
 
 
 def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path,

@@ -101,8 +101,14 @@ __all__ = [
 ]
 
 def _rational(c) -> Union[int, Fraction]:
-    """c as an exact number: ints and Fractions are kept as they are."""
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+    """c as an exact number: ints and Fractions are kept as they are.  A
+    value with no exact ratio, an infinity or a NaN, is a ValueError."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    try:
+        return Fraction(c)
+    except OverflowError as e:
+        raise ValueError(str(e)) from None
 
 
 def _scaled(point) -> Tuple[int, Tuple[int, ...]]:

@@ -52,6 +52,7 @@ from .core import (
 )
 from .enumeration import (
     Lattice,
+    _rational,
     _sup_search,
     _Target,
     _top_test,
@@ -88,7 +89,6 @@ __all__ = [
     "solve_gss_interval",
     "solve_gss_punctured",
     "solve_gss_avg",
-    "cvp_via_gap_search",
     "ENGINES",
     "solve_instance",
 ]
@@ -256,16 +256,17 @@ class ApproxCvpOracle:
     solver: Callable
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "gamma", _rational(self.gamma))
         if self.gamma < 1:
             raise ValueError("gamma must be at least 1")
 
 
 def capped_cvp_oracle(budget=DEFAULT_POINT_BUDGET) -> ApproxCvpOracle:
-    """A gamma = 1 oracle that answers at radius r by cvp_inf capped at r;
-    cvp_via_gap_search's default.  Each answer draws on the budget: a
-    Budget is shared by all of them, and an int or None gives each its
-    own.
+    """A gamma = 1 oracle that answers at radius r by cvp_inf capped at r.
+    One oracle may be asked many times, as criterion 07's sweep asks one
+    at every sign pattern.  Each answer draws on the budget, so a Budget
+    is shared across all its answers, and an int or None gives each
+    answer its own limit.
 
     When nothing lies within r it reports r + 1 with no vector, which is a
     valid distance lower bound exactly when attainable distances skip the
@@ -298,7 +299,7 @@ def gap_decide(
     r's grid.  The basis is prepared once, and the oracle is asked on the
     prepared lattice, whose rows are reduced (see enumeration.prepare).
     """
-    r = Fraction(r)
+    r = _rational(r)
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r.denominator > 2:
@@ -595,55 +596,6 @@ def solve_gss_avg(
 
 
 # ---------------------------------------------------------------------------
-# gap oracle to approximate distances
-# ---------------------------------------------------------------------------
-
-def cvp_via_gap_search(
-    basis: Lattice,
-    target,
-    r_max=None,
-    oracle: Optional[ApproxCvpOracle] = None,
-    budget=DEFAULT_POINT_BUDGET,
-) -> Tuple[Tuple[int, ...], Fraction]:
-    """Recover a closest vector from gap questions (oracle, basis, target,
-    r) alone by binary search over the radii r_max - k of r_max's grid,
-    k = 0, ..., floor(r_max).
-
-    The one oracle is asked at every radius; the default is
-    capped_cvp_oracle, cvp_inf capped at the radius asked, making the
-    result an exact closest vector on grid-structured targets, and the
-    walks of all its radii draw on one Budget.  The search needs an
-    accepting radius to start from; r_max defaults to the sup distance of
-    Babai's nearest-plane vector, which is attainable, so on the grid when
-    the premise holds, and accepts there.  Bad input raises ValueError
-    (see gap_decide).  The lattice is prepared once for the whole search.
-    """
-    lat = prepare(basis)
-    tgt = tuple(Fraction(t) for t in target)
-    if oracle is None:
-        oracle = capped_cvp_oracle(_as_budget(budget))
-    if r_max is None:
-        center = _Target.of(lat, tgt)
-        r_max = Fraction(center.babai()[1], center.den)
-    r_max = Fraction(r_max)
-    gv = gap_decide(oracle, lat, tgt, r_max)
-    if not gv.accept:
-        raise ValueError("no lattice vector within r_max of the target")
-    best = gv.vector
-    hi, base = divmod(r_max, 1)
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        gv = gap_decide(oracle, lat, tgt, base + mid)
-        if gv.accept:
-            hi = mid
-            best = gv.vector
-        else:
-            lo = mid + 1
-    return best, _sup_dist(best, tgt)
-
-
-# ---------------------------------------------------------------------------
 # engine dispatch
 # ---------------------------------------------------------------------------
 
@@ -682,14 +634,14 @@ def solve_instance(
     either mode, gets the verdict of one gap decision per sign pattern,
     from one sup walk of the box [-d, d]^n where the box holds no more
     vectors than c.x has values, (2d+1)^n <= 2 d sum|x_i| + 1, and from
-    the sign sweep elsewhere (see solve_gss_punctured).  Balancing over [-d, d] or a box is one SVP
-    call, or solve_sbp_lll's first reduced row once d clears
-    lll_threshold, which solve_sbp_lll alone evaluates; over an
-    ellipsoid it is a gauge SVP, and an asymmetric interval goes to
-    meet-in-the-middle.  gss over an interval or box is one gap decision,
-    over an ellipsoid brute force.  gss on an all-zero x, under auto or
-    avg, gets brute force's verdict without a lattice; balancing on one
-    raises.  An engine that does not apply raises ValueError.
+    the sign sweep elsewhere (see solve_gss_punctured).  Balancing over
+    [-d, d] or a box is one SVP call, or solve_sbp_lll's first reduced
+    row once d clears lll_threshold, which solve_sbp_lll alone evaluates;
+    over an ellipsoid it is a gauge SVP, and an asymmetric interval goes
+    to meet-in-the-middle.  gss over an interval or box is one gap
+    decision, over an ellipsoid brute force.  gss on an all-zero x, under
+    auto or avg, gets brute force's verdict without a lattice; balancing
+    on one raises.  An engine that does not apply raises ValueError.
     """
     if mode not in ("balancing", "gss"):
         raise ValueError(f"unknown mode {mode!r}")

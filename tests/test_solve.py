@@ -49,6 +49,7 @@ from sbl.enumeration import (
     PreparedLattice,
     prepare,
     cvp_inf,
+    svp_inf,
 )
 from sbl.experiment import (
     SUITE_NAMES,
@@ -68,7 +69,6 @@ from sbl.solve import (
     _symmetric_bound,
     capped_cvp_oracle,
     check_minkowski,
-    cvp_via_gap_search,
     gap_decide,
     solve_gss_avg,
     solve_gss_interval,
@@ -568,6 +568,26 @@ def test_gap_rejects_a_radius_off_the_grid():
         gap_decide(oracle, _z2(), (Fraction(0), Fraction(0)), Fraction(1, 3))
 
 
+_NON_FINITE_CALLS = {
+    "svp_inf-cap": lambda v: svp_inf(_z2(), cap=v),
+    "cvp_inf-target": lambda v: cvp_inf(_z2(), (v, 0)),
+    "cvp_inf-cap": lambda v: cvp_inf(_z2(), (0, 0), cap=v),
+    "gap_decide-r": lambda v: gap_decide(_never_asked(), _z2(), (0, 0), v),
+    "oracle-gamma": lambda v: ApproxCvpOracle(v, _never_asked().solver),
+}
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", list(_NON_FINITE_CALLS))
+def test_a_non_finite_float_is_a_value_error(call, value):
+    """An infinity or a NaN has no exact ratio, so as a radius, a cap, a
+    target entry or a gamma it is bad input: ValueError, not the
+    OverflowError of Fraction(inf)."""
+    with pytest.raises(ValueError, match="integer ratio"):
+        _NON_FINITE_CALLS[call](value)
+
+
 def _fixed_oracle(vector):
     """A gamma = 1 oracle that answers every question with the vector, at
     its sup distance over the coordinates the two share."""
@@ -582,15 +602,11 @@ def _fixed_oracle(vector):
 def test_gap_refuses_an_answer_off_the_lattice(vector):
     """On 2Z^2 around (0, 5) at radius 1, an answer that is not a lattice
     vector of the target's dimension fails a self-check instead of being
-    accepted, in a gap decision and in the gap search over it: (1, 5) is
-    off the lattice, and (0,) and (0, 4, 0) have the wrong length."""
-    basis = LatticeBasis(((2, 0), (0, 2)), 2)
-    target = (Fraction(0), Fraction(5))
-    oracle = _fixed_oracle(vector)
+    accepted: (1, 5) is off the lattice, and (0,) and (0, 4, 0) have the
+    wrong length."""
     with pytest.raises(InternalError, match="not a lattice vector"):
-        gap_decide(oracle, basis, target, 1)
-    with pytest.raises(InternalError, match="not a lattice vector"):
-        cvp_via_gap_search(basis, target, r_max=1, oracle=oracle)
+        gap_decide(_fixed_oracle(vector), LatticeBasis(((2, 0), (0, 2)), 2),
+                   (Fraction(0), Fraction(5)), 1)
 
 
 def test_gap_rejects_a_target_of_another_dimension():
@@ -1272,63 +1288,25 @@ def test_gss_avg_witness_is_the_least_decodable_point(x, tau, d, cset):
 
 
 # ---------------------------------------------------------------------------
-# distance recovery from gap decisions
+# gap decisions against the exact search
 # ---------------------------------------------------------------------------
 
-def test_gap_search_exact_hit():
-    vec, dist = cvp_via_gap_search(_z2(), (Fraction(3), Fraction(-4)))
-    assert vec == (3, -4) and dist == 0
-
-
-def test_gap_search_half_grid():
-    """The default r_max, Babai's distance 1/2, puts the search on the
-    half-integer grid."""
-    vec, dist = cvp_via_gap_search(_z2(), (Fraction(1, 2), Fraction(0)))
-    assert dist == Fraction(1, 2)
-    assert vec in ((0, 0), (1, 0))
-
-
-def test_gap_search_needs_grid_aligned_r_max():
-    """r_max = 3/2 on an integer target: the distance 0 accepted there is
-    off r_max's grid, which is bad input."""
-    with pytest.raises(ValueError, match="^accepted distance 0 is off the "
-                                         "grid of the radius 3/2"):
-        cvp_via_gap_search(_z2(), (Fraction(0), Fraction(0)),
-                           r_max=Fraction(3, 2))
-
-
-@pytest.mark.parametrize("r_max", [None, 2])
-def test_gap_search_refuses_a_target_off_every_grid(r_max):
-    """Distances to (1/3, 1/3, 1/3) lie on Z/3, so the gap premise fails:
-    Babai's distance 1/3 is no radius, and the distance 1/3 accepted at
-    r_max = 2 is off its grid."""
-    basis = kernel_basis((3, 5, 7))
-    assert cvp_inf(basis, (Fraction(1, 3),) * 3).dist == Fraction(1, 3)
-    with pytest.raises(ValueError, match="1/3"):
-        cvp_via_gap_search(basis, (Fraction(1, 3),) * 3, r_max=r_max)
-
-
-def test_gap_decide_refuses_a_distance_off_the_grid():
-    """Asked at r = 1/2 on an integer target, the capped oracle accepts
-    the distance 0, which is off r's grid: bad input, not a defect."""
-    with pytest.raises(ValueError, match="^accepted distance 0 is off the "
-                                         "grid of the radius 1/2"):
-        gap_decide(capped_cvp_oracle(), kernel_basis((3, 5, 7)), (0, 0, 0),
-                   Fraction(1, 2))
-
-
-def test_gap_search_fails_when_r_max_too_small():
-    coarse = LatticeBasis(((3, 0), (0, 3)), 2)
-    with pytest.raises(ValueError):
-        cvp_via_gap_search(coarse, (Fraction(1), Fraction(1)),
-                           r_max=Fraction(0))
-    vec, dist = cvp_via_gap_search(coarse, (Fraction(1), Fraction(1)),
-                                   r_max=Fraction(2))
-    assert dist == 1 and vec == (0, 0)
+@pytest.mark.parametrize("basis, target, r, match", [
+    (kernel_basis((3, 5, 7)), (0, 0, 0), Fraction(1, 2),
+     "^accepted distance 0 is off the grid of the radius 1/2"),
+    (kernel_basis((3, 5, 7)), (Fraction(1, 3),) * 3, 2, "1/3"),
+], ids=["integer-target", "third-target"])
+def test_gap_decide_refuses_a_distance_off_the_grid(basis, target, r, match):
+    """The capped oracle's accepted distance is off r's grid: bad input,
+    not a defect.  Asked at r = 1/2 on an integer target it accepts the
+    distance 0.  Distances to (1/3, 1/3, 1/3) lie on Z/3, so at r = 2 it
+    accepts the distance 1/3, which lies on no radius's grid."""
+    with pytest.raises(ValueError, match=match):
+        gap_decide(capped_cvp_oracle(), basis, target, r)
 
 
 @st.composite
-def _gap_searches(draw):
+def _grid_targets(draw):
     """A full-rank basis of dimension 2-4 with small entries and a target
     whose entries are all integers or all halves of odd integers, so that
     every sup distance to the lattice lies on one grid."""
@@ -1347,7 +1325,7 @@ def _gap_searches(draw):
     return LatticeBasis(tuple(rows), m), target, half
 
 
-@given(_gap_searches())
+@given(_grid_targets())
 @example((LatticeBasis(((2, 1), (0, 3)), 2), (Fraction(5), Fraction(-3)),
           False))
 @example((LatticeBasis(((3, 0), (1, 4)), 2), (Fraction(-6), Fraction(2)),
@@ -1356,17 +1334,20 @@ def _gap_searches(draw):
           False))
 @example((kernel_basis((3, 5, 7)), (Fraction(1, 2),) * 3, True))
 @settings(max_examples=120, deadline=None)
-def test_gap_search_matches_direct_cvp(case):
-    """Binary search over gap decisions from the default r_max, on the
-    grid that r_max gives, finds the uncapped cvp_inf's witness and
-    distance, on full-rank bases of dimension 2-4 and a rank 2 kernel
-    lattice with integer or half-integer targets."""
+def test_gap_decide_matches_direct_cvp(case):
+    """Asked at the uncapped cvp_inf's distance, the capped oracle's gap
+    question accepts with cvp_inf's witness, and asked one grid step
+    below it rejects, on full-rank bases of dimension 2-4 and a rank 2
+    kernel lattice with integer or half-integer targets."""
     basis, target, half = case
     res = cvp_inf(basis, target)
     assert res.dist.denominator == (2 if half else 1)
-    vec, dist = cvp_via_gap_search(basis, target)
-    assert (vec, dist) == (res.witness, res.dist)
-    assert max(abs(Fraction(a) - b) for a, b in zip(vec, target)) == dist
+    oracle = capped_cvp_oracle()
+    gv = gap_decide(oracle, basis, target, res.dist)
+    assert gv.accept and gv.vector == res.witness
+    assert gv.reported_dist == res.dist
+    if res.dist >= 1:
+        assert not gap_decide(oracle, basis, target, res.dist - 1).accept
 
 
 # ---------------------------------------------------------------------------
@@ -1519,22 +1500,30 @@ def test_one_budget_spans_two_solves():
         gss(short)
 
 
-def test_gap_search_draws_on_one_budget():
-    """The binary search from r_max = 10 accepts at radii 10, 5, 2 and 1,
-    whose walks visit 2 points each: any one of them fits a budget of 2,
-    but the walks of one search share a Budget, so it needs 8 and overruns
-    at 7."""
+def test_capped_oracle_draws_on_one_budget():
+    """Gap questions at radii 10, 5, 2 and 1 around (17, -14) all accept,
+    and each answer's walk visits 2 points, so any one of them fits a
+    budget of 2.  One capped oracle's answers share its Budget: the four
+    charge 8 in all, and a limit of 7 overruns at the fourth."""
     basis = LatticeBasis(((2, 1), (0, 3)), 2)
     target = (Fraction(17), Fraction(-14))
+    radii = (10, 5, 2, 1)
     budget = Budget()
-    want = cvp_via_gap_search(basis, target, r_max=10, budget=budget)
-    assert want == ((16, -13), 1) and budget.charged == 8
-    for r in (10, 5, 2, 1):
-        assert cvp_inf(basis, target, cap=r, budget=2).found
-    assert cvp_via_gap_search(basis, target, r_max=10, budget=8) == want
+    oracle = capped_cvp_oracle(budget)
+    charged = []
+    for r in radii:
+        assert gap_decide(capped_cvp_oracle(2), basis, target, r).accept
+        gv = gap_decide(oracle, basis, target, r)
+        assert gv.accept
+        charged.append(budget.charged)
+    assert charged == [2, 4, 6, 8]
+    assert gv.vector == (16, -13) and gv.reported_dist == 1
+    oracle = capped_cvp_oracle(Budget(7))
+    for r in radii[:-1]:
+        assert gap_decide(oracle, basis, target, r).accept
     with pytest.raises(BudgetExceeded,
                        match="^search lists more than 7 points$"):
-        cvp_via_gap_search(basis, target, r_max=10, budget=7)
+        gap_decide(oracle, basis, target, radii[-1])
 
 
 @pytest.mark.parametrize("budget", [True, False, 2.0, 2.5, "100"])

@@ -5,8 +5,7 @@ solution (or witness rejected), 2 guard abort, 3 invalid input, 4
 enumeration budget exceeded, 5 a failed internal self-check (a defect in
 sbl, reported on stderr without a traceback).  Output on stdout is a
 single JSON document (solve, verify, probe, gen without --out) or CSV
-(bench); everything diagnostic goes to stderr.  SBL_BUDGET overrides the
-default point budget when no --budget flag is given.
+(bench); everything diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -58,8 +56,6 @@ EXIT_INTERNAL = 5
 
 _STATUS_EXIT = {SOLVED: 0, NO_SOLUTION: 1, GUARD_ABORT: 2}
 
-BUDGET_ENV = "SBL_BUDGET"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags, which collides with guard_abort
@@ -72,15 +68,6 @@ def _budget(args) -> int:
         if args.budget < 1:
             raise ValueError("budget must be positive")
         return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}")
-        if value < 1:
-            raise ValueError(f"{BUDGET_ENV} must be positive")
-        return value
     return DEFAULT_POINT_BUDGET
 
 
@@ -104,7 +91,7 @@ def _emit(verdict: Verdict) -> int:
 def cmd_solve(args) -> int:
     budget = _budget(args)
     inst = parse_instance(_read(args.instance))
-    mode = "balancing" if args.nonzero or args.mode == "sbp" else "gss"
+    mode = "balancing" if args.mode == "sbp" else "gss"
     return _emit(solve_instance(inst, mode, args.engine, budget))
 
 
@@ -194,8 +181,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--engine", choices=ENGINES, default="auto")
     p.add_argument("--budget", type=int, default=None,
                    help="enumeration point budget")
-    p.add_argument("--nonzero", action="store_true",
-                   help="force balancing semantics (reject c = 0)")
     p.set_defaults(run=cmd_solve)
 
     p = sub.add_parser("gen", help="sample a random instance")

@@ -513,6 +513,27 @@ def _sup_search(t: _Target, lim: int, budget: Budget, nonzero: bool = False):
     return best
 
 
+def _box_least(lat: PreparedLattice, head: int, lim: int, budget: Budget,
+               key):
+    """The least key(v) over the lattice points v of the sup ball of
+    radius lim around (head, 0, ..., 0) whose key is not None, else None.
+    The walk visits and charges every point of the ball; the center's
+    frame is head times column 0 of lat._stars, built in O(m)."""
+    t = _Target(lat, 1, (head,) + (0,) * (lat.dim - 1),
+                [head * b[0] for b in lat._stars])
+    best = None
+
+    def visit(v) -> int:
+        nonlocal best
+        k = key(v)
+        if k is not None and (best is None or k < best):
+            best = k
+        return lim
+
+    _walk(t, visit, budget, lim)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # sup-norm shortest vector
 # ---------------------------------------------------------------------------

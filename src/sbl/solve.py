@@ -52,11 +52,11 @@ from .core import (
 )
 from .enumeration import (
     Lattice,
+    _box_least,
     _rational,
     _sup_search,
     _Target,
     _top_test,
-    _walk,
     cvp_inf,
     prepare,
     svp_gauge,
@@ -330,7 +330,7 @@ def _gap_verdict(lat, target, r: Fraction, vector, reported) -> GapVerdict:
     r's grid and at most reported, hence at most r.  That distance is
     attainable, so one off the grid means the inputs break the grid
     premise: ValueError."""
-    reported = Fraction(reported)
+    reported = Fraction(_rational(reported))
     if reported >= r + 1:
         return GapVerdict(False, reported)
     _check(vector is not None, "oracle accepted without a vector")
@@ -382,20 +382,15 @@ def solve_gss_interval(
     params = choose_params(xs, d, tau)
     basis = embedding_basis(xs, params)
     target, r = interval_shift_target(tau, params.alpha, a, b, n)
-    gv = gap_decide(capped_cvp_oracle(budget), basis, target, r)
+    try:
+        gv = gap_decide(capped_cvp_oracle(budget), basis, target, r)
+    except ValueError as e:  # on r's grid by construction: a defect
+        raise InternalError(f"self-check failed: {e}") from e
     if not gv.accept:
         return Verdict.no_solution("gap decision rejected")
     c = gv.vector[1:]
     _check(verify_solution(inst, c, "gss"), "gss witness")
     return Verdict.solved(c)
-
-
-def _box_center(lat, head: int) -> _Target:
-    """_Target.of(lat, (head, 0, ..., 0)) in O(m): the center alpha tau
-    e_0 of the box walks, whose frame is head times column 0 of
-    lat._stars."""
-    return _Target(lat, 1, (head,) + (0,) * (lat.dim - 1),
-                   [head * b[0] for b in lat._stars])
 
 
 def _first_pattern(lat, head: int, den: int, h: int, limit: int,
@@ -495,19 +490,14 @@ def solve_gss_punctured(
     den = 1 if d % 2 == 1 else 2
     h = den * (d + 1) // 2
     if (2 * d + 1) ** n <= 2 * d * sum(map(abs, xs)) + 1:
-        best = None
-
-        def keep(v) -> int:
-            nonlocal best
+        def key(v):
             c = v[1:]
             if all(c):
-                key = (tuple(1 if a > 0 else -1 for a in c),
-                       max(abs(den * abs(a) - h) for a in c), v)
-                if best is None or key < best:
-                    best = key
-            return d
+                return (tuple(1 if a > 0 else -1 for a in c),
+                        max(abs(den * abs(a) - h) for a in c), v)
+            return None
 
-        _walk(_box_center(lat, params.alpha * tau), keep, budget, d)
+        best = _box_least(lat, params.alpha * tau, d, budget, key)
     else:
         best = _first_pattern(lat, den * params.alpha * tau, den, h,
                               (d - 1) * den // 2, budget)
@@ -577,15 +567,9 @@ def solve_gss_avg(
             return Verdict.guard_abort(
                 f"nonzero lattice vector of sup norm {gres.value} within the guard"
             )
-    best = None
-
-    def keep(v) -> int:
-        nonlocal best
-        if (cset == "interval" or all(v[1:])) and (best is None or v < best):
-            best = v
-        return d
-
-    _walk(_box_center(lat, params.alpha * tau), keep, budget, d)
+    best = _box_least(
+        lat, params.alpha * tau, d, budget,
+        lambda v: v if cset == "interval" or all(v[1:]) else None)
     if best is None:
         return Verdict.no_solution("no lattice point near the target decodes")
     _check(best[0] == params.alpha * tau,

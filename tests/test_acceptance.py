@@ -382,7 +382,7 @@ def test_criterion_11_determinism(tmp_path, capsys):
         p.write_text(serialize_instance(inst) + "\n", encoding="utf-8")
         runs.append(["solve", str(p)])
     runs[3].extend(["--engine", "avg"])
-    runs.append(["solve", str(tmp_path / "i4.json"), "--nonzero"])
+    runs.append(["solve", str(tmp_path / "i4.json"), "--mode", "sbp"])
     for seed in ("1", "7", "42"):
         runs.append(["gen", "--n", "5", "--M", "1000", "--d", "2",
                      "--seed", seed])

@@ -1,5 +1,5 @@
 """End-to-end command line tests: exit codes, JSON and CSV output, the
-budget environment variable, and engine agreement on a small corpus."""
+budget flag, and engine agreement on a small corpus."""
 
 import contextlib
 import csv
@@ -34,11 +34,6 @@ def _write_instance(tmp_path, inst, name="inst.json"):
     p = tmp_path / name
     p.write_text(serialize_instance(inst) + "\n", encoding="utf-8")
     return str(p)
-
-
-@pytest.fixture(autouse=True)
-def _clean_budget_env(monkeypatch):
-    monkeypatch.delenv("SBL_BUDGET", raising=False)
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +93,24 @@ def test_solve_overflowing_ellipsoid_entry_exit_three(tmp_path, capsys):
     assert err == "sbl: coeffs.a[0][0]: not a rational: inf\n"
 
 
-def test_solve_bad_flag_exit_three(tmp_path):
+@pytest.mark.parametrize("flags,message", [
+    (["--engine", "quantum"], "invalid choice: 'quantum'"),
+    (["--nonzero"], "unrecognized arguments: --nonzero"),
+], ids=["engine-quantum", "nonzero"])
+def test_solve_bad_flag_exit_three(tmp_path, capsys, flags, message):
+    """A bad value and an unknown flag exit 3 before anything is solved;
+    --nonzero is unknown (--mode sbp asks for balancing)."""
     path = _write_instance(tmp_path, Instance((1, 2), Interval(0, 1)))
     with pytest.raises(SystemExit) as e:
-        main(["solve", path, "--engine", "quantum"])
+        main(["solve", path, *flags])
     assert e.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_solve_budget_exhaustion_exit_four(tmp_path, capsys):
     path = _write_instance(tmp_path, Instance((3, 5, 8), Interval(-1, 1)))
-    assert main(["solve", path, "--budget", "1", "--nonzero"]) == 4
+    assert main(["solve", path, "--budget", "1", "--mode", "sbp"]) == 4
 
 
 _HUGE = 10 ** 13
@@ -144,7 +147,7 @@ def test_solve_zero_weights_over_a_huge_range(tmp_path, capsys, coeffs,
     assert parse_verdict(capsys.readouterr().out).witness == (least, least)
 
 
-def test_solve_nonzero_changes_the_question(tmp_path, capsys):
+def test_solve_mode_sbp_changes_the_question(tmp_path, capsys):
     # tau 0 over [-1, 1]: c = 0 answers gss, balancing wants more
     inst = Instance((1, 10), Interval(-1, 1), tau=0)
     path = _write_instance(tmp_path, inst)
@@ -152,7 +155,7 @@ def test_solve_nonzero_changes_the_question(tmp_path, capsys):
     v = parse_verdict(capsys.readouterr().out)
     assert v.status == "solved"
     assert v.witness == (0, 0)
-    assert main(["solve", path, "--nonzero"]) == 1
+    assert main(["solve", path, "--mode", "sbp"]) == 1
 
 
 def test_solve_avg_requires_m_bound(tmp_path, capsys):
@@ -184,7 +187,7 @@ def test_solve_engines_agree(tmp_path, capsys):
         path = _write_instance(tmp_path, inst)
         codes = {}
         for engine in ("svp", "mitm", "brute"):
-            codes[engine] = main(["solve", path, "--nonzero",
+            codes[engine] = main(["solve", path, "--mode", "sbp",
                                   "--engine", engine])
             capsys.readouterr()
         assert len(set(codes.values())) == 1, codes
@@ -463,11 +466,11 @@ def test_reused_parser_answers_as_a_fresh_process(tmp_path, capsys):
 
     path = _write_instance(tmp_path, Instance((3, 5, 8), Interval(-1, 1)))
     runs = [
-        (["solve", path, "--nonzero", "--budget", "1"], 4),
-        (["solve", path, "--nonzero"], 0),
+        (["solve", path, "--mode", "sbp", "--budget", "1"], 4),
+        (["solve", path, "--mode", "sbp"], 0),
         (["solve", path, "--engine", "quantum"], 3),
-        (["solve", path, "--nonzero", "--engine", "brute"], 0),
-        (["solve", path, "--nonzero"], 0),
+        (["solve", path, "--mode", "sbp", "--engine", "brute"], 0),
+        (["solve", path, "--mode", "sbp"], 0),
     ]
     _build_parser.cache_clear()
     for argv, code in runs:
@@ -620,27 +623,20 @@ def test_solve_exits_zero_to_four_on_well_formed_input(tmp_path_factory, run):
 
 
 # ---------------------------------------------------------------------------
-# budget environment variable
+# settings come from argv alone
 # ---------------------------------------------------------------------------
 
-def test_env_budget_applies(tmp_path, capsys, monkeypatch):
+def test_env_budget_is_ignored(tmp_path, capsys, monkeypatch):
+    """The budget comes from --budget or the default alone: with
+    SBL_BUDGET=1 in the environment, the exit code and stdout are those
+    without it."""
     path = _write_instance(tmp_path, Instance((3, 5, 8), Interval(-1, 1)))
+    argv = ["solve", path, "--mode", "sbp"]
+    monkeypatch.delenv("SBL_BUDGET", raising=False)
+    want = main(argv), capsys.readouterr().out
     monkeypatch.setenv("SBL_BUDGET", "1")
-    assert main(["solve", path, "--nonzero"]) == 4
-
-
-def test_env_budget_must_be_integer(tmp_path, capsys, monkeypatch):
-    path = _write_instance(tmp_path, Instance((1, 2), Interval(0, 1)))
-    monkeypatch.setenv("SBL_BUDGET", "lots")
-    assert main(["solve", path]) == 3
-    monkeypatch.setenv("SBL_BUDGET", "0")
-    assert main(["solve", path]) == 3
-
-
-def test_flag_overrides_env_budget(tmp_path, capsys, monkeypatch):
-    path = _write_instance(tmp_path, Instance((3, 5, 8), Interval(-1, 1)))
-    monkeypatch.setenv("SBL_BUDGET", "1")
-    assert main(["solve", path, "--nonzero", "--budget", "1000000"]) == 0
+    assert (main(argv), capsys.readouterr().out) == want
+    assert want[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ The corpus runs `sbl solve` on every coefficient set kind (symmetric and
 asymmetric intervals, punctured intervals, boxes, ellipsoids), with tau
 zero and nonzero, with and without m_bound, at n = 1, with a zero weight,
 on meet in the middle's zero rule and at a bound meeting the LLL
-threshold, under every --mode and every --engine, plus --nonzero and an
-exhausted --budget.  A second set runs punctured gss (n in {5, 6}, d
+threshold, under every --mode and every --engine, plus an exhausted
+--budget.  A second set runs punctured gss (n in {5, 6}, d
 from 2 to 5, weights below 2^20, rejections and solved cases, each
 decided by one walk of the box ball, then mixed small and large weights,
 some dense enough for the sign-pattern sweep), with budgets the walk
@@ -273,7 +273,6 @@ def cases():
                 out.append((f"{name}-{mode}-{engine}",
                             ["solve", INSTANCE, "--mode", mode,
                              "--engine", engine], doc))
-        out.append((f"{name}-nonzero", ["solve", INSTANCE, "--nonzero"], doc))
     out.append(("budget-exhausted",
                 ["solve", INSTANCE, "--mode", "sbp", "--engine", "svp",
                  "--budget", "1"],
@@ -360,8 +359,7 @@ def test_corpus_matches_the_data():
 
 
 @pytest.mark.parametrize("case_id,argv,doc", _CASES, ids=[c[0] for c in _CASES])
-def test_golden(case_id, argv, doc, monkeypatch):
-    monkeypatch.delenv("SBL_BUDGET", raising=False)
+def test_golden(case_id, argv, doc):
     want = _load()[case_id]
     assert want["argv"] == argv and want["instance"] == doc
     code, stdout, stderr = run_case(argv, doc)
@@ -370,7 +368,6 @@ def test_golden(case_id, argv, doc, monkeypatch):
 
 
 def regenerate():
-    os.environ.pop("SBL_BUDGET", None)
     records = []
     for case_id, argv, doc in _CASES:
         code, stdout, stderr = run_case(argv, doc)

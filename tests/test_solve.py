@@ -65,7 +65,6 @@ from sbl.solve import (
     GapConfigError,
     SIGN_PATTERN_CAP,
     ThresholdUnmet,
-    _box_center,
     _symmetric_bound,
     capped_cvp_oracle,
     check_minkowski,
@@ -574,6 +573,9 @@ _NON_FINITE_CALLS = {
     "cvp_inf-cap": lambda v: cvp_inf(_z2(), (0, 0), cap=v),
     "gap_decide-r": lambda v: gap_decide(_never_asked(), _z2(), (0, 0), v),
     "oracle-gamma": lambda v: ApproxCvpOracle(v, _never_asked().solver),
+    "oracle-report": lambda v: gap_decide(
+        ApproxCvpOracle(1, lambda basis, target, r: (None, v)), _z2(),
+        (0, 0), 1),
 }
 
 
@@ -582,7 +584,8 @@ _NON_FINITE_CALLS = {
 @pytest.mark.parametrize("call", list(_NON_FINITE_CALLS))
 def test_a_non_finite_float_is_a_value_error(call, value):
     """An infinity or a NaN has no exact ratio, so as a radius, a cap, a
-    target entry or a gamma it is bad input: ValueError, not the
+    target entry, a gamma or an oracle's reported distance (which breaks
+    reported <= gamma * dist) it is bad input: ValueError, not the
     OverflowError of Fraction(inf)."""
     with pytest.raises(ValueError, match="integer ratio"):
         _NON_FINITE_CALLS[call](value)
@@ -1198,14 +1201,19 @@ def test_gss_avg_guard_and_ball_share_one_budget():
 
 
 @pytest.mark.parametrize("tau", [-7, 0, 5])
-def test_box_center_is_the_checked_target(tau):
-    """The box walks' center (alpha tau, 0, ..., 0), built in O(m) off
-    column 0 of the lattice's vectors gram_det[i] b*_i, has the
+def test_box_center_is_the_checked_target(tau, monkeypatch):
+    """The center (alpha tau, 0, ..., 0) of _box_least's walk, built in
+    O(m) off column 0 of the lattice's vectors gram_det[i] b*_i, has the
     denominator, scaled point and frame that _Target.of gives it."""
     x = (11, 23, 37, 41)
     params = choose_params(x, 2, tau, 256)
     lat = enumeration.prepare(embedding_basis(x, params))
-    got = _box_center(lat, params.alpha * tau)
+    centers = []
+    walk = enumeration._walk
+    monkeypatch.setattr(enumeration, "_walk",
+                        lambda t, *args: centers.append(t) or walk(t, *args))
+    enumeration._box_least(lat, params.alpha * tau, 2, Budget(), lambda v: v)
+    [got] = centers
     want = _Target.of(lat, params.target)
     assert (got.lat, got.den, got.scaled, got.frame) == (
         want.lat, want.den, want.scaled, want.frame)
@@ -1559,13 +1567,14 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
         return False
 
     unpack = sbl.reduction._unpack
-    pattern = sbl.solve.sign_pattern_target
 
-    def off_grid(*args):
-        # the pattern's target, its center moved by 1/2 off r's grid
-        target, r = pattern(*args)
-        return (target[0],) + tuple(t + Fraction(1, 2)
-                                    for t in target[1:]), r
+    def off_grid(make):
+        # make's target, its center moved by 1/2 off r's grid
+        def moved(*args):
+            target, r = make(*args)
+            return (target[0],) + tuple(t + Fraction(1, 2)
+                                        for t in target[1:]), r
+        return moved
 
     def corrupt(*args):
         # the unpacked rows, each with its first entry moved by one
@@ -1607,8 +1616,12 @@ _REJECT_EVERY_WITNESS = textwrap.dedent("""
          lambda: sbl.solve.solve_sbp_lll((3, 5, 8, 13), 5)),
         (sbl.lattice, "max", min,
          lambda: sbl.lattice.choose_params((3, 5), 1, 0, 1)),
-        (sbl.solve, "sign_pattern_target", off_grid,
+        (sbl.solve, "sign_pattern_target",
+         off_grid(sbl.solve.sign_pattern_target),
          lambda: sbl.solve.solve_gss_punctured((2, 3), 1, 1)),
+        (sbl.solve, "interval_shift_target",
+         off_grid(sbl.solve.interval_shift_target),
+         lambda: sbl.solve.solve_gss_interval((2, 3), 7, 0, 2)),
         (sbl.oracle, "verify_solution", reject,
          lambda: sbl.oracle.mitm_solve(inst, "gss")),
         (sbl.oracle, "coefficient_alphabet", lambda cs: None,
@@ -1637,7 +1650,7 @@ def test_self_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["internal-error"] * 16
+    assert proc.stdout.split() == ["internal-error"] * 17
 
 
 def test_failed_self_check_is_not_invalid_input(monkeypatch, tmp_path,
